@@ -100,10 +100,9 @@ def cmd_ring_info(args) -> int:
     return EXIT_OK
 
 
-def _module_facts(m, with_sigma=True) -> dict:
+def _module_facts(m) -> dict:
     cyclic, witness = is_cyclic(m)
-    rad = jacobson_radical(m)
-    facts = {
+    return {
         "module": m.label,
         "ring": m.ring.label,
         "size": m.size,
@@ -112,7 +111,7 @@ def _module_facts(m, with_sigma=True) -> dict:
         "cyclic_witness": list(witness) if witness else None,
         "length": length(m),
         "hdim": hdim(m),
-        "radical_size": rad.size,
+        "radical_size": jacobson_radical(m).size,
         "semisimple_invariants": [
             {"residue_field_size": e.residue_size, "multiplicity": e.multiplicity}
             for e in semisimple_invariants(m)
@@ -123,10 +122,6 @@ def _module_facts(m, with_sigma=True) -> dict:
         ],
         "maximal_submodules": len(maximal_submodules(m)),
     }
-    if with_sigma:
-        pred = sigma_formula(m)
-        facts["sigma_formula"] = pred.value
-    return facts
 
 
 def _print_module_facts(facts):
@@ -159,7 +154,7 @@ def cmd_module_info(args) -> int:
 
     for expr in _module_exprs(args.module):
         m = parse_module(expr)
-        facts = _module_facts(m, with_sigma=False)
+        facts = _module_facts(m)
         if args.json:
             print(json.dumps(facts, indent=2, sort_keys=True))
         else:

@@ -28,7 +28,7 @@ from .modules import (
     s_set,
     submodule_generators,
 )
-from .rings import quotient_ring
+from .rings import residue_field
 
 BNB_NODE_BUDGET = 10_000_000
 
@@ -206,7 +206,7 @@ def construct_cover(m: RealizedModule) -> CoverCertificate:
     ideal = pred.witness_ideal
     nm = ideal_action(m, ideal)
     v, proj = quotient_module(m, nm)
-    field, _, field_lift = quotient_ring(m.ring, ideal)
+    field, _, field_lift = residue_field(ideal)
     coords, _ = _vector_space_coords(v, field, field_lift)
     # lines through the origin of the first two coordinates
     # {y = c x} for each scalar c, plus {x = 0}
@@ -229,7 +229,8 @@ def construct_cover(m: RealizedModule) -> CoverCertificate:
                 mask |= 1 << i
         gens = submodule_generators(m, [i for i in range(m.size) if mask >> i & 1])
         covers.append(Submodule(m, mask, gens))
-    assert len(covers) == q + 1
+    if len(covers) != q + 1:
+        raise AssertionError(f"{len(covers)} lines through the origin of F_{q}^2")
     ok = verify_cover(m, covers)
     return CoverCertificate(
         tuple(covers), ok, q + 1 if ok else None, ok, 0,

@@ -5,7 +5,9 @@ A realized module stores its additive invariant factors (from a Smith
 normal form of the relation lattice) plus the action of the ring's
 additive basis on the module's additive basis; everything else is the
 bilinear extension. Elements are integer coordinate tuples, enumerated
-lexicographically. All values are immutable after construction.
+lexicographically. All values are immutable after construction, so each
+module stores its maximal submodules, semisimple invariants, radical and
+cyclicity once computed.
 """
 
 from __future__ import annotations
@@ -17,7 +19,14 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .errors import GuardExceeded
-from .rings import FiniteRing, Ideal, ideal_generated, maximal_ideals, quotient_ring
+from .rings import (
+    FiniteRing,
+    Ideal,
+    ideal_generated,
+    maximal_ideals,
+    quotient_ring,
+    residue_field,
+)
 from .snf import abelian_quotient
 
 REALIZE_INTERMEDIATE_GUARD = 2**20
@@ -71,6 +80,10 @@ class RealizedModule:
         self._index = None
         self._ring_basis_maps = {}
         self._add_table = None
+        self._maximal_submodules = None
+        self._semisimple_invariants = None
+        self._radical = None
+        self._cyclic = None
 
     # -- additive structure --------------------------------------------------
 
@@ -155,17 +168,28 @@ class RealizedModule:
         return self._add_table
 
     def axiom_check(self, samples=64, seed=0):
-        """Spot-check the module axioms on pseudo-random element pairs."""
+        """Spot-check the module axioms on pseudo-random element pairs;
+        raises ValueError naming the first law that fails."""
         rng = random.Random(seed)
         relems = self.ring.elements
         melems = self.elements
         for _ in range(samples):
             a, b = rng.choice(relems), rng.choice(relems)
             x, y = rng.choice(melems), rng.choice(melems)
-            assert self.act(a, self.add(x, y)) == self.add(self.act(a, x), self.act(a, y))
-            assert self.act(self.ring.add(a, b), x) == self.add(self.act(a, x), self.act(b, x))
-            assert self.act(self.ring.mul(a, b), x) == self.act(a, self.act(b, x))
-            assert self.act(self.ring.one, x) == x
+            laws = (
+                ("a(x+y) = ax+ay", self.act(a, self.add(x, y)),
+                 self.add(self.act(a, x), self.act(a, y))),
+                ("(a+b)x = ax+bx", self.act(self.ring.add(a, b), x),
+                 self.add(self.act(a, x), self.act(b, x))),
+                ("(ab)x = a(bx)", self.act(self.ring.mul(a, b), x),
+                 self.act(a, self.act(b, x))),
+                ("1x = x", self.act(self.ring.one, x), x),
+            )
+            for law, lhs, rhs in laws:
+                if lhs != rhs:
+                    raise ValueError(
+                        f"{self.label}: {law} fails at a={a}, b={b}, x={x}, y={y}"
+                    )
 
     def __repr__(self):
         return f"RealizedModule({self.label}, |M|={self.size})"
@@ -420,15 +444,21 @@ def maximal_submodules(m: RealizedModule) -> list:
     Every maximal submodule contains mM for the maximal ideal m that
     annihilates its (simple) quotient, so it is the pullback of a
     hyperplane of the R/m-vector space M/mM; conversely every such
-    pullback is maximal.
+    pullback is maximal. Computed once per module.
     """
+    if m._maximal_submodules is None:
+        m._maximal_submodules = tuple(_hyperplane_pullbacks(m))
+    return list(m._maximal_submodules)
+
+
+def _hyperplane_pullbacks(m: RealizedModule) -> list:
     out = []
     for ideal in maximal_ideals(m.ring):
         nm = ideal_action(m, ideal)
         if nm.members == m.full_mask:
             continue
         v, proj = quotient_module(m, nm)
-        field, _, field_lift = quotient_ring(m.ring, ideal)
+        field, _, field_lift = residue_field(ideal)
         coords, basis = _vector_space_coords(v, field, field_lift)
         k = len(basis)
         for phi in _monic_functionals(field, k):
@@ -505,27 +535,38 @@ def radical_via_ideals(m: RealizedModule) -> int:
 
 
 def jacobson_radical(m: RealizedModule) -> Submodule:
-    """The radical, computed both ways; the two must agree."""
-    a = radical_via_maximal(m)
-    b = radical_via_ideals(m)
-    if a != b:
-        raise AssertionError(
-            f"radical mismatch on {m.label}: maximal-submodule intersection "
-            f"has {a.bit_count()} elements, ideal intersection {b.bit_count()}"
-        )
-    gens = submodule_generators(m, [i for i in range(m.size) if a >> i & 1])
-    return Submodule(m, a, gens)
+    """The radical, computed both ways once per module; the two must agree."""
+    if m._radical is None:
+        a = radical_via_maximal(m)
+        b = radical_via_ideals(m)
+        if a != b:
+            raise AssertionError(
+                f"radical mismatch on {m.label}: maximal-submodule intersection "
+                f"has {a.bit_count()} elements, ideal intersection {b.bit_count()}"
+            )
+        gens = submodule_generators(m, [i for i in range(m.size) if a >> i & 1])
+        m._radical = Submodule(m, a, gens)
+    return m._radical
 
 
 # -- length, invariants ------------------------------------------------------------
 
 
 def is_cyclic(m: RealizedModule):
-    """Whether one element generates everything; returns (bool, witness)."""
-    for idx in range(m.size):
-        if len(_closure_indices(m, [idx])) == m.size:
-            return True, m.element(idx)
-    return False, None
+    """Whether one element generates everything; returns (bool, witness).
+
+    Computed once per module.
+    """
+    if m._cyclic is None:
+        m._cyclic = next(
+            (
+                (True, m.element(idx))
+                for idx in range(m.size)
+                if len(_closure_indices(m, [idx])) == m.size
+            ),
+            (False, None),
+        )
+    return m._cyclic
 
 
 def _simple_submodule(m: RealizedModule, rng=None):
@@ -575,7 +616,16 @@ class SemisimpleEntry:
 
 
 def semisimple_invariants(m: RealizedModule) -> list:
-    """Per maximal ideal m: the dimension of M/mM over R/m (if nonzero)."""
+    """Per maximal ideal m: the dimension of M/mM over R/m (if nonzero).
+
+    Computed once per module.
+    """
+    if m._semisimple_invariants is None:
+        m._semisimple_invariants = tuple(_residue_dimensions(m))
+    return list(m._semisimple_invariants)
+
+
+def _residue_dimensions(m: RealizedModule) -> list:
     out = []
     for ideal in maximal_ideals(m.ring):
         nm = ideal_action(m, ideal)

@@ -4,12 +4,15 @@ A ring is stored as its additive coordinate group ⊕_i Z/d_i together
 with a multiplication table on the coordinate basis; multiplication of
 arbitrary elements is the bilinear extension. Elements are plain integer
 tuples, reduced coordinate-wise. All values are immutable after
-construction and validation.
+construction and validation, so the constructors share one object per
+ring (see `_RingTable`) and each ring stores the facts derived from it:
+its local factorization, maximal ideals, residue fields and units.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import reduce
 
@@ -44,6 +47,9 @@ class FiniteRing:
         self._index = None
         self._basis_action = {}
         self._units = None
+        self._local_factorization = None
+        self._maximal_ideals = None  # tuple, sorted by members
+        self._residue_fields = None  # maximal-ideal mask -> (field, project, lift)
         if validate:
             self._validate()
 
@@ -86,12 +92,14 @@ class FiniteRing:
 
     # -- element enumeration (lexicographic on coordinates) ----------------
 
+    def iter_elements(self):
+        """The elements in `elements` order, without storing them."""
+        return itertools.product(*(range(d) for d in self.additive_orders))
+
     @property
     def elements(self):
         if self._elements is None:
-            self._elements = [
-                e for e in itertools.product(*(range(d) for d in self.additive_orders))
-            ]
+            self._elements = list(self.iter_elements())
             self._index = {e: i for i, e in enumerate(self._elements)}
         return self._elements
 
@@ -101,6 +109,9 @@ class FiniteRing:
 
     def element(self, i) -> Element:
         return self.elements[i]
+
+    def add_index(self, i, j) -> int:
+        return self.index_of(self.add(self.element(i), self.element(j)))
 
     def basis_action(self, i):
         """Index-level map x -> b_i * x, precomputed for closure loops."""
@@ -114,19 +125,17 @@ class FiniteRing:
     # -- units ---------------------------------------------------------------
 
     def is_unit(self, x) -> bool:
-        # x is a unit iff some power of x equals 1 (finite ring)
-        y = tuple(x)
-        for _ in range(self.size):
-            if y == self.one:
-                return True
-            if y == self.zero:
-                return False
-            y = self.mul(y, x)
-        return False
+        return self.reduce(x) in self.units()
 
     def units(self) -> frozenset:
+        """Elements in no maximal ideal."""
         if self._units is None:
-            self._units = frozenset(x for x in self.elements if self.is_unit(x))
+            non_units = 0
+            for ideal in maximal_ideals(self):
+                non_units |= ideal.members
+            self._units = frozenset(
+                x for i, x in enumerate(self.elements) if not non_units >> i & 1
+            )
         return self._units
 
     def __repr__(self):
@@ -151,7 +160,7 @@ class FiniteRing:
         # bilinearity gives the laws on all elements once they hold on the
         # basis; spot-check elementwise anyway (exhaustive when small)
         if self.size <= 32:
-            elems = self.elements
+            elems = list(self.iter_elements())
             for x in elems:
                 if self.mul(self.one, x) != x:
                     raise ValueError(f"{self.label}: unit law fails at {x}")
@@ -159,7 +168,9 @@ class FiniteRing:
                     if self.mul(x, y) != self.mul(y, x):
                         raise ValueError(f"{self.label}: commutativity fails")
         else:
-            sample = self.elements[:: max(1, self.size // 8)]
+            sample = list(
+                itertools.islice(self.iter_elements(), 0, None, max(1, self.size // 8))
+            )
             for x in sample:
                 if self.mul(self.one, x) != x:
                     raise ValueError(f"{self.label}: unit law fails at {x}")
@@ -204,31 +215,30 @@ class Ideal:
         return f"Ideal({self.ring.label}; <{gens}>; size={self.size})"
 
 
-def _additive_closure_indices(ring, add_fn, gen_indices, start=None):
-    """Subgroup of indices generated by `start` (a subgroup) and the gens."""
-    members = set(start) if start is not None else {ring.index_of(ring.zero)}
-    for g in gen_indices:
+def _additive_closure(add, zero, gens):
+    """Subgroup generated by the gens, under `add` with identity `zero`."""
+    members = {zero}
+    for g in gens:
         if g in members:
             continue
         base = list(members)
         cur = g
         while cur not in members:
-            members.update(add_fn(x, cur) for x in base)
-            cur = add_fn(cur, g)
+            members.update(add(x, cur) for x in base)
+            cur = add(cur, g)
     return members
 
 
 def ideal_generated(ring: FiniteRing, gens) -> Ideal:
     """Smallest ideal containing `gens` (coordinate tuples)."""
     gens = [ring.reduce(g) for g in gens]
-    add_fn = lambda i, j: ring.index_of(ring.add(ring.element(i), ring.element(j)))
     # the additive span of {b_i * g} is already closed under the action
     addgens = [
         ring.index_of(ring.mul(ring.basis(i), g))
         for g in gens
         for i in range(ring.rank)
     ]
-    members = _additive_closure_indices(ring, add_fn, addgens)
+    members = _additive_closure(ring.add_index, ring.index_of(ring.zero), addgens)
     mask = 0
     for i in members:
         mask |= 1 << i
@@ -242,7 +252,6 @@ def zero_ideal(ring: FiniteRing) -> Ideal:
 def minimal_generators(ring: FiniteRing, member_indices) -> tuple:
     """Greedy small generating set for an ideal given as an index set."""
     gens = []
-    add_fn = lambda i, j: ring.index_of(ring.add(ring.element(i), ring.element(j)))
     span = {ring.index_of(ring.zero)}
     for idx in sorted(member_indices):
         if idx in span:
@@ -253,7 +262,7 @@ def minimal_generators(ring: FiniteRing, member_indices) -> tuple:
             for g in gens
             for i in range(ring.rank)
         ]
-        span = _additive_closure_indices(ring, add_fn, addgens)
+        span = _additive_closure(ring.add_index, ring.index_of(ring.zero), addgens)
         if len(span) == len(member_indices):
             break
     return tuple(gens)
@@ -262,8 +271,40 @@ def minimal_generators(ring: FiniteRing, member_indices) -> tuple:
 # -- constructors --------------------------------------------------------------
 
 
+class _RingTable:
+    """The rings built by the constructors, keyed by their arguments.
+
+    Rings are immutable, so all callers asking for one ring share one
+    object and the facts stored on it. The least recently used rings are
+    dropped once the rings held exceed RING_SIZE_GUARD elements in total.
+    """
+
+    def __init__(self):
+        self.rings = OrderedDict()
+        self.elements = 0
+
+    def get(self, key, build) -> FiniteRing:
+        ring = self.rings.get(key)
+        if ring is not None:
+            self.rings.move_to_end(key)
+            return ring
+        ring = self.rings[key] = build()
+        self.elements += ring.size
+        while self.elements > RING_SIZE_GUARD:  # never drops `ring` itself
+            _, old = self.rings.popitem(last=False)
+            self.elements -= old.size
+        return ring
+
+
+_INTERNED = _RingTable()
+
+
 def ring_zmod(n: int) -> FiniteRing:
     """Z/n as a finite ring."""
+    return _INTERNED.get(("Z", n), lambda: _build_zmod(n))
+
+
+def _build_zmod(n):
     if n < 2:
         raise ValueError(f"Z/{n}: modulus must be at least 2")
     if n > RING_SIZE_GUARD:
@@ -349,6 +390,11 @@ def smallest_irreducible(p: int, k: int):
 
 def ring_gf(p: int, k: int = 1, f=None) -> FiniteRing:
     """The finite field F_{p^k} as Z/p[x]/(f)."""
+    key = ("GF", p, k, None if f is None else tuple(f))
+    return _INTERNED.get(key, lambda: _build_gf(p, k, f))
+
+
+def _build_gf(p, k, f):
     if not _is_prime(p):
         raise ValueError(f"GF: {p} is not prime")
     if k < 1:
@@ -384,6 +430,10 @@ def ring_gf(p: int, k: int = 1, f=None) -> FiniteRing:
 
 def ring_product(a: FiniteRing, b: FiniteRing) -> FiniteRing:
     """Direct product with componentwise operations."""
+    return _INTERNED.get(("x", a, b), lambda: _build_product(a, b))
+
+
+def _build_product(a, b):
     if a.size * b.size > RING_SIZE_GUARD:
         raise GuardExceeded(
             "ring-size", f"|{a.label} x {b.label}| exceeds guard {RING_SIZE_GUARD}"
@@ -461,7 +511,47 @@ class LocalFactorization:
 
 
 def local_factorization(ring: FiniteRing) -> LocalFactorization:
-    """Decompose as a product of local rings via primitive idempotents."""
+    """Decompose as a product of local rings via primitive idempotents.
+
+    Computed once per ring, together with the maximal ideals and residue
+    fields that come from the factors (see `_factor`).
+    """
+    if ring._local_factorization is None:
+        _factor(ring)
+    return ring._local_factorization
+
+
+def maximal_ideals(ring: FiniteRing) -> list:
+    """All maximal ideals, one per local factor, sorted by members bitmask.
+
+    Each is verified once: the quotient by it is a field.
+    """
+    if ring._maximal_ideals is None:
+        local_factorization(ring)
+    return list(ring._maximal_ideals)
+
+
+def residue_field(ideal: Ideal):
+    """``(field, project, lift)`` for R/m, as `quotient_ring` returns it;
+    built and checked once per maximal ideal m."""
+    ring = ideal.ring
+    if ring._residue_fields is None:
+        local_factorization(ring)
+    if ideal.members not in ring._residue_fields:
+        raise ValueError(f"{ideal} is not a maximal ideal")
+    return ring._residue_fields[ideal.members]
+
+
+def _factor(ring: FiniteRing):
+    """Store the local factorization, maximal ideals and residue fields.
+
+    A factor eR of a primitive idempotent e has no idempotents but 0 and
+    1, so it is local and its non-units are its nilpotents. Pulled back
+    to R they form a maximal ideal, and the quotient by it must be a
+    field; that check also proves the factor local. A factor whose
+    maximal ideal is zero is that field already (both are R modulo the
+    same ideal), so it is stored as the residue field.
+    """
     idems = [x for x in ring.elements if ring.mul(x, x) == x]
     nonzero = [e for e in idems if e != ring.zero]
     primitive = sorted(
@@ -480,19 +570,22 @@ def local_factorization(ring: FiniteRing) -> LocalFactorization:
         raise AssertionError("primitive idempotents do not sum to 1")
 
     factors, projections, lifts, ideal_masks = [], [], [], []
+    fields = {}
     for e in primitive:
         complement = ideal_generated(ring, [ring.sub(ring.one, e)])
         factor, proj, lift = quotient_ring(ring, complement)
-        non_units = [x for x in factor.elements if not factor.is_unit(x)]
+        non_units = _nilpotents(factor)
         _assert_is_ideal(factor, non_units)
         mask = 0
         for i, x in enumerate(ring.elements):
-            if not factor.is_unit(proj(x)):
+            if proj(x) in non_units:
                 mask |= 1 << i
         factors.append(factor)
         projections.append(proj)
         lifts.append(lift)
         ideal_masks.append(mask)
+        if mask == complement.members:  # the factor is a field: it is R/m
+            fields[mask] = factor, proj, lift
 
     size_product = reduce(lambda a, b: a * b, (f.size for f in factors), 1)
     if size_product != ring.size:
@@ -508,38 +601,69 @@ def local_factorization(ring: FiniteRing) -> LocalFactorization:
     for x in ring.elements:
         if lf.iso_backward(lf.iso_forward(x)) != x:
             raise AssertionError("factorization maps do not invert each other")
-    return lf
+
+    ideals = []
+    for mask in sorted(ideal_masks):
+        members = [i for i in range(ring.size) if mask >> i & 1]
+        ideal = Ideal(ring, mask, minimal_generators(ring, members))
+        if mask not in fields:
+            fields[mask] = quotient_ring(ring, ideal)
+        _assert_is_field(fields[mask][0])
+        ideals.append(ideal)
+    ring._local_factorization = lf
+    ring._maximal_ideals = tuple(ideals)
+    ring._residue_fields = fields
+
+
+def _nilpotents(ring) -> set:
+    """Elements with some power zero.
+
+    If x^n = 0 with n least, then R, xR, x^2 R, ..., x^n R = 0 strictly
+    shrink, each at least halving, so n <= log2 |R|; s squarings with
+    2^s > log2 |R| reach x^(2^s) = 0.
+    """
+    steps = (ring.size.bit_length() - 1).bit_length()
+    out = set()
+    for x in ring.iter_elements():
+        y = x
+        for _ in range(steps):
+            if y == ring.zero:
+                break
+            y = ring.mul(y, y)
+        if y == ring.zero:
+            out.add(x)
+    return out
 
 
 def _assert_is_ideal(ring, subset):
-    s = set(subset)
+    """Raise unless `subset` (a set of elements) is closed under the basis
+    action and is an additive subgroup: its additive closure adds nothing."""
     for x in subset:
         for i in range(ring.rank):
-            if ring.mul(ring.basis(i), x) not in s:
+            if ring.mul(ring.basis(i), x) not in subset:
                 raise AssertionError(f"{ring.label}: non-units not action-closed")
-        for y in subset:
-            if ring.add(x, y) not in s:
-                raise AssertionError(f"{ring.label}: non-units not additively closed")
+    if _additive_closure(ring.add, ring.zero, subset) != subset:
+        raise AssertionError(f"{ring.label}: non-units not additively closed")
 
 
-def maximal_ideals(ring: FiniteRing) -> list:
-    """All maximal ideals, via the local factorization.
+def _assert_is_field(ring):
+    """Raise unless every nonzero element is a unit.
 
-    Each result is verified: the quotient by it is a field.
+    Walks the powers of each nonzero element not yet known to be a unit.
+    A walk that reaches 1 makes every power a unit; one that reaches 0, or
+    takes |R| steps without reaching 1, has found a non-unit. It does not
+    use `units()`, which is derived from the maximal ideals this certifies.
     """
-    lf = local_factorization(ring)
-    out = []
-    seen = set()
-    for mask in lf.maximal_ideal_masks:
-        if mask in seen:
+    units = {ring.one}
+    for x in ring.iter_elements():
+        if x == ring.zero or x in units:
             continue
-        seen.add(mask)
-        members = [i for i in range(ring.size) if mask >> i & 1]
-        gens = minimal_generators(ring, members)
-        ideal = Ideal(ring, mask, gens)
-        field, _, _ = quotient_ring(ring, ideal)
-        if len(field.units()) != field.size - 1:
-            raise AssertionError("quotient by a maximal ideal is not a field")
-        out.append(ideal)
-    out.sort(key=lambda i: i.members)
-    return out
+        powers = [x]
+        while powers[-1] != ring.one:
+            y = ring.mul(powers[-1], x)
+            if y == ring.zero or len(powers) == ring.size:
+                raise AssertionError(
+                    f"{ring.label}: quotient by a maximal ideal is not a field"
+                )
+            powers.append(y)
+        units.update(powers)

@@ -158,3 +158,54 @@ def test_corpus_listing(capsys):
     code, out, _ = run(capsys, "corpus", "--seed", "1", "--count", "5")
     assert code == 0
     assert len(out.strip().splitlines()) == 5
+
+
+# -- sigma payload stability -------------------------------------------------------
+
+SIGMA_PAYLOADS = {
+    "free 2 over Z/3": {
+        "additive_orders": [3, 3],
+        "certificate": {
+            "is_cover": True, "nodes_explored": 0, "optimal": True, "size": 4,
+            "submodules": [
+                {"generators": [[0, 1]], "size": 3},
+                {"generators": [[1, 0]], "size": 3},
+                {"generators": [[1, 2]], "size": 3},
+                {"generators": [[1, 1]], "size": 3},
+            ],
+        },
+        "cyclic": False, "cyclic_witness": None, "hdim": 2, "length": 2,
+        "maximal_submodules": 4, "module": "module over Z/3: gens=2; rels=[]",
+        "radical_size": 1, "ring": "Z/3",
+        "s_set": [{"multiplicity": 2, "residue_field_size": 3}],
+        "semisimple_invariants": [{"multiplicity": 2, "residue_field_size": 3}],
+        "sigma_exact": 4, "sigma_formula": 4, "size": 9,
+    },
+    "Z/2 (+) Z/4 over Z/8": {
+        "additive_orders": [2, 4],
+        "certificate": {
+            "is_cover": True, "nodes_explored": 0, "optimal": True, "size": 3,
+            "submodules": [
+                {"generators": [[0, 1]], "size": 4},
+                {"generators": [[0, 2], [1, 0]], "size": 4},
+                {"generators": [[0, 2], [1, 1]], "size": 4},
+            ],
+        },
+        "cyclic": False, "cyclic_witness": None, "hdim": 2, "length": 3,
+        "maximal_submodules": 3,
+        "module": "module over Z/8: gens=2; rels=[(2,0), (0,4)]",
+        "radical_size": 2, "ring": "Z/8",
+        "s_set": [{"multiplicity": 2, "residue_field_size": 2}],
+        "semisimple_invariants": [{"multiplicity": 2, "residue_field_size": 2}],
+        "sigma_exact": 3, "sigma_formula": 3, "size": 8,
+    },
+}
+
+
+def test_sigma_json_payload_is_unchanged(capsys):
+    for module, want in SIGMA_PAYLOADS.items():
+        code, out, _ = run(capsys, "sigma", "--module", module, "--certificate", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["certificate"].pop("time_ms") >= 0
+        assert payload == want, module

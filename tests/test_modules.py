@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from modcover.errors import GuardExceeded
 from modcover.modules import (
     ModulePresentation,
+    RealizedModule,
     all_submodules,
     cyclic_sum,
     direct_sum,
@@ -488,3 +489,44 @@ def test_multiplicity_matches_greedy_semisimple_decomposition():
         for e in semisimple_invariants(m):
             want[e.residue_size] = want.get(e.residue_size, 0) + e.multiplicity
         assert tally == want
+
+
+# -- axiom check without asserts -----------------------------------------------------
+
+
+BROKEN_UNIT_LAW = (
+    "from modcover.modules import RealizedModule\n"
+    "from modcover.rings import ring_zmod\n"
+    "m = RealizedModule(ring_zmod(2), [2], [[(0,)]])  # 1 . e_0 = 0\n"
+    "print('debug', __debug__)\n"
+    "try:\n"
+    "    m.axiom_check()\n"
+    "except ValueError as exc:\n"
+    "    print('raised', exc)\n"
+)
+
+
+def test_axiom_check_raises_on_a_broken_unit_law():
+    m = RealizedModule(ring_zmod(2), [2], [[(0,)]])
+    with pytest.raises(ValueError, match="1x = x"):
+        m.axiom_check()
+
+
+def test_axiom_check_raises_under_python_O():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", BROKEN_UNIT_LAW],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[0] == "debug False"
+    assert lines[1].startswith("raised") and "1x = x" in lines[1]
