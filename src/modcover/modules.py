@@ -23,6 +23,7 @@ from .rings import (
     FiniteRing,
     Ideal,
     ideal_generated,
+    local_factorization,
     maximal_ideals,
     quotient_ring,
     residue_field,
@@ -569,42 +570,33 @@ def is_cyclic(m: RealizedModule):
     return m._cyclic
 
 
-def _simple_submodule(m: RealizedModule, rng=None):
-    """Some simple (minimal nonzero) submodule, as a Submodule."""
-    order = list(range(1, m.size))
-    if rng is not None:
-        rng.shuffle(order)
-    # order[0] may generate a non-simple module; descend until simple
-    idx = order[0] if order[0] != m.zero_index else order[1]
-    if idx == m.zero_index:
-        idx = next(i for i in order if i != m.zero_index)
-    current = _closure_indices(m, [idx])
-    while True:
-        inner = None
-        scan = [i for i in order if i in current and i != m.zero_index]
-        for y in scan:
-            cl = _closure_indices(m, [y])
-            if len(cl) < len(current):
-                inner = cl
-                idx = y
-                break
-        if inner is None:
-            return submodule_generated(m, [idx])
-        current = inner
-
-
-def length(m: RealizedModule, rng=None) -> int:
+def length(m: RealizedModule) -> int:
     """Composition series length (Jordan–Hölder invariant).
 
-    Built by repeatedly quotienting out a simple submodule; `rng`
-    randomizes the choices without changing the result.
+    M is the direct sum of the eM over the primitive idempotents e of the
+    ring. eM is a module over the local factor eR, so each of its
+    composition factors is that factor's residue field, of size q; hence
+    length(eM) = log_q |eM|. eM is isomorphic to M/(1-e)M, and (1-e)M is
+    the additive span of (1-e)e_t over the module basis, so |eM| comes
+    from a Smith normal form without enumerating M.
     """
+    ring = m.ring
+    lf = local_factorization(ring)
     total = 0
-    cur = m
-    while cur.size > 1:
-        s = _simple_submodule(cur, rng)
-        cur, _ = quotient_module(cur, s)
-        total += 1
+    for e, mask in zip(lf.idempotents, lf.maximal_ideal_masks):
+        q = ring.size // mask.bit_count()
+        complement = ring.sub(ring.one, e)
+        orders, _, _ = abelian_quotient(
+            m.orders, [m.act(complement, m.basis(t)) for t in range(m.rank)]
+        )
+        size = reduce(lambda a, b: a * b, orders, 1)
+        k = 0
+        while size % q == 0:
+            size //= q
+            k += 1
+        if size != 1:
+            raise AssertionError(f"|eM| is not a power of the residue size {q}")
+        total += k
     return total
 
 
@@ -670,8 +662,6 @@ def localize_at_s(m: RealizedModule):
     maximal ideal lies in S; returns (module over the factored ring,
     projection index map).
     """
-    from .rings import local_factorization  # local import to keep header light
-
     s_ideals = s_set(m)
     if not s_ideals:
         raise ValueError("localization at S requires a nonempty S")

@@ -20,8 +20,6 @@ from .errors import GuardExceeded
 from .snf import abelian_quotient
 
 RING_SIZE_GUARD = 4096
-AXIOM_CHECK_GUARD = 256
-ORACLE_CHECK_GUARD = 64
 
 Element = tuple  # coordinate tuple; one entry per additive generator
 
@@ -144,40 +142,32 @@ class FiniteRing:
     # -- validation ----------------------------------------------------------
 
     def _validate(self):
+        """Check the ring laws exactly, in O(r^3) basis products.
+
+        `mul` is the bilinear extension of the table to coordinate
+        representatives. It is well defined on ⊕ Z/d_i, hence distributive,
+        exactly when d_i * (b_i b_j) = 0 for all i, j; by bilinearity the
+        unit law, commutativity and associativity then hold on all elements
+        once they hold on the basis. So these checks are complete.
+        """
         r = self.rank
         bs = [self.basis(i) for i in range(r)]
-        for i in range(r):
+        for i, d in enumerate(self.additive_orders):
             if self.mul(self.one, bs[i]) != bs[i]:
                 raise ValueError(f"{self.label}: 1*b_{i} != b_{i}")
             for j in range(r):
                 if self.mul_table[i][j] != self.mul_table[j][i]:
                     raise ValueError(f"{self.label}: basis product not commutative")
+                if self.scale(d, self.mul_table[i][j]) != self.zero:
+                    raise ValueError(
+                        f"{self.label}: d_{i} * b_{i}b_{j} != 0, so the product "
+                        "is not well defined (distributivity fails)"
+                    )
                 for k in range(r):
                     lhs = self.mul(self.mul(bs[i], bs[j]), bs[k])
                     rhs = self.mul(bs[i], self.mul(bs[j], bs[k]))
                     if lhs != rhs:
                         raise ValueError(f"{self.label}: basis product not associative")
-        # bilinearity gives the laws on all elements once they hold on the
-        # basis; spot-check elementwise anyway (exhaustive when small)
-        if self.size <= 32:
-            elems = list(self.iter_elements())
-            for x in elems:
-                if self.mul(self.one, x) != x:
-                    raise ValueError(f"{self.label}: unit law fails at {x}")
-                for y in elems:
-                    if self.mul(x, y) != self.mul(y, x):
-                        raise ValueError(f"{self.label}: commutativity fails")
-        else:
-            sample = list(
-                itertools.islice(self.iter_elements(), 0, None, max(1, self.size // 8))
-            )
-            for x in sample:
-                if self.mul(self.one, x) != x:
-                    raise ValueError(f"{self.label}: unit law fails at {x}")
-                for y in sample:
-                    for z in sample:
-                        if self.mul(self.mul(x, y), z) != self.mul(x, self.mul(y, z)):
-                            raise ValueError(f"{self.label}: associativity fails")
 
 
 # -- ideals ------------------------------------------------------------------
@@ -598,8 +588,12 @@ def _factor(ring: FiniteRing):
         tuple(lifts),
         tuple(ideal_masks),
     )
-    for x in ring.elements:
-        if lf.iso_backward(lf.iso_forward(x)) != x:
+    # The round trip is additive: each projection is, and e*lift(y) is
+    # additive modulo e*(1-e)R = 0 since lift is additive modulo the kernel
+    # (1-e)R. So it is the identity iff it fixes the additive basis.
+    for i in range(ring.rank):
+        b = ring.basis(i)
+        if lf.iso_backward(lf.iso_forward(b)) != b:
             raise AssertionError("factorization maps do not invert each other")
 
     ideals = []

@@ -69,6 +69,39 @@ def zmod_module(n, parts):
     return cyclic_sum(R, [(a % n,) for a in parts])
 
 
+def cyclic_closure(m, idx):
+    return submodule_generated(m, [idx]).members
+
+
+def simple_submodule_by_descent(m, rng=None):
+    """Reference: some simple (minimal nonzero) submodule, found by
+    descending through cyclic submodules until none is smaller."""
+    order = [i for i in range(m.size) if i != m.zero_index]
+    if rng is not None:
+        rng.shuffle(order)
+    idx = order[0]
+    current = cyclic_closure(m, idx)
+    while True:
+        for y in order:
+            if current >> y & 1:
+                inner = cyclic_closure(m, y)
+                if inner.bit_count() < current.bit_count():
+                    idx, current = y, inner
+                    break
+        else:
+            return submodule_generated(m, [idx])
+
+
+def length_by_descent(m, rng=None):
+    """Reference composition length: quotient out simple submodules until
+    nothing is left; `rng` shuffles which simple submodule is taken."""
+    total = 0
+    while m.size > 1:
+        m, _ = quotient_module(m, simple_submodule_by_descent(m, rng))
+        total += 1
+    return total
+
+
 # -- realization ---------------------------------------------------------------
 
 
@@ -227,25 +260,37 @@ def test_ideal_action_on_z8():
 # -- length, hdim, cyclicity --------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "make,want",
-    [
-        (lambda: cyclic_sum(ring_zmod(8), [(0,)]), 3),
-        (lambda: cyclic_sum(ring_zmod(12), [(0,)]), 3),
-        (lambda: free_module(ring_zmod(2), 2), 2),
-        (lambda: free_module(ring_zmod(6), 2), 4),
-        (lambda: free_module(ring_gf(2, 2), 2), 2),
-    ],
-)
+LENGTH_EXAMPLES = [
+    (lambda: cyclic_sum(ring_zmod(8), [(0,)]), 3),
+    (lambda: cyclic_sum(ring_zmod(12), [(0,)]), 3),
+    (lambda: free_module(ring_zmod(2), 2), 2),
+    (lambda: free_module(ring_zmod(6), 2), 4),
+    (lambda: free_module(ring_gf(2, 2), 2), 2),
+]
+
+
+@pytest.mark.parametrize("make,want", LENGTH_EXAMPLES)
 def test_length_examples(make, want):
     assert length(make()) == want
 
 
-def test_length_is_descent_invariant():
-    m = zmod_module(12, [2, 4, 3])
-    baseline = length(m)
-    for seed in range(8):
-        assert length(m, rng=random.Random(seed)) == baseline
+def small_corpus_modules():
+    from modcover.dsl import parse_module
+    from modcover.harness import corpus_generate
+
+    modules = (parse_module(s.module_expr) for s in corpus_generate(seed=1, count=200))
+    return [m for m in modules if m.size <= 64]
+
+
+def test_length_closed_form_matches_descent():
+    # the closed form from the local factorization against simple-submodule
+    # descents in 8 shuffled orders (Jordan-Hölder: all must agree)
+    modules = [zmod_module(12, [2, 4, 3])]
+    modules += [make() for make, _ in LENGTH_EXAMPLES] + small_corpus_modules()
+    for m in modules:
+        want = length(m)
+        for seed in range(8):
+            assert length_by_descent(m, random.Random(seed)) == want, m.label
 
 
 @pytest.mark.parametrize(
@@ -475,14 +520,12 @@ def test_direct_sum_with_zero_module_keeps_invariants():
 def test_multiplicity_matches_greedy_semisimple_decomposition():
     # pick off simple summands of M/Jac(M) one at a time and tally their
     # residue field sizes; the tally must match the invariant exponents
-    from modcover.modules import _simple_submodule
-
     for m in [zmod_module(6, [2, 2, 3]), zmod_module(4, [2, 4]),
               free_module(ring_gf(2, 2), 2)]:
         top, _ = quotient_module(m, jacobson_radical(m))
         tally = {}
         while top.size > 1:
-            s = _simple_submodule(top)
+            s = simple_submodule_by_descent(top)
             tally[s.size] = tally.get(s.size, 0) + 1
             top, _ = quotient_module(top, s)
         want = {}

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modcover.rings import (
+    FiniteRing,
     ideal_generated,
     local_factorization,
     maximal_ideals,
@@ -361,6 +362,23 @@ def test_local_factorization_of_local_ring_is_trivial():
 
 
 @pytest.mark.parametrize(
+    "make",
+    [lambda n=n: ring_zmod(n) for n in range(2, 65)]
+    + [
+        lambda: ring_gf(2, 3),
+        lambda: ring_product(ring_zmod(4), ring_gf(2, 2)),
+        lambda: ring_product(ring_zmod(12), ring_zmod(10)),
+    ],
+)
+def test_local_factorization_round_trip_on_every_element(make):
+    # the library checks the round trip on the additive basis only
+    R = make()
+    lf = local_factorization(R)
+    for x in R.elements:
+        assert lf.iso_backward(lf.iso_forward(x)) == x
+
+
+@pytest.mark.parametrize(
     "n,want",
     [(8, {1, 3, 5, 7}), (12, {1, 5, 7, 11}), (6, {1, 5})],
 )
@@ -374,3 +392,111 @@ def test_quotient_by_zero_ideal_is_the_ring():
     assert Q.size == R.size
     seen = {project(x) for x in R.elements}
     assert len(seen) == R.size
+
+
+# -- ring validation: rejection ------------------------------------------------------
+
+
+def test_rejects_table_that_is_not_well_defined():
+    # (b0 + b0) * b0 = 0, but b0*b0 + b0*b0 = (0, 2): 2 * (b0 b0) != 0
+    with pytest.raises(ValueError, match="well defined"):
+        FiniteRing([2, 3], [[(1, 1), (0, 2)], [(0, 2), (0, 2)]], (1, 1), "bad")
+
+
+def test_rejects_non_commutative_table():
+    # 1 = b0 on the left, but b1 * b0 = b0 + b1
+    with pytest.raises(ValueError, match="not commutative"):
+        FiniteRing([2, 2], [[(1, 0), (0, 1)], [(1, 1), (0, 0)]], (1, 0), "noncomm")
+
+
+def test_rejects_non_associative_table():
+    # basis 1, x, y over Z/2 with x^2 = y^2 = 0 and xy = 1: (xx)y = 0, x(xy) = x
+    one, x, y, zero = (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)
+    table = [[one, x, y], [x, zero, one], [y, one, zero]]
+    with pytest.raises(ValueError, match="not associative"):
+        FiniteRing([2, 2, 2], table, one, "nonassoc")
+
+
+def test_rejects_wrong_unit():
+    with pytest.raises(ValueError, match="1\\*b_0"):
+        FiniteRing([3], [[(1,)]], (2,), "badone")
+
+
+def satisfies_ring_laws(R) -> bool:
+    """Exhaustive elementwise oracle on reduced elements: unit, both
+    distributive laws, commutativity and associativity."""
+    elems = list(R.iter_elements())
+    for x in elems:
+        if R.mul(R.one, x) != x or R.mul(x, R.one) != x:
+            return False
+    for x, y in itertools.product(elems, repeat=2):
+        if R.mul(x, y) != R.mul(y, x):
+            return False
+    for x, y, z in itertools.product(elems, repeat=3):
+        if R.mul(R.mul(x, y), z) != R.mul(x, R.mul(y, z)):
+            return False
+        if R.mul(R.add(x, y), z) != R.add(R.mul(x, z), R.mul(y, z)):
+            return False
+        if R.mul(z, R.add(x, y)) != R.add(R.mul(z, x), R.mul(z, y)):
+            return False
+    return True
+
+
+def accepted(orders, table, one) -> bool:
+    try:
+        FiniteRing(orders, table, one, "candidate")
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def ring_tables(draw):
+    """Random structure constants and one. Some tables are drawn symmetric,
+    and some with b_0 = 1, so that tables failing only the subtler laws
+    (associativity, well-definedness) are common, not just the unit law.
+
+    Up to rank 2 a unital commutative table is additively generated by 1
+    and one more element, so it is associative whenever the other laws
+    hold; rank 3 over (Z/2)^3 is drawn too so associativity can fail alone.
+    """
+    r = draw(st.integers(1, 3))
+    if r == 3:
+        orders = [2, 2, 2]
+    else:
+        orders = draw(st.lists(st.sampled_from([2, 3, 4]), min_size=r, max_size=r))
+    coords = st.tuples(*(st.integers(0, d - 1) for d in orders))
+    table = [[draw(coords) for _ in range(r)] for _ in range(r)]
+    one = draw(coords)
+    shape = draw(st.sampled_from(["free", "symmetric", "b0 is one"]))
+    if shape != "free":
+        for i in range(r):
+            for j in range(i):
+                table[i][j] = table[j][i]
+    if shape == "b0 is one":
+        one = tuple(1 if k == 0 else 0 for k in range(r))
+        for j in range(r):
+            table[0][j] = table[j][0] = tuple(1 if k == j else 0 for k in range(r))
+    return orders, table, one
+
+
+@settings(max_examples=200, deadline=None)
+@given(ring_tables())
+def test_basis_check_is_complete(candidate):
+    orders, table, one = candidate
+    oracle = satisfies_ring_laws(FiniteRing(orders, table, one, "raw", validate=False))
+    assert accepted(orders, table, one) == oracle
+
+
+def test_basis_check_is_complete_on_every_table_over_z2_squared():
+    # exhaustive over all 4^4 tables and 4 candidate ones on (Z/2)^2, so
+    # both outcomes are covered, not only the common rejection
+    vecs = list(itertools.product(range(2), repeat=2))
+    outcomes = set()
+    for t00, t01, t10, t11, one in itertools.product(vecs, repeat=5):
+        table = [[t00, t01], [t10, t11]]
+        raw = FiniteRing([2, 2], table, one, "raw", validate=False)
+        ok = satisfies_ring_laws(raw)
+        assert accepted([2, 2], table, one) == ok, (table, one)
+        outcomes.add(ok)
+    assert outcomes == {True, False}
