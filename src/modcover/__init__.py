@@ -15,7 +15,6 @@ from .covering import (
     construct_cover,
     greedy_cover,
     sigma_exact,
-    sigma_finite_check,
     sigma_formula,
     verify_cover,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "s_set",
     "semisimple_invariants",
     "sigma_exact",
-    "sigma_finite_check",
     "sigma_formula",
     "submodule_generated",
     "verify_cover",

@@ -22,7 +22,6 @@ from .modules import (
     _vector_space_coords,
     all_submodules,
     ideal_action,
-    is_cyclic,
     maximal_submodules,
     quotient_module,
     s_set,
@@ -96,14 +95,6 @@ def sigma_formula(m: RealizedModule) -> SigmaPrediction:
     return SigmaPrediction(best.residue_size + 1, best.ideal, best.residue_size)
 
 
-def _candidate_masks(m: RealizedModule, space: SearchSpace):
-    if space is SearchSpace.MAXIMAL_ONLY:
-        subs = maximal_submodules(m)
-    else:
-        subs = [s for s in all_submodules(m) if s.is_proper()]
-    return subs
-
-
 def sigma_exact(
     m: RealizedModule,
     space: SearchSpace = SearchSpace.MAXIMAL_ONLY,
@@ -119,29 +110,28 @@ def sigma_exact(
     """
     t0 = time.perf_counter()
     _reject_zero(m)
-    candidates = _candidate_masks(m, space)
+    if space is SearchSpace.MAXIMAL_ONLY:
+        candidates = maximal_submodules(m)
+    else:
+        candidates = [s for s in all_submodules(m) if s.is_proper()]
     candidates.sort(key=lambda s: (-s.size, s.members))
-    full = m.full_mask
-    union = 0
-    for s in candidates:
-        union |= s.members
-    if union != full:
+    # Every proper submodule lies in a maximal one, so the greedy maximal
+    # cover decides coverability in both spaces. It is also the seed a
+    # greedy over all proper candidates would find: a non-maximal N with
+    # the best gain lies in a maximal K, whose gain is at least N's and
+    # which sorts before N, so that greedy picks the same maximal ones.
+    greedy = greedy_cover(m)
+    if not greedy.is_cover:
         return CoverCertificate(
             (), False, None, True, 0, (time.perf_counter() - t0) * 1000
         )
 
+    full = m.full_mask
     masks = [s.members for s in candidates]
     n = len(masks)
-
-    # greedy seed for the upper bound
-    greedy = []
-    covered = 1 << m.zero_index
-    while covered != full:
-        best_i = max(range(n), key=lambda i: (masks[i] & ~covered).bit_count())
-        greedy.append(best_i)
-        covered |= masks[best_i]
-    best_sel = list(greedy)
-    best_len = len(greedy)
+    index = {mask: i for i, mask in enumerate(masks)}
+    best_sel = [index[s.members] for s in greedy.submodules]
+    best_len = len(best_sel)
 
     max_size = candidates[0].size
     nodes = 0
@@ -263,19 +253,3 @@ def greedy_cover(m: RealizedModule) -> CoverCertificate:
         (time.perf_counter() - t0) * 1000,
     )
 
-
-def sigma_finite_check(m: RealizedModule) -> bool:
-    """True when a finite cover exists, i.e. the module is not cyclic.
-
-    Asserts that the prediction, the exact search, and cyclicity agree
-    before answering.
-    """
-    pred = sigma_formula(m)
-    cyclic, _ = is_cyclic(m)
-    cert = sigma_exact(m, SearchSpace.MAXIMAL_ONLY)
-    if not (pred.coverable == cert.is_cover == (not cyclic)):
-        raise AssertionError(
-            f"finiteness criteria disagree on {m.label}: formula "
-            f"{pred.coverable}, search {cert.is_cover}, cyclic {cyclic}"
-        )
-    return pred.coverable

@@ -11,7 +11,8 @@ check names are short labels for the identities they test:
     localization        the covering number survives localization
     finiteness          a finite cover exists exactly when predicted
     maximal-count       maximal-submodule count matches the hyperplane tally
-    hdim-additivity     hdim adds over direct sums (pairs of instances)
+    hdim-additivity     hdim adds over direct sums and is the length of
+                        M/J(M) (pairs of instances)
 """
 
 from __future__ import annotations
@@ -31,8 +32,11 @@ from .modules import (
     direct_sum,
     hdim,
     is_cyclic,
+    jacobson_radical,
+    length,
     localize_at_s,
     maximal_submodules,
+    quotient_module,
     radical_via_ideals,
     radical_via_maximal,
     s_set,
@@ -362,10 +366,15 @@ def check_maximal_count(spec: InstanceSpec, m) -> CheckResult:
 def check_hdim_additivity(
     spec_a: InstanceSpec, a, spec_b: InstanceSpec, b
 ) -> CheckResult:
+    """hdim(a (+) b) = hdim(a) + hdim(b), with each hdim (Σ dim M/mM) also
+    compared with the length of M/J(M); lists are for a, b, a (+) b."""
+
     def run():
-        total = hdim(direct_sum(a, b))
-        ha, hb = hdim(a), hdim(b)
-        if total != ha + hb:
+        modules = (a, b, direct_sum(a, b))
+        via_sum = [hdim(x) for x in modules]
+        via_length = [length(quotient_module(x, jacobson_radical(x))[0]) for x in modules]
+        ha, hb, total = via_sum
+        if via_sum != via_length or total != ha + hb:
             return CheckResult(
                 "hdim-additivity",
                 FAIL,
@@ -375,6 +384,8 @@ def check_hdim_additivity(
                     "module_b": spec_b.module_expr,
                     "hdim_sum": ha + hb,
                     "hdim_direct_sum": total,
+                    "hdim": via_sum,
+                    "length_top": via_length,
                 },
                 0,
             )

@@ -43,7 +43,6 @@ class FiniteRing:
         self.label = label
         self._elements = None
         self._index = None
-        self._basis_action = {}
         self._units = None
         self._local_factorization = None
         self._maximal_ideals = None  # tuple, sorted by members
@@ -111,19 +110,7 @@ class FiniteRing:
     def add_index(self, i, j) -> int:
         return self.index_of(self.add(self.element(i), self.element(j)))
 
-    def basis_action(self, i):
-        """Index-level map x -> b_i * x, precomputed for closure loops."""
-        if i not in self._basis_action:
-            b = self.basis(i)
-            self._basis_action[i] = [
-                self.index_of(self.mul(b, x)) for x in self.elements
-            ]
-        return self._basis_action[i]
-
     # -- units ---------------------------------------------------------------
-
-    def is_unit(self, x) -> bool:
-        return self.reduce(x) in self.units()
 
     def units(self) -> frozenset:
         """Elements in no maximal ideal."""
@@ -205,9 +192,10 @@ class Ideal:
         return f"Ideal({self.ring.label}; <{gens}>; size={self.size})"
 
 
-def _additive_closure(add, zero, gens):
-    """Subgroup generated by the gens, under `add` with identity `zero`."""
-    members = {zero}
+def _additive_closure(add, zero, gens, start=None):
+    """Subgroup generated by the gens and the subgroup `start` (default
+    {zero}), under `add` with identity `zero`."""
+    members = {zero} if start is None else set(start)
     for g in gens:
         if g in members:
             continue
@@ -239,23 +227,33 @@ def zero_ideal(ring: FiniteRing) -> Ideal:
     return Ideal(ring, 1 << ring.index_of(ring.zero), ())
 
 
-def minimal_generators(ring: FiniteRing, member_indices) -> tuple:
-    """Greedy small generating set for an ideal given as an index set."""
+def _greedy_generators(member_indices, zero, grow) -> tuple:
+    """Greedy small generating set of a submodule given by its member
+    indices (an ideal is a submodule of R): each member, in ascending
+    order, that the span of those kept so far misses is kept, and
+    `grow(idx, span)` is the span of the kept ones together with idx."""
     gens = []
-    span = {ring.index_of(ring.zero)}
+    span = {zero}
     for idx in sorted(member_indices):
         if idx in span:
             continue
-        gens.append(ring.element(idx))
-        addgens = [
-            ring.basis_action(i)[ring.index_of(g)]
-            for g in gens
-            for i in range(ring.rank)
-        ]
-        span = _additive_closure(ring.add_index, ring.index_of(ring.zero), addgens)
+        gens.append(idx)
+        span = grow(idx, span)
         if len(span) == len(member_indices):
             break
     return tuple(gens)
+
+
+def minimal_generators(ring: FiniteRing, member_indices) -> tuple:
+    """Greedy small generating set for an ideal given as an index set."""
+    zero = ring.index_of(ring.zero)
+
+    def grow(idx, span):
+        g = ring.element(idx)
+        images = [ring.index_of(ring.mul(ring.basis(i), g)) for i in range(ring.rank)]
+        return _additive_closure(ring.add_index, zero, images, span)
+
+    return tuple(ring.element(i) for i in _greedy_generators(member_indices, zero, grow))
 
 
 # -- constructors --------------------------------------------------------------

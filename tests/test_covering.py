@@ -7,7 +7,6 @@ from modcover.covering import (
     construct_cover,
     greedy_cover,
     sigma_exact,
-    sigma_finite_check,
     sigma_formula,
     verify_cover,
 )
@@ -155,13 +154,54 @@ def test_greedy_cover_upper_bounds_exact():
 
 
 def test_not_coverable_iff_cyclic():
-    for make in TINY_CASES:
+    from modcover.harness import InstanceSpec, check_finiteness
+
+    mixed = lambda: direct_sum(zmod_module(6, [2, 2]), zmod_module(6, [3, 3]))
+    makes = TINY_CASES + [
+        lambda: free_module(ring_zmod(2), 2),
+        lambda: free_module(ring_zmod(6), 1),
+        mixed,
+    ]
+    for make in makes:
         m = make()
-        assert sigma_finite_check(m) == (not is_cyclic(m)[0])
-    assert sigma_finite_check(free_module(ring_zmod(2), 2))
-    assert not sigma_finite_check(free_module(ring_zmod(6), 1))
-    mixed = direct_sum(zmod_module(6, [2, 2]), zmod_module(6, [3, 3]))
-    assert sigma_finite_check(mixed)
+        result = check_finiteness(InstanceSpec("", m.label, 0, "CURATED"), m)
+        assert result.status == "PASS", result.details
+        assert result.details["coverable"] == (not is_cyclic(m)[0])
+    assert not is_cyclic(mixed())[0]
+    assert is_cyclic(free_module(ring_zmod(6), 1))[0]
+
+
+def greedy_over_all_proper(m):
+    """Greedy cover over every proper submodule, candidates ordered as
+    sigma_exact orders them; the picked masks in pick order."""
+    candidates = [s for s in all_submodules(m) if s.is_proper()]
+    candidates.sort(key=lambda s: (-s.size, s.members))
+    picks = []
+    covered = 1 << m.zero_index
+    while covered != m.full_mask:
+        best = max(candidates, key=lambda s: (s.members & ~covered).bit_count())
+        picks.append(best.members)
+        covered |= best.members
+    return picks
+
+
+def test_greedy_seed_is_the_same_over_all_proper_submodules():
+    # sigma_exact seeds ALL_PROPER from greedy_cover over maximal
+    # submodules; a greedy over all proper candidates picks the same ones
+    from modcover.dsl import parse_module
+    from modcover.harness import corpus_generate
+
+    modules = [make() for make in TINY_CASES]
+    corpus = (parse_module(s.module_expr) for s in corpus_generate(seed=1, count=200))
+    modules += [m for m in corpus if m.size <= 64]
+    compared = 0
+    for m in modules:
+        greedy = greedy_cover(m)
+        if not greedy.is_cover:
+            continue
+        assert greedy_over_all_proper(m) == [s.members for s in greedy.submodules], m.label
+        compared += 1
+    assert compared >= 20  # 28 of them are coverable
 
 
 def test_optimal_certificates_are_minimal():

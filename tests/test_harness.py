@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,7 @@ from modcover.dsl import parse_module, parse_ring
 from modcover.harness import (
     DEFAULT_CHECKS,
     InstanceSpec,
+    check_hdim_additivity,
     check_localization,
     check_sigma_agreement,
     corpus_generate,
@@ -112,6 +115,21 @@ def test_failure_payload_carries_repro_expressions(monkeypatch):
     assert parse_module(result.details["module"]).size == 4
 
 
+def test_hdim_length_mismatch_fails_with_repro_expressions(monkeypatch):
+    # force length(M/J(M)) off by one to exercise the FAIL path
+    real_length = harness.length
+    monkeypatch.setattr(harness, "length", lambda m: real_length(m) + 1)
+    a, b = curated("free 1 over Z/6"), curated("Z/2 (+) Z/3 over Z/6")
+    result = check_hdim_additivity(a, parse_module(a.module_expr), b, parse_module(b.module_expr))
+    assert result.status == "FAIL"
+    assert result.details["hdim"] == [2, 2, 4]
+    assert result.details["length_top"] == [3, 3, 5]
+    assert result.details["ring"] == "Z/6"
+    # the payload round-trips through the parser
+    for key in ("module_a", "module_b"):
+        assert parse_module(result.details[key]).size == 6
+
+
 def test_hdim_pair_check():
     specs = [
         curated("free 1 over Z/6"),
@@ -184,3 +202,22 @@ def test_csv_report_one_row_per_check():
     rows = list(csv.reader(io.StringIO(reports_to_csv(reports))))
     assert rows[0] == ["ring", "module", "seed", "check", "status", "details", "ms"]
     assert len(rows) == 1 + 4 * 2
+
+
+def _digest(results):
+    rows = [[c.check, c.status, c.details] for c in results]
+    text = json.dumps(rows, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_seed_1_report_matches_the_recorded_digests():
+    # one digest per instance of corpus 1, then per hdim pair, as recorded
+    # in the benchmark's golden file
+    golden_path = Path(__file__).resolve().parents[1] / "bench" / "golden_verify.json"
+    want = json.loads(golden_path.read_text())["1"].split()
+    specs = corpus_generate(seed=1, count=200)
+    pairs = hdim_pairs_from_specs(specs, 50)
+    got = [_digest(run_suite([s])[0][0].results) for s in specs]
+    got += [_digest(run_hdim_pairs([p])) for p in pairs]
+    assert len(got) == len(want) == 250
+    assert got == want

@@ -125,10 +125,28 @@ def test_realize_respects_relations():
     assert sorted(m.orders) == [2, 4]
 
 
-def test_realize_intermediate_guard():
-    R = ring_zmod(64)
-    with pytest.raises(GuardExceeded):
-        realize(ModulePresentation(R, 4, ()))
+def test_realize_size_precheck_skips_the_snf(monkeypatch):
+    # |M| >= |R|^(k - #rels) rejects these before any Smith normal form
+    import modcover.modules as modules
+
+    def no_snf(*args):
+        raise AssertionError("abelian_quotient ran")
+
+    monkeypatch.setattr(modules, "abelian_quotient", no_snf)
+    for ring, k in ((ring_zmod(64), 4), (ring_zmod(2), 5000)):
+        with pytest.raises(GuardExceeded) as exc:
+            realize(ModulePresentation(ring, k, ()))
+        assert exc.value.guard == "module-size"
+
+
+def test_realize_beyond_the_free_module_size():
+    # |R|^k = 36^4 is far past the module guard, but |M| = 216 is not
+    from modcover.covering import sigma_exact, sigma_formula
+    from modcover.dsl import parse_module
+
+    m = parse_module("Z/4 (+) Z/9 (+) Z/3 (+) Z/2 over Z/36")
+    assert m.size == 216
+    assert sigma_formula(m).value == sigma_exact(m).size == 3
 
 
 def test_module_size_guard_env(monkeypatch):
@@ -293,17 +311,25 @@ def test_length_closed_form_matches_descent():
             assert length_by_descent(m, random.Random(seed)) == want, m.label
 
 
-@pytest.mark.parametrize(
-    "make,want",
-    [
-        (lambda: cyclic_sum(ring_zmod(8), [(0,)]), 1),
-        (lambda: free_module(ring_zmod(2), 2), 2),
-        (lambda: zmod_module(4, [2, 4]), 2),
-        (lambda: zmod_module(6, [2, 2, 3]), 3),
-    ],
-)
+HDIM_EXAMPLES = [
+    (lambda: cyclic_sum(ring_zmod(8), [(0,)]), 1),
+    (lambda: free_module(ring_zmod(2), 2), 2),
+    (lambda: zmod_module(4, [2, 4]), 2),
+    (lambda: zmod_module(6, [2, 2, 3]), 3),
+]
+
+
+@pytest.mark.parametrize("make,want", HDIM_EXAMPLES)
 def test_hdim_examples(make, want):
     assert hdim(make()) == want
+
+
+def test_hdim_is_the_length_of_the_top():
+    # hdim is Σ dim M/mM; the length of M/J(M) is its second path
+    modules = [make() for make, _ in HDIM_EXAMPLES] + small_corpus_modules()
+    for m in modules:
+        top, _ = quotient_module(m, jacobson_radical(m))
+        assert length(top) == hdim(m), m.label
 
 
 def test_hdim_additive_over_direct_sums():
