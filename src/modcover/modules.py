@@ -32,6 +32,7 @@ from .rings import (
 )
 from .snf import abelian_quotient
 
+REALIZE_INTERMEDIATE_GUARD = 2**20
 LATTICE_GUARD = 256
 LATTICE_COUNT_BUDGET = 20000
 
@@ -203,20 +204,16 @@ class RealizedModule:
 def realize(pres: ModulePresentation) -> RealizedModule:
     """Materialize R^k modulo the relation submodule.
 
-    Each relation spans at most |R| elements, so |M| >= |R|^(k - #rels);
-    a module this puts over the size guard is rejected before the Smith
-    normal form on r*k columns.
+    R^k is never enumerated, but the Smith normal form over R^k has no
+    modular reduction and its entries can grow exponentially, so |R|^k
+    is capped before it runs.
     """
     ring = pres.ring
     k = pres.num_generators
-    guard = module_size_guard()
-    # |R| >= 2, so an exponent of guard.bit_length() already exceeds the guard
-    free = min(k - len(pres.relations), guard.bit_length())
-    if ring.size**free > guard:
+    if ring.size**k > REALIZE_INTERMEDIATE_GUARD:
         raise GuardExceeded(
-            "module-size",
-            f"|M| >= |R|^(k - #rels) = {ring.size}^{k - len(pres.relations)} "
-            f"exceeds guard {guard}",
+            "realize-intermediate",
+            f"|R|^k = {ring.size}^{k} exceeds guard {REALIZE_INTERMEDIATE_GUARD}",
         )
     r = ring.rank
     full_orders = list(ring.additive_orders) * k

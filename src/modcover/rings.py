@@ -207,18 +207,19 @@ def _additive_closure(add, zero, gens, start=None):
     return members
 
 
+def _ideal_span(ring: FiniteRing, gens, start=None) -> set:
+    """Indices of the ideal generated by `gens` (coordinate tuples) and
+    the ideal `start`: the additive span of the b_i * g, which is
+    already closed under the action."""
+    images = [ring.index_of(ring.mul(ring.basis(i), g)) for g in gens for i in range(ring.rank)]
+    return _additive_closure(ring.add_index, ring.index_of(ring.zero), images, start)
+
+
 def ideal_generated(ring: FiniteRing, gens) -> Ideal:
     """Smallest ideal containing `gens` (coordinate tuples)."""
     gens = [ring.reduce(g) for g in gens]
-    # the additive span of {b_i * g} is already closed under the action
-    addgens = [
-        ring.index_of(ring.mul(ring.basis(i), g))
-        for g in gens
-        for i in range(ring.rank)
-    ]
-    members = _additive_closure(ring.add_index, ring.index_of(ring.zero), addgens)
     mask = 0
-    for i in members:
+    for i in _ideal_span(ring, gens):
         mask |= 1 << i
     return Ideal(ring, mask, tuple(sorted(gens)))
 
@@ -246,14 +247,12 @@ def _greedy_generators(member_indices, zero, grow) -> tuple:
 
 def minimal_generators(ring: FiniteRing, member_indices) -> tuple:
     """Greedy small generating set for an ideal given as an index set."""
-    zero = ring.index_of(ring.zero)
-
-    def grow(idx, span):
-        g = ring.element(idx)
-        images = [ring.index_of(ring.mul(ring.basis(i), g)) for i in range(ring.rank)]
-        return _additive_closure(ring.add_index, zero, images, span)
-
-    return tuple(ring.element(i) for i in _greedy_generators(member_indices, zero, grow))
+    gens = _greedy_generators(
+        member_indices,
+        ring.index_of(ring.zero),
+        lambda idx, span: _ideal_span(ring, [ring.element(idx)], span),
+    )
+    return tuple(ring.element(i) for i in gens)
 
 
 # -- constructors --------------------------------------------------------------

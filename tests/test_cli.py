@@ -66,16 +66,6 @@ def test_sigma_certificate(capsys):
     assert len(payload["certificate"]["submodules"]) == 4
 
 
-def test_sigma_beyond_the_free_module_size(capsys):
-    # R^4 has 36^4 elements but the module only 216
-    code, out, _ = run(
-        capsys, "sigma", "--module", "Z/4 (+) Z/9 (+) Z/3 (+) Z/2 over Z/36", "--json"
-    )
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["sigma_formula"] == payload["sigma_exact"] == 3
-
-
 def test_sigma_table_and_json_agree(capsys):
     _, table, _ = run(capsys, "sigma", "--module", "Z/2 (+) Z/4 over Z/4")
     _, js, _ = run(capsys, "sigma", "--module", "Z/2 (+) Z/4 over Z/4", "--json")

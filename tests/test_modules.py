@@ -125,28 +125,26 @@ def test_realize_respects_relations():
     assert sorted(m.orders) == [2, 4]
 
 
-def test_realize_size_precheck_skips_the_snf(monkeypatch):
-    # |M| >= |R|^(k - #rels) rejects these before any Smith normal form
+def test_realize_intermediate_guard(monkeypatch):
+    # |R|^k is capped before the Smith normal form runs, also when the
+    # relations would leave a small module
     import modcover.modules as modules
 
     def no_snf(*args):
         raise AssertionError("abelian_quotient ran")
 
     monkeypatch.setattr(modules, "abelian_quotient", no_snf)
-    for ring, k in ((ring_zmod(64), 4), (ring_zmod(2), 5000)):
+    z2 = ring_zmod(2)
+    units = tuple(tuple(z2.one if j == i else z2.zero for j in range(1000)) for i in range(1000))
+    for build in (
+        lambda: realize(ModulePresentation(ring_zmod(64), 4, ())),
+        lambda: realize(ModulePresentation(z2, 5000, ())),
+        lambda: cyclic_sum(ring_zmod(4), [(2,)] * 1000),
+        lambda: realize(ModulePresentation(z2, 1000, units)),
+    ):
         with pytest.raises(GuardExceeded) as exc:
-            realize(ModulePresentation(ring, k, ()))
-        assert exc.value.guard == "module-size"
-
-
-def test_realize_beyond_the_free_module_size():
-    # |R|^k = 36^4 is far past the module guard, but |M| = 216 is not
-    from modcover.covering import sigma_exact, sigma_formula
-    from modcover.dsl import parse_module
-
-    m = parse_module("Z/4 (+) Z/9 (+) Z/3 (+) Z/2 over Z/36")
-    assert m.size == 216
-    assert sigma_formula(m).value == sigma_exact(m).size == 3
+            build()
+        assert exc.value.guard == "realize-intermediate"
 
 
 def test_module_size_guard_env(monkeypatch):
