@@ -18,16 +18,14 @@ from enum import Enum
 from .errors import GuardExceeded
 from .modules import (
     RealizedModule,
-    Submodule,
-    _vector_space_coords,
+    _pullback,
+    _residue_basis,
+    _span,
     all_submodules,
     ideal_action,
     maximal_submodules,
-    quotient_module,
     s_set,
-    submodule_generators,
 )
-from .rings import residue_field
 
 BNB_NODE_BUDGET = 10_000_000
 
@@ -185,6 +183,8 @@ def construct_cover(m: RealizedModule) -> CoverCertificate:
     vector space (first two coordinates of M/mM), and pulls back its
     q + 1 lines. Each pullback is a proper submodule and every element
     lands in some line, so the result is a cover of the predicted size.
+    In the basis u, w, rest of M/mM the line through dx u + dy w pulls
+    back to the hyperplane spanned by mM, rest and that vector.
     """
     t0 = time.perf_counter()
     _reject_zero(m)
@@ -195,30 +195,13 @@ def construct_cover(m: RealizedModule) -> CoverCertificate:
         )
     ideal = pred.witness_ideal
     nm = ideal_action(m, ideal)
-    v, proj = quotient_module(m, nm)
-    field, _, field_lift = residue_field(ideal)
-    coords, _ = _vector_space_coords(v, field, field_lift)
-    # lines through the origin of the first two coordinates
-    # {y = c x} for each scalar c, plus {x = 0}
+    field, field_lift, basis = _residue_basis(m, ideal, nm)
+    u, w, rest = basis[0], basis[1], basis[2:]
+    start = _span(m, rest, nm.members)
+    # the lines {y = c x} for each scalar c, then {x = 0}
     q = field.size
-    covers = []
-    directions = [(field.one, c) for c in field.elements] + [(field.zero, field.one)]
-    for dx, dy in directions:
-        # kernel of the functional dy*x - dx*y ... i.e. points proportional
-        # to the direction vector in the first two coordinates
-        kernel = set()
-        for idx, c in coords.items():
-            x, y = c[0], c[1]
-            lhs = field.mul(dy, x)
-            rhs = field.mul(dx, y)
-            if lhs == rhs:
-                kernel.add(idx)
-        mask = 0
-        for i in range(m.size):
-            if proj[i] in kernel:
-                mask |= 1 << i
-        gens = submodule_generators(m, [i for i in range(m.size) if mask >> i & 1])
-        covers.append(Submodule(m, mask, gens))
+    directions = [m.add(u, m.act(field_lift(c), w)) for c in field.elements] + [w]
+    covers = [_pullback(m, start, [d]) for d in directions]
     if len(covers) != q + 1:
         raise AssertionError(f"{len(covers)} lines through the origin of F_{q}^2")
     ok = verify_cover(m, covers)

@@ -22,8 +22,8 @@ from .errors import GuardExceeded
 from .rings import (
     FiniteRing,
     Ideal,
-    _additive_closure,
     _greedy_generators,
+    _Shifts,
     ideal_generated,
     local_factorization,
     maximal_ideals,
@@ -79,10 +79,9 @@ class RealizedModule:
         self.presentation = presentation
         self.label = label or (presentation.to_dsl() if presentation else "module")
         self.zero = (0,) * self.rank
+        self.shifts = _Shifts(self.orders)
         self._elements = None
         self._index = None
-        self._ring_basis_maps = {}
-        self._add_table = None
         self._maximal_submodules = None
         self._semisimple_invariants = None
         self._radical = None
@@ -147,28 +146,6 @@ class RealizedModule:
     @property
     def zero_index(self) -> int:
         return self.index_of(self.zero)
-
-    def add_index(self, i, j) -> int:
-        return self.index_of(self.add(self.element(i), self.element(j)))
-
-    def ring_basis_map(self, i):
-        """Index-level map x -> b_i . x."""
-        if i not in self._ring_basis_maps:
-            b = self.ring.basis(i)
-            self._ring_basis_maps[i] = [
-                self.index_of(self.act(b, x)) for x in self.elements
-            ]
-        return self._ring_basis_maps[i]
-
-    def add_table(self):
-        if self._add_table is None:
-            if self.size > LATTICE_GUARD:
-                raise GuardExceeded("lattice", "add table only built for small modules")
-            self._add_table = [
-                [self.add_index(i, j) for j in range(self.size)]
-                for i in range(self.size)
-            ]
-        return self._add_table
 
     def axiom_check(self, samples=64, seed=0):
         """Spot-check the module axioms on pseudo-random element pairs;
@@ -314,68 +291,63 @@ class Submodule:
         return f"Submodule(gens={self.generator_coords()}, size={self.size})"
 
 
-def _closure_indices(m: RealizedModule, gen_indices, start=None):
-    """Indices of the submodule generated by the given element indices
-    and the submodule `start`: the additive span of their ring-basis images."""
-    images = [m.ring_basis_map(i)[g] for g in gen_indices for i in range(m.ring.rank)]
-    return _additive_closure(m.add_index, m.zero_index, images, start)
+def _images(m: RealizedModule, elems) -> list:
+    """The b_i . x over the ring basis: additive generators of the
+    submodule the elements x generate."""
+    return [m.act(m.ring.basis(i), x) for x in elems for i in range(m.ring.rank)]
 
 
-def _mask(indices) -> int:
-    m = 0
-    for i in indices:
-        m |= 1 << i
-    return m
+def _span(m: RealizedModule, elems, start=1) -> int:
+    """Mask of the submodule generated by the elements (coordinate
+    tuples) and the submodule mask `start`."""
+    return m.shifts.closure(_images(m, elems), start)
 
 
 def submodule_generated(m: RealizedModule, gen_indices) -> Submodule:
     gen_indices = tuple(sorted(set(gen_indices)))
-    return Submodule(m, _mask(_closure_indices(m, gen_indices)), gen_indices)
+    return Submodule(m, _span(m, [m.element(g) for g in gen_indices]), gen_indices)
 
 
 def full_submodule(m: RealizedModule) -> Submodule:
-    gens = submodule_generators(m, range(m.size))
-    return Submodule(m, m.full_mask, gens)
+    return Submodule(m, m.full_mask, submodule_generators(m, m.full_mask))
 
 
-def submodule_generators(m: RealizedModule, member_indices) -> tuple:
-    """Greedy small generating set for a given submodule index set."""
+def submodule_generators(m: RealizedModule, members: int) -> tuple:
+    """Greedy small generating set (element indices) for a submodule
+    given by its members mask."""
     return _greedy_generators(
-        member_indices, m.zero_index, lambda idx, span: _closure_indices(m, [idx], span)
+        members, lambda idx, span: _span(m, [m.element(idx)], span)
     )
 
 
 def all_submodules(m: RealizedModule, max_count=LATTICE_COUNT_BUDGET) -> list:
     """Every submodule, by closing the cyclic submodules under joins.
 
-    The join of two submodules is their elementwise sumset. Guarded both
-    by |M| and by a lattice-size budget: some semisimple modules within
-    the size guard still have astronomically many submodules.
+    The join of S with a cyclic submodule Rx is the closure of S under
+    the ring-basis images of x. Guarded both by |M| and by a lattice-size
+    budget: some semisimple modules within the size guard still have
+    astronomically many submodules.
     """
     if m.size > LATTICE_GUARD:
         raise GuardExceeded("lattice", f"|M| = {m.size} exceeds guard {LATTICE_GUARD}")
-    add = m.add_table()
     cyclics = {}
     for idx in range(m.size):
-        s = _closure_indices(m, [idx])
-        cyclics.setdefault(_mask(s), (tuple(sorted(s)), idx))
-    zero_mask = 1 << m.zero_index
-    lattice = {zero_mask: ()}
-    members_of = {zero_mask: (m.zero_index,)}
-    work = [zero_mask]
-    cyclic_items = sorted(cyclics.items())
+        cyclics.setdefault(_span(m, [m.element(idx)]), idx)
+    cyclic_items = [
+        (cmask, cgen, _images(m, [m.element(cgen)]))
+        for cmask, cgen in sorted(cyclics.items())
+    ]
+    lattice = {1: ()}  # zero is bit 0
+    work = [1]
     while work:
         smask = work.pop()
-        sidx = members_of[smask]
         sgens = lattice[smask]
-        for cmask, (cidx, cgen) in cyclic_items:
+        for cmask, cgen, images in cyclic_items:
             if cmask & smask == cmask:
                 continue
-            jset = {add[x][y] for x in sidx for y in cidx}
-            jmask = _mask(jset)
+            jmask = m.shifts.closure(images, smask)
             if jmask not in lattice:
                 lattice[jmask] = tuple(sorted(set(sgens) | {cgen}))
-                members_of[jmask] = tuple(sorted(jset))
                 work.append(jmask)
                 if len(lattice) > max_count:
                     raise GuardExceeded(
@@ -402,16 +374,12 @@ def ideal_action(m: RealizedModule, ideal: Ideal) -> Submodule:
     return submodule_generated(m, gens)
 
 
-def quotient_module(m: RealizedModule, n: Submodule):
-    """Cosets of a submodule; returns (quotient, projection index map)."""
+def _quotient(m: RealizedModule, n: Submodule):
+    """M/N as ``(quotient, project, lift)``, project and lift translating
+    between coordinates of M and of the quotient."""
     if n.parent is not m:
         raise ValueError("submodule belongs to a different module")
-    addgens = [
-        m.act(m.ring.basis(i), m.element(g))
-        for g in n.generators
-        for i in range(m.ring.rank)
-    ]
-    orders, project, lift = abelian_quotient(m.orders, addgens)
+    orders, project, lift = abelian_quotient(m.orders, _images(m, n.generator_coords()))
     t = len(orders)
 
     def unit(j):
@@ -422,8 +390,13 @@ def quotient_module(m: RealizedModule, n: Submodule):
         for i in range(m.ring.rank)
     ]
     q = RealizedModule(m.ring, orders, basis_act, label=f"({m.label})/N")
-    proj_map = [q.index_of(project(x)) for x in m.elements]
-    return q, proj_map
+    return q, project, lift
+
+
+def quotient_module(m: RealizedModule, n: Submodule):
+    """Cosets of a submodule; returns (quotient, projection index map)."""
+    q, project, _ = _quotient(m, n)
+    return q, [q.index_of(project(x)) for x in m.elements]
 
 
 def maximal_submodules(m: RealizedModule) -> list:
@@ -440,70 +413,44 @@ def maximal_submodules(m: RealizedModule) -> list:
 
 
 def _hyperplane_pullbacks(m: RealizedModule) -> list:
+    """In a basis u_1..u_k of M/mM, the hyperplane ker φ with φ_j = 0 for
+    j < l, φ_l = 1 and φ_j = -c_j after l has the basis u_j (j < l) and
+    u_j + c_j u_l (j > l); all (q^k - 1)/(q - 1) hyperplanes arise once."""
     out = []
     for ideal in maximal_ideals(m.ring):
         nm = ideal_action(m, ideal)
         if nm.members == m.full_mask:
             continue
-        v, proj = quotient_module(m, nm)
-        field, _, field_lift = residue_field(ideal)
-        coords, basis = _vector_space_coords(v, field, field_lift)
-        k = len(basis)
-        for phi in _monic_functionals(field, k):
-            kernel = {
-                idx
-                for idx, c in coords.items()
-                if _functional_value(field, phi, c) == field.zero
-            }
-            mask = 0
-            for x in range(m.size):
-                if proj[x] in kernel:
-                    mask |= 1 << x
-            gens = submodule_generators(m, [i for i in range(m.size) if mask >> i & 1])
-            out.append(Submodule(m, mask, gens))
+        field, field_lift, basis = _residue_basis(m, ideal, nm)
+        for lead, u in enumerate(basis):
+            start = _span(m, basis[:lead], nm.members)
+            scaled = [m.act(field_lift(c), u) for c in field.elements]
+            for tail in itertools.product(scaled, repeat=len(basis) - lead - 1):
+                vectors = [m.add(w, cu) for w, cu in zip(basis[lead + 1 :], tail)]
+                out.append(_pullback(m, start, vectors))
     out.sort(key=lambda s: s.members)
     return out
 
 
-def _vector_space_coords(v: RealizedModule, field, field_lift):
-    """Coordinates of every element of v in a greedily chosen field basis.
-
-    v must be annihilated by the maximal ideal defining `field`, so the
-    ring action of coset representatives gives a well-defined field
-    action.
-    """
-    coords = {v.zero_index: ()}
-    basis = []
-    scalars = [(c, field_lift(c)) for c in field.elements]
-    for idx in range(v.size):
-        if idx in coords:
-            continue
-        basis.append(idx)
-        newcoords = {}
-        for c, rep in scalars:
-            cv = v.index_of(v.act(rep, v.element(idx)))
-            for s, sc in coords.items():
-                newcoords[v.add_index(s, cv)] = sc + (c,)
-        coords = newcoords
-    q = field.size
-    if q ** len(basis) != v.size:
+def _residue_basis(m: RealizedModule, ideal: Ideal, nm: Submodule):
+    """``(field, field_lift, basis)``: the residue field F = R/m and lifts
+    to M of a basis of the F-vector space M/mM, where nm is mM. The basis
+    is greedy: each vector is the least element of M/mM that the earlier
+    ones do not span. m annihilates M/mM, so ring spans there are F-spans
+    and the greedy generators are a basis."""
+    v, _, lift = _quotient(m, nm)
+    field, _, field_lift = residue_field(ideal)
+    basis = submodule_generators(v, v.full_mask)
+    if field.size ** len(basis) != v.size:
         raise AssertionError("quotient by a maximal ideal is not a vector space")
-    return coords, basis
+    return field, field_lift, [lift(v.element(i)) for i in basis]
 
 
-def _monic_functionals(field, k):
-    """Nonzero functionals on field^k up to scalar: first nonzero entry 1."""
-    elems = field.elements
-    for lead in range(k):
-        for tail in itertools.product(elems, repeat=k - lead - 1):
-            yield (field.zero,) * lead + (field.one,) + tail
-
-
-def _functional_value(field, phi, coords):
-    acc = field.zero
-    for p, c in zip(phi, coords):
-        acc = field.add(acc, field.mul(p, c))
-    return acc
+def _pullback(m: RealizedModule, start: int, vectors) -> Submodule:
+    """The submodule generated by the submodule mask `start` (containing
+    mM) and the vectors, which lift the basis of a subspace of M/mM."""
+    mask = _span(m, vectors, start)
+    return Submodule(m, mask, submodule_generators(m, mask))
 
 
 def radical_via_maximal(m: RealizedModule) -> int:
@@ -528,8 +475,7 @@ def jacobson_radical(m: RealizedModule) -> Submodule:
     submodules."""
     if m._radical is None:
         mask = radical_via_ideals(m)
-        gens = submodule_generators(m, [i for i in range(m.size) if mask >> i & 1])
-        m._radical = Submodule(m, mask, gens)
+        m._radical = Submodule(m, mask, submodule_generators(m, mask))
     return m._radical
 
 
@@ -546,7 +492,7 @@ def is_cyclic(m: RealizedModule):
             (
                 (True, m.element(idx))
                 for idx in range(m.size)
-                if len(_closure_indices(m, [idx])) == m.size
+                if _span(m, [m.element(idx)]) == m.full_mask
             ),
             (False, None),
         )

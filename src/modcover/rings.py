@@ -24,6 +24,49 @@ RING_SIZE_GUARD = 4096
 Element = tuple  # coordinate tuple; one entry per additive generator
 
 
+class _Shifts:
+    """Subsets of ⊕ Z/d_t as bitmasks over the lexicographic element
+    indices, where x has index Σ x_t w_t with w_t = Π_{s>t} d_s; zero is
+    bit 0.
+
+    Adding c to coordinate t moves index i by c w_t inside its block of
+    d_t w_t consecutive indices, wrapping around, so translating a whole
+    mask is one rotation of every block per nonzero coordinate. The
+    repunit of coordinate t has bit 0 of every block set.
+    """
+
+    def __init__(self, orders):
+        size = reduce(lambda a, b: a * b, orders, 1)
+        self.coords = []  # (weight, block, repunit) per coordinate
+        weight = size
+        for d in orders:
+            weight //= d
+            block = d * weight
+            repunit = ((1 << size) - 1) // ((1 << block) - 1)
+            self.coords.append((weight, block, repunit))
+
+    def translate(self, mask: int, x) -> int:
+        """The mask of {y + x : y in mask}; x a reduced coordinate tuple."""
+        for c, (weight, block, repunit) in zip(x, self.coords):
+            if c:
+                shift = c * weight
+                stay = (repunit << (block - shift)) - repunit  # no wrap-around
+                low = mask & stay
+                mask = low << shift | (mask ^ low) >> (block - shift)
+        return mask
+
+    def closure(self, gens, start: int = 1) -> int:
+        """Mask of the subgroup generated by the subgroup `start` and the
+        gens (reduced coordinate tuples). H + <g> is the union of the
+        cosets H + kg up to the first that meets H, i.e. holds zero."""
+        for g in gens:
+            coset = self.translate(start, g)
+            while not coset & 1:
+                start |= coset
+                coset = self.translate(coset, g)
+        return start
+
+
 class FiniteRing:
     def __init__(self, additive_orders, mul_table, one, label, *, validate=True):
         self.additive_orders = tuple(int(d) for d in additive_orders)
@@ -41,6 +84,7 @@ class FiniteRing:
         self.one = self.reduce(one)
         self.zero = (0,) * self.rank
         self.label = label
+        self.shifts = _Shifts(self.additive_orders)
         self._elements = None
         self._index = None
         self._units = None
@@ -106,9 +150,6 @@ class FiniteRing:
 
     def element(self, i) -> Element:
         return self.elements[i]
-
-    def add_index(self, i, j) -> int:
-        return self.index_of(self.add(self.element(i), self.element(j)))
 
     # -- units ---------------------------------------------------------------
 
@@ -192,65 +233,44 @@ class Ideal:
         return f"Ideal({self.ring.label}; <{gens}>; size={self.size})"
 
 
-def _additive_closure(add, zero, gens, start=None):
-    """Subgroup generated by the gens and the subgroup `start` (default
-    {zero}), under `add` with identity `zero`."""
-    members = {zero} if start is None else set(start)
-    for g in gens:
-        if g in members:
-            continue
-        base = list(members)
-        cur = g
-        while cur not in members:
-            members.update(add(x, cur) for x in base)
-            cur = add(cur, g)
-    return members
-
-
-def _ideal_span(ring: FiniteRing, gens, start=None) -> set:
-    """Indices of the ideal generated by `gens` (coordinate tuples) and
-    the ideal `start`: the additive span of the b_i * g, which is
+def _ideal_span(ring: FiniteRing, gens, start=1) -> int:
+    """Mask of the ideal generated by `gens` (coordinate tuples) and the
+    ideal mask `start`: the additive span of the b_i * g, which is
     already closed under the action."""
-    images = [ring.index_of(ring.mul(ring.basis(i), g)) for g in gens for i in range(ring.rank)]
-    return _additive_closure(ring.add_index, ring.index_of(ring.zero), images, start)
+    images = [ring.mul(ring.basis(i), g) for g in gens for i in range(ring.rank)]
+    return ring.shifts.closure(images, start)
 
 
 def ideal_generated(ring: FiniteRing, gens) -> Ideal:
     """Smallest ideal containing `gens` (coordinate tuples)."""
     gens = [ring.reduce(g) for g in gens]
-    mask = 0
-    for i in _ideal_span(ring, gens):
-        mask |= 1 << i
-    return Ideal(ring, mask, tuple(sorted(gens)))
+    return Ideal(ring, _ideal_span(ring, gens), tuple(sorted(gens)))
 
 
 def zero_ideal(ring: FiniteRing) -> Ideal:
-    return Ideal(ring, 1 << ring.index_of(ring.zero), ())
+    return Ideal(ring, 1, ())  # zero is bit 0
 
 
-def _greedy_generators(member_indices, zero, grow) -> tuple:
-    """Greedy small generating set of a submodule given by its member
-    indices (an ideal is a submodule of R): each member, in ascending
-    order, that the span of those kept so far misses is kept, and
-    `grow(idx, span)` is the span of the kept ones together with idx."""
+def _greedy_generators(members: int, grow) -> tuple:
+    """Greedy small generating set of a submodule given by its members
+    mask (an ideal is a submodule of R): the least member that the span
+    of those kept so far misses is kept, and `grow(idx, span)` is the
+    span mask of the kept ones together with idx."""
     gens = []
-    span = {zero}
-    for idx in sorted(member_indices):
-        if idx in span:
-            continue
+    span = 1  # the zero submodule
+    rest = members & ~span
+    while rest:
+        idx = (rest & -rest).bit_length() - 1
         gens.append(idx)
         span = grow(idx, span)
-        if len(span) == len(member_indices):
-            break
+        rest = members & ~span
     return tuple(gens)
 
 
-def minimal_generators(ring: FiniteRing, member_indices) -> tuple:
-    """Greedy small generating set for an ideal given as an index set."""
+def minimal_generators(ring: FiniteRing, members: int) -> tuple:
+    """Greedy small generating set for an ideal given as a members mask."""
     gens = _greedy_generators(
-        member_indices,
-        ring.index_of(ring.zero),
-        lambda idx, span: _ideal_span(ring, [ring.element(idx)], span),
+        members, lambda idx, span: _ideal_span(ring, [ring.element(idx)], span)
     )
     return tuple(ring.element(i) for i in gens)
 
@@ -563,10 +583,8 @@ def _factor(ring: FiniteRing):
         factor, proj, lift = quotient_ring(ring, complement)
         non_units = _nilpotents(factor)
         _assert_is_ideal(factor, non_units)
-        mask = 0
-        for i, x in enumerate(ring.elements):
-            if proj(x) in non_units:
-                mask |= 1 << i
+        # the pullback of the non-units: (1-e)R is the kernel of proj
+        mask = ring.shifts.closure([lift(y) for y in non_units], complement.members)
         factors.append(factor)
         projections.append(proj)
         lifts.append(lift)
@@ -595,8 +613,7 @@ def _factor(ring: FiniteRing):
 
     ideals = []
     for mask in sorted(ideal_masks):
-        members = [i for i in range(ring.size) if mask >> i & 1]
-        ideal = Ideal(ring, mask, minimal_generators(ring, members))
+        ideal = Ideal(ring, mask, minimal_generators(ring, mask))
         if mask not in fields:
             fields[mask] = quotient_ring(ring, ideal)
         _assert_is_field(fields[mask][0])
@@ -628,12 +645,13 @@ def _nilpotents(ring) -> set:
 
 def _assert_is_ideal(ring, subset):
     """Raise unless `subset` (a set of elements) is closed under the basis
-    action and is an additive subgroup: its additive closure adds nothing."""
+    action and is an additive subgroup: its additive closure, which
+    contains it, is no larger."""
     for x in subset:
         for i in range(ring.rank):
             if ring.mul(ring.basis(i), x) not in subset:
                 raise AssertionError(f"{ring.label}: non-units not action-closed")
-    if _additive_closure(ring.add, ring.zero, subset) != subset:
+    if ring.shifts.closure(subset).bit_count() != len(subset):
         raise AssertionError(f"{ring.label}: non-units not additively closed")
 
 

@@ -1,0 +1,208 @@
+"""Elementwise reference algorithms and shared small cases for the tests.
+
+The library keeps subsets as bitmasks and closes them by translating
+whole cosets. These are the earlier algorithms, which add elements one
+at a time and sweep every element to pull a subset back; the tests
+compare the library's answers with them.
+"""
+
+import itertools
+
+from modcover.modules import cyclic_sum, free_module, ideal_action, quotient_module
+from modcover.rings import (
+    local_factorization,
+    maximal_ideals,
+    residue_field,
+    ring_gf,
+    ring_zmod,
+)
+
+
+def zmod_module(n, parts):
+    R = ring_zmod(n)
+    return cyclic_sum(R, [(a % n,) for a in parts])
+
+
+TINY_CASES = [
+    lambda: free_module(ring_zmod(2), 2),
+    lambda: free_module(ring_zmod(3), 2),
+    lambda: free_module(ring_zmod(2), 3),
+    lambda: zmod_module(4, [2, 4]),
+    lambda: zmod_module(6, [2, 2, 3]),
+    lambda: zmod_module(6, [2, 3]),
+    lambda: free_module(ring_zmod(4), 1),
+    lambda: free_module(ring_gf(2, 2), 2),
+    lambda: zmod_module(9, [3, 9]),
+]
+
+
+def corpus_modules():
+    """The 200 modules of the seed-1 corpus."""
+    from modcover.dsl import parse_module
+    from modcover.harness import corpus_generate
+
+    return [parse_module(s.module_expr) for s in corpus_generate(seed=1, count=200)]
+
+
+def additive_closure(add, zero, gens, start=None):
+    """Subgroup generated by the gens and the subgroup `start` (default
+    {zero}), under `add` with identity `zero`."""
+    members = {zero} if start is None else set(start)
+    for g in gens:
+        if g in members:
+            continue
+        base = list(members)
+        cur = g
+        while cur not in members:
+            members.update(add(x, cur) for x in base)
+            cur = add(cur, g)
+    return members
+
+
+def mask_of(indices) -> int:
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
+
+
+def add_index(m, i, j) -> int:
+    return m.index_of(m.add(m.element(i), m.element(j)))
+
+
+def span_indices(m, gen_indices, start=None) -> set:
+    """Indices of the submodule generated by the element indices and the
+    submodule `start` (an index set): the span of the ring-basis images."""
+    images = [
+        m.index_of(m.act(m.ring.basis(i), m.element(g)))
+        for g in gen_indices
+        for i in range(m.ring.rank)
+    ]
+    return additive_closure(lambda i, j: add_index(m, i, j), m.zero_index, images, start)
+
+
+def generators(m, mask) -> tuple:
+    """Greedy generators: each member, in ascending order, that the span
+    of those kept so far misses."""
+    members = [i for i in range(m.size) if mask >> i & 1]
+    gens, span = [], {m.zero_index}
+    for idx in members:
+        if idx in span:
+            continue
+        gens.append(idx)
+        span = span_indices(m, [idx], span)
+    return tuple(gens)
+
+
+def vector_space_coords(v, field, field_lift) -> dict:
+    """Coordinates of every element of v in the greedy field basis, as
+    {index: coordinate tuple}."""
+    coords = {v.zero_index: ()}
+    for idx in range(v.size):
+        if idx in coords:
+            continue
+        newcoords = {}
+        for c in field.elements:
+            cv = v.index_of(v.act(field_lift(c), v.element(idx)))
+            for s, sc in coords.items():
+                newcoords[add_index(v, s, cv)] = sc + (c,)
+        coords = newcoords
+    return coords
+
+
+def _residue_space(m, ideal):
+    nm = ideal_action(m, ideal)
+    v, proj = quotient_module(m, nm)
+    field, _, field_lift = residue_field(ideal)
+    return field, proj, vector_space_coords(v, field, field_lift)
+
+
+def _pullback(m, proj, kernel):
+    mask = mask_of(x for x in range(m.size) if proj[x] in kernel)
+    return mask, generators(m, mask)
+
+
+def maximal_submodules(m) -> list:
+    """(members, generators) of every hyperplane pullback, sorted: each
+    element x is kept when proj(x) lies in ker φ."""
+    out = []
+    for ideal in maximal_ideals(m.ring):
+        if ideal_action(m, ideal).members == m.full_mask:
+            continue
+        field, proj, coords = _residue_space(m, ideal)
+        k = len(next(iter(coords.values())))
+        for lead in range(k):
+            for tail in itertools.product(field.elements, repeat=k - lead - 1):
+                phi = (field.zero,) * lead + (field.one,) + tail
+                kernel = set()
+                for idx, c in coords.items():
+                    acc = field.zero
+                    for p, x in zip(phi, c):
+                        acc = field.add(acc, field.mul(p, x))
+                    if acc == field.zero:
+                        kernel.add(idx)
+                out.append(_pullback(m, proj, kernel))
+    return sorted(out)
+
+
+def construct_cover_lines(m, ideal) -> list:
+    """(members, generators) of the q + 1 line pullbacks construct_cover
+    builds, in its order: {y = c x} for each scalar c, then {x = 0}, on
+    the first two coordinates of M/mM."""
+    field, proj, coords = _residue_space(m, ideal)
+    directions = [(field.one, c) for c in field.elements] + [(field.zero, field.one)]
+    out = []
+    for dx, dy in directions:
+        kernel = {
+            idx
+            for idx, c in coords.items()
+            if field.mul(dy, c[0]) == field.mul(dx, c[1])
+        }
+        out.append(_pullback(m, proj, kernel))
+    return out
+
+
+def all_submodules(m) -> list:
+    """(members, generators) of every submodule, sorted by (size,
+    members): cyclic submodules closed under joins, a join being the
+    elementwise sumset."""
+    cyclics = {}
+    for idx in range(m.size):
+        s = span_indices(m, [idx])
+        cyclics.setdefault(mask_of(s), (tuple(sorted(s)), idx))
+    zero_mask = 1 << m.zero_index
+    lattice = {zero_mask: ()}
+    members_of = {zero_mask: (m.zero_index,)}
+    work = [zero_mask]
+    while work:
+        smask = work.pop()
+        for cmask, (cidx, cgen) in sorted(cyclics.items()):
+            if cmask & smask == cmask:
+                continue
+            jset = {add_index(m, x, y) for x in members_of[smask] for y in cidx}
+            jmask = mask_of(jset)
+            if jmask not in lattice:
+                lattice[jmask] = tuple(sorted(set(lattice[smask]) | {cgen}))
+                members_of[jmask] = tuple(sorted(jset))
+                work.append(jmask)
+    return sorted(
+        ((mask, gens) for mask, gens in lattice.items()),
+        key=lambda item: (item[0].bit_count(), item[0]),
+    )
+
+
+def maximal_ideal_masks(ring) -> tuple:
+    """Per local factor, the mask of the ring elements whose projection
+    is a non-unit (a nilpotent) of the factor."""
+    lf = local_factorization(ring)
+    out = []
+    for factor, proj in zip(lf.factors, lf.projections):
+        nilpotent = set()
+        for y in factor.iter_elements():
+            power = y
+            for _ in range(factor.size):
+                power = factor.mul(power, y)
+            if power == factor.zero:
+                nilpotent.add(y)
+        out.append(mask_of(i for i, x in enumerate(ring.elements) if proj(x) in nilpotent))
+    return tuple(out)

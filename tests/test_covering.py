@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -16,9 +18,14 @@ from modcover.modules import (
     direct_sum,
     free_module,
     is_cyclic,
+    jacobson_radical,
+    maximal_submodules,
     submodule_generated,
 )
-from modcover.rings import ring_gf, ring_zmod
+from modcover.rings import maximal_ideals, ring_gf, ring_zmod
+
+import oracles
+from oracles import TINY_CASES, zmod_module
 
 
 def brute_minimum_cover(m):
@@ -39,24 +46,6 @@ def brute_minimum_cover(m):
             if acc == full:
                 return size
     return None
-
-
-def zmod_module(n, parts):
-    R = ring_zmod(n)
-    return cyclic_sum(R, [(a % n,) for a in parts])
-
-
-TINY_CASES = [
-    lambda: free_module(ring_zmod(2), 2),
-    lambda: free_module(ring_zmod(3), 2),
-    lambda: free_module(ring_zmod(2), 3),
-    lambda: zmod_module(4, [2, 4]),
-    lambda: zmod_module(6, [2, 2, 3]),
-    lambda: zmod_module(6, [2, 3]),
-    lambda: free_module(ring_zmod(4), 1),
-    lambda: free_module(ring_gf(2, 2), 2),
-    lambda: zmod_module(9, [3, 9]),
-]
 
 
 @pytest.mark.parametrize("make", TINY_CASES)
@@ -129,6 +118,20 @@ def test_construct_cover_lines_are_one_dimensional_for_plane():
     # distinct lines pairwise intersect in zero only
     for a, b in itertools.combinations(cert.submodules, 2):
         assert (a.members & b.members).bit_count() == 1
+
+
+def test_construct_cover_matches_the_elementwise_line_test():
+    # reference: keep each x whose image in M/mM lies on the line, by its
+    # first two coordinates in the greedy basis
+    compared = 0
+    for m in [make() for make in TINY_CASES] + oracles.corpus_modules():
+        pred = sigma_formula(m)
+        if not pred.coverable:
+            continue
+        got = [(s.members, s.generators) for s in construct_cover(m).submodules]
+        assert got == oracles.construct_cover_lines(m, pred.witness_ideal), m.label
+        compared += 1
+    assert compared >= 50
 
 
 def test_verify_cover_rejects_bad_inputs():
@@ -250,3 +253,56 @@ def test_search_is_deterministic():
     b = sigma_exact(m)
     assert [s.members for s in a.submodules] == [s.members for s in b.submodules]
     assert a.nodes_explored == b.nodes_explored
+
+
+# sha256 of `pinned_answers()` as the elementwise closures computed it; a
+# change that alters generators or certificates on purpose re-records it
+PINNED_DIGEST = "ebe97701e9e88326705e7e5ab373413cde260924ee330bebcda00914dff418f2"
+
+PINNED_RINGS = ["Z/360", "GF(2^7)", "Z/12 x Z/10", "GF(3^5)", "Z/4096", "GF(4093)"]
+
+
+def pinned_answers() -> list:
+    """Generators and certificates of the seed-1 corpus modules and the
+    maximal ideals of PINNED_RINGS, as JSON-ready rows."""
+    from modcover.dsl import parse_ring
+
+    def cert(c):
+        payload = c.to_json_dict()
+        del payload["time_ms"]
+        return payload
+
+    rows = []
+    for m in oracles.corpus_modules():
+        witness = is_cyclic(m)[1]
+        row = {
+            "module": m.label,
+            "maximal": [list(s.generators) for s in maximal_submodules(m)],
+            "radical": list(jacobson_radical(m).generators),
+            "witness": list(witness) if witness is not None else None,
+        }
+        if m.size > 1:
+            row["exact"] = cert(sigma_exact(m))
+            row["construct"] = cert(construct_cover(m))
+            row["greedy"] = cert(greedy_cover(m))
+        if 1 < m.size <= 64:
+            row["all"] = cert(sigma_exact(m, SearchSpace.ALL_PROPER))
+            row["lattice"] = [[s.members, list(s.generators)] for s in all_submodules(m)]
+        rows.append(row)
+    for label in PINNED_RINGS:
+        R = parse_ring(label)
+        rows.append({
+            "ring": label,
+            "ideals": [[list(g) for g in i.generators] for i in maximal_ideals(R)],
+            "units": len(R.units()),
+        })
+    return rows
+
+
+def pinned_digest() -> str:
+    text = json.dumps(pinned_answers(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_generators_and_certificates_are_pinned():
+    assert pinned_digest() == PINNED_DIGEST

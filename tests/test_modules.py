@@ -30,6 +30,9 @@ from modcover.modules import (
 )
 from modcover.rings import maximal_ideals, ring_gf, ring_zmod
 
+import oracles
+from oracles import zmod_module
+
 
 def brute_submodule_masks(m):
     """Subset-filter oracle: every subset closed under subtraction and
@@ -62,11 +65,6 @@ def brute_submodule_masks(m):
         if ok:
             masks.add(bits)
     return masks
-
-
-def zmod_module(n, parts):
-    R = ring_zmod(n)
-    return cyclic_sum(R, [(a % n,) for a in parts])
 
 
 def cyclic_closure(m, idx):
@@ -231,6 +229,44 @@ def test_maximal_submodules_are_maximal_in_the_lattice():
         assert {s.members for s in maximal_submodules(m)} == maximal
 
 
+def oracle_modules(max_size=None):
+    """TINY_CASES and the 200 seed-1 corpus modules."""
+    modules = [make() for make in oracles.TINY_CASES] + oracles.corpus_modules()
+    return [m for m in modules if max_size is None or m.size <= max_size]
+
+
+def test_maximal_submodules_match_the_elementwise_pullback():
+    # reference: keep each x with proj(x) in ker φ, generators from
+    # elementwise closures
+    for m in oracle_modules():
+        got = [(s.members, s.generators) for s in maximal_submodules(m)]
+        assert got == oracles.maximal_submodules(m), m.label
+
+
+def test_all_submodules_match_the_sumset_join():
+    for m in oracle_modules(max_size=64):
+        got = [(s.members, s.generators) for s in all_submodules(m)]
+        assert got == oracles.all_submodules(m), m.label
+
+
+def test_free_5_over_gf5_without_element_sweeps():
+    # |M| = 3125: large enough that per-element sweeps per hyperplane
+    # would take most of a minute
+    from modcover.covering import construct_cover, verify_cover
+
+    m = free_module(ring_gf(5), 5)
+    assert not is_cyclic(m)[0]
+    assert length(m) == 5
+    assert hdim(m) == 5
+    assert jacobson_radical(m).size == 1
+    maximal = maximal_submodules(m)
+    assert len(maximal) == 781  # (5^5 - 1) / (5 - 1)
+    assert {s.size for s in maximal} == {625}
+    cert = construct_cover(m)
+    assert cert.is_cover and cert.size == 6
+    assert verify_cover(m, cert.submodules)
+
+
 # -- quotients, radical -------------------------------------------------------------
 
 
@@ -291,11 +327,7 @@ def test_length_examples(make, want):
 
 
 def small_corpus_modules():
-    from modcover.dsl import parse_module
-    from modcover.harness import corpus_generate
-
-    modules = (parse_module(s.module_expr) for s in corpus_generate(seed=1, count=200))
-    return [m for m in modules if m.size <= 64]
+    return [m for m in oracles.corpus_modules() if m.size <= 64]
 
 
 def test_length_closed_form_matches_descent():

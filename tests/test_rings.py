@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from modcover.rings import (
     FiniteRing,
+    _Shifts,
     ideal_generated,
     local_factorization,
     maximal_ideals,
@@ -17,6 +18,8 @@ from modcover.rings import (
     smallest_irreducible,
     zero_ideal,
 )
+
+from oracles import additive_closure, maximal_ideal_masks
 
 
 def prime_factors(n):
@@ -386,6 +389,23 @@ def test_unit_sets(n, want):
     assert {u[0] for u in ring_zmod(n).units()} == want
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda n=n: ring_zmod(n) for n in range(2, 65)]
+    + [
+        lambda: ring_gf(2, 3),
+        lambda: ring_gf(3, 2),
+        lambda: ring_product(ring_zmod(4), ring_gf(2, 2)),
+        lambda: ring_product(ring_zmod(12), ring_zmod(10)),
+    ],
+)
+def test_maximal_ideal_masks_match_the_elementwise_pullback(make):
+    # the library closes (1-e)R with lifts of the factor's non-units;
+    # the reference keeps each x whose projection is nilpotent
+    R = make()
+    assert local_factorization(R).maximal_ideal_masks == maximal_ideal_masks(R)
+
+
 def test_quotient_by_zero_ideal_is_the_ring():
     R = ring_zmod(12)
     Q, project, lift = quotient_ring(R, zero_ideal(R))
@@ -500,3 +520,72 @@ def test_basis_check_is_complete_on_every_table_over_z2_squared():
         assert accepted([2, 2], table, one) == ok, (table, one)
         outcomes.add(ok)
     assert outcomes == {True, False}
+
+
+# -- subsets as bitmasks -----------------------------------------------------------
+
+
+def group_elements(orders):
+    """Elements of ⊕ Z/d in lexicographic order, the bit order of masks."""
+    return list(itertools.product(*(range(d) for d in orders)))
+
+
+def group_add(orders):
+    return lambda x, y: tuple((a + b) % d for a, b, d in zip(x, y, orders))
+
+
+def mask_of_elements(orders, elems) -> int:
+    index = {x: i for i, x in enumerate(group_elements(orders))}
+    mask = 0
+    for x in elems:
+        mask |= 1 << index[x]
+    return mask
+
+
+@st.composite
+def shift_groups(draw):
+    """Orders of rank 0-4, each in 2..9, with at most 4096 elements."""
+    return draw(
+        st.lists(st.integers(2, 9), max_size=4).filter(lambda o: math.prod(o) <= 4096)
+    )
+
+
+def group_element(orders):
+    return st.tuples(*(st.integers(0, d - 1) for d in orders))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_translate_adds_the_element_to_every_member(data):
+    orders = data.draw(shift_groups())
+    elems = group_elements(orders)
+    mask = data.draw(st.integers(0, (1 << len(elems)) - 1))
+    x = data.draw(group_element(orders))
+    members = [y for i, y in enumerate(elems) if mask >> i & 1]
+    want = mask_of_elements(orders, [group_add(orders)(y, x) for y in members])
+    assert _Shifts(orders).translate(mask, x) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_closure_matches_the_set_closure(data):
+    orders = data.draw(shift_groups())
+    shifts = _Shifts(orders)
+    add, zero = group_add(orders), tuple(0 for _ in orders)
+    element = group_element(orders)
+    first = data.draw(st.lists(element, max_size=3))
+    start = additive_closure(add, zero, first)  # an earlier closure
+    # generators drawn from `start` as well, which must change nothing
+    inside = st.sampled_from(sorted(start))
+    gens = data.draw(st.lists(st.one_of(element, inside), max_size=4))
+    want = additive_closure(add, zero, gens, start)
+    start_mask = mask_of_elements(orders, start)
+    assert shifts.closure(first) == start_mask
+    assert shifts.closure(gens, start_mask) == mask_of_elements(orders, want)
+
+
+def test_shifts_of_the_zero_group():
+    shifts = _Shifts(())
+    assert shifts.translate(1, ()) == 1
+    assert shifts.closure([(), ()]) == 1
+    assert shifts.closure([], 1) == 1
