@@ -159,7 +159,7 @@ def sigma_exact(
             search(i + 1, covered | masks[i], chosen)
             chosen.pop()
 
-    search(0, 1 << m.zero_index, [])
+    search(0, 1, [])  # zero is bit 0
     subs = tuple(candidates[i] for i in sorted(best_sel))
     return CoverCertificate(
         subs, True, best_len, True, nodes, (time.perf_counter() - t0) * 1000
@@ -200,7 +200,7 @@ def construct_cover(m: RealizedModule) -> CoverCertificate:
     start = _span(m, rest, nm.members)
     # the lines {y = c x} for each scalar c, then {x = 0}
     q = field.size
-    directions = [m.add(u, m.act(field_lift(c), w)) for c in field.elements] + [w]
+    directions = [m.add(u, m.act(field_lift(c), w)) for c in field.iter_elements()] + [w]
     covers = [_pullback(m, start, [d]) for d in directions]
     if len(covers) != q + 1:
         raise AssertionError(f"{len(covers)} lines through the origin of F_{q}^2")
@@ -226,7 +226,7 @@ def greedy_cover(m: RealizedModule) -> CoverCertificate:
             (), False, None, False, 0, (time.perf_counter() - t0) * 1000
         )
     chosen = []
-    covered = 1 << m.zero_index
+    covered = 1  # zero is bit 0
     while covered != full:
         best = max(candidates, key=lambda s: (s.members & ~covered).bit_count())
         chosen.append(best)

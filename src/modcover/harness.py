@@ -104,7 +104,7 @@ def _ring_pool(max_ring: int):
     return pool
 
 
-def _random_presentation(rng, ring_expr, ring, max_module):
+def _random_presentation(rng, ring_expr, ring):
     k = rng.randint(1, 3)
     if ring.size**k > 2**20:
         k = 1
@@ -163,7 +163,7 @@ def corpus_generate(seed: int, count: int, max_ring: int = 64, max_module: int =
         if i < quota_cyclic + quota_multi:
             ring_expr = rng.choice(multi_pool)
             ring = parse_ring(ring_expr)
-            expr = _random_presentation(rng, ring_expr, ring, max_module)
+            expr = _random_presentation(rng, ring_expr, ring)
             admit(ring_expr, expr)
             continue
         ring_expr = rng.choice(pool)
@@ -179,7 +179,7 @@ def corpus_generate(seed: int, count: int, max_ring: int = 64, max_module: int =
             expr = f"free {k} over {ring_expr}"
         else:
             ring = parse_ring(ring_expr)
-            expr = _random_presentation(rng, ring_expr, ring, max_module)
+            expr = _random_presentation(rng, ring_expr, ring)
         admit(ring_expr, expr)
     if len(specs) < count:
         raise RuntimeError("corpus generation failed to meet its quotas")

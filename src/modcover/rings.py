@@ -24,10 +24,16 @@ RING_SIZE_GUARD = 4096
 Element = tuple  # coordinate tuple; one entry per additive generator
 
 
+def basis_vectors(rank: int) -> list:
+    """The coordinate tuples of the additive basis e_0, ..., e_{rank-1}."""
+    return [tuple(int(s == t) for s in range(rank)) for t in range(rank)]
+
+
 class _Shifts:
     """Subsets of ⊕ Z/d_t as bitmasks over the lexicographic element
     indices, where x has index Σ x_t w_t with w_t = Π_{s>t} d_s; zero is
-    bit 0.
+    bit 0. `index` and `element` convert between the two, so no element
+    list is stored.
 
     Adding c to coordinate t moves index i by c w_t inside its block of
     d_t w_t consecutive indices, wrapping around, so translating a whole
@@ -36,7 +42,7 @@ class _Shifts:
     """
 
     def __init__(self, orders):
-        size = reduce(lambda a, b: a * b, orders, 1)
+        self.size = size = reduce(lambda a, b: a * b, orders, 1)
         self.coords = []  # (weight, block, repunit) per coordinate
         weight = size
         for d in orders:
@@ -44,6 +50,24 @@ class _Shifts:
             block = d * weight
             repunit = ((1 << size) - 1) // ((1 << block) - 1)
             self.coords.append((weight, block, repunit))
+
+    def index(self, x) -> int:
+        """Σ x_t w_t; raises KeyError unless x is a reduced coordinate tuple."""
+        if len(x) != len(self.coords):
+            raise KeyError(x)
+        i = 0
+        for c, (weight, block, _) in zip(x, self.coords):
+            if not 0 <= c * weight < block:  # c outside [0, d_t)
+                raise KeyError(x)
+            i += c * weight
+        return i
+
+    def element(self, i) -> tuple:
+        """The reduced coordinate tuple of index i: (i // w_t mod d_t)_t;
+        raises IndexError unless 0 <= i < size."""
+        if not 0 <= i < self.size:
+            raise IndexError(i)
+        return tuple(i % block // weight for weight, block, _ in self.coords)
 
     def translate(self, mask: int, x) -> int:
         """The mask of {y + x : y in mask}; x a reduced coordinate tuple."""
@@ -85,8 +109,6 @@ class FiniteRing:
         self.zero = (0,) * self.rank
         self.label = label
         self.shifts = _Shifts(self.additive_orders)
-        self._elements = None
-        self._index = None
         self._units = None
         self._local_factorization = None
         self._maximal_ideals = None  # tuple, sorted by members
@@ -128,28 +150,17 @@ class FiniteRing:
                         acc[k] += c * bk
         return tuple(a % d for a, d in zip(acc, self.additive_orders))
 
-    def basis(self, i) -> Element:
-        return tuple(1 if j == i else 0 for j in range(self.rank))
-
-    # -- element enumeration (lexicographic on coordinates) ----------------
+    # -- element indices (lexicographic on coordinates) --------------------
 
     def iter_elements(self):
-        """The elements in `elements` order, without storing them."""
+        """The elements in index order, without storing them."""
         return itertools.product(*(range(d) for d in self.additive_orders))
 
-    @property
-    def elements(self):
-        if self._elements is None:
-            self._elements = list(self.iter_elements())
-            self._index = {e: i for i, e in enumerate(self._elements)}
-        return self._elements
-
     def index_of(self, x) -> int:
-        self.elements
-        return self._index[tuple(x)]
+        return self.shifts.index(x)
 
     def element(self, i) -> Element:
-        return self.elements[i]
+        return self.shifts.element(i)
 
     # -- units ---------------------------------------------------------------
 
@@ -160,7 +171,7 @@ class FiniteRing:
             for ideal in maximal_ideals(self):
                 non_units |= ideal.members
             self._units = frozenset(
-                x for i, x in enumerate(self.elements) if not non_units >> i & 1
+                x for i, x in enumerate(self.iter_elements()) if not non_units >> i & 1
             )
         return self._units
 
@@ -179,7 +190,7 @@ class FiniteRing:
         once they hold on the basis. So these checks are complete.
         """
         r = self.rank
-        bs = [self.basis(i) for i in range(r)]
+        bs = basis_vectors(r)
         for i, d in enumerate(self.additive_orders):
             if self.mul(self.one, bs[i]) != bs[i]:
                 raise ValueError(f"{self.label}: 1*b_{i} != b_{i}")
@@ -218,13 +229,6 @@ class Ideal:
     def __contains__(self, x) -> bool:
         return bool(self.members >> self.ring.index_of(x) & 1)
 
-    def member_elements(self):
-        return [
-            self.ring.element(i)
-            for i in range(self.ring.size)
-            if self.members >> i & 1
-        ]
-
     def is_proper(self) -> bool:
         return self.size < self.ring.size
 
@@ -237,8 +241,8 @@ def _ideal_span(ring: FiniteRing, gens, start=1) -> int:
     """Mask of the ideal generated by `gens` (coordinate tuples) and the
     ideal mask `start`: the additive span of the b_i * g, which is
     already closed under the action."""
-    images = [ring.mul(ring.basis(i), g) for g in gens for i in range(ring.rank)]
-    return ring.shifts.closure(images, start)
+    bs = basis_vectors(ring.rank)
+    return ring.shifts.closure([ring.mul(b, g) for g in gens for b in bs], start)
 
 
 def ideal_generated(ring: FiniteRing, gens) -> Ideal:
@@ -477,21 +481,13 @@ def quotient_ring(ring: FiniteRing, ideal: Ideal):
     """
     if ideal.ring is not ring:
         raise ValueError("ideal belongs to a different ring")
-    addgens = [
-        ring.mul(ring.basis(i), g) for g in ideal.generators for i in range(ring.rank)
-    ]
+    bs = basis_vectors(ring.rank)
+    addgens = [ring.mul(b, g) for g in ideal.generators for b in bs]
     qorders, project, lift = abelian_quotient(ring.additive_orders, addgens)
     if not qorders:
         raise ValueError("quotient by the unit ideal is the zero ring")
-    t = len(qorders)
-
-    def unit(j):
-        return tuple(1 if i == j else 0 for i in range(t))
-
-    table = [
-        [project(ring.mul(lift(unit(i)), lift(unit(j)))) for j in range(t)]
-        for i in range(t)
-    ]
+    lifted = [lift(u) for u in basis_vectors(len(qorders))]
+    table = [[project(ring.mul(x, y)) for y in lifted] for x in lifted]
     label = f"({ring.label})/<{','.join(str(g) for g in ideal.generators)}>"
     q = FiniteRing(qorders, table, project(ring.one), label)
     return q, project, lift
@@ -559,7 +555,7 @@ def _factor(ring: FiniteRing):
     maximal ideal is zero is that field already (both are R modulo the
     same ideal), so it is stored as the residue field.
     """
-    idems = [x for x in ring.elements if ring.mul(x, x) == x]
+    idems = [x for x in ring.iter_elements() if ring.mul(x, x) == x]
     nonzero = [e for e in idems if e != ring.zero]
     primitive = sorted(
         e
@@ -606,8 +602,7 @@ def _factor(ring: FiniteRing):
     # The round trip is additive: each projection is, and e*lift(y) is
     # additive modulo e*(1-e)R = 0 since lift is additive modulo the kernel
     # (1-e)R. So it is the identity iff it fixes the additive basis.
-    for i in range(ring.rank):
-        b = ring.basis(i)
+    for b in basis_vectors(ring.rank):
         if lf.iso_backward(lf.iso_forward(b)) != b:
             raise AssertionError("factorization maps do not invert each other")
 
@@ -647,9 +642,10 @@ def _assert_is_ideal(ring, subset):
     """Raise unless `subset` (a set of elements) is closed under the basis
     action and is an additive subgroup: its additive closure, which
     contains it, is no larger."""
+    bs = basis_vectors(ring.rank)
     for x in subset:
-        for i in range(ring.rank):
-            if ring.mul(ring.basis(i), x) not in subset:
+        for b in bs:
+            if ring.mul(b, x) not in subset:
                 raise AssertionError(f"{ring.label}: non-units not action-closed")
     if ring.shifts.closure(subset).bit_count() != len(subset):
         raise AssertionError(f"{ring.label}: non-units not additively closed")

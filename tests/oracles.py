@@ -10,6 +10,7 @@ import itertools
 
 from modcover.modules import cyclic_sum, free_module, ideal_action, quotient_module
 from modcover.rings import (
+    basis_vectors,
     local_factorization,
     maximal_ideals,
     residue_field,
@@ -59,6 +60,21 @@ def additive_closure(add, zero, gens, start=None):
     return members
 
 
+def elements(x) -> list:
+    """Every element of a ring or module, in index order."""
+    return [x.element(i) for i in range(x.size)]
+
+
+def member_indices(sub) -> list:
+    """The element indices of a submodule, ascending."""
+    return [i for i in range(sub.parent.size) if sub.members >> i & 1]
+
+
+def member_elements(ideal) -> list:
+    """The elements of an ideal, in index order."""
+    return [x for i, x in enumerate(elements(ideal.ring)) if ideal.members >> i & 1]
+
+
 def mask_of(indices) -> int:
     mask = 0
     for i in indices:
@@ -74,18 +90,18 @@ def span_indices(m, gen_indices, start=None) -> set:
     """Indices of the submodule generated by the element indices and the
     submodule `start` (an index set): the span of the ring-basis images."""
     images = [
-        m.index_of(m.act(m.ring.basis(i), m.element(g)))
+        m.index_of(m.act(b, m.element(g)))
         for g in gen_indices
-        for i in range(m.ring.rank)
+        for b in basis_vectors(m.ring.rank)
     ]
-    return additive_closure(lambda i, j: add_index(m, i, j), m.zero_index, images, start)
+    return additive_closure(lambda i, j: add_index(m, i, j), 0, images, start)
 
 
 def generators(m, mask) -> tuple:
     """Greedy generators: each member, in ascending order, that the span
     of those kept so far misses."""
     members = [i for i in range(m.size) if mask >> i & 1]
-    gens, span = [], {m.zero_index}
+    gens, span = [], {0}
     for idx in members:
         if idx in span:
             continue
@@ -97,12 +113,12 @@ def generators(m, mask) -> tuple:
 def vector_space_coords(v, field, field_lift) -> dict:
     """Coordinates of every element of v in the greedy field basis, as
     {index: coordinate tuple}."""
-    coords = {v.zero_index: ()}
+    coords = {0: ()}
     for idx in range(v.size):
         if idx in coords:
             continue
         newcoords = {}
-        for c in field.elements:
+        for c in elements(field):
             cv = v.index_of(v.act(field_lift(c), v.element(idx)))
             for s, sc in coords.items():
                 newcoords[add_index(v, s, cv)] = sc + (c,)
@@ -111,8 +127,11 @@ def vector_space_coords(v, field, field_lift) -> dict:
 
 
 def _residue_space(m, ideal):
+    """The residue field, the index map of M -> M/mM and the coordinates
+    of M/mM in the greedy field basis."""
     nm = ideal_action(m, ideal)
-    v, proj = quotient_module(m, nm)
+    v, project, _ = quotient_module(m, nm)
+    proj = [v.index_of(project(x)) for x in elements(m)]
     field, _, field_lift = residue_field(ideal)
     return field, proj, vector_space_coords(v, field, field_lift)
 
@@ -132,7 +151,7 @@ def maximal_submodules(m) -> list:
         field, proj, coords = _residue_space(m, ideal)
         k = len(next(iter(coords.values())))
         for lead in range(k):
-            for tail in itertools.product(field.elements, repeat=k - lead - 1):
+            for tail in itertools.product(elements(field), repeat=k - lead - 1):
                 phi = (field.zero,) * lead + (field.one,) + tail
                 kernel = set()
                 for idx, c in coords.items():
@@ -150,7 +169,7 @@ def construct_cover_lines(m, ideal) -> list:
     builds, in its order: {y = c x} for each scalar c, then {x = 0}, on
     the first two coordinates of M/mM."""
     field, proj, coords = _residue_space(m, ideal)
-    directions = [(field.one, c) for c in field.elements] + [(field.zero, field.one)]
+    directions = [(field.one, c) for c in elements(field)] + [(field.zero, field.one)]
     out = []
     for dx, dy in directions:
         kernel = {
@@ -170,9 +189,9 @@ def all_submodules(m) -> list:
     for idx in range(m.size):
         s = span_indices(m, [idx])
         cyclics.setdefault(mask_of(s), (tuple(sorted(s)), idx))
-    zero_mask = 1 << m.zero_index
+    zero_mask = 1  # zero is index 0
     lattice = {zero_mask: ()}
-    members_of = {zero_mask: (m.zero_index,)}
+    members_of = {zero_mask: (0,)}
     work = [zero_mask]
     while work:
         smask = work.pop()
@@ -204,5 +223,5 @@ def maximal_ideal_masks(ring) -> tuple:
                 power = factor.mul(power, y)
             if power == factor.zero:
                 nilpotent.add(y)
-        out.append(mask_of(i for i, x in enumerate(ring.elements) if proj(x) in nilpotent))
+        out.append(mask_of(i for i, x in enumerate(elements(ring)) if proj(x) in nilpotent))
     return tuple(out)

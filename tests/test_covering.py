@@ -180,7 +180,7 @@ def greedy_over_all_proper(m):
     candidates = [s for s in all_submodules(m) if s.is_proper()]
     candidates.sort(key=lambda s: (-s.size, s.members))
     picks = []
-    covered = 1 << m.zero_index
+    covered = 1  # zero is bit 0
     while covered != m.full_mask:
         best = max(candidates, key=lambda s: (s.members & ~covered).bit_count())
         picks.append(best.members)

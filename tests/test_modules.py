@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -28,21 +29,20 @@ from modcover.modules import (
     semisimple_invariants,
     submodule_generated,
 )
-from modcover.rings import maximal_ideals, ring_gf, ring_zmod
+from modcover.rings import FiniteRing, maximal_ideals, ring_gf, ring_product, ring_zmod
 
 import oracles
-from oracles import zmod_module
+from oracles import elements, member_indices, zmod_module
 
 
 def brute_submodule_masks(m):
     """Subset-filter oracle: every subset closed under subtraction and
     the ring action. Only viable for tiny modules."""
     assert m.size <= 16
-    elems = m.elements
+    elems = elements(m)
     masks = set()
-    zero = m.zero_index
     for bits in range(1 << m.size):
-        if not bits >> zero & 1:
+        if not bits & 1:  # zero is index 0
             continue
         members = [i for i in range(m.size) if bits >> i & 1]
         ok = True
@@ -56,7 +56,7 @@ def brute_submodule_masks(m):
                     break
             if not ok:
                 break
-            for r in m.ring.elements:
+            for r in elements(m.ring):
                 if not bits >> m.index_of(m.act(r, elems[i])) & 1:
                     ok = False
                     break
@@ -74,7 +74,7 @@ def cyclic_closure(m, idx):
 def simple_submodule_by_descent(m, rng=None):
     """Reference: some simple (minimal nonzero) submodule, found by
     descending through cyclic submodules until none is smaller."""
-    order = [i for i in range(m.size) if i != m.zero_index]
+    order = list(range(1, m.size))  # the nonzero indices
     if rng is not None:
         rng.shuffle(order)
     idx = order[0]
@@ -95,7 +95,7 @@ def length_by_descent(m, rng=None):
     nothing is left; `rng` shuffles which simple submodule is taken."""
     total = 0
     while m.size > 1:
-        m, _ = quotient_module(m, simple_submodule_by_descent(m, rng))
+        m, _, _ = quotient_module(m, simple_submodule_by_descent(m, rng))
         total += 1
     return total
 
@@ -164,7 +164,7 @@ def test_random_presentations_satisfy_module_axioms(data):
     )
     m = realize(ModulePresentation(R, k, rels))
     assert n**k % m.size == 0
-    m.axiom_check(samples=16)
+    m.axiom_check()
 
 
 # -- submodules -------------------------------------------------------------------
@@ -273,16 +273,16 @@ def test_free_5_over_gf5_without_element_sweeps():
 def test_quotient_module_by_diagonal():
     m = free_module(ring_zmod(2), 2)
     diag = submodule_generated(m, [m.index_of((1, 1))])
-    q, proj = quotient_module(m, diag)
+    q, project, _ = quotient_module(m, diag)
     assert q.size == 2
-    assert proj[m.index_of((1, 1))] == q.zero_index
-    assert proj[m.index_of((1, 0))] != q.zero_index
+    assert project((1, 1)) == q.zero
+    assert project((1, 0)) != q.zero
 
 
 def test_radical_of_z8_is_2z8():
     m = cyclic_sum(ring_zmod(8), [(0,)])
     rad = jacobson_radical(m)
-    assert {m.element(i)[0] for i in rad.member_indices()} == {0, 2, 4, 6}
+    assert {m.element(i)[0] for i in member_indices(rad)} == {0, 2, 4, 6}
 
 
 def test_radical_two_computations_agree_on_assorted_modules():
@@ -299,7 +299,7 @@ def test_radical_two_computations_agree_on_assorted_modules():
 
 def test_quotient_by_radical_has_zero_radical():
     for m in [cyclic_sum(ring_zmod(8), [(0,)]), zmod_module(4, [2, 4])]:
-        top, _ = quotient_module(m, jacobson_radical(m))
+        top, _, _ = quotient_module(m, jacobson_radical(m))
         assert jacobson_radical(top).size == 1
 
 
@@ -358,7 +358,7 @@ def test_hdim_is_the_length_of_the_top():
     # hdim is Σ dim M/mM; the length of M/J(M) is its second path
     modules = [make() for make, _ in HDIM_EXAMPLES] + small_corpus_modules()
     for m in modules:
-        top, _ = quotient_module(m, jacobson_radical(m))
+        top, _, _ = quotient_module(m, jacobson_radical(m))
         assert length(top) == hdim(m), m.label
 
 
@@ -379,7 +379,7 @@ def test_cyclicity():
     assert cyclic
     m = zmod_module(6, [2, 3])
     assert len(
-        submodule_generated(m, [m.index_of(witness)]).member_indices()
+        member_indices(submodule_generated(m, [m.index_of(witness)]))
     ) == m.size
     assert not is_cyclic(free_module(ring_zmod(2), 2))[0]
 
@@ -408,12 +408,12 @@ def test_semisimple_invariants_mixed():
 
 def test_localize_projects_onto_s_factors():
     m = zmod_module(6, [2, 2, 3])
-    localized, proj = localize_at_s(m)
+    localized, project = localize_at_s(m)
     assert localized.size == 4
     assert sorted(localized.orders) == [2, 2]
     assert localized.ring.size == 2
     # surjective, kernel is the non-S part
-    assert len(set(proj)) == 4
+    assert len({project(x) for x in elements(m)}) == 4
 
     m2 = zmod_module(6, [3, 3, 2])
     loc2, _ = localize_at_s(m2)
@@ -489,19 +489,19 @@ def test_realize_quotient_of_chain_ring():
 def test_submodule_generated_pointwise():
     chain = cyclic_sum(ring_zmod(4), [(0,)])
     two = submodule_generated(chain, [chain.index_of((2,))])
-    assert {chain.element(i) for i in two.member_indices()} == {(0,), (2,)}
+    assert {chain.element(i) for i in member_indices(two)} == {(0,), (2,)}
 
     plane = free_module(ring_zmod(2), 2)
     diag = submodule_generated(plane, [plane.index_of((1, 1))])
-    assert {plane.element(i) for i in diag.member_indices()} == {(0, 0), (1, 1)}
+    assert {plane.element(i) for i in member_indices(diag)} == {(0, 0), (1, 1)}
 
-    assert submodule_generated(plane, [plane.zero_index]).size == 1
+    assert submodule_generated(plane, [plane.index_of(plane.zero)]).size == 1
 
 
 def test_maximal_submodules_of_z6():
     m = cyclic_sum(ring_zmod(6), [(0,)])
     subs = maximal_submodules(m)
-    got = {frozenset(m.element(i)[0] for i in s.member_indices()) for s in subs}
+    got = {frozenset(m.element(i)[0] for i in member_indices(s)) for s in subs}
     assert got == {frozenset({0, 2, 4}), frozenset({0, 3})}
 
 
@@ -509,7 +509,7 @@ def test_ideal_action_pointwise_on_mixed_module():
     m = zmod_module(4, [2, 4])  # Z/2 (+) Z/4 over Z/4
     ideal = maximal_ideals(m.ring)[0]
     twoM = ideal_action(m, ideal)
-    members = {m.element(i) for i in twoM.member_indices()}
+    members = {m.element(i) for i in member_indices(twoM)}
     assert len(members) == 2
     assert all(m.add(x, x) == m.zero for x in members)
 
@@ -528,11 +528,11 @@ def test_ideal_annihilates_residue_power():
 
 def test_quotient_module_degenerate_cases():
     m = zmod_module(4, [2, 4])
-    q0, _ = quotient_module(m, submodule_generated(m, [m.zero_index]))
+    q0, _, _ = quotient_module(m, submodule_generated(m, [m.index_of(m.zero)]))
     assert q0.size == m.size
     from modcover.modules import full_submodule
 
-    qm, _ = quotient_module(m, full_submodule(m))
+    qm, _, _ = quotient_module(m, full_submodule(m))
     assert qm.size == 1
 
 
@@ -540,7 +540,7 @@ def test_radical_of_mixed_chain_module():
     m = zmod_module(4, [2, 4])
     rad = jacobson_radical(m)
     assert rad.size == 2
-    members = {m.element(i) for i in rad.member_indices()}
+    members = {m.element(i) for i in member_indices(rad)}
     assert all(m.add(x, x) == m.zero for x in members)
 
 
@@ -578,12 +578,12 @@ def test_multiplicity_matches_greedy_semisimple_decomposition():
     # residue field sizes; the tally must match the invariant exponents
     for m in [zmod_module(6, [2, 2, 3]), zmod_module(4, [2, 4]),
               free_module(ring_gf(2, 2), 2)]:
-        top, _ = quotient_module(m, jacobson_radical(m))
+        top, _, _ = quotient_module(m, jacobson_radical(m))
         tally = {}
         while top.size > 1:
             s = simple_submodule_by_descent(top)
             tally[s.size] = tally.get(s.size, 0) + 1
-            top, _ = quotient_module(top, s)
+            top, _, _ = quotient_module(top, s)
         want = {}
         for e in semisimple_invariants(m):
             want[e.residue_size] = want.get(e.residue_size, 0) + e.multiplicity
@@ -609,6 +609,80 @@ def test_axiom_check_raises_on_a_broken_unit_law():
     m = RealizedModule(ring_zmod(2), [2], [[(0,)]])
     with pytest.raises(ValueError, match="1x = x"):
         m.axiom_check()
+
+
+@pytest.mark.parametrize(
+    "ring,orders,basis_act,law",
+    [
+        # Z/2 acting on Z/4 by 1.e = e: 2 * (b_0 e_0) != 0
+        (lambda: ring_zmod(2), [4], [[(1,)]], "not well defined"),
+        # Z/4[x]/(x^2) on Z/2 (+) Z/4, 1 acting as the identity and x by
+        # e_0 -> e_1 -> 0: 2 e_0 = 0 but 2 (x e_0) = 2 e_1 != 0
+        (
+            lambda: FiniteRing(
+                [4, 4], [[(1, 0), (0, 1)], [(0, 1), (0, 0)]], (1, 0), "Z/4[x]/(x^2)"
+            ),
+            [2, 4],
+            [[(1, 0), (0, 1)], [(0, 1), (0, 0)]],
+            "not well defined",
+        ),
+        # GF(4) on Z/2 with x.e = e: (x x)e = (x + 1)e = 0, x(xe) = e
+        (lambda: ring_gf(2, 2), [2], [[(1,)], [(1,)]], re.escape("(ab)x = a(bx)")),
+    ],
+)
+def test_axiom_check_names_the_law_that_fails(ring, orders, basis_act, law):
+    m = RealizedModule(ring(), orders, basis_act)
+    with pytest.raises(ValueError, match=law):
+        m.axiom_check()
+
+
+def satisfies_module_laws(m) -> bool:
+    """Exhaustive elementwise oracle: 1x = x, both distributive laws and
+    (ab)x = a(bx) on reduced elements."""
+    R = m.ring
+    relems, melems = elements(R), elements(m)
+    if any(m.act(R.one, x) != x for x in melems):
+        return False
+    for a, b, x in itertools.product(relems, relems, melems):
+        if m.act(R.add(a, b), x) != m.add(m.act(a, x), m.act(b, x)):
+            return False
+        if m.act(R.mul(a, b), x) != m.act(a, m.act(b, x)):
+            return False
+    for a, x, y in itertools.product(relems, melems, melems):
+        if m.act(a, m.add(x, y)) != m.add(m.act(a, x), m.act(a, y)):
+            return False
+    return True
+
+
+def checked(m) -> bool:
+    try:
+        m.axiom_check()
+    except ValueError:
+        return False
+    return True
+
+
+def test_axiom_check_is_complete_on_every_action():
+    # every basis action table of each ring on ⊕ Z/d'_t, against the
+    # elementwise laws
+    cases = [
+        (ring_zmod(2), [4]),
+        (ring_zmod(4), [2, 4]),
+        (ring_zmod(6), [6]),
+        (ring_gf(2, 2), [2, 2]),
+        (ring_product(ring_zmod(2), ring_zmod(2)), [2]),
+    ]
+    outcomes = set()
+    for R, orders in cases:
+        vectors = list(itertools.product(*(range(d) for d in orders)))
+        k = len(orders)
+        for flat in itertools.product(vectors, repeat=R.rank * k):
+            table = [flat[i * k:(i + 1) * k] for i in range(R.rank)]
+            m = RealizedModule(R, orders, table)
+            ok = satisfies_module_laws(m)
+            assert checked(m) == ok, (R.label, table)
+            outcomes.add(ok)
+    assert outcomes == {True, False}
 
 
 def test_axiom_check_raises_under_python_O():

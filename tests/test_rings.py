@@ -19,7 +19,7 @@ from modcover.rings import (
     zero_ideal,
 )
 
-from oracles import additive_closure, maximal_ideal_masks
+from oracles import additive_closure, elements, maximal_ideal_masks, member_elements
 
 
 def prime_factors(n):
@@ -68,7 +68,7 @@ def test_zmod_maximal_ideals_are_prime_divisors(n):
     want = sorted((n // p, p) for p in prime_factors(n))
     assert got == want
     for i in ideals:
-        members = {x[0] for x in i.member_elements()}
+        members = {x[0] for x in member_elements(i)}
         p = i.residue_size
         assert members == {k for k in range(n) if k % p == 0}
 
@@ -103,8 +103,8 @@ def test_gf_is_a_field(p, k):
     ideals = maximal_ideals(F)
     assert len(ideals) == 1 and ideals[0].size == 1 and ideals[0].residue_size == q
     # multiplicative group is closed and has no zero divisors
-    for x in F.elements:
-        for y in F.elements:
+    for x in elements(F):
+        for y in elements(F):
             if x != F.zero and y != F.zero:
                 assert F.mul(x, y) != F.zero
 
@@ -153,8 +153,8 @@ def test_crt_z6_matches_f2_times_f3():
 def test_product_componentwise_ops():
     A, B = ring_zmod(3), ring_gf(2, 2)
     R = ring_product(A, B)
-    for xa, xb in itertools.product(A.elements, B.elements):
-        for ya, yb in itertools.product(A.elements[:2], B.elements[:2]):
+    for xa, xb in itertools.product(elements(A), elements(B)):
+        for ya, yb in itertools.product(elements(A)[:2], elements(B)[:2]):
             x = xa + xb
             y = ya + yb
             assert R.mul(x, y) == A.mul(xa, ya) + B.mul(xb, yb)
@@ -177,7 +177,7 @@ def test_product_componentwise_ops():
 def test_exhaustive_ring_axioms(make):
     R = make()
     assert R.size <= 64
-    elems = R.elements
+    elems = elements(R)
     for x in elems:
         assert R.mul(R.one, x) == x
         assert R.mul(x, R.zero) == R.zero
@@ -194,10 +194,10 @@ def test_exhaustive_ring_axioms(make):
 def test_ideal_generated_brute_force_oracle():
     # oracle: I = {r*g1 + s*g2 : r, s in R} for small rings
     R = ring_zmod(12)
-    for g1 in R.elements:
+    for g1 in elements(R):
         I = ideal_generated(R, [g1])
-        want = {R.mul(r, g1) for r in R.elements}
-        assert set(I.member_elements()) == want
+        want = {R.mul(r, g1) for r in elements(R)}
+        assert set(member_elements(I)) == want
 
 
 def test_zero_ideal_is_zero():
@@ -212,12 +212,12 @@ def test_quotient_of_z12_by_4_is_z4():
     assert Q.size == 4
     assert Q.additive_orders == (4,)
     # projection is a ring homomorphism
-    for x in R.elements:
-        for y in R.elements:
+    for x in elements(R):
+        for y in elements(R):
             assert project(R.mul(x, y)) == Q.mul(project(x), project(y))
             assert project(R.add(x, y)) == Q.add(project(x), project(y))
     assert project(R.one) == Q.one
-    for c in Q.elements:
+    for c in elements(Q):
         assert project(lift(c)) == c
 
 
@@ -245,7 +245,7 @@ def test_local_factorization_of_zmod(n):
         total = R.add(total, e)
     assert total == R.one
     # round trip through the factorization
-    for x in R.elements:
+    for x in elements(R):
         assert lf.iso_backward(lf.iso_forward(x)) == x
 
 
@@ -270,7 +270,7 @@ def brute_ideal_masks(R):
     """Subset-filter oracle: subsets containing 0, closed under
     subtraction and multiplication by every ring element."""
     assert R.size <= 16
-    elems = R.elements
+    elems = elements(R)
     zero_idx = R.index_of(R.zero)
     out = set()
     for bits in range(1 << R.size):
@@ -332,8 +332,8 @@ def test_union_of_maximal_ideals_is_the_non_units(make):
     R = make()
     in_some_ideal = set()
     for i in maximal_ideals(R):
-        in_some_ideal.update(i.member_elements())
-    non_units = set(R.elements) - R.units()
+        in_some_ideal.update(member_elements(i))
+    non_units = set(elements(R)) - R.units()
     assert in_some_ideal == non_units
 
 
@@ -344,10 +344,10 @@ def test_crt_explicit_isomorphism_z6_to_f2_times_f3():
     def phi(x):
         return (x[0] % 2, x[0] % 3)
 
-    images = {phi(x) for x in R.elements}
+    images = {phi(x) for x in elements(R)}
     assert len(images) == 6  # bijective
-    for x in R.elements:
-        for y in R.elements:
+    for x in elements(R):
+        for y in elements(R):
             assert phi(R.add(x, y)) == P.add(phi(x), phi(y))
             assert phi(R.mul(x, y)) == P.mul(phi(x), phi(y))
     assert phi(R.one) == P.one
@@ -377,7 +377,7 @@ def test_local_factorization_round_trip_on_every_element(make):
     # the library checks the round trip on the additive basis only
     R = make()
     lf = local_factorization(R)
-    for x in R.elements:
+    for x in elements(R):
         assert lf.iso_backward(lf.iso_forward(x)) == x
 
 
@@ -410,7 +410,7 @@ def test_quotient_by_zero_ideal_is_the_ring():
     R = ring_zmod(12)
     Q, project, lift = quotient_ring(R, zero_ideal(R))
     assert Q.size == R.size
-    seen = {project(x) for x in R.elements}
+    seen = {project(x) for x in elements(R)}
     assert len(seen) == R.size
 
 
@@ -586,6 +586,32 @@ def test_closure_matches_the_set_closure(data):
 
 def test_shifts_of_the_zero_group():
     shifts = _Shifts(())
+    assert shifts.index(()) == 0 and shifts.element(0) == ()
     assert shifts.translate(1, ()) == 1
     assert shifts.closure([(), ()]) == 1
     assert shifts.closure([], 1) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_index_codec_is_the_lexicographic_order(data):
+    orders = data.draw(shift_groups())
+    shifts = _Shifts(orders)
+    elems = group_elements(orders)
+    x = data.draw(group_element(orders))
+    i = data.draw(st.integers(0, len(elems) - 1))
+    assert shifts.element(shifts.index(x)) == x
+    assert shifts.index(shifts.element(i)) == i
+    assert shifts.element(i) == elems[i]
+
+
+def test_index_of_rejects_what_is_not_a_reduced_element():
+    R = ring_zmod(4)
+    for bad in [(5,), (4,), (-1,), (), (1, 0)]:
+        with pytest.raises(KeyError):
+            R.index_of(bad)
+        with pytest.raises(KeyError):
+            bad in zero_ideal(R)
+    for bad in [4, -1]:
+        with pytest.raises(IndexError):
+            R.element(bad)
