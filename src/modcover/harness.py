@@ -41,6 +41,7 @@ from .modules import (
     radical_via_maximal,
     s_set,
     semisimple_invariants,
+    submodule_generated,
 )
 from .rings import maximal_ideals
 
@@ -253,6 +254,10 @@ def check_radical_agreement(spec: InstanceSpec, m) -> CheckResult:
 
 
 def check_cyclicity(spec: InstanceSpec, m) -> CheckResult:
+    """Cyclicity (some element lies in no maximal submodule) against
+    S = ∅ (from residue dimensions), and the witness against its own
+    closure."""
+
     def run():
         cyclic, witness = is_cyclic(m)
         coverable = sigma_formula(m).coverable
@@ -261,6 +266,13 @@ def check_cyclicity(spec: InstanceSpec, m) -> CheckResult:
                 "cyclicity",
                 FAIL,
                 _counterexample(spec, cyclic=cyclic, coverable=coverable),
+                0,
+            )
+        if cyclic and submodule_generated(m, [m.index_of(witness)]).is_proper():
+            return CheckResult(
+                "cyclicity",
+                FAIL,
+                _counterexample(spec, cyclic=cyclic, witness=list(witness)),
                 0,
             )
         details = {"cyclic": cyclic}
@@ -332,7 +344,8 @@ def check_maximal_count(spec: InstanceSpec, m) -> CheckResult:
             (e.residue_size**e.multiplicity - 1) // (e.residue_size - 1)
             for e in semisimple_invariants(m)
         )
-        actual = len(maximal_submodules(m))
+        maximal = maximal_submodules(m)
+        actual = len(maximal)
         if expected != actual:
             return CheckResult(
                 "maximal-count",
@@ -341,17 +354,15 @@ def check_maximal_count(spec: InstanceSpec, m) -> CheckResult:
                 0,
             )
         if m.size <= 64:
+            # all_submodules is sorted by size and holds no mask twice, so
+            # only a later submodule can strictly contain an earlier one
             proper = [s for s in all_submodules(m) if s.is_proper()]
-            # maximal elements of the proper-submodule poset
-            lattice = [
-                s
-                for s in proper
-                if not any(
-                    s.members & ~t.members == 0 and s.members != t.members
-                    for t in proper
-                )
-            ]
-            if len(lattice) != actual:
+            lattice = {
+                s.members
+                for i, s in enumerate(proper)
+                if not any(s.members & ~t.members == 0 for t in proper[i + 1 :])
+            }
+            if lattice != {s.members for s in maximal}:
                 return CheckResult(
                     "maximal-count",
                     FAIL,

@@ -15,6 +15,7 @@ cyclicity once computed.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from functools import reduce
@@ -225,7 +226,11 @@ def cyclic_sum(ring: FiniteRing, annihilators) -> RealizedModule:
 
 
 def direct_sum(a: RealizedModule, b: RealizedModule) -> RealizedModule:
-    if a.ring is not b.ring and a.ring.label != b.ring.label:
+    if a.ring is not b.ring and (
+        a.ring.additive_orders != b.ring.additive_orders
+        or a.ring.mul_table != b.ring.mul_table
+        or a.ring.one != b.ring.one
+    ):
         raise ValueError("direct sum requires modules over the same ring")
     ring = a.ring
     orders = a.orders + b.orders
@@ -310,12 +315,34 @@ def all_submodules(m: RealizedModule, max_count=LATTICE_COUNT_BUDGET) -> list:
     the ring-basis images of x. Guarded both by |M| and by a lattice-size
     budget: some semisimple modules within the size guard still have
     astronomically many submodules.
+
+    Steps whose answer is already known are skipped, and nothing else
+    changes. R(ux) = Rx for every unit u, so once x is closed, every later
+    index in its unit orbit would only find Rx again; each cyclic is still
+    recorded by its least index. For one S, the cyclics are walked by
+    ascending mask, and a subset has the smaller mask. Say Ry is walked
+    after Rx and y lies in J = S + Rx, so y = s + rx. If R(rx) = Rx then
+    S + Ry = J; otherwise R(rx) is a smaller cyclic, walked earlier, and
+    S + Ry = S + R(rx) was reached then (or, by the same argument, skipped
+    because it was known). Either way S + Ry is already in the lattice, so
+    a cyclic whose generator lies in a join made earlier from S is skipped.
+    The walk, the lattice, the generator tuples and the point where the
+    count budget trips are those of joining S with every cyclic.
     """
     if m.size > LATTICE_GUARD:
         raise GuardExceeded("lattice", f"|M| = {m.size} exceeds guard {LATTICE_GUARD}")
+    # a unit acts through its coordinates modulo the exponent of M
+    exponent = math.lcm(*m.orders)
+    units = {tuple(c % exponent for c in u) for u in m.ring.units()}
     cyclics = {}
+    seen = 0  # indices in the unit orbit of an index already closed
     for idx in range(m.size):
-        cyclics.setdefault(_span(m, [m.element(idx)]), idx)
+        if seen >> idx & 1:
+            continue
+        x = m.element(idx)
+        for y in {m.act(u, x) for u in units}:
+            seen |= 1 << m.index_of(y)
+        cyclics.setdefault(_span(m, [x]), idx)
     cyclic_items = [
         (cmask, cgen, _images(m, [m.element(cgen)]))
         for cmask, cgen in sorted(cyclics.items())
@@ -325,10 +352,12 @@ def all_submodules(m: RealizedModule, max_count=LATTICE_COUNT_BUDGET) -> list:
     while work:
         smask = work.pop()
         sgens = lattice[smask]
+        joined = 0  # union of the joins made from S so far
         for cmask, cgen, images in cyclic_items:
-            if cmask & smask == cmask:
+            if cmask & smask == cmask or joined >> cgen & 1:
                 continue
             jmask = m.shifts.closure(images, smask)
+            joined |= jmask
             if jmask not in lattice:
                 lattice[jmask] = tuple(sorted(set(sgens) | {cgen}))
                 work.append(jmask)
@@ -458,17 +487,20 @@ def jacobson_radical(m: RealizedModule) -> Submodule:
 def is_cyclic(m: RealizedModule):
     """Whether one element generates everything; returns (bool, witness).
 
-    Computed once per module.
+    In a finite module every proper submodule lies in a maximal one, so x
+    generates M exactly when x lies in no maximal submodule. The witness
+    is the least such index, the first generator a sweep over the indices
+    would find; the zero module is generated by zero. Computed once per
+    module.
     """
     if m._cyclic is None:
-        m._cyclic = next(
-            (
-                (True, m.element(idx))
-                for idx in range(m.size)
-                if _span(m, [m.element(idx)]) == m.full_mask
-            ),
-            (False, None),
-        )
+        rest = m.full_mask
+        for s in maximal_submodules(m):
+            rest &= ~s.members
+        if rest:
+            m._cyclic = (True, m.element((rest & -rest).bit_length() - 1))
+        else:
+            m._cyclic = (False, None)
     return m._cyclic
 
 

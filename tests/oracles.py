@@ -8,7 +8,14 @@ compare the library's answers with them.
 
 import itertools
 
-from modcover.modules import cyclic_sum, free_module, ideal_action, quotient_module
+from modcover.modules import (
+    _images,
+    cyclic_sum,
+    free_module,
+    ideal_action,
+    quotient_module,
+    submodule_generated,
+)
 from modcover.rings import (
     basis_vectors,
     local_factorization,
@@ -208,6 +215,40 @@ def all_submodules(m) -> list:
         ((mask, gens) for mask, gens in lattice.items()),
         key=lambda item: (item[0].bit_count(), item[0]),
     )
+
+
+def all_submodules_by_every_join(m) -> list:
+    """(members, generators) of every submodule, sorted by (size,
+    members): the bitmask walk that joins every submodule with every
+    cyclic submodule not inside it, with no step skipped."""
+    cyclics = {}
+    for idx in range(m.size):
+        cyclics.setdefault(submodule_generated(m, [idx]).members, idx)
+    cyclic_items = [
+        (cmask, cgen, _images(m, [m.element(cgen)]))
+        for cmask, cgen in sorted(cyclics.items())
+    ]
+    lattice = {1: ()}
+    work = [1]
+    while work:
+        smask = work.pop()
+        for cmask, cgen, images in cyclic_items:
+            if cmask & smask == cmask:
+                continue
+            jmask = m.shifts.closure(images, smask)
+            if jmask not in lattice:
+                lattice[jmask] = tuple(sorted(set(lattice[smask]) | {cgen}))
+                work.append(jmask)
+    return sorted(lattice.items(), key=lambda item: (item[0].bit_count(), item[0]))
+
+
+def cyclic_witness(m):
+    """(True, x) for the least-index x that generates m, or (False,
+    None): a sweep closing the cyclic submodule of every index."""
+    for idx in range(m.size):
+        if not submodule_generated(m, [idx]).is_proper():
+            return True, m.element(idx)
+    return False, None
 
 
 def maximal_ideal_masks(ring) -> tuple:

@@ -11,8 +11,10 @@ from modcover.dsl import parse_module, parse_ring
 from modcover.harness import (
     DEFAULT_CHECKS,
     InstanceSpec,
+    check_cyclicity,
     check_hdim_additivity,
     check_localization,
+    check_maximal_count,
     check_sigma_agreement,
     corpus_generate,
     hdim_pairs_from_specs,
@@ -113,6 +115,32 @@ def test_failure_payload_carries_repro_expressions(monkeypatch):
     assert result.details["formula"] == 99 and result.details["exact"] == 3
     # the payload round-trips through the parser
     assert parse_module(result.details["module"]).size == 4
+
+
+def test_cyclicity_checks_the_witness_generates(monkeypatch):
+    spec = curated("free 1 over Z/6")
+    m = parse_module(spec.module_expr)
+    result = check_cyclicity(spec, m)
+    assert result.status == "PASS"
+    assert result.details == {"cyclic": True, "witness": [1]}
+    # a cyclic answer with a witness that generates nothing must fail
+    monkeypatch.setattr(harness, "is_cyclic", lambda m: (True, m.zero))
+    result = check_cyclicity(spec, m)
+    assert result.status == "FAIL"
+    assert result.details["witness"] == [0]
+    assert result.details["module"] == "free 1 over Z/6"
+
+
+def test_maximal_count_compares_the_masks(monkeypatch):
+    spec = curated("free 2 over Z/3")
+    m = parse_module(spec.module_expr)
+    assert check_maximal_count(spec, m).details == {"count": 4}
+    # the right count of submodules, but not the maximal ones
+    real = harness.maximal_submodules
+    monkeypatch.setattr(harness, "maximal_submodules", lambda m: real(m)[:1] * 4)
+    result = check_maximal_count(spec, m)
+    assert result.status == "FAIL"
+    assert result.details["hyperplane"] == 4 and result.details["lattice"] == 4
 
 
 def test_hdim_length_mismatch_fails_with_repro_expressions(monkeypatch):

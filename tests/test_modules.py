@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modcover.dsl import parse_module
 from modcover.errors import GuardExceeded
 from modcover.modules import (
     ModulePresentation,
@@ -29,7 +30,14 @@ from modcover.modules import (
     semisimple_invariants,
     submodule_generated,
 )
-from modcover.rings import FiniteRing, maximal_ideals, ring_gf, ring_product, ring_zmod
+from modcover.rings import (
+    FiniteRing,
+    _Shifts,
+    maximal_ideals,
+    ring_gf,
+    ring_product,
+    ring_zmod,
+)
 
 import oracles
 from oracles import elements, member_indices, zmod_module
@@ -249,6 +257,76 @@ def test_all_submodules_match_the_sumset_join():
         assert got == oracles.all_submodules(m), m.label
 
 
+# The sigma-search benchmark's module classes with |M| <= 64, and two with
+# many units: Z/61 has 60, and Z/54 has 18 with only 2 distinct multiples
+# on a module of exponent 6.
+LATTICE_CASES = [
+    "free 3 over Z/2",
+    "free 4 over Z/2",
+    "free 2 over Z/3",
+    "free 3 over Z/3",
+    "free 2 over GF(2^2)",
+    "free 3 over GF(2^2)",
+    "free 2 over Z/5",
+    "free 2 over Z/7",
+    "free 2 over GF(2^3)",
+    "free 2 over Z/2 x Z/2",
+    "free 3 over Z/2 x Z/2",
+    "free 2 over Z/2 x Z/3",
+    "Z/2 (+) Z/2 over Z/4",
+    "Z/2 (+) Z/2 (+) Z/2 over Z/4",
+    "Z/2 (+) Z/4 over Z/8",
+    "Z/4 (+) Z/4 over Z/8",
+    "Z/3 (+) Z/3 over Z/9",
+    "Z/3 (+) Z/9 over Z/9",
+    "Z/6 (+) Z/6 over Z/6",
+    "Z/2 (+) Z/2 (+) Z/3 over Z/6",
+    "Z/10 (+) Z/5 over Z/10",
+    "free 1 over Z/61",
+    "module over Z/54: gens=3; rels=[(2,0,0), (0,3,0), (0,0,6)]",
+]
+
+
+@pytest.mark.parametrize("label", LATTICE_CASES)
+def test_all_submodules_match_every_join(label):
+    m = parse_module(label)
+    assert m.size <= 64
+    got = [(s.members, s.generators) for s in all_submodules(m)]
+    assert got == oracles.all_submodules_by_every_join(m)
+
+
+def test_all_submodules_closure_count(monkeypatch):
+    # skipping the joins whose result is known cut this from 13,847
+    # closures; the count is exact, so any growth shows here
+    m = parse_module("free 3 over Z/2 x Z/2")
+    m.ring.units()  # stored ring facts, so that only the walk is counted
+    calls = 0
+    closure = _Shifts.closure
+
+    def counting(self, gens, start=1):
+        nonlocal calls
+        calls += 1
+        return closure(self, gens, start)
+
+    monkeypatch.setattr(_Shifts, "closure", counting)
+    assert len(all_submodules(m)) == 256
+    assert calls <= 2409
+
+
+def test_all_submodules_budget_trips_only_past_the_lattice_size():
+    m = parse_module("free 3 over Z/2 x Z/2")
+    for budget in (1, 17, 100, 255):
+        with pytest.raises(GuardExceeded) as exc:
+            all_submodules(m, max_count=budget)
+        assert exc.value.guard == "lattice-count"
+    assert len(all_submodules(m, max_count=256)) == 256
+
+
+def test_is_cyclic_matches_the_least_index_sweep():
+    for m in oracle_modules() + [free_module(ring_gf(5), 5)]:
+        assert is_cyclic(m) == oracles.cyclic_witness(m), m.label
+
+
 def test_free_5_over_gf5_without_element_sweeps():
     # |M| = 3125: large enough that per-element sweeps per hyperplane
     # would take most of a minute
@@ -466,6 +544,26 @@ def test_direct_sum_size_and_presentation_round_trip():
 def test_direct_sum_requires_same_ring():
     with pytest.raises(ValueError):
         direct_sum(free_module(ring_zmod(2), 1), free_module(ring_zmod(3), 1))
+
+
+def relabelled(ring, label):
+    return FiniteRing(ring.additive_orders, ring.mul_table, ring.one, label)
+
+
+def test_direct_sum_rejects_different_rings_with_one_label():
+    # GF(4) and Z/2 x Z/2 have the same additive group but not the same
+    # product; the label alone must not make them one ring
+    a = free_module(relabelled(ring_gf(2, 2), "R"), 1)
+    b = free_module(relabelled(ring_product(ring_zmod(2), ring_zmod(2)), "R"), 1)
+    with pytest.raises(ValueError):
+        direct_sum(a, b)
+
+
+def test_direct_sum_accepts_a_rebuilt_copy_of_the_ring():
+    r = ring_gf(2, 2)
+    total = direct_sum(free_module(r, 1), free_module(relabelled(r, "copy"), 1))
+    total.axiom_check()
+    assert total.size == 16 and hdim(total) == 2
 
 
 def test_zero_module_degenerate_invariants():
