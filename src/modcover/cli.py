@@ -108,7 +108,7 @@ def _module_facts(m) -> dict:
         "size": m.size,
         "additive_orders": list(m.orders),
         "cyclic": cyclic,
-        "cyclic_witness": list(witness) if witness else None,
+        "cyclic_witness": list(witness) if witness is not None else None,
         "length": length(m),
         "hdim": hdim(m),
         "radical_size": jacobson_radical(m).size,

@@ -19,13 +19,12 @@ from .errors import GuardExceeded
 from .modules import (
     RealizedModule,
     _pullback,
-    _residue_basis,
     _span,
     all_submodules,
-    ideal_action,
     maximal_submodules,
     s_set,
 )
+from .rings import residue_field
 
 BNB_NODE_BUDGET = 10_000_000
 
@@ -193,17 +192,14 @@ def construct_cover(m: RealizedModule) -> CoverCertificate:
         return CoverCertificate(
             (), False, None, True, 0, (time.perf_counter() - t0) * 1000
         )
-    ideal = pred.witness_ideal
-    nm = ideal_action(m, ideal)
-    field, field_lift, basis = _residue_basis(m, ideal, nm)
-    u, w, rest = basis[0], basis[1], basis[2:]
-    start = _span(m, rest, nm.members)
+    entry = next(e for e in s_set(m) if e.ideal is pred.witness_ideal)
+    field, _, field_lift = residue_field(entry.ideal)
+    u, w, *rest = entry.basis
+    start = _span(m, rest, entry.nm)
     # the lines {y = c x} for each scalar c, then {x = 0}
     q = field.size
     directions = [m.add(u, m.act(field_lift(c), w)) for c in field.iter_elements()] + [w]
     covers = [_pullback(m, start, [d]) for d in directions]
-    if len(covers) != q + 1:
-        raise AssertionError(f"{len(covers)} lines through the origin of F_{q}^2")
     ok = verify_cover(m, covers)
     return CoverCertificate(
         tuple(covers), ok, q + 1 if ok else None, ok, 0,

@@ -419,33 +419,17 @@ def _hyperplane_pullbacks(m: RealizedModule) -> list:
     j < l, φ_l = 1 and φ_j = -c_j after l has the basis u_j (j < l) and
     u_j + c_j u_l (j > l); all (q^k - 1)/(q - 1) hyperplanes arise once."""
     out = []
-    for ideal in maximal_ideals(m.ring):
-        nm = ideal_action(m, ideal)
-        if nm.members == m.full_mask:
-            continue
-        field, field_lift, basis = _residue_basis(m, ideal, nm)
+    for entry in semisimple_invariants(m):
+        field, _, field_lift = residue_field(entry.ideal)
+        basis = entry.basis
         for lead, u in enumerate(basis):
-            start = _span(m, basis[:lead], nm.members)
+            start = _span(m, basis[:lead], entry.nm)
             scaled = [m.act(field_lift(c), u) for c in field.iter_elements()]
             for tail in itertools.product(scaled, repeat=len(basis) - lead - 1):
                 vectors = [m.add(w, cu) for w, cu in zip(basis[lead + 1 :], tail)]
                 out.append(_pullback(m, start, vectors))
     out.sort(key=lambda s: s.members)
     return out
-
-
-def _residue_basis(m: RealizedModule, ideal: Ideal, nm: Submodule):
-    """``(field, field_lift, basis)``: the residue field F = R/m and lifts
-    to M of a basis of the F-vector space M/mM, where nm is mM. The basis
-    is greedy: each vector is the least element of M/mM that the earlier
-    ones do not span. m annihilates M/mM, so ring spans there are F-spans
-    and the greedy generators are a basis."""
-    v, _, lift = quotient_module(m, nm)
-    field, _, field_lift = residue_field(ideal)
-    basis = submodule_generators(v, v.full_mask)
-    if field.size ** len(basis) != v.size:
-        raise AssertionError("quotient by a maximal ideal is not a vector space")
-    return field, field_lift, [lift(v.element(i)) for i in basis]
 
 
 def _pullback(m: RealizedModule, start: int, vectors) -> Submodule:
@@ -464,10 +448,11 @@ def radical_via_maximal(m: RealizedModule) -> int:
 
 
 def radical_via_ideals(m: RealizedModule) -> int:
-    """∩_m (mM) over the maximal ideals of the ring, as a members bitmask."""
+    """∩_m (mM) over the maximal ideals of the ring, as a members bitmask;
+    the ideals with mM = M leave it unchanged."""
     mask = m.full_mask
-    for ideal in maximal_ideals(m.ring):
-        mask &= ideal_action(m, ideal).members
+    for entry in semisimple_invariants(m):
+        mask &= entry.nm
     return mask
 
 
@@ -510,21 +495,18 @@ def length(m: RealizedModule) -> int:
     M is the direct sum of the eM over the primitive idempotents e of the
     ring. eM is a module over the local factor eR, so each of its
     composition factors is that factor's residue field, of size q; hence
-    length(eM) = log_q |eM|. eM is isomorphic to M/(1-e)M, and (1-e)M is
-    the additive span of (1-e)e_t over the module basis, so |eM| comes
-    from a Smith normal form without enumerating M.
+    length(eM) = log_q |eM|. x ↦ ex is additive, so eM is the additive
+    span of the e·e_t over the module basis, closed without enumerating M.
     """
     ring = m.ring
     lf = local_factorization(ring)
     total = 0
     for e, mask in zip(lf.idempotents, lf.maximal_ideal_masks):
         q = ring.size // mask.bit_count()
-        complement = ring.sub(ring.one, e)
-        orders, _, _ = abelian_quotient(
-            m.orders, [m.act(complement, x) for x in basis_vectors(m.rank)]
+        em = m.shifts.closure([m.act(e, x) for x in basis_vectors(m.rank)])
+        total += _exact_log(
+            em.bit_count(), q, f"|eM| is not a power of the residue size {q}"
         )
-        size = reduce(lambda a, b: a * b, orders, 1)
-        total += _exact_log(size, q, f"|eM| is not a power of the residue size {q}")
     return total
 
 
@@ -543,11 +525,18 @@ def _exact_log(size: int, q: int, message: str) -> int:
 class SemisimpleEntry:
     ideal: Ideal
     residue_size: int
-    multiplicity: int
+    nm: int  # members mask of mM
+    basis: tuple  # lifts to M of a basis of the R/m-vector space M/mM
+
+    @property
+    def multiplicity(self) -> int:
+        return len(self.basis)
 
 
 def semisimple_invariants(m: RealizedModule) -> list:
-    """Per maximal ideal m: the dimension of M/mM over R/m (if nonzero).
+    """Per maximal ideal m with mM ≠ M: mM and a basis of M/mM over R/m,
+    from which the dimension, the maximal submodules, the radical and
+    the optimal cover are read.
 
     Computed once per module.
     """
@@ -557,15 +546,20 @@ def semisimple_invariants(m: RealizedModule) -> list:
 
 
 def _residue_dimensions(m: RealizedModule) -> list:
+    """The basis of each M/mM is greedy: each vector is the least element
+    that the earlier ones do not span. m annihilates M/mM, so ring spans
+    there are R/m-spans and the greedy generators are a basis."""
     out = []
     for ideal in maximal_ideals(m.ring):
         nm = ideal_action(m, ideal)
-        vsize = m.size // nm.size
-        if vsize == 1:
+        if nm.members == m.full_mask:
             continue
+        v, _, lift = quotient_module(m, nm)
+        basis = tuple(lift(v.element(i)) for i in submodule_generators(v, v.full_mask))
         q = ideal.residue_size
-        k = _exact_log(vsize, q, "|M/mM| is not a power of |R/m|")
-        out.append(SemisimpleEntry(ideal, q, k))
+        if q ** len(basis) != v.size:
+            raise AssertionError("quotient by a maximal ideal is not a vector space")
+        out.append(SemisimpleEntry(ideal, q, nm.members, basis))
     return out
 
 
@@ -605,18 +599,14 @@ def localize_at_s(m: RealizedModule):
         e_sum = m.ring.add(e_sum, e)
     complement = ideal_generated(m.ring, [m.ring.sub(m.ring.one, e_sum)])
     new_ring, _, ring_lift = quotient_ring(m.ring, complement)
-    killed = ideal_action(m, complement)
-    orders, project, lift = abelian_quotient(
-        m.orders, _images(m, killed.generator_coords())
-    )
-    # the complement ideal annihilates M/killed, so the action factors
+    quotient, project, _ = quotient_module(m, ideal_action(m, complement))
+    # the complement ideal annihilates the quotient, so the action factors
     # through the quotient ring: act by lifts of its basis
-    lifted = [lift(u) for u in basis_vectors(len(orders))]
     basis_act = [
-        [project(m.act(ring_lift(b), x)) for x in lifted]
+        [quotient.act(ring_lift(b), u) for u in basis_vectors(quotient.rank)]
         for b in basis_vectors(new_ring.rank)
     ]
     localized = RealizedModule(
-        new_ring, orders, basis_act, label=f"localized({m.label})"
+        new_ring, quotient.orders, basis_act, label=f"localized({m.label})"
     )
     return localized, project

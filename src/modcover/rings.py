@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 
 from .errors import GuardExceeded
 from .snf import abelian_quotient
@@ -24,9 +24,10 @@ RING_SIZE_GUARD = 4096
 Element = tuple  # coordinate tuple; one entry per additive generator
 
 
-def basis_vectors(rank: int) -> list:
+@cache
+def basis_vectors(rank: int) -> tuple:
     """The coordinate tuples of the additive basis e_0, ..., e_{rank-1}."""
-    return [tuple(int(s == t) for s in range(rank)) for t in range(rank)]
+    return tuple(tuple(int(s == t) for s in range(rank)) for t in range(rank))
 
 
 class _Shifts:

@@ -9,21 +9,26 @@ compare the library's answers with them.
 import itertools
 
 from modcover.modules import (
+    RealizedModule,
     _images,
     cyclic_sum,
     free_module,
     ideal_action,
     quotient_module,
+    s_set,
     submodule_generated,
 )
 from modcover.rings import (
     basis_vectors,
+    ideal_generated,
     local_factorization,
     maximal_ideals,
+    quotient_ring,
     residue_field,
     ring_gf,
     ring_zmod,
 )
+from modcover.snf import abelian_quotient
 
 
 def zmod_module(n, parts):
@@ -42,6 +47,11 @@ TINY_CASES = [
     lambda: free_module(ring_gf(2, 2), 2),
     lambda: zmod_module(9, [3, 9]),
 ]
+
+
+# rings whose maximal ideals and unit counts are pinned, and whose
+# ring-info output is pinned in the CLI tests
+PINNED_RINGS = ["Z/360", "GF(2^7)", "Z/12 x Z/10", "GF(3^5)", "Z/4096", "GF(4093)"]
 
 
 def corpus_modules():
@@ -266,3 +276,51 @@ def maximal_ideal_masks(ring) -> tuple:
                 nilpotent.add(y)
         out.append(mask_of(i for i, x in enumerate(elements(ring)) if proj(x) in nilpotent))
     return tuple(out)
+
+
+def length_by_snf(m) -> int:
+    """Σ_e log_q |eM| over the primitive idempotents e, with |eM| =
+    |M/(1-e)M| read off a Smith normal form of the span of the (1-e)e_t."""
+    ring = m.ring
+    lf = local_factorization(ring)
+    total = 0
+    for e, mask in zip(lf.idempotents, lf.maximal_ideal_masks):
+        q = ring.size // mask.bit_count()
+        complement = ring.sub(ring.one, e)
+        orders, _, _ = abelian_quotient(
+            m.orders, [m.act(complement, x) for x in basis_vectors(m.rank)]
+        )
+        size = 1
+        for d in orders:
+            size *= d
+        k = 0
+        while size % q == 0:
+            size //= q
+            k += 1
+        assert size == 1, f"|eM| is not a power of the residue size {q}"
+        total += k
+    return total
+
+
+def localize_at_s(m):
+    """``(localized, project)``: M/(1-e)M over R/(1-e)R for the sum e of
+    the S-idempotents, with its own Smith normal form of (1-e)M and the
+    action of the quotient ring's basis through its lifts."""
+    s_masks = {e.ideal.members for e in s_set(m)}
+    lf = local_factorization(m.ring)
+    e_sum = m.ring.zero
+    for e, mask in zip(lf.idempotents, lf.maximal_ideal_masks):
+        if mask in s_masks:
+            e_sum = m.ring.add(e_sum, e)
+    complement = ideal_generated(m.ring, [m.ring.sub(m.ring.one, e_sum)])
+    new_ring, _, ring_lift = quotient_ring(m.ring, complement)
+    killed = ideal_action(m, complement)
+    orders, project, lift = abelian_quotient(
+        m.orders, _images(m, killed.generator_coords())
+    )
+    lifted = [lift(u) for u in basis_vectors(len(orders))]
+    basis_act = [
+        [project(m.act(ring_lift(b), x)) for x in lifted]
+        for b in basis_vectors(new_ring.rank)
+    ]
+    return RealizedModule(new_ring, orders, basis_act), project

@@ -1,6 +1,9 @@
+import hashlib
 import json
 
 from modcover.cli import main
+
+from oracles import PINNED_RINGS
 
 
 def run(capsys, *argv):
@@ -34,6 +37,15 @@ def test_module_info(capsys):
     assert payload["size"] == 4
     assert payload["hdim"] == 2
     assert payload["cyclic"] is False
+
+
+def test_module_info_zero_module_is_generated_by_zero(capsys):
+    code, out, _ = run(capsys, "module-info", "Z/1 over Z/6", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["size"] == 1
+    assert payload["cyclic"] is True
+    assert payload["cyclic_witness"] == []
 
 
 # -- sigma / cover ------------------------------------------------------------------
@@ -209,3 +221,63 @@ def test_sigma_json_payload_is_unchanged(capsys):
         payload = json.loads(out)
         assert payload["certificate"].pop("time_ms") >= 0
         assert payload == want, module
+
+
+# -- pinned --json output -----------------------------------------------------------
+
+CLI_MODULES = [
+    "free 2 over Z/2",
+    "free 2 over Z/3",
+    "free 1 over Z/6",
+    "free 2 over Z/6",
+    "Z/2 (+) Z/2 over Z/6",
+    "Z/2 (+) Z/2 (+) Z/3 over Z/6",
+    "Z/2 (+) Z/4 over Z/8",
+    "Z/4 (+) Z/4 over Z/8",
+    "Z/3 (+) Z/9 over Z/9",
+    "free 3 over GF(3)",
+    "free 3 over Z/2 x Z/2",
+    "free 2 over GF(2^3)",
+    "module over Z/12: gens=2; rels=[(4,6)]",
+]
+
+# sha256 of `pinned_cli_output()`; a change that alters any of these
+# outputs on purpose re-records it and says why
+PINNED_CLI_DIGEST = "4c091476d24402fa21c72fe28c24e81ec92d27ece2e74f96d857bda0c9a30889"
+
+
+def _without_timings(payload):
+    if isinstance(payload, dict):
+        return {
+            k: _without_timings(v)
+            for k, v in payload.items()
+            if k not in ("time_ms", "ms")
+        }
+    if isinstance(payload, list):
+        return [_without_timings(v) for v in payload]
+    return payload
+
+
+def pinned_cli_output(capsys) -> str:
+    """The --json output of ring-info on PINNED_RINGS and of module-info,
+    sigma --certificate, cover --construct and cover --greedy on
+    CLI_MODULES, timings removed, one line per command."""
+    commands = [["ring-info", r, "--json"] for r in PINNED_RINGS]
+    for m in CLI_MODULES:
+        commands += [
+            ["module-info", m, "--json"],
+            ["sigma", "--module", m, "--certificate", "--json"],
+            ["cover", "--module", m, "--construct", "--json"],
+            ["cover", "--module", m, "--greedy", "--json"],
+        ]
+    lines = []
+    for argv in commands:
+        code, out, _ = run(capsys, *argv)
+        payload = _without_timings(json.loads(out))
+        lines.append(json.dumps([argv, code, payload], sort_keys=True))
+    return "\n".join(lines)
+
+
+def test_cli_json_output_is_pinned(capsys):
+    digest = hashlib.sha256(pinned_cli_output(capsys).encode()).hexdigest()
+    assert digest == PINNED_CLI_DIGEST

@@ -25,7 +25,7 @@ from modcover.modules import (
 from modcover.rings import maximal_ideals, ring_gf, ring_zmod
 
 import oracles
-from oracles import TINY_CASES, zmod_module
+from oracles import PINNED_RINGS, TINY_CASES, zmod_module
 
 
 def brute_minimum_cover(m):
@@ -258,8 +258,6 @@ def test_search_is_deterministic():
 # sha256 of `pinned_answers()` as the elementwise closures computed it; a
 # change that alters generators or certificates on purpose re-records it
 PINNED_DIGEST = "ebe97701e9e88326705e7e5ab373413cde260924ee330bebcda00914dff418f2"
-
-PINNED_RINGS = ["Z/360", "GF(2^7)", "Z/12 x Z/10", "GF(3^5)", "Z/4096", "GF(4093)"]
 
 
 def pinned_answers() -> list:

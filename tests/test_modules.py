@@ -404,6 +404,20 @@ def test_length_examples(make, want):
     assert length(make()) == want
 
 
+def snf_comparison_modules():
+    return (
+        [make() for make in oracles.TINY_CASES]
+        + [make() for make, _ in LENGTH_EXAMPLES]
+        + oracles.corpus_modules()
+    )
+
+
+def test_length_matches_the_smith_normal_form():
+    # |eM| as the closure of the e·e_t against |M/(1-e)M| from an SNF
+    for m in snf_comparison_modules():
+        assert length(m) == oracles.length_by_snf(m), m.label
+
+
 def small_corpus_modules():
     return [m for m in oracles.corpus_modules() if m.size <= 64]
 
@@ -509,6 +523,22 @@ def test_localize_identity_when_s_is_everything():
 def test_localize_requires_nonempty_s():
     with pytest.raises(ValueError):
         localize_at_s(free_module(ring_zmod(6), 1))
+
+
+def test_localization_matches_its_own_quotient_construction():
+    # localize_at_s acts on quotient_module(M, (1-e)M); the reference
+    # builds M/(1-e)M from its own SNF and acts through its lifts
+    localized = 0
+    for m in snf_comparison_modules():
+        if not s_set(m):
+            continue
+        got, project = localize_at_s(m)
+        want, want_project = oracles.localize_at_s(m)
+        assert got.orders == want.orders, m.label
+        assert got.basis_act == want.basis_act, m.label
+        assert all(project(x) == want_project(x) for x in elements(m)), m.label
+        localized += 1
+    assert localized >= 40
 
 
 def test_localized_invariants_match_s_entries():

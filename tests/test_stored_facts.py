@@ -1,11 +1,17 @@
 """Ring interning and the facts stored on rings and modules."""
 
+import sys
+
 import pytest
 
-from modcover import rings
-from modcover.covering import sigma_exact
+from modcover import cli, modules, rings
+from modcover.covering import construct_cover, sigma_exact
 from modcover.dsl import parse_module, parse_ring
-from modcover.modules import maximal_submodules, semisimple_invariants
+from modcover.modules import (
+    maximal_submodules,
+    radical_via_ideals,
+    semisimple_invariants,
+)
 from modcover.rings import (
     RING_SIZE_GUARD,
     FiniteRing,
@@ -75,6 +81,44 @@ def test_mutating_returned_lists_leaves_the_stored_facts_alone():
     invariants = semisimple_invariants(m)
     semisimple_invariants(m).pop()
     assert semisimple_invariants(m) == invariants
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "free 2 over Z/6",
+        "Z/2 (+) Z/2 (+) Z/3 over Z/6",
+        "Z/2 (+) Z/2 over Z/6",  # 3M = M: one entry for two ideals
+        "free 3 over Z/2 x Z/2",
+        "free 2 over GF(2^3)",
+    ],
+)
+def test_mm_and_the_residue_basis_are_derived_once(text, monkeypatch):
+    # one mM per maximal ideal and one M/mM per semisimple entry; every
+    # later fact reads them from the entries
+    calls = {"ideal_action": 0, "quotient_module": 0}
+    for name in calls:
+        original = getattr(modules, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        # every binding, so a module that imported the name is counted too
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] != "modcover":
+                continue
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    m = parse_module(text)
+    cli._module_facts(m)
+    sigma_exact(m)
+    construct_cover(m)
+    radical_via_ideals(m)
+    assert calls == {
+        "ideal_action": len(maximal_ideals(m.ring)),
+        "quotient_module": len(semisimple_invariants(m)),
+    }
 
 
 def test_residue_field_is_stored_once_per_maximal_ideal():
