@@ -217,7 +217,7 @@ class _Parser:
             )
         n = ring.size
         for a in anns:
-            if n % a != 0:
+            if a < 1 or n % a != 0:
                 raise ParseError(
                     f"Z/{a} is not a cyclic module over Z/{n}", self.text, start
                 )

@@ -12,6 +12,7 @@ its local factorization, maximal ideals, residue fields and units.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cache, reduce
@@ -335,10 +336,110 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _poly_trim(f):
-    while f and f[-1] == 0:
-        f = f[:-1]
-    return f
+def _prime_powers(n: int) -> list:
+    """[(p, a)] with p^a exactly dividing n, p ascending."""
+    out, p = [], 2
+    while n > 1:
+        if p * p > n:
+            p = n
+        a = 0
+        while n % p == 0:
+            n //= p
+            a += 1
+        if a:
+            out.append((p, a))
+        p += 1
+    return out
+
+
+# -- linear algebra over F_p --------------------------------------------------------
+
+
+def _echelon(rows, p) -> tuple:
+    """Reduced row echelon form over F_p of vectors of one length:
+    ``(rows, pivots)``, the nonzero rows and their pivot columns."""
+    rows = [[v % p for v in row] for row in rows]
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        top = len(pivots)
+        hit = next((i for i in range(top, len(rows)) if rows[i][col]), None)
+        if hit is None:
+            continue
+        rows[top], rows[hit] = rows[hit], rows[top]
+        inv = pow(rows[top][col], -1, p)
+        pivot_row = rows[top] = [v * inv % p for v in rows[top]]
+        for i, row in enumerate(rows):
+            c = row[col]
+            if c and i != top:
+                rows[i] = [(a - c * b) % p for a, b in zip(row, pivot_row)]
+        pivots.append(col)
+    return rows[: len(pivots)], pivots
+
+
+def _kernel(images, p) -> list:
+    """A basis of the kernel of the F_p-linear map sending the j-th basis
+    vector to images[j]."""
+    n = len(images)
+    rows, pivots = _echelon(zip(*images), p)  # the matrix has the images as columns
+    basis = []
+    for free in range(n):
+        if free not in pivots:
+            x = [0] * n
+            x[free] = 1
+            for row, col in zip(rows, pivots):
+                x[col] = -row[free] % p
+            basis.append(tuple(x))
+    return basis
+
+
+def _fixed_space(images, p) -> list:
+    """A basis of {x : L(x) = x} for the F_p-linear map L sending the j-th
+    basis vector to images[j]."""
+    return _kernel(
+        [tuple((v - (i == j)) % p for i, v in enumerate(img)) for j, img in enumerate(images)],
+        p,
+    )
+
+
+def _apply(images, x, p) -> tuple:
+    """The image of x under the linear map sending the j-th basis vector
+    to images[j]."""
+    acc = [0] * len(images[0])
+    for xj, img in zip(x, images):
+        if xj:
+            for i, v in enumerate(img):
+                acc[i] += xj * v
+    return tuple(a % p for a in acc)
+
+
+def _power(mul, x, n: int):
+    """x^n for n >= 1, by squaring with the product `mul`."""
+    result = None
+    while True:
+        if n & 1:
+            result = x if result is None else mul(result, x)
+        n >>= 1
+        if not n:
+            return result
+        x = mul(x, x)
+
+
+def _frobenius(mul, n, p) -> list:
+    """The images u^p of the basis u of an F_p-algebra of dimension n
+    with product `mul`."""
+    return [_power(mul, u, p) for u in basis_vectors(n)]
+
+
+def _is_field(frobenius, p) -> bool:
+    """Whether a commutative F_p-algebra A is a field, given the images
+    F(u_j) of its basis under Frobenius F(x) = x^p, which is F_p-linear.
+
+    F is injective exactly when A has no nonzero nilpotent: the last
+    nonzero x^(p^i) of a nilpotent x is in ker F. A reduced finite A is a
+    product of fields, and the Berlekamp kernel ker(F - I) = {x : x^p = x}
+    is F_p in each field, so it has dimension 1 exactly when A is one field.
+    """
+    return not _kernel(frobenius, p) and len(_fixed_space(frobenius, p)) == 1
 
 
 def _poly_mulmod(a, b, f, p):
@@ -361,30 +462,13 @@ def _poly_mulmod(a, b, f, p):
     return prod + [0] * (k - len(prod))
 
 
-def _poly_divisible(f, g, p):
-    """Whether monic g divides f over Z/p."""
-    rem = [c % p for c in f]
-    dg = len(g) - 1
-    while len(_poly_trim(rem)) - 1 >= dg:
-        rem = _poly_trim(rem)
-        shift = len(rem) - 1 - dg
-        c = rem[-1]
-        for j, gj in enumerate(g):
-            rem[shift + j] = (rem[shift + j] - c * gj) % p
-    return not _poly_trim(rem)
-
-
 def _is_irreducible(f, p) -> bool:
-    """Exhaustive factor search; fine for the supported degrees (k <= 8)."""
+    """Whether monic f is irreducible over Z/p, that is, whether
+    Z/p[x]/(f), on the basis 1, x, ..., x^(k-1), is a field."""
     k = len(f) - 1
     if k < 1:
         return False
-    for d in range(1, k // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            g = list(tail) + [1]  # monic of degree d
-            if _poly_divisible(f, g, p):
-                return False
-    return True
+    return _is_field(_frobenius(lambda a, b: _poly_mulmod(a, b, f, p), k, p), p)
 
 
 def smallest_irreducible(p: int, k: int):
@@ -395,7 +479,8 @@ def smallest_irreducible(p: int, k: int):
     """
     for tail in itertools.product(range(p), repeat=k):
         f = list(tail) + [1]
-        if _is_irreducible(f, p):
+        # x divides f when f(0) = 0, so only x itself is irreducible then
+        if (f[0] or k == 1) and _is_irreducible(f, p):
             return f
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
@@ -413,8 +498,6 @@ def _build_gf(p, k, f):
         raise ValueError("GF: extension degree must be >= 1")
     if p**k > RING_SIZE_GUARD:
         raise GuardExceeded("ring-size", f"GF({p}^{k}) exceeds guard {RING_SIZE_GUARD}")
-    if k > 8:
-        raise GuardExceeded("gf-degree", "irreducibility search supports k <= 8")
     if f is None:
         f = smallest_irreducible(p, k)
         label = f"GF({p})" if k == 1 else f"GF({p}^{k})"
@@ -496,6 +579,12 @@ def quotient_ring(ring: FiniteRing, ideal: Ideal):
 
 @dataclass(frozen=True)
 class LocalFactorization:
+    """R as the product of its local factors eR ≅ R/(1-e)R, one per
+    primitive idempotent e. The idempotents and the maximal ideals
+    m_e = (1-e)R + eJ, J the radical of R, come from linear algebra over
+    the residue characteristics (see `_factor`); each factor is the
+    quotient ring by (1-e)R, with its projection and lift."""
+
     ring: FiniteRing
     idempotents: tuple  # primitive idempotents, sorted by coordinates
     factors: tuple  # FiniteRing, one per idempotent, each local
@@ -547,22 +636,28 @@ def residue_field(ideal: Ideal):
 
 
 def _factor(ring: FiniteRing):
-    """Store the local factorization, maximal ideals and residue fields.
+    """Store the local factorization, maximal ideals and residue fields,
+    found by linear algebra over F_p (`_primary_idempotents`), with no
+    sweep over the elements.
 
-    A factor eR of a primitive idempotent e has no idempotents but 0 and
-    1, so it is local and its non-units are its nilpotents. Pulled back
-    to R they form a maximal ideal, and the quotient by it must be a
-    field; that check also proves the factor local. A factor whose
-    maximal ideal is zero is that field already (both are R modulo the
-    same ideal), so it is stored as the residue field.
+    R is the product of its p-primary parts R_p, and the primitive
+    idempotents of R are those of the R_p. For each one, e, the factor eR
+    is local, and m_e = (1-e)R + eJ_p is the maximal ideal not containing
+    e, where J_p, the radical of R_p, is generated by p and the lifts of
+    rad(R/pR). A factor whose maximal ideal is zero is that field already
+    (both are R modulo the same ideal), so it is stored as the residue
+    field. Every residue field is checked to be a field.
     """
-    idems = [x for x in ring.iter_elements() if ring.mul(x, x) == x]
-    nonzero = [e for e in idems if e != ring.zero]
-    primitive = sorted(
-        e
-        for e in nonzero
-        if not any(f != e and ring.mul(e, f) == f for f in nonzero)
-    )
+    char = reduce(
+        math.lcm, (d // math.gcd(d, c) for c, d in zip(ring.one, ring.additive_orders))
+    )  # the additive order of 1
+    parts = []  # (idempotent, generators of eJ_p)
+    for p, a in _prime_powers(char):
+        rest = char // p**a
+        e_p = ring.scale(rest * pow(rest, -1, p**a), ring.one)  # 1 in R_p, 0 elsewhere
+        parts += _primary_idempotents(ring, p, e_p)
+    parts.sort(key=lambda part: part[0])
+    primitive = [e for e, _ in parts]
     # sanity: pairwise orthogonal and summing to 1
     acc = ring.zero
     for i, e in enumerate(primitive):
@@ -575,13 +670,10 @@ def _factor(ring: FiniteRing):
 
     factors, projections, lifts, ideal_masks = [], [], [], []
     fields = {}
-    for e in primitive:
+    for e, radical_gens in parts:
         complement = ideal_generated(ring, [ring.sub(ring.one, e)])
         factor, proj, lift = quotient_ring(ring, complement)
-        non_units = _nilpotents(factor)
-        _assert_is_ideal(factor, non_units)
-        # the pullback of the non-units: (1-e)R is the kernel of proj
-        mask = ring.shifts.closure([lift(y) for y in non_units], complement.members)
+        mask = _ideal_span(ring, radical_gens, complement.members)
         factors.append(factor)
         projections.append(proj)
         lifts.append(lift)
@@ -619,57 +711,105 @@ def _factor(ring: FiniteRing):
     ring._residue_fields = fields
 
 
-def _nilpotents(ring) -> set:
-    """Elements with some power zero.
+def _primary_idempotents(ring, p, e_p) -> list:
+    """[(e, gens)] for the primitive idempotents e of R_p = e_p R, where
+    gens generate the ideal eJ_p of the radical J_p of R_p.
 
-    If x^n = 0 with n least, then R, xR, x^2 R, ..., x^n R = 0 strictly
-    shrink, each at least halving, so n <= log2 |R|; s squarings with
-    2^s > log2 |R| reach x^(2^s) = 0.
+    A = R/pR = R_p/pR_p is an F_p-algebra, in the coordinates of one
+    abelian quotient, with x * y = project(lift(x) lift(y)). Frobenius F
+    is F_p-linear on A, and rad A = ker F^s once p^s >= dim A, since a
+    nilpotent of A has x^(dim A) = 0. A/rad A is a product of t fields,
+    and its Berlekamp kernel K = ker(F - I) is F_p^t inside it. For b in K
+    and c in F_p, 1 - (b - c)^(p-1) is the idempotent of {i : b_i = c}, so
+    splitting 1 by these over a basis of K gives the t primitive
+    idempotents. Each lifts uniquely to R_p by Newton's step
+    e <- 3e^2 - 2e^3, as J_p, the preimage of rad A, is nilpotent.
     """
-    steps = (ring.size.bit_length() - 1).bit_length()
-    out = set()
-    for x in ring.iter_elements():
-        y = x
-        for _ in range(steps):
-            if y == ring.zero:
-                break
-            y = ring.mul(y, y)
-        if y == ring.zero:
-            out.add(x)
+    if all(d == p for d in ring.additive_orders):  # pR = 0: A = R
+        n, mul, project, lift = ring.rank, ring.mul, tuple, tuple
+    else:
+        p_basis = [ring.scale(p, b) for b in basis_vectors(ring.rank)]  # spans pR
+        orders, project, lift = abelian_quotient(ring.additive_orders, p_basis)
+        n = len(orders)
+
+        def mul(x, y):
+            return project(ring.mul(lift(x), lift(y)))
+
+    frobenius = _frobenius(mul, n, p)
+    nil, reach = frobenius, p
+    while reach < n:
+        nil = [_apply(frobenius, x, p) for x in nil]
+        reach *= p
+    radical = _kernel(nil, p)
+
+    # A/rad A in the coordinates off the pivots of rad A's echelon form
+    rows, pivots = _echelon(radical, p)
+    keep = [c for c in range(n) if c not in pivots]
+
+    def down(x):
+        x = list(x)
+        for row, col in zip(rows, pivots):
+            c = x[col]
+            if c:
+                x = [(a - c * b) % p for a, b in zip(x, row)]
+        return tuple(x[c] for c in keep)
+
+    def up(y):
+        x = [0] * n
+        for c, v in zip(keep, y):
+            x[c] = v
+        return tuple(x)
+
+    def mul_down(x, y):
+        return down(mul(up(x), up(y)))
+
+    one = down(project(ring.one))
+    berlekamp = _fixed_space(
+        [down(_apply(frobenius, up(u), p)) for u in basis_vectors(len(keep))], p
+    )
+    idems = [one]
+    for b in berlekamp:
+        if len(idems) == len(berlekamp):
+            break
+        split = []
+        for c in range(p):
+            shifted = tuple((v - c * o) % p for v, o in zip(b, one))
+            level = _power(mul_down, shifted, p - 1)
+            level = tuple((o - v) % p for o, v in zip(one, level))
+            for e in idems:
+                part = mul_down(e, level)
+                if any(part):
+                    split.append(part)
+        idems = split
+
+    out = []
+    for e_down in idems:
+        e = _lift_idempotent(ring, ring.mul(e_p, lift(up(e_down))))
+        gens = [ring.scale(p, e)] + [ring.mul(e, lift(r)) for r in radical]
+        out.append((e, gens))
     return out
 
 
-def _assert_is_ideal(ring, subset):
-    """Raise unless `subset` (a set of elements) is closed under the basis
-    action and is an additive subgroup: its additive closure, which
-    contains it, is no larger."""
-    bs = basis_vectors(ring.rank)
-    for x in subset:
-        for b in bs:
-            if ring.mul(b, x) not in subset:
-                raise AssertionError(f"{ring.label}: non-units not action-closed")
-    if ring.shifts.closure(subset).bit_count() != len(subset):
-        raise AssertionError(f"{ring.label}: non-units not additively closed")
+def _lift_idempotent(ring, e):
+    """The idempotent congruent to e modulo a nilpotent ideal containing
+    e^2 - e, by Newton's step e <- 3e^2 - 2e^3, which squares that ideal."""
+    for _ in range(ring.size.bit_length()):
+        square = ring.mul(e, e)
+        if square == e:
+            return e
+        e = ring.sub(ring.scale(3, square), ring.scale(2, ring.mul(square, e)))
+    raise AssertionError(f"{ring.label}: idempotent lifting does not converge")
 
 
 def _assert_is_field(ring):
-    """Raise unless every nonzero element is a unit.
-
-    Walks the powers of each nonzero element not yet known to be a unit.
-    A walk that reaches 1 makes every power a unit; one that reaches 0, or
-    takes |R| steps without reaching 1, has found a non-unit. It does not
-    use `units()`, which is derived from the maximal ideals this certifies.
+    """Raise unless the ring is a field: its additive orders are one
+    prime p, and as an F_p-algebra it passes `_is_field`. It does not use
+    `units()`, which is derived from the maximal ideals this certifies.
     """
-    units = {ring.one}
-    for x in ring.iter_elements():
-        if x == ring.zero or x in units:
-            continue
-        powers = [x]
-        while powers[-1] != ring.one:
-            y = ring.mul(powers[-1], x)
-            if y == ring.zero or len(powers) == ring.size:
-                raise AssertionError(
-                    f"{ring.label}: quotient by a maximal ideal is not a field"
-                )
-            powers.append(y)
-        units.update(powers)
+    p = ring.additive_orders[0]
+    if not (
+        _is_prime(p)
+        and all(d == p for d in ring.additive_orders)
+        and _is_field(_frobenius(ring.mul, ring.rank, p), p)
+    ):
+        raise AssertionError(f"{ring.label}: quotient by a maximal ideal is not a field")

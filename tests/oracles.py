@@ -1,12 +1,16 @@
 """Elementwise reference algorithms and shared small cases for the tests.
 
 The library keeps subsets as bitmasks and closes them by translating
-whole cosets. These are the earlier algorithms, which add elements one
-at a time and sweep every element to pull a subset back; the tests
-compare the library's answers with them.
+whole cosets, and finds ring structure by linear algebra over F_p. These
+are the earlier algorithms, which add elements one at a time, sweep
+every element to pull a subset back or to find idempotents, nilpotents
+and units, and search for polynomial factors; the tests compare the
+library's answers with them.
 """
 
 import itertools
+import sys
+from pathlib import Path
 
 from modcover.modules import (
     RealizedModule,
@@ -19,6 +23,8 @@ from modcover.modules import (
     submodule_generated,
 )
 from modcover.rings import (
+    FiniteRing,
+    _poly_mulmod,
     basis_vectors,
     ideal_generated,
     local_factorization,
@@ -52,6 +58,29 @@ TINY_CASES = [
 # rings whose maximal ideals and unit counts are pinned, and whose
 # ring-info output is pinned in the CLI tests
 PINNED_RINGS = ["Z/360", "GF(2^7)", "Z/12 x Z/10", "GF(3^5)", "Z/4096", "GF(4093)"]
+
+
+def large_ring_labels() -> list:
+    """One label per ring class of the benchmark's large-ring workload."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    import reference
+    import workloads
+
+    return [
+        reference.ring_label(workloads.ring_variants(c)[0])
+        for _, classes, _, _ in workloads._strata()
+        for c in classes
+    ]
+
+
+def poly_ring(q, f) -> FiniteRing:
+    """Z/q[x]/(f) for monic f (coefficients low degree first), on the
+    basis 1, x, ..., x^(k-1)."""
+    k = len(f) - 1
+    units = [[int(i == j) for j in range(k)] for i in range(k)]
+    table = [[tuple(_poly_mulmod(a, b, f, q)) for b in units] for a in units]
+    label = f"Z/{q}[x]/({','.join(str(c) for c in f)})"
+    return FiniteRing([q] * k, table, tuple(units[0]), label)
 
 
 def corpus_modules():
@@ -324,3 +353,106 @@ def localize_at_s(m):
         for b in basis_vectors(new_ring.rank)
     ]
     return RealizedModule(new_ring, orders, basis_act), project
+
+
+# -- ring structure by sweeping every element -------------------------------------
+
+
+def idempotents_by_squaring(ring) -> tuple:
+    """The primitive idempotents, sorted: the nonzero x with x^2 = x
+    under which no other nonzero idempotent f lies (ef = f)."""
+    idems = [x for x in elements(ring) if x != ring.zero and ring.mul(x, x) == x]
+    return tuple(
+        sorted(e for e in idems if not any(f != e and ring.mul(e, f) == f for f in idems))
+    )
+
+
+def nilpotents_by_squaring(ring) -> set:
+    """Elements with some power zero. If x^n = 0 with n least, then R,
+    xR, ..., x^n R = 0 strictly shrink, so n <= log2 |R|, and s squarings
+    with 2^s > log2 |R| reach zero."""
+    steps = (ring.size.bit_length() - 1).bit_length()
+    out = set()
+    for x in elements(ring):
+        y = x
+        for _ in range(steps):
+            y = ring.mul(y, y)
+        if y == ring.zero:
+            out.add(x)
+    return out
+
+
+def is_field_by_power_walk(ring) -> bool:
+    """Whether every nonzero element is a unit: the powers of each one not
+    yet known to be a unit reach 1, never 0, within |R| steps."""
+    units = {ring.one}
+    for x in elements(ring):
+        if x == ring.zero or x in units:
+            continue
+        powers = [x]
+        while powers[-1] != ring.one:
+            y = ring.mul(powers[-1], x)
+            if y == ring.zero or len(powers) == ring.size:
+                return False
+            powers.append(y)
+        units.update(powers)
+    return True
+
+
+def factor_by_sweeps(ring) -> tuple:
+    """(primitive idempotents, maximal ideal masks) found by sweeping:
+    for each idempotent e, the closure of (1-e)R with the lifts of the
+    nilpotents of the factor R/(1-e)R."""
+    idems = idempotents_by_squaring(ring)
+    masks = []
+    for e in idems:
+        complement = ideal_generated(ring, [ring.sub(ring.one, e)])
+        factor, _, lift = quotient_ring(ring, complement)
+        nilpotents = [lift(y) for y in nilpotents_by_squaring(factor)]
+        masks.append(ring.shifts.closure(nilpotents, complement.members))
+    return idems, tuple(masks)
+
+
+# -- irreducible polynomials by factor search ----------------------------------------
+
+
+def _poly_trim(f):
+    while f and f[-1] == 0:
+        f = f[:-1]
+    return f
+
+
+def poly_divisible(f, g, p) -> bool:
+    """Whether monic g divides f over Z/p (coefficients low degree first)."""
+    rem = [c % p for c in f]
+    dg = len(g) - 1
+    while len(_poly_trim(rem)) - 1 >= dg:
+        rem = _poly_trim(rem)
+        shift = len(rem) - 1 - dg
+        c = rem[-1]
+        for j, gj in enumerate(g):
+            rem[shift + j] = (rem[shift + j] - c * gj) % p
+    return not _poly_trim(rem)
+
+
+def is_irreducible_by_search(f, p) -> bool:
+    """Whether monic f of degree k >= 1 has no monic factor of degree 1 to
+    k/2 over Z/p, trying each one."""
+    k = len(f) - 1
+    if k < 1:
+        return False
+    for d in range(1, k // 2 + 1):
+        for tail in itertools.product(range(p), repeat=d):
+            if poly_divisible(f, list(tail) + [1], p):
+                return False
+    return True
+
+
+def smallest_irreducible_by_search(p, k) -> list:
+    """The first monic irreducible of degree k over Z/p in the order of
+    (c_0, ..., c_{k-1})."""
+    for tail in itertools.product(range(p), repeat=k):
+        f = list(tail) + [1]
+        if is_irreducible_by_search(f, p):
+            return f
+    raise AssertionError("no irreducible polynomial found")

@@ -1,6 +1,8 @@
 import hashlib
 import json
 
+import pytest
+
 from modcover.cli import main
 
 from oracles import PINNED_RINGS
@@ -123,6 +125,16 @@ def test_stdin_batch(capsys, monkeypatch):
     assert sizes == [3, 4]
 
 
+@pytest.mark.parametrize("text,q", [("GF(2^9)", 512), ("GF(2^12)", 4096), ("GF(3^7)", 2187)])
+def test_ring_info_on_fields_of_degree_above_8(capsys, text, q):
+    code, out, _ = run(capsys, "ring-info", text, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["size"] == q
+    assert payload["units"] == q - 1
+    assert [m["residue_field_size"] for m in payload["maximal_ideals"]] == [q]
+
+
 # -- exit codes ----------------------------------------------------------------------
 
 
@@ -134,6 +146,15 @@ def test_parse_error_exit_2(capsys):
     code, _, err = run(capsys, "ring-info", "Z/0")
     assert code == 2
     assert "^" in err  # caret marks the offending position
+
+
+@pytest.mark.parametrize(
+    "argv", [("module-info", "Z/0 over Z/6"), ("sigma", "--module", "Z/0 (+) Z/2 over Z/4")]
+)
+def test_zero_annihilator_in_a_cyclic_sum_is_a_parse_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "^" in err
 
 
 def test_guard_exceeded_exit_3(capsys, monkeypatch):

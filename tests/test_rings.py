@@ -5,13 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_factor
+
+from modcover import rings
+from modcover.dsl import parse_ring
 from modcover.rings import (
     FiniteRing,
+    _is_irreducible,
+    _is_prime,
     _Shifts,
     ideal_generated,
     local_factorization,
     maximal_ideals,
     quotient_ring,
+    residue_field,
     ring_gf,
     ring_product,
     ring_zmod,
@@ -19,7 +27,19 @@ from modcover.rings import (
     zero_ideal,
 )
 
-from oracles import additive_closure, elements, maximal_ideal_masks, member_elements
+from oracles import (
+    PINNED_RINGS,
+    additive_closure,
+    elements,
+    factor_by_sweeps,
+    is_field_by_power_walk,
+    is_irreducible_by_search,
+    large_ring_labels,
+    maximal_ideal_masks,
+    member_elements,
+    poly_ring,
+    smallest_irreducible_by_search,
+)
 
 
 def prime_factors(n):
@@ -113,6 +133,23 @@ def test_gf4_generator_squares_to_x_plus_one():
     F = ring_gf(2, 2)
     x = (0, 1)
     assert F.mul(x, x) == (1, 1)
+
+
+def test_smallest_irreducible_matches_the_factor_search():
+    # every field the old search reached: p^k <= 4096 with k <= 8
+    cases = [
+        (p, k) for p in range(2, 4097) if _is_prime(p) for k in range(1, 9) if p**k <= 4096
+    ]
+    for p, k in cases:
+        assert smallest_irreducible(p, k) == smallest_irreducible_by_search(p, k), (p, k)
+
+
+@pytest.mark.parametrize("p,max_degree", [(2, 6), (3, 4), (5, 3), (7, 2)])
+def test_irreducibility_matches_the_factor_search(p, max_degree):
+    for k in range(1, max_degree + 1):
+        for tail in itertools.product(range(p), repeat=k):
+            f = list(tail) + [1]
+            assert _is_irreducible(f, p) == is_irreducible_by_search(f, p), f
 
 
 def test_gf_rejects_reducible_polynomial():
@@ -261,6 +298,66 @@ def test_maximal_ideals_of_gf_product():
     R = ring_product(ring_gf(2, 2), ring_gf(3))
     got = sorted(i.residue_size for i in maximal_ideals(R))
     assert got == [3, 4]
+
+
+# -- ring structure by linear algebra, against the element sweeps -------------------
+
+
+def assert_matches_the_sweeps(R):
+    lf = local_factorization(R)
+    idempotents, masks = factor_by_sweeps(R)
+    assert lf.idempotents == idempotents, R.label
+    assert lf.maximal_ideal_masks == masks, R.label
+    assert [i.members for i in maximal_ideals(R)] == sorted(masks), R.label
+    for ideal in maximal_ideals(R):
+        assert is_field_by_power_walk(residue_field(ideal)[0]), R.label
+
+
+@pytest.mark.parametrize("text", PINNED_RINGS + [f"Z/{n}" for n in range(2, 65)])
+def test_factorization_matches_the_element_sweeps(text):
+    assert_matches_the_sweeps(parse_ring(text))
+
+
+def test_factorization_matches_the_element_sweeps_on_large_ring_classes():
+    labels = large_ring_labels()
+    assert len(labels) == 330
+    for text in labels:
+        assert_matches_the_sweeps(parse_ring(text))
+
+
+# q -> the largest degree of f tried; every monic f up to it, so reducible
+# and repeated factors of f mod p are all there
+POLY_DEGREES = {2: 5, 3: 3, 4: 3, 5: 2, 7: 2, 8: 2, 9: 2}
+
+
+@pytest.mark.parametrize("q", sorted(POLY_DEGREES))
+def test_split_and_lift_on_polynomial_quotients(q):
+    # Z/q[x]/(f), q = p^a: its maximal ideals are (p, g) for the distinct
+    # irreducible factors g of f mod p, with residue field F_p[x]/(g)
+    p = prime_factors(q)[0]
+    for k in range(1, POLY_DEGREES[q] + 1):
+        for tail in itertools.product(range(q), repeat=k):
+            f = list(tail) + [1]
+            R = poly_ring(q, f)
+            _, factors = gf_factor([c % p for c in reversed(f)], p, ZZ)
+            want = sorted(p ** (len(g) - 1) for g, _ in factors)
+            assert sorted(i.residue_size for i in maximal_ideals(R)) == want, f
+            assert_matches_the_sweeps(R)
+
+
+@pytest.mark.parametrize("text", ["GF(4093)", "Z/4096"])
+def test_factor_sweeps_no_elements(text, monkeypatch):
+    R = parse_ring(text)
+    calls = []
+    original = FiniteRing.mul
+
+    def counted(self, x, y):
+        calls.append(1)
+        return original(self, x, y)
+
+    monkeypatch.setattr(FiniteRing, "mul", counted)
+    rings._factor(R)
+    assert len(calls) < 200
 
 
 # -- independent lattice oracle and global identities ------------------------------

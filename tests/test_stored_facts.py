@@ -25,7 +25,7 @@ from modcover.rings import (
     zero_ideal,
 )
 
-from oracles import elements
+from oracles import elements, poly_ring
 
 # -- interning ------------------------------------------------------------------
 
@@ -167,3 +167,45 @@ def test_field_check_rejects_a_quotient_that_is_not_a_field(n):
 def test_field_check_accepts_fields():
     for text in ("Z/2", "Z/13", "GF(2^3)", "GF(3^2)"):
         _assert_is_field(parse_ring(text))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: poly_ring(2, [0, 0, 1]),  # F_2[x]/(x^2): x is nilpotent
+        lambda: poly_ring(2, [0, 1, 1]),  # F_2[x]/(x^2 + x): two fixed idempotents
+        lambda: parse_ring("GF(2) x GF(2)"),
+    ],
+)
+def test_field_check_rejects_an_algebra_that_is_not_a_field(make):
+    with pytest.raises(AssertionError, match="not a field"):
+        _assert_is_field(make())
+
+
+NOT_A_FIELD = (
+    "from modcover.rings import _assert_is_field, ring_product, ring_zmod\n"
+    "print('debug', __debug__)\n"
+    "try:\n"
+    "    _assert_is_field(ring_product(ring_zmod(2), ring_zmod(2)))\n"
+    "except AssertionError as exc:\n"
+    "    print('raised', exc)\n"
+)
+
+
+def test_field_check_raises_under_python_O():
+    import os
+    import subprocess
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", NOT_A_FIELD],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[0] == "debug False"
+    assert lines[1].startswith("raised") and "not a field" in lines[1]
