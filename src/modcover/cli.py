@@ -300,6 +300,21 @@ def cmd_verify(args) -> int:
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
+def _int_at_least(least: int):
+    """An argparse type: an int no smaller than `least`."""
+
+    def parse(text):
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if n < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {n}")
+        return n
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="modcover",
@@ -341,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("corpus", help="print a deterministic instance corpus")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--count", type=int, default=50)
+    p.add_argument("--count", type=_int_at_least(0), default=50)
     p.add_argument("--max-ring", type=int, default=64)
     p.add_argument("--max-module", type=int, default=512)
     p.add_argument("--json", action="store_true")
@@ -349,14 +364,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run identity checks over a corpus")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--count", type=int, default=50)
+    p.add_argument("--count", type=_int_at_least(0), default=50)
     p.add_argument("--max-ring", type=int, default=64)
     p.add_argument("--max-module", type=int, default=512)
     p.add_argument("--checks", help="comma-separated subset of "
                    + ",".join(DEFAULT_CHECKS))
-    p.add_argument("--hdim-pairs", type=int, default=0,
+    p.add_argument("--hdim-pairs", type=_int_at_least(0), default=0,
                    help="also run this many direct-sum additivity pairs")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")
     fmt.add_argument("--csv", action="store_true")

@@ -129,7 +129,9 @@ def corpus_generate(seed: int, count: int, max_ring: int = 64, max_module: int =
     """Deterministic instance list; quotas keep both coverability branches hot.
 
     At least a fifth of the instances are cyclic and at least a fifth
-    live over a ring with two or more maximal ideals.
+    live over a ring with two or more maximal ideals. Raises ValueError
+    when max_ring leaves no ring with two maximal ideals, or when the
+    quotas cannot be met within max_module.
     """
     from .dsl import parse_module, parse_ring
 
@@ -138,6 +140,11 @@ def corpus_generate(seed: int, count: int, max_ring: int = 64, max_module: int =
     multi_pool = [
         e for e in pool if " x " in e or ("Z/" in e and _squarefree_composite_part(e))
     ]
+    if count > 0 and not multi_pool:  # also when the whole pool is empty
+        raise ValueError(
+            f"max_ring = {max_ring} leaves no ring with two maximal ideals, "
+            "which the corpus quotas need"
+        )
     specs = []
     quota_cyclic = -(-count // 5)
     quota_multi = -(-count // 5)
@@ -183,7 +190,10 @@ def corpus_generate(seed: int, count: int, max_ring: int = 64, max_module: int =
             expr = _random_presentation(rng, ring_expr, ring)
         admit(ring_expr, expr)
     if len(specs) < count:
-        raise RuntimeError("corpus generation failed to meet its quotas")
+        raise ValueError(
+            f"corpus generation failed to meet its quotas: {len(specs)} of {count} "
+            f"instances admitted with max_module = {max_module}"
+        )
     return specs
 
 
@@ -203,12 +213,6 @@ def _squarefree_composite_part(expr: str) -> bool:
 
 
 # -- checks -------------------------------------------------------------------
-
-
-def _timed(fn):
-    t0 = time.perf_counter()
-    out = fn()
-    return out, (time.perf_counter() - t0) * 1000
 
 
 def _counterexample(spec: InstanceSpec, **values) -> dict:

@@ -579,35 +579,22 @@ def quotient_ring(ring: FiniteRing, ideal: Ideal):
 
 @dataclass(frozen=True)
 class LocalFactorization:
-    """R as the product of its local factors eR ≅ R/(1-e)R, one per
-    primitive idempotent e. The idempotents and the maximal ideals
-    m_e = (1-e)R + eJ, J the radical of R, come from linear algebra over
-    the residue characteristics (see `_factor`); each factor is the
-    quotient ring by (1-e)R, with its projection and lift."""
+    """R ≅ ∏ eR over its primitive idempotents e, each eR ≅ R/(1-e)R
+    local, given by the e and by the maximal ideal m_e = (1-e)R + eJ of
+    each, J the radical of R. Both come from linear algebra over the
+    residue characteristics (see `_factor`). The factor rings are not
+    built: modules read the decomposition only through the e, and the
+    covering number only through the maximal ideals and R/m_e."""
 
-    ring: FiniteRing
     idempotents: tuple  # primitive idempotents, sorted by coordinates
-    factors: tuple  # FiniteRing, one per idempotent, each local
-    projections: tuple  # callables ring coords -> factor coords
-    lifts: tuple  # sections of the projections
-    maximal_ideal_masks: tuple  # pullback of each factor's maximal ideal
-
-    def iso_forward(self, x):
-        return tuple(p(x) for p in self.projections)
-
-    def iso_backward(self, ys):
-        r = self.ring
-        acc = r.zero
-        for e, lift, y in zip(self.idempotents, self.lifts, ys):
-            acc = r.add(acc, r.mul(e, lift(y)))
-        return acc
+    maximal_ideal_masks: tuple  # m_e, one per idempotent
 
 
 def local_factorization(ring: FiniteRing) -> LocalFactorization:
     """Decompose as a product of local rings via primitive idempotents.
 
     Computed once per ring, together with the maximal ideals and residue
-    fields that come from the factors (see `_factor`).
+    fields (see `_factor`).
     """
     if ring._local_factorization is None:
         _factor(ring)
@@ -644,9 +631,15 @@ def _factor(ring: FiniteRing):
     idempotents of R are those of the R_p. For each one, e, the factor eR
     is local, and m_e = (1-e)R + eJ_p is the maximal ideal not containing
     e, where J_p, the radical of R_p, is generated by p and the lifts of
-    rad(R/pR). A factor whose maximal ideal is zero is that field already
-    (both are R modulo the same ideal), so it is stored as the residue
-    field. Every residue field is checked to be a field.
+    rad(R/pR). Orthogonal idempotents summing to 1 give R = ⊕ eR, so
+    they are checked and the factors are not built.
+
+    R/m_e is built once per maximal ideal, and checked to be a field.
+    When m_e = (1-e)R, eR is that field and R/m_e is R modulo 1-e;
+    otherwise it is R modulo the minimal generators of m_e. The two give
+    one field in different coordinates, and `construct_cover` walks a
+    field's elements in its coordinates, so the choice fixes the order
+    of its certificates.
     """
     char = reduce(
         math.lcm, (d // math.gcd(d, c) for c, d in zip(ring.one, ring.additive_orders))
@@ -668,36 +661,14 @@ def _factor(ring: FiniteRing):
     if acc != ring.one:
         raise AssertionError("primitive idempotents do not sum to 1")
 
-    factors, projections, lifts, ideal_masks = [], [], [], []
+    ideal_masks = []
     fields = {}
     for e, radical_gens in parts:
         complement = ideal_generated(ring, [ring.sub(ring.one, e)])
-        factor, proj, lift = quotient_ring(ring, complement)
         mask = _ideal_span(ring, radical_gens, complement.members)
-        factors.append(factor)
-        projections.append(proj)
-        lifts.append(lift)
         ideal_masks.append(mask)
-        if mask == complement.members:  # the factor is a field: it is R/m
-            fields[mask] = factor, proj, lift
-
-    size_product = reduce(lambda a, b: a * b, (f.size for f in factors), 1)
-    if size_product != ring.size:
-        raise AssertionError("factor sizes do not multiply to |R|")
-    lf = LocalFactorization(
-        ring,
-        tuple(primitive),
-        tuple(factors),
-        tuple(projections),
-        tuple(lifts),
-        tuple(ideal_masks),
-    )
-    # The round trip is additive: each projection is, and e*lift(y) is
-    # additive modulo e*(1-e)R = 0 since lift is additive modulo the kernel
-    # (1-e)R. So it is the identity iff it fixes the additive basis.
-    for b in basis_vectors(ring.rank):
-        if lf.iso_backward(lf.iso_forward(b)) != b:
-            raise AssertionError("factorization maps do not invert each other")
+        if mask == complement.members:  # eR is a field
+            fields[mask] = quotient_ring(ring, complement)
 
     ideals = []
     for mask in sorted(ideal_masks):
@@ -706,7 +677,7 @@ def _factor(ring: FiniteRing):
             fields[mask] = quotient_ring(ring, ideal)
         _assert_is_field(fields[mask][0])
         ideals.append(ideal)
-    ring._local_factorization = lf
+    ring._local_factorization = LocalFactorization(tuple(primitive), tuple(ideal_masks))
     ring._maximal_ideals = tuple(ideals)
     ring._residue_fields = fields
 

@@ -58,9 +58,9 @@ def smith_normal_form(rows: Sequence[Sequence[int]], ncols: int):
         if c:
             A[dst] = [a + c * b for a, b in zip(A[dst], A[src])]
 
-    t = 0
-    while t < m and t < n:
-        # pick the entry of smallest nonzero magnitude as pivot
+    def take_pivot(t) -> bool:
+        """Swap the first entry of least nonzero magnitude in rows and
+        columns t.. into (t, t); False if they are all zero."""
         pivot = None
         for i in range(t, m):
             for j in range(t, n):
@@ -68,9 +68,15 @@ def smith_normal_form(rows: Sequence[Sequence[int]], ncols: int):
                 if v and (pivot is None or abs(v) < abs(A[pivot[0]][pivot[1]])):
                     pivot = (i, j)
         if pivot is None:
-            break
+            return False
         swap_rows(t, pivot[0])
         swap_cols(t, pivot[1])
+        return True
+
+    t = 0
+    while t < m and t < n:
+        if not take_pivot(t):
+            break
         while True:
             dirty = False
             for i in range(t + 1, m):
@@ -99,14 +105,7 @@ def smith_normal_form(rows: Sequence[Sequence[int]], ncols: int):
             add_col(t + 1, t, 1)  # reintroduces an off-diagonal entry
             # re-run elimination from position t
             while True:
-                pivot = None
-                for i in range(t, m):
-                    for j in range(t, n):
-                        v = A[i][j]
-                        if v and (pivot is None or abs(v) < abs(A[pivot[0]][pivot[1]])):
-                            pivot = (i, j)
-                swap_rows(t, pivot[0])
-                swap_cols(t, pivot[1])
+                take_pivot(t)  # column t is nonzero: it holds A[t][t] = a
                 dirty = False
                 for i in range(t + 1, m):
                     q = A[i][t] // A[t][t]

@@ -11,6 +11,7 @@ library's answers with them.
 import itertools
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from modcover.modules import (
     RealizedModule,
@@ -290,10 +291,40 @@ def cyclic_witness(m):
     return False, None
 
 
+def local_factors(ring) -> SimpleNamespace:
+    """The local factors eR ≅ R/(1-e)R over the library's primitive
+    idempotents e, each with its projection and lift, and the maps
+    R -> ∏ eR (`iso_forward`) and back (`iso_backward`)."""
+    idempotents = local_factorization(ring).idempotents
+    factors, projections, lifts = zip(
+        *(
+            quotient_ring(ring, ideal_generated(ring, [ring.sub(ring.one, e)]))
+            for e in idempotents
+        )
+    )
+
+    def iso_forward(x):
+        return tuple(project(x) for project in projections)
+
+    def iso_backward(ys):
+        acc = ring.zero
+        for e, lift, y in zip(idempotents, lifts, ys):
+            acc = ring.add(acc, ring.mul(e, lift(y)))
+        return acc
+
+    return SimpleNamespace(
+        factors=factors,
+        projections=projections,
+        lifts=lifts,
+        iso_forward=iso_forward,
+        iso_backward=iso_backward,
+    )
+
+
 def maximal_ideal_masks(ring) -> tuple:
     """Per local factor, the mask of the ring elements whose projection
     is a non-unit (a nilpotent) of the factor."""
-    lf = local_factorization(ring)
+    lf = local_factors(ring)
     out = []
     for factor, proj in zip(lf.factors, lf.projections):
         nilpotent = set()

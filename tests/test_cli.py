@@ -164,6 +164,31 @@ def test_guard_exceeded_exit_3(capsys, monkeypatch):
     assert "guard" in err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("verify", "--count", "40", "--checks", "cyclicity", "--hdim-pairs=-1"),
+         "--hdim-pairs: must be at least 0"),
+        (("verify", "--count", "40", "--hdim-pairs=-30"), "--hdim-pairs: must be at least 0"),
+        (("verify", "--count", "-3"), "--count: must be at least 0"),
+        (("corpus", "--count", "-3"), "--count: must be at least 0"),
+        (("verify", "--count", "3", "--jobs", "-2"), "--jobs: must be at least 1"),
+        (("verify", "--count", "3", "--jobs", "0"), "--jobs: must be at least 1"),
+        (("corpus", "--count", "10", "--max-ring", "3"), "no ring with two maximal ideals"),
+        (("verify", "--count", "10", "--max-ring", "3"), "no ring with two maximal ideals"),
+        (("corpus", "--count", "10", "--max-ring", "1"), "no ring with two maximal ideals"),
+        (("corpus", "--count", "5", "--max-module", "1"), "failed to meet its quotas"),
+        (("verify", "--count", "5", "--max-module", "1"), "failed to meet its quotas"),
+    ],
+)
+def test_out_of_range_corpus_options_are_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_verify_success_exit_0(capsys):
     code, out, _ = run(capsys, "verify", "--seed", "1", "--count", "8", "--json")
     assert code == 0

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -15,6 +16,7 @@ from modcover.rings import (
     _is_irreducible,
     _is_prime,
     _Shifts,
+    basis_vectors,
     ideal_generated,
     local_factorization,
     maximal_ideals,
@@ -35,6 +37,7 @@ from oracles import (
     is_field_by_power_walk,
     is_irreducible_by_search,
     large_ring_labels,
+    local_factors,
     maximal_ideal_masks,
     member_elements,
     poly_ring,
@@ -271,13 +274,13 @@ def test_quotient_by_unit_ideal_rejected():
 @pytest.mark.parametrize("n", [12, 30, 8, 36, 49])
 def test_local_factorization_of_zmod(n):
     R = ring_zmod(n)
-    lf = local_factorization(R)
+    lf = local_factors(R)
     sizes = sorted(f.size for f in lf.factors)
     want = sorted(p ** prime_power(n, p) for p in prime_factors(n))
     assert sizes == want
     # idempotents are orthogonal and sum to 1
     total = R.zero
-    for e in lf.idempotents:
+    for e in local_factorization(R).idempotents:
         assert R.mul(e, e) == e
         total = R.add(total, e)
     assert total == R.one
@@ -330,19 +333,45 @@ def test_factorization_matches_the_element_sweeps_on_large_ring_classes():
 POLY_DEGREES = {2: 5, 3: 3, 4: 3, 5: 2, 7: 2, 8: 2, 9: 2}
 
 
+def monic_polynomials(q):
+    """Every monic f over Z/q of degree 1 to POLY_DEGREES[q]."""
+    for k in range(1, POLY_DEGREES[q] + 1):
+        for tail in itertools.product(range(q), repeat=k):
+            yield list(tail) + [1]
+
+
 @pytest.mark.parametrize("q", sorted(POLY_DEGREES))
 def test_split_and_lift_on_polynomial_quotients(q):
     # Z/q[x]/(f), q = p^a: its maximal ideals are (p, g) for the distinct
     # irreducible factors g of f mod p, with residue field F_p[x]/(g)
     p = prime_factors(q)[0]
-    for k in range(1, POLY_DEGREES[q] + 1):
-        for tail in itertools.product(range(q), repeat=k):
-            f = list(tail) + [1]
-            R = poly_ring(q, f)
-            _, factors = gf_factor([c % p for c in reversed(f)], p, ZZ)
-            want = sorted(p ** (len(g) - 1) for g, _ in factors)
-            assert sorted(i.residue_size for i in maximal_ideals(R)) == want, f
-            assert_matches_the_sweeps(R)
+    for f in monic_polynomials(q):
+        R = poly_ring(q, f)
+        _, factors = gf_factor([c % p for c in reversed(f)], p, ZZ)
+        want = sorted(p ** (len(g) - 1) for g, _ in factors)
+        assert sorted(i.residue_size for i in maximal_ideals(R)) == want, f
+        assert_matches_the_sweeps(R)
+
+
+# sha256 over the coordinates of every residue field of PINNED_RINGS and of
+# the rings Z/q[x]/(f) above. `construct_cover` walks a field's elements in
+# these coordinates, so they order its certificates; a change that alters
+# them on purpose re-records this
+RESIDUE_FIELD_DIGEST = "64eea6bf62d7400f0fd6494a0a42f530170bc6b2d15d7b4850c5832cbbf50910"
+
+
+def test_residue_field_coordinates_are_pinned():
+    pinned = [parse_ring(text) for text in PINNED_RINGS]
+    polys = [poly_ring(q, f) for q in sorted(POLY_DEGREES) for f in monic_polynomials(q)]
+    assert len(polys) == 433
+    digest = hashlib.sha256()
+    for R in pinned + polys:
+        for ideal in maximal_ideals(R):
+            field, project, _ = residue_field(ideal)
+            images = [project(b) for b in basis_vectors(R.rank)]
+            fact = (R.label, field.additive_orders, field.mul_table, field.one, images)
+            digest.update(repr(fact).encode() + b"\n")
+    assert digest.hexdigest() == RESIDUE_FIELD_DIGEST
 
 
 @pytest.mark.parametrize("text", ["GF(4093)", "Z/4096"])
@@ -456,9 +485,9 @@ def test_local_factorization_idempotents_of_z6():
 
 
 def test_local_factorization_of_local_ring_is_trivial():
-    lf = local_factorization(ring_zmod(8))
-    assert len(lf.factors) == 1
-    assert lf.idempotents == ((1,),)
+    R = ring_zmod(8)
+    assert len(local_factors(R).factors) == 1
+    assert local_factorization(R).idempotents == ((1,),)
 
 
 @pytest.mark.parametrize(
@@ -471,9 +500,11 @@ def test_local_factorization_of_local_ring_is_trivial():
     ],
 )
 def test_local_factorization_round_trip_on_every_element(make):
-    # the library checks the round trip on the additive basis only
+    # the library checks only that the idempotents are orthogonal and sum
+    # to 1; the factors R/(1-e)R then make up R, and invert each other
     R = make()
-    lf = local_factorization(R)
+    lf = local_factors(R)
+    assert math.prod(f.size for f in lf.factors) == R.size
     for x in elements(R):
         assert lf.iso_backward(lf.iso_forward(x)) == x
 
@@ -497,8 +528,9 @@ def test_unit_sets(n, want):
     ],
 )
 def test_maximal_ideal_masks_match_the_elementwise_pullback(make):
-    # the library closes (1-e)R with lifts of the factor's non-units;
-    # the reference keeps each x whose projection is nilpotent
+    # the library closes (1-e)R with p e and e times the lifts of
+    # rad(R/pR); the reference keeps each x whose projection to the factor
+    # R/(1-e)R is nilpotent
     R = make()
     assert local_factorization(R).maximal_ideal_masks == maximal_ideal_masks(R)
 

@@ -17,7 +17,6 @@ from modcover.rings import (
     FiniteRing,
     _assert_is_field,
     ideal_generated,
-    local_factorization,
     maximal_ideals,
     quotient_ring,
     residue_field,
@@ -132,12 +131,35 @@ def test_residue_field_is_stored_once_per_maximal_ideal():
         residue_field(ideal_generated(R, [(6,)]))
 
 
-def test_a_factor_that_is_a_field_is_its_residue_field():
-    R = ring_zmod(12)  # Z/4 x Z/3
-    lf = local_factorization(R)
-    fields = {residue_field(i)[0].size: residue_field(i)[0] for i in maximal_ideals(R)}
-    assert fields[3] in lf.factors  # Z/3 is a field already
-    assert fields[2] not in lf.factors  # Z/4 is not: Z/2 is built from it
+def test_a_field_factor_is_built_from_1_minus_e_and_any_other_from_m():
+    # Z/12 ≅ Z/4 x Z/3. At the field Z/3, e = 4 and m = (1-e)R, so R/m is
+    # R modulo 1-e = 9; at Z/4, e = 9 and m = (2) is larger than
+    # (1-e)R = (4), so R/m is R modulo the minimal generators of m
+    R = ring_zmod(12)
+    labels = {i.residue_size: residue_field(i)[0].label for i in maximal_ideals(R)}
+    assert labels == {3: "(Z/12)/<(9,)>", 2: "(Z/12)/<(2,)>"}
+
+
+@pytest.mark.parametrize(
+    "text,builds",
+    [("Z/4096", 1), ("Z/360", 3), ("Z/12 x Z/10", 4), ("GF(2^7)", 1), ("GF(4093)", 1)],
+)
+def test_factor_builds_one_quotient_ring_per_maximal_ideal(text, builds, monkeypatch):
+    # the residue fields; the local factors R/(1-e)R are not built
+    R = parse_ring(text)
+    calls = []
+    original = rings.quotient_ring
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    # every binding, so a module that imported the name is counted too
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "modcover" and getattr(mod, "quotient_ring", None) is original:
+            monkeypatch.setattr(mod, "quotient_ring", counted)
+    rings._factor(R)
+    assert len(calls) == builds == len(maximal_ideals(R))
 
 
 # -- units and the field check -------------------------------------------------------
