@@ -7,6 +7,7 @@ error, 3 a size guard was exceeded.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -21,12 +22,16 @@ from .covering import (
 from .errors import GuardExceeded, ParseError
 from .harness import (
     DEFAULT_CHECKS,
+    FAIL,
     corpus_generate,
     hdim_pairs_from_specs,
     reports_to_csv,
     reports_to_json,
+    reports_to_text,
     run_hdim_pairs,
     run_suite,
+    tally,
+    validate_checks,
 )
 from .modules import (
     hdim,
@@ -248,56 +253,27 @@ def cmd_corpus(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    checks = tuple(args.checks.split(",")) if args.checks else DEFAULT_CHECKS
+    checks = DEFAULT_CHECKS
+    if args.checks is not None:
+        checks = validate_checks(args.checks.split(","))
     specs = corpus_generate(args.seed, args.count, args.max_ring, args.max_module)
-    reports, summary = run_suite(specs, checks, parallelism=args.jobs)
-    pair_results = []
-    if args.hdim_pairs:
+    try:  # after the options are checked and before the run, which can take long
+        out = open(args.out, "w") if args.out else None
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    with out or contextlib.nullcontext():
+        reports, summary = run_suite(specs, checks, parallelism=args.jobs)
         pair_results = run_hdim_pairs(hdim_pairs_from_specs(specs, args.hdim_pairs))
-        for c in pair_results:
-            summary[c.status] += 1
-            slot = summary["per_check"].setdefault(
-                "hdim-additivity", {"PASS": 0, "FAIL": 0, "SKIPPED": 0}
-            )
-            slot[c.status] += 1
-    if args.json:
-        text = reports_to_json(reports, summary, pair_results)
-    elif args.csv:
-        text = reports_to_csv(reports, pair_results)
-    else:
-        lines = []
-        for r in reports:
-            for c in r.results:
-                if c.status != "PASS" or args.verbose:
-                    lines.append(
-                        f"{c.status:7s} {c.check:17s} {r.instance.module_expr}"
-                        + (f"  {json.dumps(c.details, sort_keys=True)}"
-                           if c.status != "PASS" else "")
-                    )
-        for c in pair_results:
-            if c.status != "PASS" or args.verbose:
-                lines.append(
-                    f"{c.status:7s} {c.check:17s} "
-                    + json.dumps(c.details, sort_keys=True)
-                )
-        lines.append(
-            "summary: {instances} instances, {PASS} PASS, {FAIL} FAIL, "
-            "{SKIPPED} SKIPPED".format(**summary)
-        )
-        for name in sorted(summary["per_check"]):
-            slot = summary["per_check"][name]
-            lines.append(
-                f"  {name:17s} PASS={slot['PASS']} FAIL={slot['FAIL']} "
-                f"SKIPPED={slot['SKIPPED']}"
-            )
-        text = "\n".join(lines)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    failed = summary["FAIL"] > 0
-    return EXIT_CHECK_FAILED if failed else EXIT_OK
+        tally(summary, pair_results)
+        if args.json:
+            text = reports_to_json(reports, summary, pair_results)
+        elif args.csv:
+            text = reports_to_csv(reports, pair_results)
+        else:
+            text = reports_to_text(reports, summary, pair_results, args.verbose)
+        print(text, file=out)
+    return EXIT_CHECK_FAILED if summary[FAIL] else EXIT_OK
 
 
 def _int_at_least(least: int):

@@ -18,13 +18,12 @@ from enum import Enum
 from .errors import GuardExceeded
 from .modules import (
     RealizedModule,
-    _pullback,
     _span,
     all_submodules,
+    hyperplanes,
     maximal_submodules,
     s_set,
 )
-from .rings import residue_field
 
 BNB_NODE_BUDGET = 10_000_000
 
@@ -183,7 +182,8 @@ def construct_cover(m: RealizedModule) -> CoverCertificate:
     q + 1 lines. Each pullback is a proper submodule and every element
     lands in some line, so the result is a cover of the predicted size.
     In the basis u, w, rest of M/mM the line through dx u + dy w pulls
-    back to the hyperplane spanned by mM, rest and that vector.
+    back to the hyperplane spanned by mM, rest and that vector, so the
+    lines are the `hyperplanes` of the plane of w and u over mM + rest.
     """
     t0 = time.perf_counter()
     _reject_zero(m)
@@ -193,16 +193,12 @@ def construct_cover(m: RealizedModule) -> CoverCertificate:
             (), False, None, True, 0, (time.perf_counter() - t0) * 1000
         )
     entry = next(e for e in s_set(m) if e.ideal is pred.witness_ideal)
-    field, _, field_lift = residue_field(entry.ideal)
     u, w, *rest = entry.basis
-    start = _span(m, rest, entry.nm)
-    # the lines {y = c x} for each scalar c, then {x = 0}
-    q = field.size
-    directions = [m.add(u, m.act(field_lift(c), w)) for c in field.iter_elements()] + [w]
-    covers = [_pullback(m, start, [d]) for d in directions]
+    # the lines through u + c w for each scalar c, then the line through w
+    covers = hyperplanes(m, entry.ideal, _span(m, rest, entry.nm), (w, u))
     ok = verify_cover(m, covers)
     return CoverCertificate(
-        tuple(covers), ok, q + 1 if ok else None, ok, 0,
+        tuple(covers), ok, len(covers) if ok else None, ok, 0,
         (time.perf_counter() - t0) * 1000,
     )
 

@@ -1,9 +1,11 @@
 """Corpus generation and identity checks over generated module instances.
 
 Instances are pairs of DSL strings (ring, module), so every reported
-counterexample can be replayed through the CLI verbatim. Checks return
-PASS, FAIL with a payload, or SKIPPED with the violated guard. The
-check names are short labels for the identities they test:
+counterexample can be replayed through the CLI verbatim. A check body
+returns (status, details): PASS, FAIL with a payload, or SKIPPED with a
+reason; `_check` names and times it, and turns a tripped guard into
+SKIPPED naming the guard. The check names are short labels for the
+identities they test:
 
     sigma-agreement     exact minimum cover size equals the closed form
     radical-agreement   both radical computations coincide
@@ -13,12 +15,17 @@ check names are short labels for the identities they test:
     maximal-count       maximal-submodule count matches the hyperplane tally
     hdim-additivity     hdim adds over direct sums and is the length of
                         M/J(M) (pairs of instances)
+
+`run_suite` and `run_hdim_pairs` run them, `tally` counts their results
+into the summary, and `reports_to_text`, `reports_to_json` and
+`reports_to_csv` render the report.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import csv
+import functools
 import io
 import json
 import random
@@ -131,7 +138,8 @@ def corpus_generate(seed: int, count: int, max_ring: int = 64, max_module: int =
     At least a fifth of the instances are cyclic and at least a fifth
     live over a ring with two or more maximal ideals. Raises ValueError
     when max_ring leaves no ring with two maximal ideals, or when the
-    quotas cannot be met within max_module.
+    quotas cannot be met within max_module; both are found before any
+    draw when no ring or no module fits.
     """
     from .dsl import parse_module, parse_ring
 
@@ -144,6 +152,11 @@ def corpus_generate(seed: int, count: int, max_ring: int = 64, max_module: int =
         raise ValueError(
             f"max_ring = {max_ring} leaves no ring with two maximal ideals, "
             "which the corpus quotas need"
+        )
+    if count > 0 and max_module < 2:
+        raise ValueError(
+            "corpus generation failed to meet its quotas: no module of at least "
+            f"2 elements fits in max_module = {max_module}"
         )
     specs = []
     quota_cyclic = -(-count // 5)
@@ -215,263 +228,222 @@ def _squarefree_composite_part(expr: str) -> bool:
 # -- checks -------------------------------------------------------------------
 
 
+def _check(name):
+    """Give a check body its report name. The body returns
+    ``(status, details)``; the check returns one timed CheckResult, and a
+    GuardExceeded inside the body becomes SKIPPED naming the guard."""
+
+    def wrap(body):
+        @functools.wraps(body)
+        def check(*args) -> CheckResult:
+            t0 = time.perf_counter()
+            try:
+                status, details = body(*args)
+            except GuardExceeded as exc:
+                status, details = SKIPPED, {"reason": f"guard {exc.guard}: {exc}"}
+            ms = (time.perf_counter() - t0) * 1000
+            return CheckResult(name, status, details, round(ms, 3))
+
+        check.name = name
+        return check
+
+    return wrap
+
+
 def _counterexample(spec: InstanceSpec, **values) -> dict:
     return {"ring": spec.ring_expr, "module": spec.module_expr, **values}
 
 
-def check_sigma_agreement(spec: InstanceSpec, m) -> CheckResult:
+@_check("sigma-agreement")
+def check_sigma_agreement(spec: InstanceSpec, m):
     """Exact covering number against the closed form."""
+    pred = sigma_formula(m)
+    cert = sigma_exact(m, SearchSpace.MAXIMAL_ONLY)
+    if pred.coverable != cert.is_cover or pred.value != cert.size:
+        return FAIL, _counterexample(spec, formula=pred.value, exact=cert.size)
+    return PASS, {"sigma": pred.value}
 
-    def run():
-        pred = sigma_formula(m)
-        cert = sigma_exact(m, SearchSpace.MAXIMAL_ONLY)
-        if pred.coverable != cert.is_cover or pred.value != cert.size:
-            return CheckResult(
-                "sigma-agreement",
-                FAIL,
-                _counterexample(spec, formula=pred.value, exact=cert.size),
-                0,
-            )
-        return CheckResult(
-            "sigma-agreement", PASS, {"sigma": pred.value}, 0
+
+@_check("radical-agreement")
+def check_radical_agreement(spec: InstanceSpec, m):
+    a = radical_via_maximal(m)
+    b = radical_via_ideals(m)
+    if a != b:
+        return FAIL, _counterexample(
+            spec, via_maximal=a.bit_count(), via_ideals=b.bit_count()
         )
-
-    return _guarded("sigma-agreement", run)
-
-
-def check_radical_agreement(spec: InstanceSpec, m) -> CheckResult:
-    def run():
-        a = radical_via_maximal(m)
-        b = radical_via_ideals(m)
-        if a != b:
-            return CheckResult(
-                "radical-agreement",
-                FAIL,
-                _counterexample(
-                    spec, via_maximal=a.bit_count(), via_ideals=b.bit_count()
-                ),
-                0,
-            )
-        return CheckResult("radical-agreement", PASS, {"radical_size": a.bit_count()}, 0)
-
-    return _guarded("radical-agreement", run)
+    return PASS, {"radical_size": a.bit_count()}
 
 
-def check_cyclicity(spec: InstanceSpec, m) -> CheckResult:
+@_check("cyclicity")
+def check_cyclicity(spec: InstanceSpec, m):
     """Cyclicity (some element lies in no maximal submodule) against
     S = ∅ (from residue dimensions), and the witness against its own
     closure."""
-
-    def run():
-        cyclic, witness = is_cyclic(m)
-        coverable = sigma_formula(m).coverable
-        if coverable == cyclic:
-            return CheckResult(
-                "cyclicity",
-                FAIL,
-                _counterexample(spec, cyclic=cyclic, coverable=coverable),
-                0,
-            )
-        if cyclic and submodule_generated(m, [m.index_of(witness)]).is_proper():
-            return CheckResult(
-                "cyclicity",
-                FAIL,
-                _counterexample(spec, cyclic=cyclic, witness=list(witness)),
-                0,
-            )
-        details = {"cyclic": cyclic}
-        if witness is not None:
-            details["witness"] = list(witness)
-        return CheckResult("cyclicity", PASS, details, 0)
-
-    return _guarded("cyclicity", run)
+    cyclic, witness = is_cyclic(m)
+    coverable = sigma_formula(m).coverable
+    if coverable == cyclic:
+        return FAIL, _counterexample(spec, cyclic=cyclic, coverable=coverable)
+    if cyclic and submodule_generated(m, [m.index_of(witness)]).is_proper():
+        return FAIL, _counterexample(spec, cyclic=cyclic, witness=list(witness))
+    details = {"cyclic": cyclic}
+    if witness is not None:
+        details["witness"] = list(witness)
+    return PASS, details
 
 
-def check_localization(spec: InstanceSpec, m) -> CheckResult:
-    def run():
-        entries = s_set(m)
-        if not entries:
-            return CheckResult("localization", SKIPPED, {"reason": "S empty"}, 0)
-        if len(entries) == len(maximal_ideals(m.ring)):
-            return CheckResult(
-                "localization", SKIPPED, {"reason": "S already equals mSpec"}, 0
-            )
-        before = sigma_formula(m)
-        localized, _ = localize_at_s(m)
-        after = sigma_formula(localized)
-        after_exact = sigma_exact(localized, SearchSpace.MAXIMAL_ONLY)
-        ok = (
-            before.value == after.value
-            and after_exact.size == after.value
-            and {e.ideal.members for e in s_set(localized)}
-            == {i.members for i in maximal_ideals(localized.ring)}
+@_check("localization")
+def check_localization(spec: InstanceSpec, m):
+    entries = s_set(m)
+    if not entries:
+        return SKIPPED, {"reason": "S empty"}
+    if len(entries) == len(maximal_ideals(m.ring)):
+        return SKIPPED, {"reason": "S already equals mSpec"}
+    before = sigma_formula(m)
+    localized, _ = localize_at_s(m)
+    after = sigma_formula(localized)
+    after_exact = sigma_exact(localized, SearchSpace.MAXIMAL_ONLY)
+    ok = (
+        before.value == after.value
+        and after_exact.size == after.value
+        and {e.ideal.members for e in s_set(localized)}
+        == {i.members for i in maximal_ideals(localized.ring)}
+    )
+    if not ok:
+        return FAIL, _counterexample(
+            spec,
+            sigma_before=before.value,
+            sigma_after=after.value,
+            sigma_after_exact=after_exact.size,
         )
-        if not ok:
-            return CheckResult(
-                "localization",
-                FAIL,
-                _counterexample(
-                    spec,
-                    sigma_before=before.value,
-                    sigma_after=after.value,
-                    sigma_after_exact=after_exact.size,
-                ),
-                0,
-            )
-        return CheckResult("localization", PASS, {"sigma": before.value}, 0)
-
-    return _guarded("localization", run)
+    return PASS, {"sigma": before.value}
 
 
-def check_finiteness(spec: InstanceSpec, m) -> CheckResult:
-    def run():
-        cert = sigma_exact(m, SearchSpace.MAXIMAL_ONLY)
-        has_s = bool(s_set(m))
-        cyclic, _ = is_cyclic(m)
-        if not (cert.is_cover == has_s == (not cyclic)):
-            return CheckResult(
-                "finiteness",
-                FAIL,
-                _counterexample(
-                    spec, cover_exists=cert.is_cover, s_nonempty=has_s, cyclic=cyclic
-                ),
-                0,
-            )
-        return CheckResult("finiteness", PASS, {"coverable": cert.is_cover}, 0)
-
-    return _guarded("finiteness", run)
-
-
-def check_maximal_count(spec: InstanceSpec, m) -> CheckResult:
-    def run():
-        expected = sum(
-            (e.residue_size**e.multiplicity - 1) // (e.residue_size - 1)
-            for e in semisimple_invariants(m)
+@_check("finiteness")
+def check_finiteness(spec: InstanceSpec, m):
+    cert = sigma_exact(m, SearchSpace.MAXIMAL_ONLY)
+    has_s = bool(s_set(m))
+    cyclic, _ = is_cyclic(m)
+    if not (cert.is_cover == has_s == (not cyclic)):
+        return FAIL, _counterexample(
+            spec, cover_exists=cert.is_cover, s_nonempty=has_s, cyclic=cyclic
         )
-        maximal = maximal_submodules(m)
-        actual = len(maximal)
-        if expected != actual:
-            return CheckResult(
-                "maximal-count",
-                FAIL,
-                _counterexample(spec, expected=expected, actual=actual),
-                0,
-            )
-        if m.size <= 64:
-            # all_submodules is sorted by size and holds no mask twice, so
-            # only a later submodule can strictly contain an earlier one
-            proper = [s for s in all_submodules(m) if s.is_proper()]
-            lattice = {
-                s.members
-                for i, s in enumerate(proper)
-                if not any(s.members & ~t.members == 0 for t in proper[i + 1 :])
-            }
-            if lattice != {s.members for s in maximal}:
-                return CheckResult(
-                    "maximal-count",
-                    FAIL,
-                    _counterexample(spec, hyperplane=actual, lattice=len(lattice)),
-                    0,
-                )
-        return CheckResult("maximal-count", PASS, {"count": actual}, 0)
-
-    return _guarded("maximal-count", run)
+    return PASS, {"coverable": cert.is_cover}
 
 
-def check_hdim_additivity(
-    spec_a: InstanceSpec, a, spec_b: InstanceSpec, b
-) -> CheckResult:
+@_check("maximal-count")
+def check_maximal_count(spec: InstanceSpec, m):
+    expected = sum(
+        (e.residue_size**e.multiplicity - 1) // (e.residue_size - 1)
+        for e in semisimple_invariants(m)
+    )
+    maximal = maximal_submodules(m)
+    actual = len(maximal)
+    if expected != actual:
+        return FAIL, _counterexample(spec, expected=expected, actual=actual)
+    if m.size <= 64:
+        # all_submodules is sorted by size and holds no mask twice, so
+        # only a later submodule can strictly contain an earlier one
+        proper = [s for s in all_submodules(m) if s.is_proper()]
+        lattice = {
+            s.members
+            for i, s in enumerate(proper)
+            if not any(s.members & ~t.members == 0 for t in proper[i + 1 :])
+        }
+        if lattice != {s.members for s in maximal}:
+            return FAIL, _counterexample(spec, hyperplane=actual, lattice=len(lattice))
+    return PASS, {"count": actual}
+
+
+@_check("hdim-additivity")
+def check_hdim_additivity(spec_a: InstanceSpec, a, spec_b: InstanceSpec, b):
     """hdim(a (+) b) = hdim(a) + hdim(b), with each hdim (Σ dim M/mM) also
     compared with the length of M/J(M); lists are for a, b, a (+) b."""
-
-    def run():
-        modules = (a, b, direct_sum(a, b))
-        via_sum = [hdim(x) for x in modules]
-        via_length = [length(quotient_module(x, jacobson_radical(x))[0]) for x in modules]
-        ha, hb, total = via_sum
-        if via_sum != via_length or total != ha + hb:
-            return CheckResult(
-                "hdim-additivity",
-                FAIL,
-                {
-                    "ring": spec_a.ring_expr,
-                    "module_a": spec_a.module_expr,
-                    "module_b": spec_b.module_expr,
-                    "hdim_sum": ha + hb,
-                    "hdim_direct_sum": total,
-                    "hdim": via_sum,
-                    "length_top": via_length,
-                },
-                0,
-            )
-        return CheckResult("hdim-additivity", PASS, {"hdim": total}, 0)
-
-    return _guarded("hdim-additivity", run)
+    modules = (a, b, direct_sum(a, b))
+    via_sum = [hdim(x) for x in modules]
+    via_length = [length(quotient_module(x, jacobson_radical(x))[0]) for x in modules]
+    ha, hb, total = via_sum
+    if via_sum != via_length or total != ha + hb:
+        return FAIL, {
+            "ring": spec_a.ring_expr,
+            "module_a": spec_a.module_expr,
+            "module_b": spec_b.module_expr,
+            "hdim_sum": ha + hb,
+            "hdim_direct_sum": total,
+            "hdim": via_sum,
+            "length_top": via_length,
+        }
+    return PASS, {"hdim": total}
 
 
-def _guarded(name, run) -> CheckResult:
-    t0 = time.perf_counter()
-    try:
-        res = run()
-    except GuardExceeded as exc:
-        res = CheckResult(name, SKIPPED, {"reason": f"guard {exc.guard}: {exc}"}, 0)
-    ms = (time.perf_counter() - t0) * 1000
-    return CheckResult(res.check, res.status, res.details, round(ms, 3))
-
-
-DEFAULT_CHECKS = ("sigma-agreement", "radical-agreement", "cyclicity", "localization", "finiteness", "maximal-count")
 _CHECK_FNS = {
-    "sigma-agreement": check_sigma_agreement,
-    "radical-agreement": check_radical_agreement,
-    "cyclicity": check_cyclicity,
-    "localization": check_localization,
-    "finiteness": check_finiteness,
-    "maximal-count": check_maximal_count,
+    fn.name: fn
+    for fn in (
+        check_sigma_agreement,
+        check_radical_agreement,
+        check_cyclicity,
+        check_localization,
+        check_finiteness,
+        check_maximal_count,
+    )
 }
+DEFAULT_CHECKS = tuple(_CHECK_FNS)
 
 
-def _run_one(args):
-    spec_tuple, checks = args
-    spec = InstanceSpec(*spec_tuple)
+def _skipped(name, reason) -> CheckResult:
+    """A check that never ran: SKIPPED with `reason`, in no time."""
+    return CheckResult(name, SKIPPED, {"reason": reason}, 0)
+
+
+def _run_one(spec: InstanceSpec, checks) -> VerificationReport:
     try:
         m = _realize_spec(spec)
     except GuardExceeded as exc:
-        results = tuple(
-            CheckResult(name, SKIPPED, {"reason": f"guard {exc.guard}"}, 0)
-            for name in checks
+        return VerificationReport(
+            spec, tuple(_skipped(name, f"guard {exc.guard}") for name in checks)
         )
-        return VerificationReport(spec, results)
-    results = tuple(_CHECK_FNS[name](spec, m) for name in checks)
-    return VerificationReport(spec, results)
+    return VerificationReport(spec, tuple(_CHECK_FNS[name](spec, m) for name in checks))
+
+
+def tally(summary, results):
+    """Add each result to the summary's status totals and its per-check
+    counts."""
+    for c in results:
+        summary[c.status] += 1
+        slot = summary["per_check"].setdefault(c.check, {PASS: 0, FAIL: 0, SKIPPED: 0})
+        slot[c.status] += 1
+
+
+def validate_checks(checks) -> tuple:
+    """The check names as a tuple; ValueError on an unknown or repeated
+    name."""
+    checks = tuple(checks)
+    unknown = [c for c in checks if c not in _CHECK_FNS]
+    if unknown:
+        raise ValueError(f"unknown checks: {unknown}")
+    repeated = sorted({c for c in checks if checks.count(c) > 1})
+    if repeated:
+        raise ValueError(f"repeated checks: {repeated}")
+    return checks
 
 
 def run_suite(specs, checks=DEFAULT_CHECKS, parallelism: int = 1):
     """Run every check on every instance; returns (reports, summary).
 
     Output is sorted by instance key, so the report is byte-identical
-    regardless of the worker count.
+    regardless of the worker count. Raises ValueError on an unknown or
+    repeated check name.
     """
-    unknown = [c for c in checks if c not in _CHECK_FNS]
-    if unknown:
-        raise ValueError(f"unknown checks: {unknown}")
-    jobs = [
-        ((s.ring_expr, s.module_expr, s.seed, s.provenance), tuple(checks))
-        for s in specs
-    ]
-    if parallelism > 1 and len(jobs) > 1:
+    run = functools.partial(_run_one, checks=validate_checks(checks))
+    if parallelism > 1 and len(specs) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=parallelism) as pool:
-            reports = list(pool.map(_run_one, jobs, chunksize=4))
+            reports = list(pool.map(run, specs, chunksize=4))
     else:
-        reports = [_run_one(j) for j in jobs]
+        reports = [run(s) for s in specs]
     reports.sort(key=lambda r: r.instance.key)
-    summary = {"instances": len(reports), "PASS": 0, "FAIL": 0, "SKIPPED": 0}
-    per_check = {}
+    summary = {"instances": len(reports), PASS: 0, FAIL: 0, SKIPPED: 0, "per_check": {}}
     for r in reports:
-        for c in r.results:
-            summary[c.status] += 1
-            slot = per_check.setdefault(c.check, {"PASS": 0, "FAIL": 0, "SKIPPED": 0})
-            slot[c.status] += 1
-    summary["per_check"] = per_check
+        tally(summary, r.results)
     return reports, summary
 
 
@@ -492,25 +464,18 @@ def hdim_pairs_from_specs(specs, limit=None):
 
 def run_hdim_pairs(pairs, max_product=1024):
     """Additivity reports for instance pairs within the size budget."""
+    name = check_hdim_additivity.name
     out = []
     for spec_a, spec_b in pairs:
         try:
             a = _realize_spec(spec_a)
             b = _realize_spec(spec_b)
         except GuardExceeded as exc:
-            out.append(
-                CheckResult("hdim-additivity", SKIPPED, {"reason": f"guard {exc.guard}"}, 0)
-            )
+            out.append(_skipped(name, f"guard {exc.guard}"))
             continue
         if a.size * b.size > max_product:
-            out.append(
-                CheckResult(
-                    "hdim-additivity",
-                    SKIPPED,
-                    {"reason": f"|A|*|B| = {a.size * b.size} over budget {max_product}"},
-                    0,
-                )
-            )
+            reason = f"|A|*|B| = {a.size * b.size} over budget {max_product}"
+            out.append(_skipped(name, reason))
             continue
         out.append(check_hdim_additivity(spec_a, a, spec_b, b))
     return out
@@ -571,3 +536,33 @@ def reports_to_csv(reports, extra_results=()) -> str:
     for c in extra_results:
         w.writerow(["", "", "", c.check, c.status, json.dumps(c.details, sort_keys=True), c.ms])
     return buf.getvalue()
+
+
+def reports_to_text(reports, summary, extra_results=(), verbose=False) -> str:
+    """One line per result that did not pass (per result when verbose),
+    then the summary and its per-check counts."""
+    lines = []
+    for r in reports:
+        for c in r.results:
+            if c.status != PASS or verbose:
+                lines.append(
+                    f"{c.status:7s} {c.check:17s} {r.instance.module_expr}"
+                    + (f"  {json.dumps(c.details, sort_keys=True)}"
+                       if c.status != PASS else "")
+                )
+    for c in extra_results:
+        if c.status != PASS or verbose:
+            lines.append(
+                f"{c.status:7s} {c.check:17s} " + json.dumps(c.details, sort_keys=True)
+            )
+    lines.append(
+        "summary: {instances} instances, {PASS} PASS, {FAIL} FAIL, "
+        "{SKIPPED} SKIPPED".format(**summary)
+    )
+    for name in sorted(summary["per_check"]):
+        slot = summary["per_check"][name]
+        lines.append(
+            f"  {name:17s} PASS={slot[PASS]} FAIL={slot[FAIL]} "
+            f"SKIPPED={slot[SKIPPED]}"
+        )
+    return "\n".join(lines)

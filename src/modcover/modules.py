@@ -410,33 +410,36 @@ def maximal_submodules(m: RealizedModule) -> list:
     pullback is maximal. Computed once per module.
     """
     if m._maximal_submodules is None:
-        m._maximal_submodules = tuple(_hyperplane_pullbacks(m))
+        out = [
+            s
+            for e in semisimple_invariants(m)
+            for s in hyperplanes(m, e.ideal, e.nm, e.basis)
+        ]
+        out.sort(key=lambda s: s.members)
+        m._maximal_submodules = tuple(out)
     return list(m._maximal_submodules)
 
 
-def _hyperplane_pullbacks(m: RealizedModule) -> list:
-    """In a basis u_1..u_k of M/mM, the hyperplane ker φ with φ_j = 0 for
-    j < l, φ_l = 1 and φ_j = -c_j after l has the basis u_j (j < l) and
-    u_j + c_j u_l (j > l); all (q^k - 1)/(q - 1) hyperplanes arise once."""
+def hyperplanes(m: RealizedModule, ideal: Ideal, start: int, basis) -> list:
+    """The submodules over the submodule mask `start` (containing mM) that
+    pull back the hyperplanes of the span of `basis` (lifts of independent
+    vectors u_1..u_k of M/mM) over the residue field R/m.
+
+    The hyperplane ker φ with φ_j = 0 for j < l, φ_l = 1 and φ_j = -c_j
+    after l has the basis u_j (j < l) and u_j + c_j u_l (j > l); all
+    (q^k - 1)/(q - 1) hyperplanes arise once, by lead index l first, then
+    by the c_j in field order.
+    """
+    field, _, field_lift = residue_field(ideal)
     out = []
-    for entry in semisimple_invariants(m):
-        field, _, field_lift = residue_field(entry.ideal)
-        basis = entry.basis
-        for lead, u in enumerate(basis):
-            start = _span(m, basis[:lead], entry.nm)
-            scaled = [m.act(field_lift(c), u) for c in field.iter_elements()]
-            for tail in itertools.product(scaled, repeat=len(basis) - lead - 1):
-                vectors = [m.add(w, cu) for w, cu in zip(basis[lead + 1 :], tail)]
-                out.append(_pullback(m, start, vectors))
-    out.sort(key=lambda s: s.members)
+    for lead, u in enumerate(basis):
+        lead_start = _span(m, basis[:lead], start)
+        scaled = [m.act(field_lift(c), u) for c in field.iter_elements()]
+        for tail in itertools.product(scaled, repeat=len(basis) - lead - 1):
+            vectors = [m.add(w, cu) for w, cu in zip(basis[lead + 1 :], tail)]
+            mask = _span(m, vectors, lead_start)
+            out.append(Submodule(m, mask, submodule_generators(m, mask)))
     return out
-
-
-def _pullback(m: RealizedModule, start: int, vectors) -> Submodule:
-    """The submodule generated by the submodule mask `start` (containing
-    mM) and the vectors, which lift the basis of a subspace of M/mM."""
-    mask = _span(m, vectors, start)
-    return Submodule(m, mask, submodule_generators(m, mask))
 
 
 def radical_via_maximal(m: RealizedModule) -> int:

@@ -1,8 +1,10 @@
 import hashlib
 import json
+import re
 
 import pytest
 
+import modcover.dsl as dsl
 from modcover.cli import main
 
 from oracles import PINNED_RINGS
@@ -179,6 +181,11 @@ def test_guard_exceeded_exit_3(capsys, monkeypatch):
         (("corpus", "--count", "10", "--max-ring", "1"), "no ring with two maximal ideals"),
         (("corpus", "--count", "5", "--max-module", "1"), "failed to meet its quotas"),
         (("verify", "--count", "5", "--max-module", "1"), "failed to meet its quotas"),
+        (("verify", "--count", "5", "--out", "/nonexistent/dir/x"),
+         "error: [Errno 2] No such file or directory"),
+        (("verify", "--count", "5", "--checks", "sigma-agreement,sigma-agreement"),
+         "repeated checks: ['sigma-agreement']"),
+        (("verify", "--count", "5", "--checks", ""), "unknown checks: ['']"),
     ],
 )
 def test_out_of_range_corpus_options_are_usage_errors(capsys, argv, message):
@@ -187,6 +194,34 @@ def test_out_of_range_corpus_options_are_usage_errors(capsys, argv, message):
     assert message in err
     assert "Traceback" not in err
     assert out == ""
+
+
+def test_corpus_with_no_room_for_a_module_parses_nothing(capsys, monkeypatch):
+    calls = []
+    real = dsl.parse_module
+    monkeypatch.setattr(dsl, "parse_module", lambda expr: calls.append(expr) or real(expr))
+    code, _, err = run(capsys, "corpus", "--count", "200", "--max-module", "1")
+    assert code == 2
+    assert "failed to meet its quotas" in err
+    assert calls == []
+
+
+def test_verify_out_is_opened_before_the_run(capsys, monkeypatch):
+    import modcover.cli as cli
+
+    monkeypatch.setattr(cli, "run_suite", lambda *a, **k: pytest.fail("the suite ran"))
+    code, out, err = run(capsys, "verify", "--count", "5", "--out", "/nonexistent/dir/x")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_verify_bad_checks_leave_the_out_file_alone(tmp_path, capsys):
+    target = tmp_path / "report.txt"
+    target.write_text("kept\n")
+    code, _, err = run(capsys, "verify", "--count", "5", "--checks", "bogus",
+                       "--out", str(target))
+    assert code == 2 and "unknown checks" in err
+    assert target.read_text() == "kept\n"
 
 
 def test_verify_success_exit_0(capsys):
@@ -327,3 +362,32 @@ def pinned_cli_output(capsys) -> str:
 def test_cli_json_output_is_pinned(capsys):
     digest = hashlib.sha256(pinned_cli_output(capsys).encode()).hexdigest()
     assert digest == PINNED_CLI_DIGEST
+
+
+# -- pinned verify renderings -------------------------------------------------------
+
+# sha256 of `verify_renderings()`; a change that alters the verify report on
+# purpose re-records it and says why
+PINNED_VERIFY_DIGEST = "b33fdf35004ade8842bb7917c061538283db9f529034eed2ad63ecef89632553"
+
+
+def verify_renderings(capsys) -> str:
+    """`verify --seed 1 --count 40 --hdim-pairs 10` as text, --verbose,
+    --json and --csv, with every ms value removed."""
+    texts = []
+    for fmt in ([], ["--verbose"], ["--json"], ["--csv"]):
+        code, out, _ = run(
+            capsys, "verify", "--seed", "1", "--count", "40", "--hdim-pairs", "10", *fmt
+        )
+        assert code == 0
+        if fmt == ["--json"]:
+            out = re.sub(r'"ms": [0-9.e-]+', '"ms": _', out)
+        elif fmt == ["--csv"]:  # ms is the last column
+            out = "\n".join(line.rsplit(",", 1)[0] for line in out.splitlines())
+        texts.append(out)
+    return "\n".join(texts)
+
+
+def test_verify_renderings_are_pinned(capsys):
+    digest = hashlib.sha256(verify_renderings(capsys).encode()).hexdigest()
+    assert digest == PINNED_VERIFY_DIGEST

@@ -2,12 +2,14 @@ import csv
 import hashlib
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
 
 import modcover.harness as harness
 from modcover.dsl import parse_module, parse_ring
+from modcover.errors import GuardExceeded
 from modcover.harness import (
     DEFAULT_CHECKS,
     InstanceSpec,
@@ -208,6 +210,46 @@ def test_run_suite_parallelism_is_invisible():
 def test_run_suite_rejects_unknown_check():
     with pytest.raises(ValueError):
         run_suite([], ("bogus",))
+
+
+def test_run_suite_rejects_a_repeated_check():
+    specs = corpus_generate(seed=1, count=5)
+    with pytest.raises(ValueError, match="repeated checks"):
+        run_suite(specs, ("sigma-agreement", "cyclicity", "sigma-agreement"))
+
+
+def test_default_checks_are_the_registered_checks():
+    assert DEFAULT_CHECKS == tuple(harness._CHECK_FNS)
+    for name, fn in harness._CHECK_FNS.items():
+        spec = curated("free 2 over Z/2")
+        assert fn(spec, parse_module(spec.module_expr)).check == name
+
+
+# -- skip shapes --------------------------------------------------------------------
+
+
+def test_a_guard_inside_a_check_is_a_timed_skip(monkeypatch):
+    def trip(m, space):
+        time.sleep(0.002)
+        raise GuardExceeded("search-nodes", "too many nodes")
+
+    monkeypatch.setattr(harness, "sigma_exact", trip)
+    spec = curated("free 2 over Z/2")
+    result = check_sigma_agreement(spec, parse_module(spec.module_expr))
+    assert result.check == "sigma-agreement"
+    assert result.status == "SKIPPED"
+    assert result.details == {"reason": "guard search-nodes: too many nodes"}
+    assert result.ms >= 2
+
+
+def test_a_guard_while_realizing_skips_every_check_in_no_time(monkeypatch):
+    monkeypatch.setenv("MODCOVER_MAX_MODULE", "8")
+    spec = curated("free 2 over Z/6")  # 36 elements
+    (report,), summary = run_suite([spec])
+    assert [c.check for c in report.results] == list(DEFAULT_CHECKS)
+    for c in report.results:
+        assert (c.status, c.details, c.ms) == ("SKIPPED", {"reason": "guard module-size"}, 0)
+    assert summary["SKIPPED"] == len(DEFAULT_CHECKS)
 
 
 # -- serialization -----------------------------------------------------------------
