@@ -178,9 +178,10 @@ def construct_cover(m: RealizedModule) -> CoverCertificate:
     """Explicit optimal cover from the closed form, without search.
 
     Picks the witness ideal, maps M onto a two-dimensional residue
-    vector space (first two coordinates of M/mM), and pulls back its
-    q + 1 lines. Each pullback is a proper submodule and every element
-    lands in some line, so the result is a cover of the predicted size.
+    vector space (the coordinates of the first two vectors u, w of the
+    greedy basis of M/mM), and pulls back its q + 1 lines. Each pullback
+    is a proper submodule and every element lands in some line, so the
+    result is a cover of the predicted size.
     In the basis u, w, rest of M/mM the line through dx u + dy w pulls
     back to the hyperplane spanned by mM, rest and that vector, so the
     lines are the `hyperplanes` of the plane of w and u over mM + rest.

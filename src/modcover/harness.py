@@ -165,7 +165,7 @@ def corpus_generate(seed: int, count: int, max_ring: int = 64, max_module: int =
     def admit(ring_expr, module_expr):
         try:
             m = parse_module(module_expr)
-        except Exception:
+        except GuardExceeded:
             return None
         if m.size < 2 or m.size > max_module:
             return None

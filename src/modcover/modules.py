@@ -7,9 +7,11 @@ additive basis on the module's additive basis; everything else is the
 bilinear extension. Elements are integer coordinate tuples, indexed
 lexicographically by `rings._Shifts`; no element list is stored.
 Quotients come back as ``(quotient, project, lift)`` maps, not as sweeps
-over M. All values are immutable after construction, so each module
-stores its maximal submodules, semisimple invariants, radical and
-cyclicity once computed.
+over M. A submodule is its members mask, and every generating set is
+greedy in M's element order: a submodule's, derived when first read, and
+each basis of M/mM, over mM. All values are immutable after
+construction, so each module stores its maximal submodules, semisimple
+invariants and cyclicity once computed.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 from .errors import GuardExceeded
 from .rings import (
@@ -41,7 +43,13 @@ LATTICE_COUNT_BUDGET = 20000
 
 
 def module_size_guard() -> int:
-    return int(os.environ.get("MODCOVER_MAX_MODULE", "4096"))
+    text = os.environ.get("MODCOVER_MAX_MODULE", "4096")
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise ValueError(f"MODCOVER_MAX_MODULE must be an integer >= 1, got {text!r}")
 
 
 @dataclass(frozen=True)
@@ -73,10 +81,9 @@ class RealizedModule:
             raise ValueError("module invariant factors must be >= 2")
         self.rank = len(self.orders)
         self.size = reduce(lambda a, b: a * b, self.orders, 1)
-        if self.size > module_size_guard():
-            raise GuardExceeded(
-                "module-size", f"|M| = {self.size} exceeds guard {module_size_guard()}"
-            )
+        guard = module_size_guard()
+        if self.size > guard:
+            raise GuardExceeded("module-size", f"|M| = {self.size} exceeds guard {guard}")
         # basis_act[i][t] = coords of (ring basis b_i) . (module basis e_t)
         self.basis_act = tuple(tuple(self.reduce(v) for v in row) for row in basis_act)
         self.presentation = presentation
@@ -85,7 +92,6 @@ class RealizedModule:
         self.shifts = _Shifts(self.orders)
         self._maximal_submodules = None
         self._semisimple_invariants = None
-        self._radical = None
         self._cyclic = None
 
     # -- additive structure --------------------------------------------------
@@ -259,7 +265,11 @@ def direct_sum(a: RealizedModule, b: RealizedModule) -> RealizedModule:
 class Submodule:
     parent: RealizedModule
     members: int  # bitmask over the parent's element indices
-    generators: tuple  # element indices; closure of these equals members
+
+    @cached_property
+    def generators(self) -> tuple:
+        """Element indices whose closure is `members`: the greedy ones."""
+        return submodule_generators(self.parent, self.members)
 
     @property
     def size(self) -> int:
@@ -292,19 +302,15 @@ def _span(m: RealizedModule, elems, start=1) -> int:
 
 
 def submodule_generated(m: RealizedModule, gen_indices) -> Submodule:
-    gen_indices = tuple(sorted(set(gen_indices)))
-    return Submodule(m, _span(m, [m.element(g) for g in gen_indices]), gen_indices)
+    return Submodule(m, _span(m, [m.element(g) for g in gen_indices]))
 
 
-def full_submodule(m: RealizedModule) -> Submodule:
-    return Submodule(m, m.full_mask, submodule_generators(m, m.full_mask))
-
-
-def submodule_generators(m: RealizedModule, members: int) -> tuple:
-    """Greedy small generating set (element indices) for a submodule
-    given by its members mask."""
+def submodule_generators(m: RealizedModule, members: int, start=1) -> tuple:
+    """Greedy generating set (element indices) of the submodule `members`
+    over the submodule mask `start`: each member, in index order, that
+    `start` and the earlier ones do not span."""
     return _greedy_generators(
-        members, lambda idx, span: _span(m, [m.element(idx)], span)
+        members, lambda idx, span: _span(m, [m.element(idx)], span), start
     )
 
 
@@ -326,8 +332,8 @@ def all_submodules(m: RealizedModule, max_count=LATTICE_COUNT_BUDGET) -> list:
     S + Ry = S + R(rx) was reached then (or, by the same argument, skipped
     because it was known). Either way S + Ry is already in the lattice, so
     a cyclic whose generator lies in a join made earlier from S is skipped.
-    The walk, the lattice, the generator tuples and the point where the
-    count budget trips are those of joining S with every cyclic.
+    The walk, the lattice and the point where the count budget trips are
+    those of joining S with every cyclic.
     """
     if m.size > LATTICE_GUARD:
         raise GuardExceeded("lattice", f"|M| = {m.size} exceeds guard {LATTICE_GUARD}")
@@ -347,11 +353,10 @@ def all_submodules(m: RealizedModule, max_count=LATTICE_COUNT_BUDGET) -> list:
         (cmask, cgen, _images(m, [m.element(cgen)]))
         for cmask, cgen in sorted(cyclics.items())
     ]
-    lattice = {1: ()}  # zero is bit 0
+    lattice = {1}  # zero is bit 0
     work = [1]
     while work:
         smask = work.pop()
-        sgens = lattice[smask]
         joined = 0  # union of the joins made from S so far
         for cmask, cgen, images in cyclic_items:
             if cmask & smask == cmask or joined >> cgen & 1:
@@ -359,14 +364,14 @@ def all_submodules(m: RealizedModule, max_count=LATTICE_COUNT_BUDGET) -> list:
             jmask = m.shifts.closure(images, smask)
             joined |= jmask
             if jmask not in lattice:
-                lattice[jmask] = tuple(sorted(set(sgens) | {cgen}))
+                lattice.add(jmask)
                 work.append(jmask)
                 if len(lattice) > max_count:
                     raise GuardExceeded(
                         "lattice-count",
                         f"more than {max_count} submodules; enumeration aborted",
                     )
-    out = [Submodule(m, mask, gens) for mask, gens in lattice.items()]
+    out = [Submodule(m, mask) for mask in lattice]
     out.sort(key=lambda s: (s.size, s.members))
     return out
 
@@ -437,8 +442,7 @@ def hyperplanes(m: RealizedModule, ideal: Ideal, start: int, basis) -> list:
         scaled = [m.act(field_lift(c), u) for c in field.iter_elements()]
         for tail in itertools.product(scaled, repeat=len(basis) - lead - 1):
             vectors = [m.add(w, cu) for w, cu in zip(basis[lead + 1 :], tail)]
-            mask = _span(m, vectors, lead_start)
-            out.append(Submodule(m, mask, submodule_generators(m, mask)))
+            out.append(Submodule(m, _span(m, vectors, lead_start)))
     return out
 
 
@@ -460,13 +464,9 @@ def radical_via_ideals(m: RealizedModule) -> int:
 
 
 def jacobson_radical(m: RealizedModule) -> Submodule:
-    """The radical ∩ mM, once per module; the harness check
-    radical-agreement compares it with the intersection of the maximal
-    submodules."""
-    if m._radical is None:
-        mask = radical_via_ideals(m)
-        m._radical = Submodule(m, mask, submodule_generators(m, mask))
-    return m._radical
+    """The radical ∩ mM; the harness check radical-agreement compares it
+    with the intersection of the maximal submodules."""
+    return Submodule(m, radical_via_ideals(m))
 
 
 # -- length, invariants ------------------------------------------------------------
@@ -529,7 +529,7 @@ class SemisimpleEntry:
     ideal: Ideal
     residue_size: int
     nm: int  # members mask of mM
-    basis: tuple  # lifts to M of a basis of the R/m-vector space M/mM
+    basis: tuple  # greedy over mM in M's element order: a basis of M/mM over R/m
 
     @property
     def multiplicity(self) -> int:
@@ -549,20 +549,19 @@ def semisimple_invariants(m: RealizedModule) -> list:
 
 
 def _residue_dimensions(m: RealizedModule) -> list:
-    """The basis of each M/mM is greedy: each vector is the least element
-    that the earlier ones do not span. m annihilates M/mM, so ring spans
-    there are R/m-spans and the greedy generators are a basis."""
+    """The basis of each M/mM is greedy over mM: each vector is the least
+    element that mM and the earlier ones do not span. m annihilates M/mM,
+    so each step adds one R/m-dimension and the result is a basis."""
     out = []
     for ideal in maximal_ideals(m.ring):
-        nm = ideal_action(m, ideal)
-        if nm.members == m.full_mask:
+        nm = ideal_action(m, ideal).members
+        if nm == m.full_mask:
             continue
-        v, _, lift = quotient_module(m, nm)
-        basis = tuple(lift(v.element(i)) for i in submodule_generators(v, v.full_mask))
+        basis = tuple(m.element(i) for i in submodule_generators(m, m.full_mask, nm))
         q = ideal.residue_size
-        if q ** len(basis) != v.size:
+        if nm.bit_count() * q ** len(basis) != m.size:
             raise AssertionError("quotient by a maximal ideal is not a vector space")
-        out.append(SemisimpleEntry(ideal, q, nm.members, basis))
+        out.append(SemisimpleEntry(ideal, q, nm, basis))
     return out
 
 

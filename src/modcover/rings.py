@@ -257,13 +257,12 @@ def zero_ideal(ring: FiniteRing) -> Ideal:
     return Ideal(ring, 1, ())  # zero is bit 0
 
 
-def _greedy_generators(members: int, grow) -> tuple:
+def _greedy_generators(members: int, grow, span=1) -> tuple:
     """Greedy small generating set of a submodule given by its members
-    mask (an ideal is a submodule of R): the least member that the span
-    of those kept so far misses is kept, and `grow(idx, span)` is the
-    span mask of the kept ones together with idx."""
+    mask (an ideal is a submodule of R) over the span mask `span`: the
+    least member that the span of those kept so far misses is kept, and
+    `grow(idx, span)` is the span mask of the kept ones with idx."""
     gens = []
-    span = 1  # the zero submodule
     rest = members & ~span
     while rest:
         idx = (rest & -rest).bit_length() - 1

@@ -211,75 +211,124 @@ def maximal_submodules(m) -> list:
     return sorted(out)
 
 
+def nm_indices(m, ideal) -> set:
+    """The indices of mM: the additive span of the a e_t over the members
+    a of the ideal and the basis e_t."""
+    products = [
+        m.index_of(m.act(a, e)) for a in member_elements(ideal) for e in basis_vectors(m.rank)
+    ]
+    return additive_closure(lambda i, j: add_index(m, i, j), 0, products)
+
+
+def residue_basis(m, ideal) -> tuple:
+    """The least-index greedy basis of M over mM: each element, in index
+    order, that mM and those kept so far do not span."""
+    basis, span = [], nm_indices(m, ideal)
+    for idx in range(m.size):
+        if idx in span:
+            continue
+        basis.append(m.element(idx))
+        span = span_indices(m, [idx], span)
+    return tuple(basis)
+
+
+def residue_coords(m, ideal) -> dict:
+    """{index: coordinates} of every element of M in `residue_basis`: the
+    element Σ c_j u_j + y for each y in mM has coordinates c."""
+    field, _, field_lift = residue_field(ideal)
+    basis = residue_basis(m, ideal)
+    nm = [m.element(i) for i in nm_indices(m, ideal)]
+    coords = {}
+    for c in itertools.product(elements(field), repeat=len(basis)):
+        x = m.zero
+        for cj, u in zip(c, basis):
+            x = m.add(x, m.act(field_lift(cj), u))
+        for y in nm:
+            coords[m.index_of(m.add(x, y))] = c
+    assert len(coords) == m.size
+    return coords
+
+
 def construct_cover_lines(m, ideal) -> list:
     """(members, generators) of the q + 1 line pullbacks construct_cover
     builds, in its order: {y = c x} for each scalar c, then {x = 0}, on
-    the first two coordinates of M/mM."""
-    field, proj, coords = _residue_space(m, ideal)
+    the first two coordinates in `residue_basis`."""
+    field = residue_field(ideal)[0]
+    coords = residue_coords(m, ideal)
     directions = [(field.one, c) for c in elements(field)] + [(field.zero, field.one)]
     out = []
     for dx, dy in directions:
-        kernel = {
+        mask = mask_of(
             idx
             for idx, c in coords.items()
             if field.mul(dy, c[0]) == field.mul(dx, c[1])
-        }
-        out.append(_pullback(m, proj, kernel))
+        )
+        out.append((mask, generators(m, mask)))
     return out
 
 
 def all_submodules(m) -> list:
-    """(members, generators) of every submodule, sorted by (size,
+    """(members, greedy generators) of every submodule, sorted by (size,
     members): cyclic submodules closed under joins, a join being the
     elementwise sumset."""
     cyclics = {}
     for idx in range(m.size):
         s = span_indices(m, [idx])
-        cyclics.setdefault(mask_of(s), (tuple(sorted(s)), idx))
+        cyclics.setdefault(mask_of(s), tuple(sorted(s)))
     zero_mask = 1  # zero is index 0
-    lattice = {zero_mask: ()}
     members_of = {zero_mask: (0,)}
     work = [zero_mask]
     while work:
         smask = work.pop()
-        for cmask, (cidx, cgen) in sorted(cyclics.items()):
+        for cmask, cidx in sorted(cyclics.items()):
             if cmask & smask == cmask:
                 continue
             jset = {add_index(m, x, y) for x in members_of[smask] for y in cidx}
             jmask = mask_of(jset)
-            if jmask not in lattice:
-                lattice[jmask] = tuple(sorted(set(lattice[smask]) | {cgen}))
+            if jmask not in members_of:
                 members_of[jmask] = tuple(sorted(jset))
                 work.append(jmask)
     return sorted(
-        ((mask, gens) for mask, gens in lattice.items()),
+        ((mask, generators(m, mask)) for mask in members_of),
         key=lambda item: (item[0].bit_count(), item[0]),
     )
 
 
 def all_submodules_by_every_join(m) -> list:
-    """(members, generators) of every submodule, sorted by (size,
+    """(members, greedy generators) of every submodule, sorted by (size,
     members): the bitmask walk that joins every submodule with every
     cyclic submodule not inside it, with no step skipped."""
     cyclics = {}
     for idx in range(m.size):
         cyclics.setdefault(submodule_generated(m, [idx]).members, idx)
     cyclic_items = [
-        (cmask, cgen, _images(m, [m.element(cgen)]))
-        for cmask, cgen in sorted(cyclics.items())
+        (cmask, _images(m, [m.element(cgen)])) for cmask, cgen in sorted(cyclics.items())
     ]
-    lattice = {1: ()}
+    lattice = {1}
     work = [1]
     while work:
         smask = work.pop()
-        for cmask, cgen, images in cyclic_items:
+        for cmask, images in cyclic_items:
             if cmask & smask == cmask:
                 continue
             jmask = m.shifts.closure(images, smask)
             if jmask not in lattice:
-                lattice[jmask] = tuple(sorted(set(lattice[smask]) | {cgen}))
+                lattice.add(jmask)
                 work.append(jmask)
-    return sorted(lattice.items(), key=lambda item: (item[0].bit_count(), item[0]))
+    return sorted(
+        ((mask, generators(m, mask)) for mask in lattice),
+        key=lambda item: (item[0].bit_count(), item[0]),
+    )
+
+
+def without_keys(payload, keys):
+    """A JSON payload with every dict entry whose key is in `keys` removed,
+    at any depth."""
+    if isinstance(payload, dict):
+        return {k: without_keys(v, keys) for k, v in payload.items() if k not in keys}
+    if isinstance(payload, list):
+        return [without_keys(v, keys) for v in payload]
+    return payload
 
 
 def cyclic_witness(m):

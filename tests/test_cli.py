@@ -7,6 +7,7 @@ import pytest
 import modcover.dsl as dsl
 from modcover.cli import main
 
+import oracles
 from oracles import PINNED_RINGS
 
 
@@ -196,6 +197,19 @@ def test_out_of_range_corpus_options_are_usage_errors(capsys, argv, message):
     assert out == ""
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-5"])
+@pytest.mark.parametrize(
+    "argv", [("module-info", "free 1 over Z/2"), ("verify", "--count", "5")]
+)
+def test_invalid_module_guard_is_a_usage_error(capsys, monkeypatch, argv, value):
+    monkeypatch.setenv("MODCOVER_MAX_MODULE", value)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert f"MODCOVER_MAX_MODULE must be an integer >= 1, got '{value}'" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_corpus_with_no_room_for_a_module_parses_nothing(capsys, monkeypatch):
     calls = []
     real = dsl.parse_module
@@ -324,25 +338,13 @@ CLI_MODULES = [
 
 # sha256 of `pinned_cli_output()`; a change that alters any of these
 # outputs on purpose re-records it and says why
-PINNED_CLI_DIGEST = "4c091476d24402fa21c72fe28c24e81ec92d27ece2e74f96d857bda0c9a30889"
+PINNED_CLI_DIGEST = "fd1d91852f00f10c9e54e5f20e40e9b2a4b42666d6742796a6c7578968d5e3ce"
 
 
-def _without_timings(payload):
-    if isinstance(payload, dict):
-        return {
-            k: _without_timings(v)
-            for k, v in payload.items()
-            if k not in ("time_ms", "ms")
-        }
-    if isinstance(payload, list):
-        return [_without_timings(v) for v in payload]
-    return payload
-
-
-def pinned_cli_output(capsys) -> str:
+def pinned_cli_output(capsys, keys=("time_ms", "ms")) -> str:
     """The --json output of ring-info on PINNED_RINGS and of module-info,
     sigma --certificate, cover --construct and cover --greedy on
-    CLI_MODULES, timings removed, one line per command."""
+    CLI_MODULES, without the `keys` (the timings), one line per command."""
     commands = [["ring-info", r, "--json"] for r in PINNED_RINGS]
     for m in CLI_MODULES:
         commands += [
@@ -354,7 +356,7 @@ def pinned_cli_output(capsys) -> str:
     lines = []
     for argv in commands:
         code, out, _ = run(capsys, *argv)
-        payload = _without_timings(json.loads(out))
+        payload = oracles.without_keys(json.loads(out), keys)
         lines.append(json.dumps([argv, code, payload], sort_keys=True))
     return "\n".join(lines)
 
@@ -362,6 +364,16 @@ def pinned_cli_output(capsys) -> str:
 def test_cli_json_output_is_pinned(capsys):
     digest = hashlib.sha256(pinned_cli_output(capsys).encode()).hexdigest()
     assert digest == PINNED_CLI_DIGEST
+
+
+# sha256 of `pinned_cli_output()` with every "generators" list removed too; a
+# re-pin of PINNED_CLI_DIGEST that moves only generators leaves it alone
+PINNED_CLI_MASKS_DIGEST = "d22855a1cac4ffeb70c143fd00c4d10bd2eda34c7a6d1008dd834d6863214940"
+
+
+def test_cli_json_output_without_generators_is_pinned(capsys):
+    text = pinned_cli_output(capsys, ("time_ms", "ms", "generators"))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_CLI_MASKS_DIGEST
 
 
 # -- pinned verify renderings -------------------------------------------------------

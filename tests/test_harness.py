@@ -70,6 +70,25 @@ def test_corpus_expressions_parse():
         assert spec.provenance == "GENERATED"
 
 
+def test_corpus_drops_only_the_instances_past_a_guard(monkeypatch):
+    # an internal error while parsing a candidate is raised, not read as a
+    # module that does not fit
+    import modcover.dsl as dsl
+
+    calls = []
+    real = dsl.parse_module
+
+    def failing(expr):
+        calls.append(expr)
+        if len(calls) == 3:
+            raise AssertionError("internal error")
+        return real(expr)
+
+    monkeypatch.setattr(dsl, "parse_module", failing)
+    with pytest.raises(AssertionError, match="internal error"):
+        corpus_generate(seed=1, count=10)
+
+
 # -- checks ---------------------------------------------------------------------
 
 

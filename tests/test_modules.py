@@ -11,6 +11,7 @@ from modcover.errors import GuardExceeded
 from modcover.modules import (
     ModulePresentation,
     RealizedModule,
+    Submodule,
     all_submodules,
     cyclic_sum,
     direct_sum,
@@ -249,6 +250,12 @@ def test_maximal_submodules_match_the_elementwise_pullback():
     for m in oracle_modules():
         got = [(s.members, s.generators) for s in maximal_submodules(m)]
         assert got == oracles.maximal_submodules(m), m.label
+
+
+def test_residue_basis_is_the_least_index_greedy_over_mm():
+    for m in oracle_modules():
+        for entry in semisimple_invariants(m):
+            assert entry.basis == oracles.residue_basis(m, entry.ideal), m.label
 
 
 def test_all_submodules_match_the_sumset_join():
@@ -658,9 +665,7 @@ def test_quotient_module_degenerate_cases():
     m = zmod_module(4, [2, 4])
     q0, _, _ = quotient_module(m, submodule_generated(m, [m.index_of(m.zero)]))
     assert q0.size == m.size
-    from modcover.modules import full_submodule
-
-    qm, _, _ = quotient_module(m, full_submodule(m))
+    qm, _, _ = quotient_module(m, Submodule(m, m.full_mask))
     assert qm.size == 1
 
 

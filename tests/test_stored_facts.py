@@ -5,9 +5,12 @@ import sys
 import pytest
 
 from modcover import cli, modules, rings
-from modcover.covering import construct_cover, sigma_exact
+from modcover.covering import SearchSpace, construct_cover, greedy_cover, sigma_exact
 from modcover.dsl import parse_module, parse_ring
 from modcover.modules import (
+    all_submodules,
+    is_cyclic,
+    jacobson_radical,
     maximal_submodules,
     radical_via_ideals,
     semisimple_invariants,
@@ -82,6 +85,26 @@ def test_mutating_returned_lists_leaves_the_stored_facts_alone():
     assert semisimple_invariants(m) == invariants
 
 
+def _count_calls(monkeypatch, names) -> dict:
+    """{name: 0} for functions of `modcover.modules`, each counting its
+    calls through every binding, so a module that imported the name is
+    counted too."""
+    calls = dict.fromkeys(names, 0)
+    for name in calls:
+        original = getattr(modules, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] != "modcover":
+                continue
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -93,22 +116,9 @@ def test_mutating_returned_lists_leaves_the_stored_facts_alone():
     ],
 )
 def test_mm_and_the_residue_basis_are_derived_once(text, monkeypatch):
-    # one mM per maximal ideal and one M/mM per semisimple entry; every
-    # later fact reads them from the entries
-    calls = {"ideal_action": 0, "quotient_module": 0}
-    for name in calls:
-        original = getattr(modules, name)
-
-        def counted(*args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(*args)
-
-        # every binding, so a module that imported the name is counted too
-        for mod_name, mod in list(sys.modules.items()):
-            if mod_name.split(".")[0] != "modcover":
-                continue
-            if getattr(mod, name, None) is original:
-                monkeypatch.setattr(mod, name, counted)
+    # one mM per maximal ideal and no quotient module: the residue basis is
+    # greedy over mM, and every later fact reads them from the entries
+    calls = _count_calls(monkeypatch, ["ideal_action", "quotient_module"])
     m = parse_module(text)
     cli._module_facts(m)
     sigma_exact(m)
@@ -116,8 +126,29 @@ def test_mm_and_the_residue_basis_are_derived_once(text, monkeypatch):
     radical_via_ideals(m)
     assert calls == {
         "ideal_action": len(maximal_ideals(m.ring)),
-        "quotient_module": len(semisimple_invariants(m)),
+        "quotient_module": 0,
     }
+
+
+def test_generators_are_derived_only_when_read(monkeypatch):
+    # a submodule is its mask; its greedy generators are derived on first
+    # read, and no search, cover, radical or lattice reads them
+    m = parse_module("free 3 over Z/2 x Z/2")
+    semisimple_invariants(m)
+    calls = _count_calls(monkeypatch, ["submodule_generators"])
+    cert = sigma_exact(m)
+    sigma_exact(m, SearchSpace.ALL_PROPER)
+    greedy_cover(m)
+    construct_cover(m)
+    jacobson_radical(m)
+    is_cyclic(m)
+    all_submodules(m)
+    assert calls == {"submodule_generators": 0}
+    assert cert.is_cover
+    cert.to_json_dict()
+    assert calls == {"submodule_generators": len(cert.submodules)}
+    cert.to_json_dict()  # read once, then stored on each submodule
+    assert calls == {"submodule_generators": len(cert.submodules)}
 
 
 def test_residue_field_is_stored_once_per_maximal_ideal():
