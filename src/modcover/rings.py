@@ -3,8 +3,10 @@
 A ring is stored as its additive coordinate group ⊕_i Z/d_i together
 with a multiplication table on the coordinate basis; multiplication of
 arbitrary elements is the bilinear extension. Elements are plain integer
-tuples, reduced coordinate-wise. All values are immutable after
-construction and validation, so the constructors share one object per
+tuples, reduced coordinate-wise. A hand-built table is checked to be
+a ring (`FiniteRing._validate`); the constructors and `quotient_ring`
+build rings by construction and skip that check. All values are
+immutable after construction, so the constructors share one object per
 ring (see `_RingTable`) and each ring stores the facts derived from it:
 its local factorization, maximal ideals, residue fields and units.
 """
@@ -94,19 +96,31 @@ class _Shifts:
 
 
 class FiniteRing:
+    """A ring given by its additive orders d_i, the products b_i b_j of
+    its basis as coordinate tuples, and its one. With `validate` (the
+    default) the table is checked to be a ring; the constructors pass
+    False for the rings they build by construction."""
+
     def __init__(self, additive_orders, mul_table, one, label, *, validate=True):
         self.additive_orders = tuple(int(d) for d in additive_orders)
         if not self.additive_orders or any(d < 2 for d in self.additive_orders):
             raise ValueError("additive orders must be a nonempty list of integers >= 2")
-        self.rank = len(self.additive_orders)
+        self.rank = r = len(self.additive_orders)
         self.size = reduce(lambda a, b: a * b, self.additive_orders, 1)
         if self.size > RING_SIZE_GUARD:
             raise GuardExceeded(
                 "ring-size", f"|R| = {self.size} exceeds guard {RING_SIZE_GUARD}"
             )
-        self.mul_table = tuple(
-            tuple(self.reduce(e) for e in row) for row in mul_table
-        )
+        # `reduce` zips, so a tuple of the wrong length would be truncated
+        if (
+            len(one) != r
+            or len(mul_table) != r
+            or any(len(row) != r or any(len(e) != r for e in row) for row in mul_table)
+        ):
+            raise ValueError(
+                f"{label}: the table must be {r} x {r}, and one and each entry of length {r}"
+            )
+        self.mul_table = tuple(tuple(self.reduce(e) for e in row) for row in mul_table)
         self.one = self.reduce(one)
         self.zero = (0,) * self.rank
         self.label = label
@@ -317,11 +331,12 @@ def ring_zmod(n: int) -> FiniteRing:
 
 
 def _build_zmod(n):
+    # Z/n is a ring, so construction skips `_validate`
     if n < 2:
         raise ValueError(f"Z/{n}: modulus must be at least 2")
     if n > RING_SIZE_GUARD:
         raise GuardExceeded("ring-size", f"Z/{n} exceeds guard {RING_SIZE_GUARD}")
-    return FiniteRing([n], [[(1,)]], (1,), f"Z/{n}")
+    return FiniteRing([n], [[(1,)]], (1,), f"Z/{n}", validate=False)
 
 
 def _is_prime(n: int) -> bool:
@@ -485,14 +500,18 @@ def smallest_irreducible(p: int, k: int):
 
 
 def ring_gf(p: int, k: int = 1, f=None) -> FiniteRing:
-    """The finite field F_{p^k} as Z/p[x]/(f)."""
+    """The finite field F_{p^k} as Z/p[x]/(f); f is read modulo p, so
+    coefficient lists equal mod p give one ring."""
+    if not _is_prime(p):
+        raise ValueError(f"GF: {p} is not prime")
+    if f is not None:
+        f = [int(c) % p for c in f]
     key = ("GF", p, k, None if f is None else tuple(f))
     return _INTERNED.get(key, lambda: _build_gf(p, k, f))
 
 
 def _build_gf(p, k, f):
-    if not _is_prime(p):
-        raise ValueError(f"GF: {p} is not prime")
+    # Z/p[x]/(f) is a ring for every monic f, so construction skips `_validate`
     if k < 1:
         raise ValueError("GF: extension degree must be >= 1")
     if p**k > RING_SIZE_GUARD:
@@ -501,7 +520,6 @@ def _build_gf(p, k, f):
         f = smallest_irreducible(p, k)
         label = f"GF({p})" if k == 1 else f"GF({p}^{k})"
     else:
-        f = [int(c) % p for c in f]
         if len(f) != k + 1 or f[-1] != 1:
             raise ValueError(f"GF: f must be monic of degree {k}")
         if not _is_irreducible(f, p):
@@ -519,7 +537,7 @@ def _build_gf(p, k, f):
             row.append(tuple(_poly_mulmod(xi, xj, f, p)))
         table.append(row)
     one = tuple([1] + [0] * (k - 1))
-    return FiniteRing([p] * k, table, one, label)
+    return FiniteRing([p] * k, table, one, label, validate=False)
 
 
 def ring_product(a: FiniteRing, b: FiniteRing) -> FiniteRing:
@@ -528,6 +546,7 @@ def ring_product(a: FiniteRing, b: FiniteRing) -> FiniteRing:
 
 
 def _build_product(a, b):
+    # a product of two rings is a ring, so construction skips `_validate`
     if a.size * b.size > RING_SIZE_GUARD:
         raise GuardExceeded(
             "ring-size", f"|{a.label} x {b.label}| exceeds guard {RING_SIZE_GUARD}"
@@ -550,6 +569,7 @@ def _build_product(a, b):
         table,
         a.one + b.one,
         f"{a.label} x {b.label}",
+        validate=False,
     )
 
 
@@ -560,7 +580,8 @@ def quotient_ring(ring: FiniteRing, ideal: Ideal):
     """Cosets of an ideal, with induced operations.
 
     Returns ``(quotient, project, lift)`` where project/lift translate
-    between ring elements and quotient coordinates.
+    between ring elements and quotient coordinates. A ring modulo the
+    ideal its generators span is a ring, so construction skips `_validate`.
     """
     if ideal.ring is not ring:
         raise ValueError("ideal belongs to a different ring")
@@ -572,7 +593,7 @@ def quotient_ring(ring: FiniteRing, ideal: Ideal):
     lifted = [lift(u) for u in basis_vectors(len(qorders))]
     table = [[project(ring.mul(x, y)) for y in lifted] for x in lifted]
     label = f"({ring.label})/<{','.join(str(g) for g in ideal.generators)}>"
-    q = FiniteRing(qorders, table, project(ring.one), label)
+    q = FiniteRing(qorders, table, project(ring.one), label, validate=False)
     return q, project, lift
 
 

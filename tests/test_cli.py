@@ -151,6 +151,13 @@ def test_parse_error_exit_2(capsys):
     assert "^" in err  # caret marks the offending position
 
 
+@pytest.mark.parametrize("text", ["GF(0)", "GF(4)"])
+def test_gf_of_a_non_prime_is_a_parse_error(capsys, text):
+    code, _, err = run(capsys, "ring-info", text)
+    assert code == 2
+    assert "is not prime" in err
+
+
 @pytest.mark.parametrize(
     "argv", [("module-info", "Z/0 over Z/6"), ("sigma", "--module", "Z/0 (+) Z/2 over Z/4")]
 )

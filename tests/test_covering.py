@@ -327,3 +327,45 @@ def pinned_masks() -> list:
 def test_masks_and_certificates_are_pinned():
     text = json.dumps(pinned_masks(), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_MASKS_DIGEST
+
+
+# sha256 of `pinned_member_masks()`, recorded before constructor rings
+# skipped validation. The digests above record the maximal submodules,
+# the radical and each certificate submodule only by generators and size,
+# so an equal-sized but different optimal cover would move only
+# generators; this pins their members
+PINNED_MEMBER_MASKS_DIGEST = "dfa99e14c094777e8c336b95f9b8e60964083e6683cb1ca17b610cd37107ff71"
+
+
+def pinned_member_masks() -> list:
+    """The members masks of the maximal submodules, the radical and every
+    certificate submodule of the seed-1 corpus modules, and of the
+    maximal ideals of PINNED_RINGS, as JSON-ready rows."""
+    from modcover.dsl import parse_ring
+
+    def masks(cert):
+        return [s.members for s in cert.submodules]
+
+    rows = []
+    for m in oracles.corpus_modules():
+        row = {
+            "module": m.label,
+            "maximal": [s.members for s in maximal_submodules(m)],
+            "radical": jacobson_radical(m).members,
+        }
+        if m.size > 1:
+            row["exact"] = masks(sigma_exact(m))
+            row["construct"] = masks(construct_cover(m))
+            row["greedy"] = masks(greedy_cover(m))
+        if 1 < m.size <= 64:
+            row["all"] = masks(sigma_exact(m, SearchSpace.ALL_PROPER))
+        rows.append(row)
+    for label in PINNED_RINGS:
+        ideals = maximal_ideals(parse_ring(label))
+        rows.append({"ring": label, "ideals": [i.members for i in ideals]})
+    return rows
+
+
+def test_member_masks_are_pinned():
+    text = json.dumps(pinned_member_masks(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_MEMBER_MASKS_DIGEST

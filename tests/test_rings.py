@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import math
@@ -10,6 +11,7 @@ from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_factor
 
 from modcover import rings
+from modcover.cli import main
 from modcover.dsl import parse_ring
 from modcover.rings import (
     FiniteRing,
@@ -163,6 +165,12 @@ def test_gf_rejects_reducible_polynomial():
 def test_gf_rejects_composite_characteristic():
     with pytest.raises(ValueError):
         ring_gf(4, 1)
+
+
+def test_gf_polynomials_equal_mod_p_give_one_ring():
+    R = parse_ring("GF(2^2; f=3,1,1)")
+    assert R is parse_ring("GF(2^2; f=1,1,1)")
+    assert R.label == "GF(2^2; f=1,1,1)"
 
 
 def test_gf_custom_polynomial_label_round_trips():
@@ -571,22 +579,110 @@ def test_rejects_wrong_unit():
         FiniteRing([3], [[(1,)]], (2,), "badone")
 
 
+@pytest.mark.parametrize(
+    "orders, table, one",
+    [
+        ([2], [[(1,)]], (1, 0)),  # one too long
+        ([2], [[(1, 0)]], (1,)),  # an entry too long
+        ([2, 2], [[(1, 0)]], (1, 0)),  # one row of one entry
+        ([2, 2], [[(1, 0), (0, 1)], [(0, 1), (1,)]], (1, 0)),  # an entry too short
+    ],
+)
+@pytest.mark.parametrize("validate", [True, False])
+def test_rejects_table_of_the_wrong_shape(orders, table, one, validate):
+    with pytest.raises(ValueError, match="the table must be"):
+        FiniteRing(orders, table, one, "shape", validate=validate)
+
+
+def test_constructor_rings_and_their_residue_fields_are_rings():
+    # the constructors and quotient_ring skip `_validate`; run it on the
+    # rings of the pins, the benchmark's large rings, every Z/q[x]/(f)
+    # above and their residue fields, and the exhaustive laws on each
+    # distinct small table
+    polys = [poly_ring(q, f) for q in sorted(POLY_DEGREES) for f in monic_polynomials(q)]
+    built = (
+        [parse_ring(text) for text in PINNED_RINGS + large_ring_labels()]
+        + [ring_zmod(n) for n in range(2, 65)]
+        + polys
+    )
+    assert len(built) == 832
+    checked, small = 0, set()
+    for R in built:
+        for S in [R] + [residue_field(ideal)[0] for ideal in maximal_ideals(R)]:
+            S._validate()
+            checked += 1
+            table = (S.additive_orders, S.mul_table, S.one)
+            if S.size <= 16 and table not in small:
+                assert satisfies_ring_laws(S), S.label
+                small.add(table)
+    assert checked == 2401
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """The labels of the rings `_validate` runs on, from an empty ring
+    table, so that every constructor ring is built afresh."""
+    calls = []
+    original = FiniteRing._validate
+
+    def counted(self):
+        calls.append(self.label)
+        original(self)
+
+    monkeypatch.setattr(FiniteRing, "_validate", counted)
+    monkeypatch.setattr(rings, "_INTERNED", rings._RingTable())
+    return calls
+
+
+@pytest.mark.parametrize(
+    "make, validated",
+    [
+        (lambda: parse_ring("GF(2^7)"), False),
+        (lambda: parse_ring("Z/360"), False),
+        (lambda: parse_ring("Z/12 x Z/10"), False),
+        (lambda: poly_ring(4, [1, 0, 1]), True),  # hand-built Z/4[x]/(x^2 + 1)
+    ],
+)
+def test_only_hand_built_rings_are_validated(make, validated, validations):
+    R = make()
+    R.units()
+    for ideal in maximal_ideals(R):
+        residue_field(ideal)
+    assert validations == ([R.label] if validated else [])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ring-info", "GF(2^7)"),
+        ("ring-info", "Z/12 x Z/10", "--json"),
+        ("module-info", "free 1 over Z/360"),
+    ],
+)
+def test_cli_runs_no_validation(argv, validations, capsys):
+    assert main(list(argv)) == 0
+    assert capsys.readouterr().out
+    assert validations == []
+
+
 def satisfies_ring_laws(R) -> bool:
     """Exhaustive elementwise oracle on reduced elements: unit, both
-    distributive laws, commutativity and associativity."""
+    distributive laws, commutativity and associativity. Each sum and
+    product of two elements is computed once."""
+    mul, add = functools.cache(R.mul), functools.cache(R.add)
     elems = list(R.iter_elements())
     for x in elems:
-        if R.mul(R.one, x) != x or R.mul(x, R.one) != x:
+        if mul(R.one, x) != x or mul(x, R.one) != x:
             return False
     for x, y in itertools.product(elems, repeat=2):
-        if R.mul(x, y) != R.mul(y, x):
+        if mul(x, y) != mul(y, x):
             return False
     for x, y, z in itertools.product(elems, repeat=3):
-        if R.mul(R.mul(x, y), z) != R.mul(x, R.mul(y, z)):
+        if mul(mul(x, y), z) != mul(x, mul(y, z)):
             return False
-        if R.mul(R.add(x, y), z) != R.add(R.mul(x, z), R.mul(y, z)):
+        if mul(add(x, y), z) != add(mul(x, z), mul(y, z)):
             return False
-        if R.mul(z, R.add(x, y)) != R.add(R.mul(z, x), R.mul(z, y)):
+        if mul(z, add(x, y)) != add(mul(z, x), mul(z, y)):
             return False
     return True
 
