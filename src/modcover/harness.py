@@ -50,7 +50,7 @@ from .modules import (
     semisimple_invariants,
     submodule_generated,
 )
-from .rings import maximal_ideals
+from .rings import _prime_powers, maximal_ideals
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -146,7 +146,9 @@ def corpus_generate(seed: int, count: int, max_ring: int = 64, max_module: int =
     rng = random.Random(seed)
     pool = _ring_pool(max_ring)
     multi_pool = [
-        e for e in pool if " x " in e or ("Z/" in e and _squarefree_composite_part(e))
+        e
+        for e in pool
+        if " x " in e or ("Z/" in e and len(_prime_powers(int(e.split("/")[1]))) >= 2)
     ]
     if count > 0 and not multi_pool:  # also when the whole pool is empty
         raise ValueError(
@@ -208,21 +210,6 @@ def corpus_generate(seed: int, count: int, max_ring: int = 64, max_module: int =
             f"instances admitted with max_module = {max_module}"
         )
     return specs
-
-
-def _squarefree_composite_part(expr: str) -> bool:
-    n = int(expr.split("/")[1])
-    f = 2
-    distinct = 0
-    while f * f <= n:
-        if n % f == 0:
-            distinct += 1
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        distinct += 1
-    return distinct >= 2
 
 
 # -- checks -------------------------------------------------------------------

@@ -383,12 +383,8 @@ def ideal_action(m: RealizedModule, ideal: Ideal) -> Submodule:
     """The submodule I*M."""
     if ideal.ring is not m.ring:
         raise ValueError("ideal belongs to a different ring")
-    gens = [
-        m.index_of(m.act(g, e))
-        for g in ideal.generators
-        for e in basis_vectors(m.rank)
-    ]
-    return submodule_generated(m, gens)
+    gens = [m.act(g, e) for g in ideal.generators for e in basis_vectors(m.rank)]
+    return Submodule(m, _span(m, gens))
 
 
 def quotient_module(m: RealizedModule, n: Submodule):

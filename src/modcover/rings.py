@@ -9,6 +9,9 @@ build rings by construction and skip that check. All values are
 immutable after construction, so the constructors share one object per
 ring (see `_RingTable`) and each ring stores the facts derived from it:
 its local factorization, maximal ideals, residue fields and units.
+These come from linear algebra over F_p in R's own coordinates (see
+`_factor`); the only Smith normal form is `quotient_ring`'s, run for
+the residue fields R/m other than R itself.
 """
 
 from __future__ import annotations
@@ -339,19 +342,8 @@ def _build_zmod(n):
     return FiniteRing([n], [[(1,)]], (1,), f"Z/{n}", validate=False)
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _prime_powers(n: int) -> list:
-    """[(p, a)] with p^a exactly dividing n, p ascending."""
+    """[(p, a)] with p^a exactly dividing n, p ascending; [] for n < 2."""
     out, p = [], 2
     while n > 1:
         if p * p > n:
@@ -364,6 +356,10 @@ def _prime_powers(n: int) -> list:
             out.append((p, a))
         p += 1
     return out
+
+
+def _is_prime(n: int) -> bool:
+    return _prime_powers(n) == [(n, 1)]
 
 
 # -- linear algebra over F_p --------------------------------------------------------
@@ -649,26 +645,28 @@ def _factor(ring: FiniteRing):
 
     R is the product of its p-primary parts R_p, and the primitive
     idempotents of R are those of the R_p. For each one, e, the factor eR
-    is local, and m_e = (1-e)R + eJ_p is the maximal ideal not containing
-    e, where J_p, the radical of R_p, is generated by p and the lifts of
-    rad(R/pR). Orthogonal idempotents summing to 1 give R = ⊕ eR, so
-    they are checked and the factors are not built.
+    is local, and m_e = (1-e)R + J_p is the maximal ideal not containing
+    e, where J_p, generated by p and the lifts of rad(R/pR), is the
+    preimage of the radical of R/pR; (1-e)R holds every other factor, so
+    J_p adds only eJ_p. Orthogonal idempotents summing to 1 give
+    R = ⊕ eR, so they are checked and the factors are not built.
 
     R/m_e is built once per maximal ideal, and checked to be a field.
-    When m_e = (1-e)R, eR is that field and R/m_e is R modulo 1-e;
-    otherwise it is R modulo the minimal generators of m_e. The two give
-    one field in different coordinates, and `construct_cover` walks a
-    field's elements in its coordinates, so the choice fixes the order
-    of its certificates.
+    When m_e = 0, R is a field and is its own residue field. When
+    m_e = (1-e)R, eR is that field and R/m_e is R modulo 1-e; otherwise
+    it is R modulo the minimal generators of m_e. These give one field in
+    different coordinates, and `construct_cover` walks a field's elements
+    in its coordinates, so the choice fixes the order of its certificates.
     """
     char = reduce(
         math.lcm, (d // math.gcd(d, c) for c, d in zip(ring.one, ring.additive_orders))
     )  # the additive order of 1
-    parts = []  # (idempotent, generators of eJ_p)
+    parts = []  # (idempotent, generators of J_p)
     for p, a in _prime_powers(char):
         rest = char // p**a
         e_p = ring.scale(rest * pow(rest, -1, p**a), ring.one)  # 1 in R_p, 0 elsewhere
-        parts += _primary_idempotents(ring, p, e_p)
+        idempotents, radical_gens = _primary_idempotents(ring, p, e_p)
+        parts += [(e, radical_gens) for e in idempotents]
     parts.sort(key=lambda part: part[0])
     primitive = [e for e, _ in parts]
     # sanity: pairwise orthogonal and summing to 1
@@ -687,7 +685,9 @@ def _factor(ring: FiniteRing):
         complement = ideal_generated(ring, [ring.sub(ring.one, e)])
         mask = _ideal_span(ring, radical_gens, complement.members)
         ideal_masks.append(mask)
-        if mask == complement.members:  # eR is a field
+        if mask == 1:  # m_e = 0: R is a field
+            fields[mask] = (ring, ring.reduce, ring.reduce)
+        elif mask == complement.members:  # eR is a field
             fields[mask] = quotient_ring(ring, complement)
 
     ideals = []
@@ -702,83 +702,65 @@ def _factor(ring: FiniteRing):
     ring._residue_fields = fields
 
 
-def _primary_idempotents(ring, p, e_p) -> list:
-    """[(e, gens)] for the primitive idempotents e of R_p = e_p R, where
-    gens generate the ideal eJ_p of the radical J_p of R_p.
+def _primary_idempotents(ring, p, e_p) -> tuple:
+    """``(idempotents, radical_gens)``: the primitive idempotents e of
+    R_p = e_p R, and generators of the ideal J_p = pR + rad(R/pR) R, the
+    preimage of the radical of R/pR, which is the same for every e.
 
-    A = R/pR = R_p/pR_p is an F_p-algebra, in the coordinates of one
-    abelian quotient, with x * y = project(lift(x) lift(y)). Frobenius F
-    is F_p-linear on A, and rad A = ker F^s once p^s >= dim A, since a
-    nilpotent of A has x^(dim A) = 0. A/rad A is a product of t fields,
-    and its Berlekamp kernel K = ker(F - I) is F_p^t inside it. For b in K
-    and c in F_p, 1 - (b - c)^(p-1) is the idempotent of {i : b_i = c}, so
-    splitting 1 by these over a basis of K gives the t primitive
-    idempotents. Each lifts uniquely to R_p by Newton's step
-    e <- 3e^2 - 2e^3, as J_p, the preimage of rad A, is nilpotent.
+    R is ⊕ Z/d_i, so pR is ⊕ pZ/d_i and A = R/pR is ⊕ Z/p over the
+    coordinates with p | d_i: `project` keeps those coordinates mod p,
+    and `lift` puts them back with zeros elsewhere. A = R_p/pR_p is an
+    F_p-algebra with x * y = project(lift(x) lift(y)). Frobenius F is
+    F_p-linear on A, and rad A = ker F^s once p^s >= dim A, since a
+    nilpotent of A has x^(dim A) = 0. In a local factor of A, x^p = x
+    makes x^(p-1) an idempotent, so x is 0 or a unit c + n with c in F_p
+    and n nilpotent, and then x = x^(p^k) = c + n^(p^k) = c. So the fixed
+    space K = ker(F - I) of A itself is the F_p-span of A's t primitive
+    idempotents. For b in K and c in F_p, 1 - (b - c)^(p-1) is the
+    idempotent of the factors where b is c, so splitting 1 by these over
+    a basis of K gives the t primitive idempotents. Each lifts uniquely to
+    R_p by Newton's step e <- 3e^2 - 2e^3, as pR_p is nilpotent.
     """
-    if all(d == p for d in ring.additive_orders):  # pR = 0: A = R
-        n, mul, project, lift = ring.rank, ring.mul, tuple, tuple
-    else:
-        p_basis = [ring.scale(p, b) for b in basis_vectors(ring.rank)]  # spans pR
-        orders, project, lift = abelian_quotient(ring.additive_orders, p_basis)
-        n = len(orders)
+    support = [i for i, d in enumerate(ring.additive_orders) if d % p == 0]
 
-        def mul(x, y):
-            return project(ring.mul(lift(x), lift(y)))
+    def project(x):
+        return tuple(x[i] % p for i in support)
 
+    def lift(y):
+        x = [0] * ring.rank
+        for i, v in zip(support, y):
+            x[i] = v
+        return tuple(x)
+
+    def mul(x, y):
+        return project(ring.mul(lift(x), lift(y)))
+
+    n = len(support)
     frobenius = _frobenius(mul, n, p)
     nil, reach = frobenius, p
     while reach < n:
         nil = [_apply(frobenius, x, p) for x in nil]
         reach *= p
-    radical = _kernel(nil, p)
+    radical_gens = [ring.scale(p, ring.one)] + [lift(r) for r in _kernel(nil, p)]
 
-    # A/rad A in the coordinates off the pivots of rad A's echelon form
-    rows, pivots = _echelon(radical, p)
-    keep = [c for c in range(n) if c not in pivots]
-
-    def down(x):
-        x = list(x)
-        for row, col in zip(rows, pivots):
-            c = x[col]
-            if c:
-                x = [(a - c * b) % p for a, b in zip(x, row)]
-        return tuple(x[c] for c in keep)
-
-    def up(y):
-        x = [0] * n
-        for c, v in zip(keep, y):
-            x[c] = v
-        return tuple(x)
-
-    def mul_down(x, y):
-        return down(mul(up(x), up(y)))
-
-    one = down(project(ring.one))
-    berlekamp = _fixed_space(
-        [down(_apply(frobenius, up(u), p)) for u in basis_vectors(len(keep))], p
-    )
+    one = project(ring.one)
+    fixed = _fixed_space(frobenius, p)
     idems = [one]
-    for b in berlekamp:
-        if len(idems) == len(berlekamp):
+    for b in fixed:
+        if len(idems) == len(fixed):
             break
         split = []
         for c in range(p):
             shifted = tuple((v - c * o) % p for v, o in zip(b, one))
-            level = _power(mul_down, shifted, p - 1)
+            level = _power(mul, shifted, p - 1)
             level = tuple((o - v) % p for o, v in zip(one, level))
             for e in idems:
-                part = mul_down(e, level)
+                part = mul(e, level)
                 if any(part):
                     split.append(part)
         idems = split
-
-    out = []
-    for e_down in idems:
-        e = _lift_idempotent(ring, ring.mul(e_p, lift(up(e_down))))
-        gens = [ring.scale(p, e)] + [ring.mul(e, lift(r)) for r in radical]
-        out.append((e, gens))
-    return out
+    idempotents = [_lift_idempotent(ring, ring.mul(e_p, lift(e))) for e in idems]
+    return idempotents, radical_gens
 
 
 def _lift_idempotent(ring, e):

@@ -60,6 +60,10 @@ TINY_CASES = [
 # ring-info output is pinned in the CLI tests
 PINNED_RINGS = ["Z/360", "GF(2^7)", "Z/12 x Z/10", "GF(3^5)", "Z/4096", "GF(4093)"]
 
+# products in which a prime p divides only some of the additive orders, so
+# R/pR keeps only some coordinates
+MIXED_PRODUCTS = ["Z/6 x Z/4", "Z/2 x Z/9 x Z/5", "GF(2^2) x Z/6", "Z/4 x GF(3^2)"]
+
 
 def large_ring_labels() -> list:
     """One label per ring class of the benchmark's large-ring workload."""

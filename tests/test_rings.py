@@ -32,6 +32,7 @@ from modcover.rings import (
 )
 
 from oracles import (
+    MIXED_PRODUCTS,
     PINNED_RINGS,
     additive_closure,
     elements,
@@ -324,7 +325,9 @@ def assert_matches_the_sweeps(R):
         assert is_field_by_power_walk(residue_field(ideal)[0]), R.label
 
 
-@pytest.mark.parametrize("text", PINNED_RINGS + [f"Z/{n}" for n in range(2, 65)])
+@pytest.mark.parametrize(
+    "text", PINNED_RINGS + MIXED_PRODUCTS + [f"Z/{n}" for n in range(2, 65)]
+)
 def test_factorization_matches_the_element_sweeps(text):
     assert_matches_the_sweeps(parse_ring(text))
 
@@ -334,6 +337,44 @@ def test_factorization_matches_the_element_sweeps_on_large_ring_classes():
     assert len(labels) == 330
     for text in labels:
         assert_matches_the_sweeps(parse_ring(text))
+
+
+def additive_order(R, x):
+    return math.lcm(*(d // math.gcd(d, c) for c, d in zip(x, R.additive_orders)))
+
+
+# Z/q[x]/(f) that are not reduced, as (q, f) with f low degree first
+NON_REDUCED_POLY_RINGS = [
+    (2, (0, 0, 1, 1)),  # x^2 (x + 1)
+    (4, (0, 0, 1)),  # x^2 over Z/4
+    (2, (1, 0, 0, 0, 1)),  # (x + 1)^4
+    (8, (1, 1, 1)),  # local, with residue field F_4
+    (9, (0, 1, 1)),  # x (x + 1) over Z/9
+    (3, (0, 0, 1, 0, 1)),  # x^2 (x^2 + 1)
+]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [f"Z/{n}" for n in range(2, 65)] + MIXED_PRODUCTS + NON_REDUCED_POLY_RINGS,
+    ids=str,
+)
+def test_the_fixed_space_of_r_mod_p_counts_the_primitive_idempotents(spec):
+    # In R/pR, x^p = x exactly on the F_p-span of its t primitive
+    # idempotents, which lift to those of R_p. So {x : x^p - x in pR} is
+    # p^t cosets of pR; counted over R's own elements and products alone
+    R = parse_ring(spec) if isinstance(spec, str) else poly_ring(*spec)
+    assert R.size <= 256
+    idempotents = local_factorization(R).idempotents
+    for p in prime_factors(R.size):
+        p_r = {R.scale(p, x) for x in elements(R)}
+        fixed = sum(
+            R.sub(functools.reduce(R.mul, [x] * p), x) in p_r for x in elements(R)
+        )
+        # e lies in R_p, that is e e_p = e, exactly when its additive order is
+        # a power of p
+        t = sum(prime_factors(additive_order(R, e)) == [p] for e in idempotents)
+        assert fixed == p**t * len(p_r), (R.label, p)
 
 
 # q -> the largest degree of f tried; every monic f up to it, so reducible

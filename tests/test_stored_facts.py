@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from modcover import cli, modules, rings
+from modcover import cli, modules, rings, snf
 from modcover.covering import SearchSpace, construct_cover, greedy_cover, sigma_exact
 from modcover.dsl import parse_module, parse_ring
 from modcover.modules import (
@@ -27,7 +27,7 @@ from modcover.rings import (
     zero_ideal,
 )
 
-from oracles import elements, poly_ring
+from oracles import MIXED_PRODUCTS, PINNED_RINGS, elements, poly_ring
 
 # -- interning ------------------------------------------------------------------
 
@@ -85,13 +85,13 @@ def test_mutating_returned_lists_leaves_the_stored_facts_alone():
     assert semisimple_invariants(m) == invariants
 
 
-def _count_calls(monkeypatch, names) -> dict:
-    """{name: 0} for functions of `modcover.modules`, each counting its
+def _count_calls(monkeypatch, names, source=modules) -> dict:
+    """{name: 0} for functions of the module `source`, each counting its
     calls through every binding, so a module that imported the name is
     counted too."""
     calls = dict.fromkeys(names, 0)
     for name in calls:
-        original = getattr(modules, name)
+        original = getattr(source, name)
 
         def counted(*args, _name=name, _original=original):
             calls[_name] += 1
@@ -171,26 +171,37 @@ def test_a_field_factor_is_built_from_1_minus_e_and_any_other_from_m():
     assert labels == {3: "(Z/12)/<(9,)>", 2: "(Z/12)/<(2,)>"}
 
 
-@pytest.mark.parametrize(
-    "text,builds",
-    [("Z/4096", 1), ("Z/360", 3), ("Z/12 x Z/10", 4), ("GF(2^7)", 1), ("GF(4093)", 1)],
-)
+@pytest.mark.parametrize("text,builds", [("Z/4096", 1), ("Z/360", 3), ("Z/12 x Z/10", 4)])
 def test_factor_builds_one_quotient_ring_per_maximal_ideal(text, builds, monkeypatch):
     # the residue fields; the local factors R/(1-e)R are not built
     R = parse_ring(text)
-    calls = []
-    original = rings.quotient_ring
-
-    def counted(*args):
-        calls.append(1)
-        return original(*args)
-
-    # every binding, so a module that imported the name is counted too
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name.split(".")[0] == "modcover" and getattr(mod, "quotient_ring", None) is original:
-            monkeypatch.setattr(mod, "quotient_ring", counted)
+    calls = _count_calls(monkeypatch, ["quotient_ring"], rings)
     rings._factor(R)
-    assert len(calls) == builds == len(maximal_ideals(R))
+    assert calls["quotient_ring"] == builds == len(maximal_ideals(R))
+
+
+@pytest.mark.parametrize("text", ["GF(2^7)", "GF(4093)", "GF(3^5)", "Z/2"])
+def test_a_field_is_its_own_residue_field(text, monkeypatch):
+    # its one maximal ideal is zero, so R/m is R itself and nothing is built
+    R = parse_ring(text)
+    calls = _count_calls(monkeypatch, ["quotient_ring"], rings)
+    rings._factor(R)
+    assert calls["quotient_ring"] == 0
+    [m] = maximal_ideals(R)
+    field, project, lift = residue_field(m)
+    assert field is R
+    assert all(project(x) == x == lift(x) for x in elements(R))
+
+
+@pytest.mark.parametrize("text", PINNED_RINGS + MIXED_PRODUCTS)
+def test_factor_runs_no_snf_outside_quotient_ring(text, monkeypatch):
+    # R/pR is a selection of R's coordinates, so the only Smith normal
+    # forms are those of the residue fields that are built
+    R = parse_ring(text)
+    calls = _count_calls(monkeypatch, ["abelian_quotient"], snf)
+    builds = _count_calls(monkeypatch, ["quotient_ring"], rings)
+    rings._factor(R)
+    assert calls["abelian_quotient"] == builds["quotient_ring"]
 
 
 # -- units and the field check -------------------------------------------------------
