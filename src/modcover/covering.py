@@ -18,7 +18,6 @@ from enum import Enum
 from .errors import GuardExceeded
 from .modules import (
     RealizedModule,
-    _span,
     all_submodules,
     hyperplanes,
     maximal_submodules,
@@ -196,7 +195,7 @@ def construct_cover(m: RealizedModule) -> CoverCertificate:
     entry = next(e for e in s_set(m) if e.ideal is pred.witness_ideal)
     u, w, *rest = entry.basis
     # the lines through u + c w for each scalar c, then the line through w
-    covers = hyperplanes(m, entry.ideal, _span(m, rest, entry.nm), (w, u))
+    covers = hyperplanes(m, entry.ideal, m.span(rest, entry.nm), (w, u))
     ok = verify_cover(m, covers)
     return CoverCertificate(
         tuple(covers), ok, len(covers) if ok else None, ok, 0,

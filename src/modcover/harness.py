@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from .covering import SearchSpace, sigma_exact, sigma_formula
 from .errors import GuardExceeded
 from .modules import (
+    REALIZE_INTERMEDIATE_GUARD,
     all_submodules,
     direct_sum,
     hdim,
@@ -50,11 +51,13 @@ from .modules import (
     semisimple_invariants,
     submodule_generated,
 )
-from .rings import _prime_powers, maximal_ideals
+from .rings import _prime_powers, maximal_ideals, power_exceeds
 
 PASS = "PASS"
 FAIL = "FAIL"
 SKIPPED = "SKIPPED"
+
+HDIM_PAIR_BUDGET = 1024  # the largest |A| * |B| an hdim pair is checked at
 
 
 @dataclass(frozen=True)
@@ -114,7 +117,7 @@ def _ring_pool(max_ring: int):
 
 def _random_presentation(rng, ring_expr, ring):
     k = rng.randint(1, 3)
-    if ring.size**k > 2**20:
+    if power_exceeds(ring.size, k, REALIZE_INTERMEDIATE_GUARD):
         k = 1
     nrels = rng.randint(0, k + 1)
     rels = []
@@ -449,7 +452,7 @@ def hdim_pairs_from_specs(specs, limit=None):
     return pairs
 
 
-def run_hdim_pairs(pairs, max_product=1024):
+def run_hdim_pairs(pairs):
     """Additivity reports for instance pairs within the size budget."""
     name = check_hdim_additivity.name
     out = []
@@ -460,8 +463,8 @@ def run_hdim_pairs(pairs, max_product=1024):
         except GuardExceeded as exc:
             out.append(_skipped(name, f"guard {exc.guard}"))
             continue
-        if a.size * b.size > max_product:
-            reason = f"|A|*|B| = {a.size * b.size} over budget {max_product}"
+        if a.size * b.size > HDIM_PAIR_BUDGET:
+            reason = f"|A|*|B| = {a.size * b.size} over budget {HDIM_PAIR_BUDGET}"
             out.append(_skipped(name, reason))
             continue
         out.append(check_hdim_additivity(spec_a, a, spec_b, b))

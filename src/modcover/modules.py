@@ -4,8 +4,10 @@ finite structures.
 A realized module stores its additive invariant factors (from a Smith
 normal form of the relation lattice) plus the action of the ring's
 additive basis on the module's additive basis; everything else is the
-bilinear extension. Elements are integer coordinate tuples, indexed
-lexicographically by `rings._Shifts`; no element list is stored.
+bilinear extension. Its arithmetic, element indices, action, spans and
+greedy generating sets are those of `rings._Coordinates`, which a ring
+shares as a module over itself. Elements are integer coordinate tuples,
+indexed lexicographically by `rings._Shifts`; no element list is stored.
 Quotients come back as ``(quotient, project, lift)`` maps, not as sweeps
 over M. A submodule is its members mask, and every generating set is
 greedy in M's element order: a submodule's, derived when first read, and
@@ -20,18 +22,18 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 
 from .errors import GuardExceeded
 from .rings import (
     FiniteRing,
     Ideal,
-    _greedy_generators,
-    _Shifts,
+    _Coordinates,
     basis_vectors,
     ideal_generated,
     local_factorization,
     maximal_ideals,
+    power_exceeds,
     quotient_ring,
     residue_field,
 )
@@ -73,69 +75,25 @@ class ModulePresentation:
         return f"module over {self.ring.label}: gens={self.num_generators}; rels=[{rels}]"
 
 
-class RealizedModule:
+class RealizedModule(_Coordinates):
     def __init__(self, ring, orders, basis_act, presentation=None, label=None):
-        self.ring = ring
-        self.orders = tuple(int(d) for d in orders)
-        if any(d < 2 for d in self.orders):
+        orders = tuple(int(d) for d in orders)
+        if any(d < 2 for d in orders):
             raise ValueError("module invariant factors must be >= 2")
-        self.rank = len(self.orders)
-        self.size = reduce(lambda a, b: a * b, self.orders, 1)
-        guard = module_size_guard()
-        if self.size > guard:
-            raise GuardExceeded("module-size", f"|M| = {self.size} exceeds guard {guard}")
+        size, guard = math.prod(orders), module_size_guard()
+        if size > guard:
+            raise GuardExceeded("module-size", f"|M| = {size} exceeds guard {guard}")
         # basis_act[i][t] = coords of (ring basis b_i) . (module basis e_t)
-        self.basis_act = tuple(tuple(self.reduce(v) for v in row) for row in basis_act)
+        super().__init__(orders, basis_act)
+        self.basis_act = self.table
+        self.ring = ring
         self.presentation = presentation
         self.label = label or (presentation.to_dsl() if presentation else "module")
-        self.zero = (0,) * self.rank
-        self.shifts = _Shifts(self.orders)
         self._maximal_submodules = None
         self._semisimple_invariants = None
         self._cyclic = None
 
-    # -- additive structure --------------------------------------------------
-
-    def reduce(self, x):
-        return tuple(int(c) % d for c, d in zip(x, self.orders))
-
-    def add(self, x, y):
-        return tuple((a + b) % d for a, b, d in zip(x, y, self.orders))
-
-    def neg(self, x):
-        return tuple((-a) % d for a, d in zip(x, self.orders))
-
-    def scale(self, n, x):
-        return tuple((n * a) % d for a, d in zip(x, self.orders))
-
-    # -- ring action -----------------------------------------------------------
-
-    def act(self, a, x):
-        acc = [0] * self.rank
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            row = self.basis_act[i]
-            for t, xt in enumerate(x):
-                if not xt:
-                    continue
-                c = ai * xt
-                for s, vs in enumerate(row[t]):
-                    if vs:
-                        acc[s] += c * vs
-        return tuple(v % d for v, d in zip(acc, self.orders))
-
-    # -- element indices (lexicographic on coordinates) ------------------------
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.size) - 1
-
-    def index_of(self, x) -> int:
-        return self.shifts.index(x)
-
-    def element(self, i):
-        return self.shifts.element(i)
+    act = _Coordinates._product
 
     def axiom_check(self):
         """Check the module laws exactly, in O(r^2 k) basis actions; raises
@@ -185,7 +143,7 @@ def realize(pres: ModulePresentation) -> RealizedModule:
     """
     ring = pres.ring
     k = pres.num_generators
-    if ring.size**k > REALIZE_INTERMEDIATE_GUARD:
+    if power_exceeds(ring.size, k, REALIZE_INTERMEDIATE_GUARD):
         raise GuardExceeded(
             "realize-intermediate",
             f"|R|^k = {ring.size}^{k} exceeds guard {REALIZE_INTERMEDIATE_GUARD}",
@@ -288,30 +246,14 @@ class Submodule:
         return f"Submodule(gens={self.generator_coords()}, size={self.size})"
 
 
-def _images(m: RealizedModule, elems) -> list:
-    """The b_i . x over the ring basis: additive generators of the
-    submodule the elements x generate."""
-    bs = basis_vectors(m.ring.rank)
-    return [m.act(b, x) for x in elems for b in bs]
-
-
-def _span(m: RealizedModule, elems, start=1) -> int:
-    """Mask of the submodule generated by the elements (coordinate
-    tuples) and the submodule mask `start`."""
-    return m.shifts.closure(_images(m, elems), start)
-
-
 def submodule_generated(m: RealizedModule, gen_indices) -> Submodule:
-    return Submodule(m, _span(m, [m.element(g) for g in gen_indices]))
+    return Submodule(m, m.span([m.element(g) for g in gen_indices]))
 
 
 def submodule_generators(m: RealizedModule, members: int, start=1) -> tuple:
     """Greedy generating set (element indices) of the submodule `members`
-    over the submodule mask `start`: each member, in index order, that
-    `start` and the earlier ones do not span."""
-    return _greedy_generators(
-        members, lambda idx, span: _span(m, [m.element(idx)], span), start
-    )
+    over the submodule mask `start`; see `_Coordinates.greedy`."""
+    return m.greedy(members, start)
 
 
 def all_submodules(m: RealizedModule, max_count=LATTICE_COUNT_BUDGET) -> list:
@@ -348,9 +290,9 @@ def all_submodules(m: RealizedModule, max_count=LATTICE_COUNT_BUDGET) -> list:
         x = m.element(idx)
         for y in {m.act(u, x) for u in units}:
             seen |= 1 << m.index_of(y)
-        cyclics.setdefault(_span(m, [x]), idx)
+        cyclics.setdefault(m.span([x]), idx)
     cyclic_items = [
-        (cmask, cgen, _images(m, [m.element(cgen)]))
+        (cmask, cgen, m.images([m.element(cgen)]))
         for cmask, cgen in sorted(cyclics.items())
     ]
     lattice = {1}  # zero is bit 0
@@ -384,7 +326,7 @@ def ideal_action(m: RealizedModule, ideal: Ideal) -> Submodule:
     if ideal.ring is not m.ring:
         raise ValueError("ideal belongs to a different ring")
     gens = [m.act(g, e) for g in ideal.generators for e in basis_vectors(m.rank)]
-    return Submodule(m, _span(m, gens))
+    return Submodule(m, m.span(gens))
 
 
 def quotient_module(m: RealizedModule, n: Submodule):
@@ -393,7 +335,7 @@ def quotient_module(m: RealizedModule, n: Submodule):
     and of M/N."""
     if n.parent is not m:
         raise ValueError("submodule belongs to a different module")
-    orders, project, lift = abelian_quotient(m.orders, _images(m, n.generator_coords()))
+    orders, project, lift = abelian_quotient(m.orders, m.images(n.generator_coords()))
     lifted = [lift(u) for u in basis_vectors(len(orders))]
     basis_act = [
         [project(m.act(b, x)) for x in lifted] for b in basis_vectors(m.ring.rank)
@@ -434,11 +376,11 @@ def hyperplanes(m: RealizedModule, ideal: Ideal, start: int, basis) -> list:
     field, _, field_lift = residue_field(ideal)
     out = []
     for lead, u in enumerate(basis):
-        lead_start = _span(m, basis[:lead], start)
+        lead_start = m.span(basis[:lead], start)
         scaled = [m.act(field_lift(c), u) for c in field.iter_elements()]
         for tail in itertools.product(scaled, repeat=len(basis) - lead - 1):
             vectors = [m.add(w, cu) for w, cu in zip(basis[lead + 1 :], tail)]
-            out.append(Submodule(m, _span(m, vectors, lead_start)))
+            out.append(Submodule(m, m.span(vectors, lead_start)))
     return out
 
 

@@ -3,9 +3,13 @@
 A ring is stored as its additive coordinate group ⊕_i Z/d_i together
 with a multiplication table on the coordinate basis; multiplication of
 arbitrary elements is the bilinear extension. Elements are plain integer
-tuples, reduced coordinate-wise. A hand-built table is checked to be
-a ring (`FiniteRing._validate`); the constructors and `quotient_ring`
-build rings by construction and skip that check. All values are
+tuples, reduced coordinate-wise. A ring is a module over itself, so
+`_Coordinates` serves rings and modules alike: arithmetic, element
+indices, the product of a basis table, spans and greedy generating
+sets, with the index codec built on the first mask read. A hand-built
+table is checked to be a ring (`FiniteRing._validate`); the
+constructors and `quotient_ring` build rings by construction and skip
+that check. All values are
 immutable after construction, so the constructors share one object per
 ring (see `_RingTable`) and each ring stores the facts derived from it:
 its local factorization, maximal ideals, residue fields and units.
@@ -20,7 +24,7 @@ import itertools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache, cached_property, reduce
 
 from .errors import GuardExceeded
 from .snf import abelian_quotient
@@ -28,6 +32,13 @@ from .snf import abelian_quotient
 RING_SIZE_GUARD = 4096
 
 Element = tuple  # coordinate tuple; one entry per additive generator
+
+
+def power_exceeds(base: int, k: int, bound: int) -> bool:
+    """Whether base**k > bound, for base >= 2, without computing a power
+    far beyond the bound: 2**k > bound already when k exceeds its bit
+    length."""
+    return k > bound.bit_length() or base**k > bound
 
 
 @cache
@@ -49,7 +60,7 @@ class _Shifts:
     """
 
     def __init__(self, orders):
-        self.size = size = reduce(lambda a, b: a * b, orders, 1)
+        self.size = size = math.prod(orders)
         self.coords = []  # (weight, block, repunit) per coordinate
         weight = size
         for d in orders:
@@ -98,23 +109,122 @@ class _Shifts:
         return start
 
 
-class FiniteRing:
+class _Coordinates:
+    """The additive group ⊕_t Z/d_t of a ring or a module, with the
+    product that a basis table extends bilinearly.
+
+    `table[i][t]` holds the coordinates of b_i · e_t, for b_i the ring's
+    additive basis and e_t this object's; for a ring the two bases are
+    one. Elements are reduced coordinate tuples. A subset is a bitmask
+    over the element indices, read through the `shifts` codec, which is
+    built on the first mask read.
+    """
+
+    def __init__(self, orders, table):
+        self.orders = orders
+        self.rank = len(orders)
+        self.size = math.prod(orders)
+        self.zero = (0,) * self.rank
+        self.table = tuple(tuple(self.reduce(v) for v in row) for row in table)
+
+    # -- additive structure ------------------------------------------------
+
+    def reduce(self, x) -> Element:
+        return tuple(int(c) % d for c, d in zip(x, self.orders))
+
+    def add(self, x, y) -> Element:
+        return tuple((a + b) % d for a, b, d in zip(x, y, self.orders))
+
+    def neg(self, x) -> Element:
+        return tuple((-a) % d for a, d in zip(x, self.orders))
+
+    def sub(self, x, y) -> Element:
+        return tuple((a - b) % d for a, b, d in zip(x, y, self.orders))
+
+    def scale(self, n, x) -> Element:
+        return tuple((n * a) % d for a, d in zip(x, self.orders))
+
+    def _product(self, a, x) -> Element:
+        """Σ a_i x_t (b_i · e_t): the table extended bilinearly to the
+        ring coordinates a and these coordinates x."""
+        acc = [0] * self.rank
+        table = self.table
+        for i, ai in enumerate(a):
+            if not ai:
+                continue
+            row = table[i]
+            for t, xt in enumerate(x):
+                if not xt:
+                    continue
+                c = ai * xt
+                for s, v in enumerate(row[t]):
+                    if v:
+                        acc[s] += c * v
+        return tuple(v % d for v, d in zip(acc, self.orders))
+
+    # -- element indices (lexicographic on coordinates) --------------------
+
+    @cached_property
+    def shifts(self) -> _Shifts:
+        return _Shifts(self.orders)
+
+    @property
+    def full_mask(self) -> int:
+        return (1 << self.size) - 1
+
+    def iter_elements(self):
+        """The elements in index order, without storing them."""
+        return itertools.product(*(range(d) for d in self.orders))
+
+    def index_of(self, x) -> int:
+        return self.shifts.index(x)
+
+    def element(self, i) -> Element:
+        return self.shifts.element(i)
+
+    # -- spans and generators ------------------------------------------------
+
+    def images(self, elems) -> list:
+        """The b_i · x over the ring basis: additive generators of the
+        ideal or submodule that the elements x generate."""
+        bs = basis_vectors(len(self.table))
+        return [self._product(b, x) for x in elems for b in bs]
+
+    def span(self, elems, start=1) -> int:
+        """Mask of the ideal or submodule generated by the elements and
+        the ideal or submodule mask `start`: the additive span of their
+        images, which is already closed under the action."""
+        return self.shifts.closure(self.images(elems), start)
+
+    def greedy(self, members: int, start=1) -> tuple:
+        """Greedy generating set (element indices) of the ideal or
+        submodule `members` over the mask `start`: each member, in index
+        order, that `start` and the earlier ones do not span."""
+        gens = []
+        rest = members & ~start
+        while rest:
+            idx = (rest & -rest).bit_length() - 1
+            gens.append(idx)
+            start = self.span([self.element(idx)], start)
+            rest = members & ~start
+        return tuple(gens)
+
+
+class FiniteRing(_Coordinates):
     """A ring given by its additive orders d_i, the products b_i b_j of
     its basis as coordinate tuples, and its one. With `validate` (the
     default) the table is checked to be a ring; the constructors pass
     False for the rings they build by construction."""
 
     def __init__(self, additive_orders, mul_table, one, label, *, validate=True):
-        self.additive_orders = tuple(int(d) for d in additive_orders)
-        if not self.additive_orders or any(d < 2 for d in self.additive_orders):
+        orders = tuple(int(d) for d in additive_orders)
+        if not orders or any(d < 2 for d in orders):
             raise ValueError("additive orders must be a nonempty list of integers >= 2")
-        self.rank = r = len(self.additive_orders)
-        self.size = reduce(lambda a, b: a * b, self.additive_orders, 1)
-        if self.size > RING_SIZE_GUARD:
-            raise GuardExceeded(
-                "ring-size", f"|R| = {self.size} exceeds guard {RING_SIZE_GUARD}"
-            )
+        size = math.prod(orders)
+        if size > RING_SIZE_GUARD:
+            raise GuardExceeded("ring-size", f"|R| = {size} exceeds guard {RING_SIZE_GUARD}")
         # `reduce` zips, so a tuple of the wrong length would be truncated
+        r = len(orders)
         if (
             len(one) != r
             or len(mul_table) != r
@@ -123,11 +233,11 @@ class FiniteRing:
             raise ValueError(
                 f"{label}: the table must be {r} x {r}, and one and each entry of length {r}"
             )
-        self.mul_table = tuple(tuple(self.reduce(e) for e in row) for row in mul_table)
+        super().__init__(orders, mul_table)
+        self.additive_orders = self.orders
+        self.mul_table = self.table
         self.one = self.reduce(one)
-        self.zero = (0,) * self.rank
         self.label = label
-        self.shifts = _Shifts(self.additive_orders)
         self._units = None
         self._local_factorization = None
         self._maximal_ideals = None  # tuple, sorted by members
@@ -135,51 +245,7 @@ class FiniteRing:
         if validate:
             self._validate()
 
-    # -- additive structure ------------------------------------------------
-
-    def reduce(self, x) -> Element:
-        return tuple(int(c) % d for c, d in zip(x, self.additive_orders))
-
-    def add(self, x, y) -> Element:
-        return tuple((a + b) % d for a, b, d in zip(x, y, self.additive_orders))
-
-    def neg(self, x) -> Element:
-        return tuple((-a) % d for a, d in zip(x, self.additive_orders))
-
-    def sub(self, x, y) -> Element:
-        return tuple((a - b) % d for a, b, d in zip(x, y, self.additive_orders))
-
-    def scale(self, n, x) -> Element:
-        return tuple((n * a) % d for a, d in zip(x, self.additive_orders))
-
-    # -- multiplication ----------------------------------------------------
-
-    def mul(self, x, y) -> Element:
-        acc = [0] * self.rank
-        table = self.mul_table
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = xi * yj
-                for k, bk in enumerate(table[i][j]):
-                    if bk:
-                        acc[k] += c * bk
-        return tuple(a % d for a, d in zip(acc, self.additive_orders))
-
-    # -- element indices (lexicographic on coordinates) --------------------
-
-    def iter_elements(self):
-        """The elements in index order, without storing them."""
-        return itertools.product(*(range(d) for d in self.additive_orders))
-
-    def index_of(self, x) -> int:
-        return self.shifts.index(x)
-
-    def element(self, i) -> Element:
-        return self.shifts.element(i)
+    mul = _Coordinates._product
 
     # -- units ---------------------------------------------------------------
 
@@ -256,45 +322,14 @@ class Ideal:
         return f"Ideal({self.ring.label}; <{gens}>; size={self.size})"
 
 
-def _ideal_span(ring: FiniteRing, gens, start=1) -> int:
-    """Mask of the ideal generated by `gens` (coordinate tuples) and the
-    ideal mask `start`: the additive span of the b_i * g, which is
-    already closed under the action."""
-    bs = basis_vectors(ring.rank)
-    return ring.shifts.closure([ring.mul(b, g) for g in gens for b in bs], start)
-
-
 def ideal_generated(ring: FiniteRing, gens) -> Ideal:
     """Smallest ideal containing `gens` (coordinate tuples)."""
     gens = [ring.reduce(g) for g in gens]
-    return Ideal(ring, _ideal_span(ring, gens), tuple(sorted(gens)))
+    return Ideal(ring, ring.span(gens), tuple(sorted(gens)))
 
 
 def zero_ideal(ring: FiniteRing) -> Ideal:
     return Ideal(ring, 1, ())  # zero is bit 0
-
-
-def _greedy_generators(members: int, grow, span=1) -> tuple:
-    """Greedy small generating set of a submodule given by its members
-    mask (an ideal is a submodule of R) over the span mask `span`: the
-    least member that the span of those kept so far misses is kept, and
-    `grow(idx, span)` is the span mask of the kept ones with idx."""
-    gens = []
-    rest = members & ~span
-    while rest:
-        idx = (rest & -rest).bit_length() - 1
-        gens.append(idx)
-        span = grow(idx, span)
-        rest = members & ~span
-    return tuple(gens)
-
-
-def minimal_generators(ring: FiniteRing, members: int) -> tuple:
-    """Greedy small generating set for an ideal given as a members mask."""
-    gens = _greedy_generators(
-        members, lambda idx, span: _ideal_span(ring, [ring.element(idx)], span)
-    )
-    return tuple(ring.element(i) for i in gens)
 
 
 # -- constructors --------------------------------------------------------------
@@ -497,7 +532,13 @@ def smallest_irreducible(p: int, k: int):
 
 def ring_gf(p: int, k: int = 1, f=None) -> FiniteRing:
     """The finite field F_{p^k} as Z/p[x]/(f); f is read modulo p, so
-    coefficient lists equal mod p give one ring."""
+    coefficient lists equal mod p give one ring. A p over the ring-size
+    guard trips it before p is tested for primality, which would take
+    trial division up to sqrt(p)."""
+    if k < 1:
+        raise ValueError("GF: extension degree must be >= 1")
+    if p > RING_SIZE_GUARD:
+        raise GuardExceeded("ring-size", f"GF({p}^{k}) exceeds guard {RING_SIZE_GUARD}")
     if not _is_prime(p):
         raise ValueError(f"GF: {p} is not prime")
     if f is not None:
@@ -508,9 +549,7 @@ def ring_gf(p: int, k: int = 1, f=None) -> FiniteRing:
 
 def _build_gf(p, k, f):
     # Z/p[x]/(f) is a ring for every monic f, so construction skips `_validate`
-    if k < 1:
-        raise ValueError("GF: extension degree must be >= 1")
-    if p**k > RING_SIZE_GUARD:
+    if power_exceeds(p, k, RING_SIZE_GUARD):
         raise GuardExceeded("ring-size", f"GF({p}^{k}) exceeds guard {RING_SIZE_GUARD}")
     if f is None:
         f = smallest_irreducible(p, k)
@@ -683,7 +722,7 @@ def _factor(ring: FiniteRing):
     fields = {}
     for e, radical_gens in parts:
         complement = ideal_generated(ring, [ring.sub(ring.one, e)])
-        mask = _ideal_span(ring, radical_gens, complement.members)
+        mask = ring.span(radical_gens, complement.members)
         ideal_masks.append(mask)
         if mask == 1:  # m_e = 0: R is a field
             fields[mask] = (ring, ring.reduce, ring.reduce)
@@ -692,7 +731,7 @@ def _factor(ring: FiniteRing):
 
     ideals = []
     for mask in sorted(ideal_masks):
-        ideal = Ideal(ring, mask, minimal_generators(ring, mask))
+        ideal = Ideal(ring, mask, tuple(ring.element(i) for i in ring.greedy(mask)))
         if mask not in fields:
             fields[mask] = quotient_ring(ring, ideal)
         _assert_is_field(fields[mask][0])

@@ -15,7 +15,6 @@ from types import SimpleNamespace
 
 from modcover.modules import (
     RealizedModule,
-    _images,
     cyclic_sum,
     free_module,
     ideal_action,
@@ -86,6 +85,18 @@ def poly_ring(q, f) -> FiniteRing:
     table = [[tuple(_poly_mulmod(a, b, f, q)) for b in units] for a in units]
     label = f"Z/{q}[x]/({','.join(str(c) for c in f)})"
     return FiniteRing([q] * k, table, tuple(units[0]), label)
+
+
+# q -> the largest degree of f tried; every monic f up to it, so reducible
+# and repeated factors of f mod p are all there
+POLY_DEGREES = {2: 5, 3: 3, 4: 3, 5: 2, 7: 2, 8: 2, 9: 2}
+
+
+def monic_polynomials(q):
+    """Every monic f over Z/q of degree 1 to POLY_DEGREES[q]."""
+    for k in range(1, POLY_DEGREES[q] + 1):
+        for tail in itertools.product(range(q), repeat=k):
+            yield list(tail) + [1]
 
 
 def corpus_modules():
@@ -306,7 +317,7 @@ def all_submodules_by_every_join(m) -> list:
     for idx in range(m.size):
         cyclics.setdefault(submodule_generated(m, [idx]).members, idx)
     cyclic_items = [
-        (cmask, _images(m, [m.element(cgen)])) for cmask, cgen in sorted(cyclics.items())
+        (cmask, m.images([m.element(cgen)])) for cmask, cgen in sorted(cyclics.items())
     ]
     lattice = {1}
     work = [1]
@@ -429,7 +440,7 @@ def localize_at_s(m):
     new_ring, _, ring_lift = quotient_ring(m.ring, complement)
     killed = ideal_action(m, complement)
     orders, project, lift = abelian_quotient(
-        m.orders, _images(m, killed.generator_coords())
+        m.orders, m.images(killed.generator_coords())
     )
     lifted = [lift(u) for u in basis_vectors(len(orders))]
     basis_act = [

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -151,7 +155,7 @@ def test_parse_error_exit_2(capsys):
     assert "^" in err  # caret marks the offending position
 
 
-@pytest.mark.parametrize("text", ["GF(0)", "GF(4)"])
+@pytest.mark.parametrize("text", ["GF(0)", "GF(1)", "GF(4)"])
 def test_gf_of_a_non_prime_is_a_parse_error(capsys, text):
     code, _, err = run(capsys, "ring-info", text)
     assert code == 2
@@ -172,6 +176,32 @@ def test_guard_exceeded_exit_3(capsys, monkeypatch):
     code, _, err = run(capsys, "module-info", "free 2 over Z/6")
     assert code == 3
     assert "guard" in err
+
+
+CLI = "import sys\nfrom modcover.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("module-info", "free 100000000 over Z/3"),  # |R|^k
+        ("ring-info", "GF(3^100000000)"),  # p^k
+        ("ring-info", "GF(2305843009213693951)"),  # 2^61 - 1: primality of p
+        ("ring-info", "GF(5000)"),  # composite, but over the guard
+    ],
+    ids=lambda argv: argv[1],
+)
+def test_a_guard_trips_before_the_work_it_bounds(argv):
+    # each bounded quantity would take far longer than the timeout to compute
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    out = subprocess.run(
+        [sys.executable, "-c", CLI, *argv], capture_output=True, text=True, env=env, timeout=10
+    )
+    assert out.returncode == 3, out.stderr
+    assert "guard" in out.stderr
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modcover.dsl import parse_module
+from modcover.dsl import parse_module, parse_ring
 from modcover.errors import GuardExceeded
 from modcover.modules import (
     ModulePresentation,
@@ -34,6 +34,8 @@ from modcover.modules import (
 from modcover.rings import (
     FiniteRing,
     _Shifts,
+    basis_vectors,
+    ideal_generated,
     maximal_ideals,
     ring_gf,
     ring_product,
@@ -41,7 +43,15 @@ from modcover.rings import (
 )
 
 import oracles
-from oracles import elements, member_indices, zmod_module
+from oracles import (
+    MIXED_PRODUCTS,
+    POLY_DEGREES,
+    elements,
+    member_indices,
+    monic_polynomials,
+    poly_ring,
+    zmod_module,
+)
 
 
 def brute_submodule_masks(m):
@@ -736,6 +746,32 @@ BROKEN_UNIT_LAW = (
     "except ValueError as exc:\n"
     "    print('raised', exc)\n"
 )
+
+
+def assert_the_regular_module_is_the_ring(R):
+    # R as a module over itself: its submodules are the ideals, and its
+    # maximal submodules the maximal ideals
+    M = RealizedModule(R, R.additive_orders, R.mul_table)
+    bs = basis_vectors(R.rank)
+    assert all(M.act(a, b) == R.mul(a, b) for a in bs for b in bs)
+    M.axiom_check()
+    assert [s.members for s in maximal_submodules(M)] == [
+        i.members for i in maximal_ideals(R)
+    ], R.label
+    for g in elements(R):
+        assert M.span([g]) == ideal_generated(R, [g]).members, (R.label, g)
+
+
+@pytest.mark.parametrize("text", [f"Z/{n}" for n in range(2, 65)] + MIXED_PRODUCTS)
+def test_the_regular_module_is_the_ring(text):
+    assert_the_regular_module_is_the_ring(parse_ring(text))
+
+
+@pytest.mark.parametrize("q", sorted(POLY_DEGREES))
+def test_the_regular_module_is_the_ring_on_polynomial_quotients(q):
+    for f in monic_polynomials(q):
+        if q ** (len(f) - 1) <= 64:
+            assert_the_regular_module_is_the_ring(poly_ring(q, f))
 
 
 def test_axiom_check_raises_on_a_broken_unit_law():

@@ -22,6 +22,7 @@ from modcover.rings import (
     ideal_generated,
     local_factorization,
     maximal_ideals,
+    power_exceeds,
     quotient_ring,
     residue_field,
     ring_gf,
@@ -34,6 +35,7 @@ from modcover.rings import (
 from oracles import (
     MIXED_PRODUCTS,
     PINNED_RINGS,
+    POLY_DEGREES,
     additive_closure,
     elements,
     factor_by_sweeps,
@@ -43,6 +45,7 @@ from oracles import (
     local_factors,
     maximal_ideal_masks,
     member_elements,
+    monic_polynomials,
     poly_ring,
     smallest_irreducible_by_search,
 )
@@ -110,6 +113,14 @@ def test_ring_size_guard():
 
     with pytest.raises((GuardExceeded, ValueError)):
         ring_zmod(5000)
+
+
+def test_power_exceeds_is_the_plain_comparison():
+    bounds = [0, 1, 2, 3, 255, 256, 4095, 4096, 2**20 - 1, 2**20, 2**20 + 1]
+    for base in range(2, 12):
+        for k in range(0, 70):
+            for bound in bounds:
+                assert power_exceeds(base, k, bound) == (base**k > bound), (base, k, bound)
 
 
 # -- finite fields -----------------------------------------------------------
@@ -375,18 +386,6 @@ def test_the_fixed_space_of_r_mod_p_counts_the_primitive_idempotents(spec):
         # a power of p
         t = sum(prime_factors(additive_order(R, e)) == [p] for e in idempotents)
         assert fixed == p**t * len(p_r), (R.label, p)
-
-
-# q -> the largest degree of f tried; every monic f up to it, so reducible
-# and repeated factors of f mod p are all there
-POLY_DEGREES = {2: 5, 3: 3, 4: 3, 5: 2, 7: 2, 8: 2, 9: 2}
-
-
-def monic_polynomials(q):
-    """Every monic f over Z/q of degree 1 to POLY_DEGREES[q]."""
-    for k in range(1, POLY_DEGREES[q] + 1):
-        for tail in itertools.product(range(q), repeat=k):
-            yield list(tail) + [1]
 
 
 @pytest.mark.parametrize("q", sorted(POLY_DEGREES))

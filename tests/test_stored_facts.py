@@ -193,6 +193,24 @@ def test_a_field_is_its_own_residue_field(text, monkeypatch):
     assert all(project(x) == x == lift(x) for x in elements(R))
 
 
+@pytest.mark.parametrize("text", PINNED_RINGS)
+def test_the_index_codec_is_built_only_when_a_mask_is_read(text, monkeypatch):
+    # the factor rings of a product and the residue fields read no mask, so
+    # the only codec built is R's own, for the ideal spans of `_factor`
+    monkeypatch.setattr(rings, "_INTERNED", rings._RingTable())
+    builds = []
+    init = rings._Shifts.__init__
+
+    def counted(self, orders):
+        builds.append(orders)
+        init(self, orders)
+
+    monkeypatch.setattr(rings._Shifts, "__init__", counted)
+    R = parse_ring(text)
+    maximal_ideals(R)
+    assert builds == [R.additive_orders]
+
+
 @pytest.mark.parametrize("text", PINNED_RINGS + MIXED_PRODUCTS)
 def test_factor_runs_no_snf_outside_quotient_ring(text, monkeypatch):
     # R/pR is a selection of R's coordinates, so the only Smith normal
