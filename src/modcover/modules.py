@@ -257,12 +257,55 @@ def submodule_generators(m: RealizedModule, members: int, start=1) -> tuple:
 
 
 def all_submodules(m: RealizedModule, max_count=LATTICE_COUNT_BUDGET) -> list:
-    """Every submodule, by closing the cyclic submodules under joins.
+    """Every submodule, as the product of one interval per local factor.
 
-    The join of S with a cyclic submodule Rx is the closure of S under
-    the ring-basis images of x. Guarded both by |M| and by a lattice-size
-    budget: some semisimple modules within the size guard still have
-    astronomically many submodules.
+    M is the direct sum of the eM over the primitive idempotents e of the
+    ring, and every submodule N is the direct sum of its eN. x lies in
+    eN + (1−e)M exactly when ex lies in eN, so N = ∩_e (eN + (1−e)M),
+    and eN ↦ eN + (1−e)M maps the lattice of eM isomorphically onto the
+    interval of submodules that contain (1−e)M. A submodule there is
+    (1−e)M plus a sum of cyclics Rx with x in eM, so `_interval` walks it
+    from the mask of (1−e)M, joining only those cyclics; a factor with
+    eM = 0 has the one-point interval {M} and is left out. The lattice is
+    then every AND of one mask per interval: that AND is the join of the
+    eN, and it costs no closure. A local ring has the one factor e = 1,
+    so its interval is the whole lattice, walked from zero.
+
+    Guarded both by |M| and by a lattice-size budget: some semisimple
+    modules within the size guard still have astronomically many
+    submodules. The lattice has Π (interval sizes) members, so the budget
+    trips, before the AND pass, exactly when that product exceeds
+    `max_count`; an interval past it trips during its own walk.
+    """
+    if m.size > LATTICE_GUARD:
+        raise GuardExceeded("lattice", f"|M| = {m.size} exceeds guard {LATTICE_GUARD}")
+    ring = m.ring
+    basis = basis_vectors(m.rank)
+    # a unit acts through its coordinates modulo the exponent of M
+    exponent = math.lcm(*m.orders)
+    units = ring.units()
+    intervals = []
+    for e in local_factorization(ring).idempotents:
+        em = m.shifts.closure([m.act(e, x) for x in basis])
+        if em == 1:
+            continue
+        bottom = m.shifts.closure([m.act(ring.sub(ring.one, e), x) for x in basis])
+        # the units of eR are the e·u, and on eM they act as the u do
+        local_units = {tuple(c % exponent for c in ring.mul(e, u)) for u in units}
+        intervals.append(_interval(m, bottom, em, local_units, max_count))
+    if math.prod(map(len, intervals)) > max_count:
+        raise _lattice_count_exceeded(max_count)
+    lattice = [m.full_mask]
+    for interval in intervals:
+        lattice = [a & b for a in lattice for b in interval]
+    out = [Submodule(m, mask) for mask in lattice]
+    out.sort(key=lambda s: (s.size, s.members))
+    return out
+
+
+def _interval(m: RealizedModule, bottom: int, em: int, units, max_count) -> set:
+    """The masks of the submodules between `bottom` = (1−e)M and M: the
+    joins of `bottom` with the cyclics Rx, x in `em` = eM.
 
     Steps whose answer is already known are skipped, and nothing else
     changes. R(ux) = Rx for every unit u, so once x is closed, every later
@@ -272,31 +315,24 @@ def all_submodules(m: RealizedModule, max_count=LATTICE_COUNT_BUDGET) -> list:
     after Rx and y lies in J = S + Rx, so y = s + rx. If R(rx) = Rx then
     S + Ry = J; otherwise R(rx) is a smaller cyclic, walked earlier, and
     S + Ry = S + R(rx) was reached then (or, by the same argument, skipped
-    because it was known). Either way S + Ry is already in the lattice, so
-    a cyclic whose generator lies in a join made earlier from S is skipped.
-    The walk, the lattice and the point where the count budget trips are
-    those of joining S with every cyclic.
+    because it was known). rx lies in eM with x, so this holds inside the
+    interval as it does from zero. Either way S + Ry is already in the
+    lattice, so a cyclic whose generator lies in a join made earlier from
+    S is skipped. The walk, the interval and the point where the count
+    budget trips are those of joining S with every cyclic of eM.
     """
-    if m.size > LATTICE_GUARD:
-        raise GuardExceeded("lattice", f"|M| = {m.size} exceeds guard {LATTICE_GUARD}")
-    # a unit acts through its coordinates modulo the exponent of M
-    exponent = math.lcm(*m.orders)
-    units = {tuple(c % exponent for c in u) for u in m.ring.units()}
     cyclics = {}
-    seen = 0  # indices in the unit orbit of an index already closed
-    for idx in range(m.size):
-        if seen >> idx & 1:
-            continue
+    todo = em  # indices of eM in no unit orbit already closed
+    while todo:
+        idx = (todo & -todo).bit_length() - 1
         x = m.element(idx)
         for y in {m.act(u, x) for u in units}:
-            seen |= 1 << m.index_of(y)
-        cyclics.setdefault(m.span([x]), idx)
-    cyclic_items = [
-        (cmask, cgen, m.images([m.element(cgen)]))
-        for cmask, cgen in sorted(cyclics.items())
-    ]
-    lattice = {1}  # zero is bit 0
-    work = [1]
+            todo &= ~(1 << m.index_of(y))
+        images = m.images([x])
+        cyclics.setdefault(m.shifts.closure(images), (idx, images))
+    cyclic_items = [(cmask, *gen) for cmask, gen in sorted(cyclics.items())]
+    lattice = {bottom}
+    work = [bottom]
     while work:
         smask = work.pop()
         joined = 0  # union of the joins made from S so far
@@ -309,13 +345,14 @@ def all_submodules(m: RealizedModule, max_count=LATTICE_COUNT_BUDGET) -> list:
                 lattice.add(jmask)
                 work.append(jmask)
                 if len(lattice) > max_count:
-                    raise GuardExceeded(
-                        "lattice-count",
-                        f"more than {max_count} submodules; enumeration aborted",
-                    )
-    out = [Submodule(m, mask) for mask in lattice]
-    out.sort(key=lambda s: (s.size, s.members))
-    return out
+                    raise _lattice_count_exceeded(max_count)
+    return lattice
+
+
+def _lattice_count_exceeded(max_count) -> GuardExceeded:
+    return GuardExceeded(
+        "lattice-count", f"more than {max_count} submodules; enumeration aborted"
+    )
 
 
 # -- ideal action, quotients, radical ----------------------------------------------

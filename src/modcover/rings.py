@@ -250,13 +250,16 @@ class FiniteRing(_Coordinates):
     # -- units ---------------------------------------------------------------
 
     def units(self) -> frozenset:
-        """Elements in no maximal ideal."""
+        """Elements in no maximal ideal. Their mask is read once, as a
+        string whose character i is bit i, and picks the units out of
+        the elements in index order."""
         if self._units is None:
-            non_units = 0
+            rest = self.full_mask
             for ideal in maximal_ideals(self):
-                non_units |= ideal.members
+                rest &= ~ideal.members
+            bits = bin(rest)[:1:-1]
             self._units = frozenset(
-                x for i, x in enumerate(self.iter_elements()) if not non_units >> i & 1
+                itertools.compress(self.iter_elements(), map("1".__eq__, bits))
             )
         return self._units
 

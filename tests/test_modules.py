@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from modcover.dsl import parse_module, parse_ring
 from modcover.errors import GuardExceeded
 from modcover.modules import (
+    LATTICE_GUARD,
     ModulePresentation,
     RealizedModule,
     Submodule,
@@ -301,6 +302,15 @@ LATTICE_CASES = [
     "Z/10 (+) Z/5 over Z/10",
     "free 1 over Z/61",
     "module over Z/54: gens=3; rels=[(2,0,0), (0,3,0), (0,0,6)]",
+    # the product over the local factors: three factors on one coordinate,
+    # so the idempotents cut across coordinates; a factor with eM = 0; a
+    # local factor that is not a field; two composite coordinates; three
+    # factors of one residue field
+    "free 1 over Z/30",
+    "Z/2 (+) Z/2 over Z/6",
+    "free 2 over Z/4 x Z/2",
+    "Z/6 (+) Z/10 over Z/30",
+    "free 1 over Z/2 x Z/2 x Z/2",
 ]
 
 
@@ -314,7 +324,8 @@ def test_all_submodules_match_every_join(label):
 
 def test_all_submodules_closure_count(monkeypatch):
     # skipping the joins whose result is known cut this from 13,847
-    # closures; the count is exact, so any growth shows here
+    # closures to 2,409; walking each local factor's interval and joining
+    # the two by AND cut it to 90. The count is exact, so any growth shows
     m = parse_module("free 3 over Z/2 x Z/2")
     m.ring.units()  # stored ring facts, so that only the walk is counted
     calls = 0
@@ -327,7 +338,7 @@ def test_all_submodules_closure_count(monkeypatch):
 
     monkeypatch.setattr(_Shifts, "closure", counting)
     assert len(all_submodules(m)) == 256
-    assert calls <= 2409
+    assert calls == 90
 
 
 def test_all_submodules_budget_trips_only_past_the_lattice_size():
@@ -337,6 +348,45 @@ def test_all_submodules_budget_trips_only_past_the_lattice_size():
             all_submodules(m, max_count=budget)
         assert exc.value.guard == "lattice-count"
     assert len(all_submodules(m, max_count=256)) == 256
+
+
+def gaussian_binomial(n, k, q):
+    """The number of k-dimensional subspaces of F_q^n."""
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+# semisimple modules: (label, the (q, n) of each factor F_q^n)
+SEMISIMPLE_LATTICES = [
+    ("free 3 over Z/2 x Z/3", [(2, 3), (3, 3)]),  # 16 x 28 = 448
+    ("free 4 over Z/2 x Z/2", [(2, 4), (2, 4)]),  # 67^2 = 4489, |M| = 256
+    ("free 2 over Z/2 x Z/2 x Z/2", [(2, 2)] * 3),
+    ("free 2 over GF(2^2) x Z/3", [(4, 2), (3, 2)]),
+    ("free 4 over Z/3", [(3, 4)]),
+]
+
+
+@pytest.mark.parametrize("label,factors", SEMISIMPLE_LATTICES)
+def test_semisimple_lattice_sizes_match_the_subspace_counts(label, factors):
+    # a semisimple module is ⊕ F_q^n over its factors, so its lattice is
+    # the product of the subspace lattices: Π Σ_k [n choose k]_q
+    expected = 1
+    for q, n in factors:
+        expected *= sum(gaussian_binomial(n, k, q) for k in range(n + 1))
+    m = parse_module(label)
+    assert len(all_submodules(m)) == expected
+
+
+def test_all_submodules_budget_at_the_lattice_guard():
+    m = parse_module("free 4 over Z/2 x Z/2")
+    assert m.size == LATTICE_GUARD
+    with pytest.raises(GuardExceeded) as exc:
+        all_submodules(m, max_count=4488)
+    assert exc.value.guard == "lattice-count"
+    assert len(all_submodules(m, max_count=4489)) == 67**2
 
 
 def test_is_cyclic_matches_the_least_index_sweep():
