@@ -69,7 +69,7 @@ def _ring_facts(ring) -> dict:
         "ring": ring.label,
         "size": ring.size,
         "additive_orders": list(ring.additive_orders),
-        "units": len(ring.units()),
+        "units": ring.unit_count,
         "maximal_ideals": [
             {
                 "generators": [list(g) for g in i.generators],

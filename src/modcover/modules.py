@@ -362,7 +362,7 @@ def ideal_action(m: RealizedModule, ideal: Ideal) -> Submodule:
     """The submodule I*M."""
     if ideal.ring is not m.ring:
         raise ValueError("ideal belongs to a different ring")
-    gens = [m.act(g, e) for g in ideal.generators for e in basis_vectors(m.rank)]
+    gens = [m.act(g, e) for g in ideal.spanning for e in basis_vectors(m.rank)]
     return Submodule(m, m.span(gens))
 
 
@@ -414,9 +414,11 @@ def hyperplanes(m: RealizedModule, ideal: Ideal, start: int, basis) -> list:
     out = []
     for lead, u in enumerate(basis):
         lead_start = m.span(basis[:lead], start)
-        scaled = [m.act(field_lift(c), u) for c in field.iter_elements()]
-        for tail in itertools.product(scaled, repeat=len(basis) - lead - 1):
-            vectors = [m.add(w, cu) for w, cu in zip(basis[lead + 1 :], tail)]
+        rest = basis[lead + 1 :]
+        # the last lead index has no tail, so it needs no multiples of u
+        scaled = [m.act(field_lift(c), u) for c in field.iter_elements()] if rest else []
+        for tail in itertools.product(scaled, repeat=len(rest)):
+            vectors = [m.add(w, cu) for w, cu in zip(rest, tail)]
             out.append(Submodule(m, m.span(vectors, lead_start)))
     return out
 

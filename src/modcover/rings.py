@@ -8,14 +8,15 @@ tuples, reduced coordinate-wise. A ring is a module over itself, so
 indices, the product of a basis table, spans and greedy generating
 sets, with the index codec built on the first mask read. A hand-built
 table is checked to be a ring (`FiniteRing._validate`); the
-constructors and `quotient_ring` build rings by construction and skip
-that check. All values are
+constructors, the residue fields and `quotient_ring` build rings by
+construction and skip that check. All values are
 immutable after construction, so the constructors share one object per
 ring (see `_RingTable`) and each ring stores the facts derived from it:
 its local factorization, maximal ideals, residue fields and units.
 These come from linear algebra over F_p in R's own coordinates (see
-`_factor`); the only Smith normal form is `quotient_ring`'s, run for
-the residue fields R/m other than R itself.
+`_factor` and `_fp`): each residue field R/m is R/pR modulo the echelon
+of m's image, with no Smith normal form. The only Smith normal form of
+the ring layer is `quotient_ring`'s, which localization uses.
 """
 
 from __future__ import annotations
@@ -23,9 +24,20 @@ from __future__ import annotations
 import itertools
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
-from functools import cache, cached_property, reduce
+from dataclasses import dataclass, field
+from functools import cached_property, reduce
 
+from ._fp import (
+    _apply,
+    _echelon,
+    _fixed_space,
+    _frobenius,
+    _is_field,
+    _kernel,
+    _power,
+    _reduce,
+    basis_vectors,
+)
 from .errors import GuardExceeded
 from .snf import abelian_quotient
 
@@ -39,12 +51,6 @@ def power_exceeds(base: int, k: int, bound: int) -> bool:
     far beyond the bound: 2**k > bound already when k exceeds its bit
     length."""
     return k > bound.bit_length() or base**k > bound
-
-
-@cache
-def basis_vectors(rank: int) -> tuple:
-    """The coordinate tuples of the additive basis e_0, ..., e_{rank-1}."""
-    return tuple(tuple(int(s == t) for s in range(rank)) for t in range(rank))
 
 
 class _Shifts:
@@ -238,7 +244,7 @@ class FiniteRing(_Coordinates):
         self.mul_table = self.table
         self.one = self.reduce(one)
         self.label = label
-        self._units = None
+        self._units = None  # frozenset, built from `unit_mask` when asked for
         self._local_factorization = None
         self._maximal_ideals = None  # tuple, sorted by members
         self._residue_fields = None  # maximal-ideal mask -> (field, project, lift)
@@ -249,15 +255,24 @@ class FiniteRing(_Coordinates):
 
     # -- units ---------------------------------------------------------------
 
+    @cached_property
+    def unit_mask(self) -> int:
+        """Mask of the units: the elements in no maximal ideal."""
+        rest = self.full_mask
+        for ideal in maximal_ideals(self):
+            rest &= ~ideal.members
+        return rest
+
+    @property
+    def unit_count(self) -> int:
+        return self.unit_mask.bit_count()
+
     def units(self) -> frozenset:
-        """Elements in no maximal ideal. Their mask is read once, as a
-        string whose character i is bit i, and picks the units out of
-        the elements in index order."""
+        """The units as coordinate tuples. `unit_mask` is read once, as a
+        string whose character i is bit i, and picks them out of the
+        elements in index order."""
         if self._units is None:
-            rest = self.full_mask
-            for ideal in maximal_ideals(self):
-                rest &= ~ideal.members
-            bits = bin(rest)[:1:-1]
+            bits = bin(self.unit_mask)[:1:-1]
             self._units = frozenset(
                 itertools.compress(self.iter_elements(), map("1".__eq__, bits))
             )
@@ -302,9 +317,19 @@ class FiniteRing(_Coordinates):
 
 @dataclass(frozen=True)
 class Ideal:
+    """An ideal is its members mask. `spanning` holds the elements it was
+    built from, whose ideal span is that mask; the greedy `generators`
+    are derived from the mask when first read."""
+
     ring: FiniteRing
     members: int  # bitmask over the ring's element indices
-    generators: tuple  # coordinate tuples witnessing the members
+    spanning: tuple = field(compare=False)  # coordinate tuples spanning the members
+
+    @cached_property
+    def generators(self) -> tuple:
+        """The greedy generating set in R's element order, as coordinate
+        tuples; derived when first read."""
+        return tuple(self.ring.element(i) for i in self.ring.greedy(self.members))
 
     @property
     def size(self) -> int:
@@ -326,7 +351,8 @@ class Ideal:
 
 
 def ideal_generated(ring: FiniteRing, gens) -> Ideal:
-    """Smallest ideal containing `gens` (coordinate tuples)."""
+    """Smallest ideal containing `gens` (coordinate tuples), spanned by
+    them in sorted order."""
     gens = [ring.reduce(g) for g in gens]
     return Ideal(ring, ring.span(gens), tuple(sorted(gens)))
 
@@ -398,96 +424,6 @@ def _prime_powers(n: int) -> list:
 
 def _is_prime(n: int) -> bool:
     return _prime_powers(n) == [(n, 1)]
-
-
-# -- linear algebra over F_p --------------------------------------------------------
-
-
-def _echelon(rows, p) -> tuple:
-    """Reduced row echelon form over F_p of vectors of one length:
-    ``(rows, pivots)``, the nonzero rows and their pivot columns."""
-    rows = [[v % p for v in row] for row in rows]
-    pivots = []
-    for col in range(len(rows[0]) if rows else 0):
-        top = len(pivots)
-        hit = next((i for i in range(top, len(rows)) if rows[i][col]), None)
-        if hit is None:
-            continue
-        rows[top], rows[hit] = rows[hit], rows[top]
-        inv = pow(rows[top][col], -1, p)
-        pivot_row = rows[top] = [v * inv % p for v in rows[top]]
-        for i, row in enumerate(rows):
-            c = row[col]
-            if c and i != top:
-                rows[i] = [(a - c * b) % p for a, b in zip(row, pivot_row)]
-        pivots.append(col)
-    return rows[: len(pivots)], pivots
-
-
-def _kernel(images, p) -> list:
-    """A basis of the kernel of the F_p-linear map sending the j-th basis
-    vector to images[j]."""
-    n = len(images)
-    rows, pivots = _echelon(zip(*images), p)  # the matrix has the images as columns
-    basis = []
-    for free in range(n):
-        if free not in pivots:
-            x = [0] * n
-            x[free] = 1
-            for row, col in zip(rows, pivots):
-                x[col] = -row[free] % p
-            basis.append(tuple(x))
-    return basis
-
-
-def _fixed_space(images, p) -> list:
-    """A basis of {x : L(x) = x} for the F_p-linear map L sending the j-th
-    basis vector to images[j]."""
-    return _kernel(
-        [tuple((v - (i == j)) % p for i, v in enumerate(img)) for j, img in enumerate(images)],
-        p,
-    )
-
-
-def _apply(images, x, p) -> tuple:
-    """The image of x under the linear map sending the j-th basis vector
-    to images[j]."""
-    acc = [0] * len(images[0])
-    for xj, img in zip(x, images):
-        if xj:
-            for i, v in enumerate(img):
-                acc[i] += xj * v
-    return tuple(a % p for a in acc)
-
-
-def _power(mul, x, n: int):
-    """x^n for n >= 1, by squaring with the product `mul`."""
-    result = None
-    while True:
-        if n & 1:
-            result = x if result is None else mul(result, x)
-        n >>= 1
-        if not n:
-            return result
-        x = mul(x, x)
-
-
-def _frobenius(mul, n, p) -> list:
-    """The images u^p of the basis u of an F_p-algebra of dimension n
-    with product `mul`."""
-    return [_power(mul, u, p) for u in basis_vectors(n)]
-
-
-def _is_field(frobenius, p) -> bool:
-    """Whether a commutative F_p-algebra A is a field, given the images
-    F(u_j) of its basis under Frobenius F(x) = x^p, which is F_p-linear.
-
-    F is injective exactly when A has no nonzero nilpotent: the last
-    nonzero x^(p^i) of a nilpotent x is in ker F. A reduced finite A is a
-    product of fields, and the Berlekamp kernel ker(F - I) = {x : x^p = x}
-    is F_p in each field, so it has dimension 1 exactly when A is one field.
-    """
-    return not _kernel(frobenius, p) and len(_fixed_space(frobenius, p)) == 1
 
 
 def _poly_mulmod(a, b, f, p):
@@ -615,22 +551,23 @@ def _build_product(a, b):
 
 
 def quotient_ring(ring: FiniteRing, ideal: Ideal):
-    """Cosets of an ideal, with induced operations.
+    """Cosets of an ideal, with induced operations, by a Smith normal form
+    of the span of `ideal.spanning`.
 
     Returns ``(quotient, project, lift)`` where project/lift translate
-    between ring elements and quotient coordinates. A ring modulo the
-    ideal its generators span is a ring, so construction skips `_validate`.
+    between ring elements and quotient coordinates. A ring modulo an
+    ideal is a ring, so construction skips `_validate`.
     """
     if ideal.ring is not ring:
         raise ValueError("ideal belongs to a different ring")
     bs = basis_vectors(ring.rank)
-    addgens = [ring.mul(b, g) for g in ideal.generators for b in bs]
+    addgens = [ring.mul(b, g) for g in ideal.spanning for b in bs]
     qorders, project, lift = abelian_quotient(ring.additive_orders, addgens)
     if not qorders:
         raise ValueError("quotient by the unit ideal is the zero ring")
     lifted = [lift(u) for u in basis_vectors(len(qorders))]
     table = [[project(ring.mul(x, y)) for y in lifted] for x in lifted]
-    label = f"({ring.label})/<{','.join(str(g) for g in ideal.generators)}>"
+    label = f"({ring.label})/<{','.join(str(g) for g in ideal.spanning)}>"
     q = FiniteRing(qorders, table, project(ring.one), label, validate=False)
     return q, project, lift
 
@@ -642,7 +579,8 @@ class LocalFactorization:
     each, J the radical of R. Both come from linear algebra over the
     residue characteristics (see `_factor`). The factor rings are not
     built: modules read the decomposition only through the e, and the
-    covering number only through the maximal ideals and R/m_e."""
+    covering number only through the maximal ideals and the residue
+    fields R/m_e, which are built by echelon over F_p."""
 
     idempotents: tuple  # primitive idempotents, sorted by coordinates
     maximal_ideal_masks: tuple  # m_e, one per idempotent
@@ -670,8 +608,9 @@ def maximal_ideals(ring: FiniteRing) -> list:
 
 
 def residue_field(ideal: Ideal):
-    """``(field, project, lift)`` for R/m, as `quotient_ring` returns it;
-    built and checked once per maximal ideal m."""
+    """``(field, project, lift)`` for R/m: the field, the map from R onto
+    its coordinates, and a map back whose images project to the same
+    coordinates; built and checked once per maximal ideal m."""
     ring = ideal.ring
     if ring._residue_fields is None:
         local_factorization(ring)
@@ -683,34 +622,34 @@ def residue_field(ideal: Ideal):
 def _factor(ring: FiniteRing):
     """Store the local factorization, maximal ideals and residue fields,
     found by linear algebra over F_p (`_primary_idempotents`), with no
-    sweep over the elements.
+    sweep over the elements and no Smith normal form.
 
     R is the product of its p-primary parts R_p, and the primitive
     idempotents of R are those of the R_p. For each one, e, the factor eR
     is local, and m_e = (1-e)R + J_p is the maximal ideal not containing
-    e, where J_p, generated by p and the lifts of rad(R/pR), is the
-    preimage of the radical of R/pR; (1-e)R holds every other factor, so
-    J_p adds only eJ_p. Orthogonal idempotents summing to 1 give
-    R = ⊕ eR, so they are checked and the factors are not built.
+    e, where J_p, generated by r_1 = p and the lifts r_j of rad(R/pR), is
+    the preimage of the radical of R/pR; (1-e)R holds every other factor,
+    so J_p adds only eJ_p. Since g_1 = (1-e) + e r_1 has g_1 (1-e) = 1-e,
+    m_e is spanned by g_1 and the nonzero e r_j, in one span. Orthogonal
+    idempotents summing to 1 give R = ⊕ eR, so they are checked and the
+    factors are not built.
 
-    R/m_e is built once per maximal ideal, and checked to be a field.
-    When m_e = 0, R is a field and is its own residue field. When
-    m_e = (1-e)R, eR is that field and R/m_e is R modulo 1-e; otherwise
-    it is R modulo the minimal generators of m_e. These give one field in
-    different coordinates, and `construct_cover` walks a field's elements
-    in its coordinates, so the choice fixes the order of its certificates.
+    R/m_e is built once per maximal ideal, by `_residue_field`, and
+    checked to be a field. When m_e = 0, R is a field and is its own
+    residue field. `construct_cover` walks a field's elements in its
+    coordinates, so these fix the order of its certificates.
     """
     char = reduce(
         math.lcm, (d // math.gcd(d, c) for c, d in zip(ring.one, ring.additive_orders))
     )  # the additive order of 1
-    parts = []  # (idempotent, generators of J_p)
+    parts = []  # (idempotent, p, generators r_j of J_p)
     for p, a in _prime_powers(char):
         rest = char // p**a
         e_p = ring.scale(rest * pow(rest, -1, p**a), ring.one)  # 1 in R_p, 0 elsewhere
         idempotents, radical_gens = _primary_idempotents(ring, p, e_p)
-        parts += [(e, radical_gens) for e in idempotents]
+        parts += [(e, p, radical_gens) for e in idempotents]
     parts.sort(key=lambda part: part[0])
-    primitive = [e for e, _ in parts]
+    primitive = [e for e, _, _ in parts]
     # sanity: pairwise orthogonal and summing to 1
     acc = ring.zero
     for i, e in enumerate(primitive):
@@ -721,27 +660,62 @@ def _factor(ring: FiniteRing):
     if acc != ring.one:
         raise AssertionError("primitive idempotents do not sum to 1")
 
-    ideal_masks = []
+    ideals = []
     fields = {}
-    for e, radical_gens in parts:
-        complement = ideal_generated(ring, [ring.sub(ring.one, e)])
-        mask = ring.span(radical_gens, complement.members)
-        ideal_masks.append(mask)
+    for e, p, (r_1, *r_rest) in parts:
+        spanning = [ring.add(ring.sub(ring.one, e), ring.mul(e, r_1))]
+        spanning += [g for g in (ring.mul(e, r) for r in r_rest) if g != ring.zero]
+        images = ring.images(spanning)
+        mask = ring.shifts.closure(images)
         if mask == 1:  # m_e = 0: R is a field
             fields[mask] = (ring, ring.reduce, ring.reduce)
-        elif mask == complement.members:  # eR is a field
-            fields[mask] = quotient_ring(ring, complement)
-
-    ideals = []
-    for mask in sorted(ideal_masks):
-        ideal = Ideal(ring, mask, tuple(ring.element(i) for i in ring.greedy(mask)))
-        if mask not in fields:
-            fields[mask] = quotient_ring(ring, ideal)
-        _assert_is_field(fields[mask][0])
-        ideals.append(ideal)
-    ring._local_factorization = LocalFactorization(tuple(primitive), tuple(ideal_masks))
-    ring._maximal_ideals = tuple(ideals)
+        else:
+            label = f"({ring.label})/<{','.join(str(g) for g in spanning)}>"
+            fields[mask] = _residue_field(ring, p, images, label)
+            _assert_is_field(fields[mask][0])
+        ideals.append(Ideal(ring, mask, tuple(spanning)))
+    ring._local_factorization = LocalFactorization(
+        tuple(primitive), tuple(ideal.members for ideal in ideals)
+    )
+    ring._maximal_ideals = tuple(sorted(ideals, key=lambda ideal: ideal.members))
     ring._residue_fields = fields
+
+
+def _support(ring, p) -> list:
+    """The coordinates i with p | d_i. pR is ⊕ pZ/d_i, so A = R/pR is ⊕ Z/p
+    over these coordinates, read as x_i mod p."""
+    return [i for i, d in enumerate(ring.additive_orders) if d % p == 0]
+
+
+def _residue_field(ring, p, images, label) -> tuple:
+    """``(field, project, lift)`` for R/m, given the additive generators
+    `images` of a maximal ideal m that contains p.
+
+    Then R/m = A/m̄ for A = R/pR and m̄ the F_p-span of the images in A.
+    In the reduced echelon form of m̄, the non-pivot columns of A are a
+    basis of A/m̄: `project` reduces x mod p by the echelon rows and reads
+    the non-pivot coordinates, and `lift` puts coordinates back on them,
+    with zeros elsewhere. The table takes f^2 products, f = dim A/m̄.
+    """
+    support = _support(ring, p)
+    rows, pivots = _echelon([[x[i] for i in support] for x in images], p)
+    spots = [j for j in range(len(support)) if j not in pivots]  # columns of A
+    free = [support[j] for j in spots]  # the same columns of R
+
+    def project(x):
+        reduced = _reduce(rows, pivots, [x[i] for i in support], p)
+        return tuple(reduced[j] for j in spots)
+
+    def lift(y):
+        x = [0] * ring.rank
+        for i, c in zip(free, y):
+            x[i] = c
+        return tuple(x)
+
+    basis = [lift(u) for u in basis_vectors(len(free))]
+    table = [[project(ring.mul(a, b)) for b in basis] for a in basis]
+    residue = FiniteRing([p] * len(free), table, project(ring.one), label, validate=False)
+    return residue, project, lift
 
 
 def _primary_idempotents(ring, p, e_p) -> tuple:
@@ -763,7 +737,7 @@ def _primary_idempotents(ring, p, e_p) -> tuple:
     a basis of K gives the t primitive idempotents. Each lifts uniquely to
     R_p by Newton's step e <- 3e^2 - 2e^3, as pR_p is nilpotent.
     """
-    support = [i for i, d in enumerate(ring.additive_orders) if d % p == 0]
+    support = _support(ring, p)
 
     def project(x):
         return tuple(x[i] % p for i in support)

@@ -385,6 +385,14 @@ def local_factors(ring) -> SimpleNamespace:
     )
 
 
+def residue_field_by_snf(ideal):
+    """``(field, project, lift)`` for R/m by `quotient_ring`, a Smith
+    normal form of the ideal that m's greedy generators span: a path
+    independent of the echelon that builds the library's residue fields."""
+    ring = ideal.ring
+    return quotient_ring(ring, ideal_generated(ring, ideal.generators))
+
+
 def maximal_ideal_masks(ring) -> tuple:
     """Per local factor, the mask of the ring elements whose projection
     is a non-unit (a nilpotent) of the factor."""

@@ -238,6 +238,28 @@ def test_maximal_submodules_counts():
     assert len(maximal_submodules(zmod_module(4, [2, 4]))) == 3
 
 
+@pytest.mark.parametrize(
+    "text, acts", [("free 1 over Z/157", 0), ("free 2 over Z/7", 7), ("free 3 over Z/3", 6)]
+)
+def test_hyperplanes_scale_only_a_lead_vector_with_a_tail(text, acts, monkeypatch):
+    # the multiples c*u_l of the lead vector are read only by the vectors
+    # after it, so the last lead index scales nothing
+    m = parse_module(text)
+    semisimple_invariants(m)
+    calls = []
+    act = RealizedModule.act
+
+    def counted(self, a, x):
+        calls.append(1)
+        return act(self, a, x)
+
+    monkeypatch.setattr(RealizedModule, "act", counted)
+    assert len(maximal_submodules(m)) == sum(
+        e.residue_size ** k for e in semisimple_invariants(m) for k in range(e.multiplicity)
+    )
+    assert len(calls) == acts
+
+
 def test_maximal_submodules_are_maximal_in_the_lattice():
     for m in [free_module(ring_zmod(2), 2), zmod_module(6, [2, 2, 3])]:
         lattice = [s.members for s in all_submodules(m) if s.is_proper()]

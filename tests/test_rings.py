@@ -15,6 +15,7 @@ from modcover.cli import main
 from modcover.dsl import parse_ring
 from modcover.rings import (
     FiniteRing,
+    _assert_is_field,
     _is_irreducible,
     _is_prime,
     _Shifts,
@@ -43,10 +44,12 @@ from oracles import (
     is_irreducible_by_search,
     large_ring_labels,
     local_factors,
+    mask_of,
     maximal_ideal_masks,
     member_elements,
     monic_polynomials,
     poly_ring,
+    residue_field_by_snf,
     smallest_irreducible_by_search,
 )
 
@@ -404,8 +407,11 @@ def test_split_and_lift_on_polynomial_quotients(q):
 # sha256 over the coordinates of every residue field of PINNED_RINGS and of
 # the rings Z/q[x]/(f) above. `construct_cover` walks a field's elements in
 # these coordinates, so they order its certificates; a change that alters
-# them on purpose re-records this
-RESIDUE_FIELD_DIGEST = "64eea6bf62d7400f0fd6494a0a42f530170bc6b2d15d7b4850c5832cbbf50910"
+# them on purpose re-records this. Recorded for the echelon fields: R/m is
+# R/pR on the non-pivot columns of m's image, so 95 of the 618 fields,
+# most of them of degree > 1 over a Z/q[x]/(f), read other coordinates
+# than the Smith normal form gave
+RESIDUE_FIELD_DIGEST = "3a262dcf699686152fdff35320996bf1fe0f3a663a94d92ba7cbe92b1d08fd35"
 
 
 def test_residue_field_coordinates_are_pinned():
@@ -420,6 +426,44 @@ def test_residue_field_coordinates_are_pinned():
             fact = (R.label, field.additive_orders, field.mul_table, field.one, images)
             digest.update(repr(fact).encode() + b"\n")
     assert digest.hexdigest() == RESIDUE_FIELD_DIGEST
+
+
+def test_residue_fields_meet_their_definition():
+    # every R/m of the pinned rings, of the Z/q[x]/(f) above and of the
+    # benchmark's large rings, checked against what R/m must be rather
+    # than against how it is built: |R|/|m| elements; project is additive
+    # on every element and multiplicative on basis pairs, so a ring map,
+    # and its kernel, by an element sweep, is m; lift is a section; and
+    # R/m by a Smith normal form has the same size and is a field too
+    polys = [poly_ring(q, f) for q in sorted(POLY_DEGREES) for f in monic_polynomials(q)]
+    built = [parse_ring(text) for text in PINNED_RINGS + large_ring_labels()] + polys
+    assert len(built) == 6 + 330 + 433
+    checked = 0
+    for R in built:
+        bs = basis_vectors(R.rank)
+        for ideal in maximal_ideals(R):
+            field, project, lift = residue_field(ideal)
+            assert field.size == R.size // ideal.size, R.label
+            assert project(R.one) == field.one
+            images = [project(b) for b in bs]
+            for a, b in itertools.combinations_with_replacement(range(R.rank), 2):
+                assert project(R.mul(bs[a], bs[b])) == field.mul(images[a], images[b])
+            kernel = []
+            for i, x in enumerate(elements(R)):
+                y = project(x)
+                want = field.zero
+                for c, image in zip(x, images):
+                    want = field.add(want, field.scale(c, image))
+                assert y == want, (R.label, x)
+                if y == field.zero:
+                    kernel.append(i)
+            assert mask_of(kernel) == ideal.members, R.label
+            assert all(project(lift(y)) == y for y in field.iter_elements())
+            by_snf, _, _ = residue_field_by_snf(ideal)
+            assert by_snf.size == field.size
+            _assert_is_field(by_snf)
+            checked += 1
+    assert checked == 1467
 
 
 @pytest.mark.parametrize("text", ["GF(4093)", "Z/4096"])

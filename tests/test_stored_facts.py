@@ -1,5 +1,6 @@
 """Ring interning and the facts stored on rings and modules."""
 
+import json
 import sys
 
 import pytest
@@ -27,7 +28,7 @@ from modcover.rings import (
     zero_ideal,
 )
 
-from oracles import MIXED_PRODUCTS, PINNED_RINGS, elements, poly_ring
+from oracles import MIXED_PRODUCTS, PINNED_RINGS, elements, mask_of, poly_ring
 
 # -- interning ------------------------------------------------------------------
 
@@ -162,22 +163,72 @@ def test_residue_field_is_stored_once_per_maximal_ideal():
         residue_field(ideal_generated(R, [(6,)]))
 
 
-def test_a_field_factor_is_built_from_1_minus_e_and_any_other_from_m():
-    # Z/12 ≅ Z/4 x Z/3. At the field Z/3, e = 4 and m = (1-e)R, so R/m is
-    # R modulo 1-e = 9; at Z/4, e = 9 and m = (2) is larger than
-    # (1-e)R = (4), so R/m is R modulo the minimal generators of m
+def test_the_maximal_ideals_of_z12_and_their_residue_field_labels():
+    # Z/12 ≅ Z/4 x Z/3. At the field Z/3, e = 4 and m = (1-e)R = (9); at
+    # Z/4, e = 9 and m is spanned by g_1 = (1-e) + e*2 = 4 + 6 = 10. Each
+    # residue field is named after the elements that span its ideal
     R = ring_zmod(12)
+    spanning = {i.residue_size: i.spanning for i in maximal_ideals(R)}
+    assert spanning == {3: ((9,),), 2: ((10,),)}
     labels = {i.residue_size: residue_field(i)[0].label for i in maximal_ideals(R)}
-    assert labels == {3: "(Z/12)/<(9,)>", 2: "(Z/12)/<(2,)>"}
+    assert labels == {3: "(Z/12)/<(9,)>", 2: "(Z/12)/<(10,)>"}
 
 
-@pytest.mark.parametrize("text,builds", [("Z/4096", 1), ("Z/360", 3), ("Z/12 x Z/10", 4)])
-def test_factor_builds_one_quotient_ring_per_maximal_ideal(text, builds, monkeypatch):
-    # the residue fields; the local factors R/(1-e)R are not built
+@pytest.mark.parametrize("text", PINNED_RINGS + MIXED_PRODUCTS + ["GF(2^2) x GF(3^2)"])
+def test_maximal_ideals_are_one_span_of_their_spanning_elements(text):
+    # g_1 = (1-e) + e*p and the nonzero e*r_j; over Z/n, R/pR is a field,
+    # so J_p = pR and g_1 alone spans m_e
     R = parse_ring(text)
-    calls = _count_calls(monkeypatch, ["quotient_ring"], rings)
+    for ideal in maximal_ideals(R):
+        assert R.span(ideal.spanning) == ideal.members
+        assert R.span(ideal.generators) == ideal.members
+        if R.rank == 1:
+            assert len(ideal.spanning) == 1
+
+
+# fields and products with a field factor of degree > 1, beside the GF
+# rings of PINNED_RINGS
+GF_CASES = ["Z/2", "GF(13^2) x Z/4", "GF(2^2) x GF(3^2)"]
+
+
+@pytest.mark.parametrize("text", PINNED_RINGS + MIXED_PRODUCTS + GF_CASES)
+def test_factor_runs_no_snf_outside_quotient_ring(text, monkeypatch):
+    # R/pR is a selection of R's coordinates and each residue field is an
+    # echelon over F_p in them, so `_factor` builds no quotient ring either,
+    # and no Smith normal form runs at all
+    R = parse_ring(text)
+    calls = _count_calls(monkeypatch, ["abelian_quotient"], snf)
+    calls.update(_count_calls(monkeypatch, ["quotient_ring"], rings))
     rings._factor(R)
-    assert calls["quotient_ring"] == builds == len(maximal_ideals(R))
+    for ideal in maximal_ideals(R):
+        residue_field(ideal)
+    assert calls == {"abelian_quotient": 0, "quotient_ring": 0}
+
+
+def test_maximal_ideal_generators_are_derived_only_when_read(monkeypatch, capsys):
+    # the factorization, module facts and sigma read the spanning elements;
+    # only ring-info prints the greedy generators of the ideals
+    monkeypatch.setattr(rings, "_INTERNED", rings._RingTable())
+    calls = []
+    greedy = rings._Coordinates.greedy
+
+    def counted(self, members, start=1):
+        if isinstance(self, FiniteRing):
+            calls.append(self.label)
+        return greedy(self, members, start)
+
+    monkeypatch.setattr(rings._Coordinates, "greedy", counted)
+    for text in PINNED_RINGS + MIXED_PRODUCTS:
+        maximal_ideals(parse_ring(text))
+    assert cli.main(["module-info", "free 1 over Z/360"]) == 0
+    assert cli.main(["sigma", "--module", "free 2 over Z/30"]) == 0
+    assert cli.main(["verify", "--seed", "1", "--count", "20"]) == 0
+    assert calls == []
+    capsys.readouterr()
+    assert cli.main(["ring-info", "Z/360", "--json"]) == 0
+    facts = json.loads(capsys.readouterr().out)
+    assert [i["generators"] for i in facts["maximal_ideals"]] == [[[5]], [[3]], [[2]]]
+    assert calls == ["Z/360"] * 3
 
 
 @pytest.mark.parametrize("text", ["GF(2^7)", "GF(4093)", "GF(3^5)", "Z/2"])
@@ -211,17 +262,6 @@ def test_the_index_codec_is_built_only_when_a_mask_is_read(text, monkeypatch):
     assert builds == [R.additive_orders]
 
 
-@pytest.mark.parametrize("text", PINNED_RINGS + MIXED_PRODUCTS)
-def test_factor_runs_no_snf_outside_quotient_ring(text, monkeypatch):
-    # R/pR is a selection of R's coordinates, so the only Smith normal
-    # forms are those of the residue fields that are built
-    R = parse_ring(text)
-    calls = _count_calls(monkeypatch, ["abelian_quotient"], snf)
-    builds = _count_calls(monkeypatch, ["quotient_ring"], rings)
-    rings._factor(R)
-    assert calls["abelian_quotient"] == builds["quotient_ring"]
-
-
 # -- units and the field check -------------------------------------------------------
 
 
@@ -236,6 +276,22 @@ def brute_force_units(R):
 def test_units_match_brute_force_oracle(text):
     R = parse_ring(text)
     assert R.units() == brute_force_units(R)
+
+
+@pytest.mark.parametrize("text", PINNED_RINGS + MIXED_PRODUCTS)
+def test_unit_mask_and_count_are_those_of_the_unit_set(text):
+    R = parse_ring(text)
+    assert R.unit_mask == mask_of(R.index_of(u) for u in R.units())
+    assert R.unit_count == len(R.units())
+
+
+def test_ring_info_counts_units_without_the_unit_set(monkeypatch, capsys):
+    def no_set(self):
+        raise AssertionError("ring-info built the unit set")
+
+    monkeypatch.setattr(FiniteRing, "units", no_set)
+    assert cli.main(["ring-info", "Z/360", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["units"] == 96  # φ(360)
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 9])
