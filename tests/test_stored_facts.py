@@ -174,6 +174,19 @@ def test_the_maximal_ideals_of_z12_and_their_residue_field_labels():
     assert labels == {3: "(Z/12)/<(9,)>", 2: "(Z/12)/<(10,)>"}
 
 
+@pytest.mark.parametrize("text,builds", [("Z/4096", 1), ("Z/360", 3), ("Z/12 x Z/10", 4)])
+def test_factor_builds_one_quotient_ring_per_maximal_ideal(text, builds, monkeypatch):
+    # the residue fields R/m, each an echelon over F_p; the local factors
+    # R/(1-e)R are not built
+    R = parse_ring(text)
+    calls = _count_calls(monkeypatch, ["_residue_field"], rings)
+    rings._factor(R)
+    assert calls["_residue_field"] == builds == len(maximal_ideals(R))
+    for ideal in maximal_ideals(R):
+        assert residue_field(ideal)[0].size == ideal.residue_size
+    assert calls["_residue_field"] == builds
+
+
 @pytest.mark.parametrize("text", PINNED_RINGS + MIXED_PRODUCTS + ["GF(2^2) x GF(3^2)"])
 def test_maximal_ideals_are_one_span_of_their_spanning_elements(text):
     # g_1 = (1-e) + e*p and the nonzero e*r_j; over Z/n, R/pR is a field,
