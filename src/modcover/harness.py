@@ -30,9 +30,9 @@ import io
 import json
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .covering import SearchSpace, sigma_exact, sigma_formula
+from .covering import SearchSpace, greedy_cover, sigma_exact, sigma_formula
 from .errors import GuardExceeded
 from .modules import (
     REALIZE_INTERMEDIATE_GUARD,
@@ -62,14 +62,23 @@ HDIM_PAIR_BUDGET = 1024  # the largest |A| * |B| an hdim pair is checked at
 
 @dataclass(frozen=True)
 class InstanceSpec:
+    """One instance as replayable text. `corpus_generate` also keeps the
+    module it realized to admit the instance, so the checks reuse it;
+    the module takes no part in equality, hashing or the sort key, and a
+    pickled spec is its four other fields alone."""
+
     ring_expr: str
     module_expr: str
     seed: int
     provenance: str  # GENERATED | CURATED
+    module: object = field(default=None, compare=False, repr=False)
 
     @property
     def key(self):
         return (self.ring_expr, self.module_expr, self.seed)
+
+    def __reduce__(self):
+        return InstanceSpec, (self.ring_expr, self.module_expr, self.seed, self.provenance)
 
 
 @dataclass(frozen=True)
@@ -91,6 +100,9 @@ class VerificationReport:
 
 
 def _realize_spec(spec: InstanceSpec):
+    """The spec's module; parsed from its text only when it carries none."""
+    if spec.module is not None:
+        return spec.module
     from .dsl import parse_module
 
     return parse_module(spec.module_expr)
@@ -174,8 +186,7 @@ def corpus_generate(seed: int, count: int, max_ring: int = 64, max_module: int =
             return None
         if m.size < 2 or m.size > max_module:
             return None
-        spec = InstanceSpec(ring_expr, module_expr, seed, "GENERATED")
-        specs.append(spec)
+        specs.append(InstanceSpec(ring_expr, module_expr, seed, "GENERATED", m))
         return m
 
     attempts = 0
@@ -311,14 +322,17 @@ def check_localization(spec: InstanceSpec, m):
 
 @_check("finiteness")
 def check_finiteness(spec: InstanceSpec, m):
-    cert = sigma_exact(m, SearchSpace.MAXIMAL_ONLY)
+    """A cover exists (the maximal submodules union to M, which is where
+    `sigma_exact` reads coverability) exactly when S is nonempty and M
+    is not cyclic."""
+    covers = greedy_cover(m).is_cover
     has_s = bool(s_set(m))
     cyclic, _ = is_cyclic(m)
-    if not (cert.is_cover == has_s == (not cyclic)):
+    if not (covers == has_s == (not cyclic)):
         return FAIL, _counterexample(
-            spec, cover_exists=cert.is_cover, s_nonempty=has_s, cyclic=cyclic
+            spec, cover_exists=covers, s_nonempty=has_s, cyclic=cyclic
         )
-    return PASS, {"coverable": cert.is_cover}
+    return PASS, {"coverable": covers}
 
 
 @_check("maximal-count")

@@ -178,7 +178,16 @@ def test_guard_exceeded_exit_3(capsys, monkeypatch):
     assert "guard" in err
 
 
-CLI = "import sys\nfrom modcover.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+def run_module(*argv, flags=(), timeout=10):
+    """`python [flags] -m modcover.cli argv` on this checkout's sources."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "modcover.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
 
 
 @pytest.mark.parametrize(
@@ -193,13 +202,7 @@ CLI = "import sys\nfrom modcover.cli import main\nsys.exit(main(sys.argv[1:]))\n
 )
 def test_a_guard_trips_before_the_work_it_bounds(argv):
     # each bounded quantity would take far longer than the timeout to compute
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    ))
-    out = subprocess.run(
-        [sys.executable, "-c", CLI, *argv], capture_output=True, text=True, env=env, timeout=10
-    )
+    out = run_module(*argv)
     assert out.returncode == 3, out.stderr
     assert "guard" in out.stderr
 
@@ -440,3 +443,30 @@ def verify_renderings(capsys) -> str:
 def test_verify_renderings_are_pinned(capsys):
     digest = hashlib.sha256(verify_renderings(capsys).encode()).hexdigest()
     assert digest == PINNED_VERIFY_DIGEST
+
+
+# -- verify across processes --------------------------------------------------------
+
+
+def without_ms(json_report: str) -> str:
+    return re.sub(r'"ms": [0-9.e-]+', '"ms": _', json_report)
+
+
+def test_verify_jobs_2_matches_jobs_1(capsys):
+    # a --jobs worker gets each spec as its text and realizes it again
+    reports = []
+    for jobs in ("1", "2"):
+        code, out, _ = run(
+            capsys, "verify", "--seed", "1", "--count", "40", "--jobs", jobs, "--json"
+        )
+        assert code == 0
+        reports.append(without_ms(out))
+    assert reports[0] == reports[1]
+
+
+def test_verify_under_python_O_matches_in_process(capsys):
+    argv = ("verify", "--seed", "1", "--count", "40", "--hdim-pairs", "10", "--json")
+    code, out, _ = run(capsys, *argv)
+    optimized = run_module(*argv, flags=("-O",), timeout=120)
+    assert code == optimized.returncode == 0, optimized.stderr
+    assert without_ms(optimized.stdout) == without_ms(out)

@@ -244,6 +244,62 @@ def test_default_checks_are_the_registered_checks():
         assert fn(spec, parse_module(spec.module_expr)).check == name
 
 
+# -- one realization per instance ------------------------------------------------
+
+
+def test_verify_realizes_each_instance_once(capsys, monkeypatch):
+    import modcover.cli as cli
+    import modcover.dsl as dsl
+
+    calls, inside = [], []
+    real = dsl.parse_module
+    monkeypatch.setattr(dsl, "parse_module", lambda expr: calls.append(expr) or real(expr))
+
+    def counted(run):
+        def wrapper(*args, **kwargs):
+            before = len(calls)
+            out = run(*args, **kwargs)
+            inside.append((run.__name__, len(calls) - before))
+            return out
+
+        return wrapper
+
+    for name in ("run_suite", "run_hdim_pairs"):
+        monkeypatch.setattr(cli, name, counted(getattr(cli, name)))
+    argv = ["verify", "--seed", "1", "--count", "40", "--hdim-pairs", "10"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert inside == [("run_suite", 0), ("run_hdim_pairs", 0)]
+    assert len(calls) >= 40  # corpus_generate parsed every admitted instance
+
+
+def test_finiteness_runs_no_search(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("finiteness ran the branch and bound")
+
+    monkeypatch.setattr(harness, "sigma_exact", forbidden)
+    for spec in corpus_generate(seed=1, count=40):
+        result = harness.check_finiteness(spec, spec.module)
+        assert result.status == "PASS", (spec.module_expr, result.details)
+        assert result.details["coverable"] == (not is_cyclic(spec.module)[0])
+
+
+def test_a_spec_pickles_without_its_module():
+    import pickle
+
+    factored = []
+    for spec in corpus_generate(seed=1, count=10):
+        run_suite([spec])
+        if spec.module.ring._residue_fields:
+            factored.append(spec)
+    assert factored
+    for spec in factored:
+        back = pickle.loads(pickle.dumps(spec))
+        assert back == spec and hash(back) == hash(spec) and back.key == spec.key
+        assert back.module is None
+        assert harness._realize_spec(back).label == spec.module.label
+
+
 # -- skip shapes --------------------------------------------------------------------
 
 
