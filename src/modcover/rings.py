@@ -66,6 +66,7 @@ class _Shifts:
     """
 
     def __init__(self, orders):
+        self.orders = tuple(orders)
         self.size = size = math.prod(orders)
         self.coords = []  # (weight, block, repunit) per coordinate
         weight = size
@@ -105,13 +106,26 @@ class _Shifts:
 
     def closure(self, gens, start: int = 1) -> int:
         """Mask of the subgroup generated by the subgroup `start` and the
-        gens (reduced coordinate tuples). H + <g> is the union of the
-        cosets H + kg up to the first that meets H, i.e. holds zero."""
+        gens (reduced coordinate tuples), by doubling.
+
+        For H the running subgroup and a generator g, the union starts as
+        H and is ORed with itself translated by g, 2g, 4g, ...: after the
+        step jg it is H + {0, ..., 2j-1}g. When the coset just added holds
+        zero, some kg with j <= k <= 2j-1 lies in H, so the order of g
+        modulo H is at most 2j-1 and the union is H + <g>; when the next
+        step 2jg is zero, the order of g divides 2j and so it is too. A
+        generator of order n thus costs about log2 n + 1 translations.
+        """
         for g in gens:
-            coset = self.translate(start, g)
-            while not coset & 1:
+            step = g
+            while True:
+                coset = self.translate(start, step)
                 start |= coset
-                coset = self.translate(coset, g)
+                if coset & 1:
+                    break
+                step = tuple(2 * c % d for c, d in zip(step, self.orders))
+                if not any(step):
+                    break
         return start
 
 
@@ -121,9 +135,12 @@ class _Coordinates:
 
     `table[i][t]` holds the coordinates of b_i · e_t, for b_i the ring's
     additive basis and e_t this object's; for a ring the two bases are
-    one. Elements are reduced coordinate tuples. A subset is a bitmask
-    over the element indices, read through the `shifts` codec, which is
-    built on the first mask read.
+    one. Products read it through `rows`, its sparse form: the nonzero
+    (s, v) of each b_i · e_t, built on the first product, so building a
+    ring or module pays nothing for it. `images` applies each basis row
+    to x directly. Elements are reduced coordinate tuples. A subset is a
+    bitmask over the element indices, read through the `shifts` codec,
+    which is built on the first mask read.
     """
 
     def __init__(self, orders, table):
@@ -150,22 +167,26 @@ class _Coordinates:
     def scale(self, n, x) -> Element:
         return tuple((n * a) % d for a, d in zip(x, self.orders))
 
+    @cached_property
+    def rows(self) -> tuple:
+        """`rows[i][t]` holds the nonzero (s, v) of b_i · e_t: the table
+        with its zero entries dropped, built when first read."""
+        return tuple(
+            tuple(tuple((s, v) for s, v in enumerate(entry) if v) for entry in row)
+            for row in self.table
+        )
+
     def _product(self, a, x) -> Element:
         """Σ a_i x_t (b_i · e_t): the table extended bilinearly to the
         ring coordinates a and these coordinates x."""
         acc = [0] * self.rank
-        table = self.table
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            row = table[i]
-            for t, xt in enumerate(x):
-                if not xt:
-                    continue
-                c = ai * xt
-                for s, v in enumerate(row[t]):
-                    if v:
-                        acc[s] += c * v
+        for ai, row in zip(a, self.rows):
+            if ai:
+                for xt, entries in zip(x, row):
+                    if xt:
+                        c = ai * xt
+                        for s, v in entries:
+                            acc[s] += c * v
         return tuple(v % d for v, d in zip(acc, self.orders))
 
     # -- element indices (lexicographic on coordinates) --------------------
@@ -191,10 +212,19 @@ class _Coordinates:
     # -- spans and generators ------------------------------------------------
 
     def images(self, elems) -> list:
-        """The b_i · x over the ring basis: additive generators of the
-        ideal or submodule that the elements x generate."""
-        bs = basis_vectors(len(self.table))
-        return [self._product(b, x) for x in elems for b in bs]
+        """The b_i · x over the ring basis, for each x in turn: additive
+        generators of the ideal or submodule that the elements x
+        generate. Each is Σ_t x_t (b_i · e_t), read off the basis row i."""
+        out = []
+        for x in elems:
+            nonzero = [(xt, t) for t, xt in enumerate(x) if xt]
+            for row in self.rows:
+                acc = [0] * self.rank
+                for xt, t in nonzero:
+                    for s, v in row[t]:
+                        acc[s] += xt * v
+                out.append(tuple(v % d for v, d in zip(acc, self.orders)))
+        return out
 
     def span(self, elems, start=1) -> int:
         """Mask of the ideal or submodule generated by the elements and
@@ -560,9 +590,7 @@ def quotient_ring(ring: FiniteRing, ideal: Ideal):
     """
     if ideal.ring is not ring:
         raise ValueError("ideal belongs to a different ring")
-    bs = basis_vectors(ring.rank)
-    addgens = [ring.mul(b, g) for g in ideal.spanning for b in bs]
-    qorders, project, lift = abelian_quotient(ring.additive_orders, addgens)
+    qorders, project, lift = abelian_quotient(ring.additive_orders, ring.images(ideal.spanning))
     if not qorders:
         raise ValueError("quotient by the unit ideal is the zero ring")
     lifted = [lift(u) for u in basis_vectors(len(qorders))]
@@ -695,7 +723,9 @@ def _residue_field(ring, p, images, label) -> tuple:
     In the reduced echelon form of m̄, the non-pivot columns of A are a
     basis of A/m̄: `project` reduces x mod p by the echelon rows and reads
     the non-pivot coordinates, and `lift` puts coordinates back on them,
-    with zeros elsewhere. The table takes f^2 products, f = dim A/m̄.
+    with zeros elsewhere. The basis of R/m is the image of the basis
+    vectors of R on the non-pivot columns, so its table is f^2 entries
+    of R's table projected, f = dim A/m̄.
     """
     support = _support(ring, p)
     rows, pivots = _echelon([[x[i] for i in support] for x in images], p)
@@ -712,8 +742,7 @@ def _residue_field(ring, p, images, label) -> tuple:
             x[i] = c
         return tuple(x)
 
-    basis = [lift(u) for u in basis_vectors(len(free))]
-    table = [[project(ring.mul(a, b)) for b in basis] for a in basis]
+    table = [[project(ring.mul_table[i][j]) for j in free] for i in free]
     residue = FiniteRing([p] * len(free), table, project(ring.one), label, validate=False)
     return residue, project, lift
 

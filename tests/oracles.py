@@ -122,6 +122,31 @@ def additive_closure(add, zero, gens, start=None):
     return members
 
 
+def dense_product(coords, a, x) -> tuple:
+    """Σ a_i x_t (b_i · e_t) for a ring or module `coords`, by the full
+    bilinear loop over its dense basis table, zero entries included."""
+    acc = [0] * coords.rank
+    for i, ai in enumerate(a):
+        if not ai:
+            continue
+        row = coords.table[i]
+        for t, xt in enumerate(x):
+            if not xt:
+                continue
+            c = ai * xt
+            for s, v in enumerate(row[t]):
+                if v:
+                    acc[s] += c * v
+    return tuple(v % d for v, d in zip(acc, coords.orders))
+
+
+def dense_images(coords, elems) -> list:
+    """The b_i · x over the ring basis, for each x in turn, each by
+    `dense_product` with the basis vector b_i."""
+    bs = basis_vectors(len(coords.table))
+    return [dense_product(coords, b, x) for x in elems for b in bs]
+
+
 def elements(x) -> list:
     """Every element of a ring or module, in index order."""
     return [x.element(i) for i in range(x.size)]

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from sympy.polys.galoistools import gf_factor
 from modcover import rings
 from modcover.cli import main
 from modcover.dsl import parse_ring
+from modcover.modules import direct_sum, free_module, quotient_module, submodule_generated
 from modcover.rings import (
     FiniteRing,
     _assert_is_field,
@@ -38,6 +40,9 @@ from oracles import (
     PINNED_RINGS,
     POLY_DEGREES,
     additive_closure,
+    corpus_modules,
+    dense_images,
+    dense_product,
     elements,
     factor_by_sweeps,
     is_field_by_power_walk,
@@ -351,6 +356,49 @@ def test_factorization_matches_the_element_sweeps_on_large_ring_classes():
     assert len(labels) == 330
     for text in labels:
         assert_matches_the_sweeps(parse_ring(text))
+
+
+def sample_elements(x, rng, count=6) -> list:
+    """Zero, the basis vectors and `count` random elements of a ring or
+    module x; with its one for a ring."""
+    sample = [x.zero, *basis_vectors(x.rank)]
+    sample += [tuple(rng.randrange(d) for d in x.orders) for _ in range(count)]
+    if isinstance(x, FiniteRing):
+        sample.append(x.one)
+    return sample
+
+
+def assert_products_are_dense(x, rng):
+    """`_product` and `images` of x agree with the dense bilinear loop,
+    on ring elements a and elements of x, images in the same order."""
+    ring = x if isinstance(x, FiniteRing) else x.ring
+    scalars, elems = sample_elements(ring, rng), sample_elements(x, rng)
+    for a in scalars:
+        for y in elems:
+            assert x._product(a, y) == dense_product(x, a, y)
+    assert x.images(elems) == dense_images(x, elems)
+
+
+def test_products_match_the_dense_loop_on_rings_and_residue_fields():
+    rng = random.Random(19)
+    labels = large_ring_labels() + PINNED_RINGS
+    for text in labels:
+        R = parse_ring(text)
+        assert_products_are_dense(R, rng)
+        for ideal in maximal_ideals(R):
+            assert_products_are_dense(residue_field(ideal)[0], rng)
+
+
+def test_products_match_the_dense_loop_on_modules():
+    rng = random.Random(19)
+    R = parse_ring("Z/4 x GF(2^2)")
+    free = free_module(R, 2)
+    gen = free.index_of((1, 0, 1, 0, 2, 1))
+    quotient, _, _ = quotient_module(free, submodule_generated(free, [gen]))
+    assert 1 < quotient.size < free.size
+    extra = [quotient, direct_sum(quotient, free_module(R, 1))]
+    for m in corpus_modules() + extra:
+        assert_products_are_dense(m, rng)
 
 
 def additive_order(R, x):
@@ -891,6 +939,63 @@ def test_closure_matches_the_set_closure(data):
     start_mask = mask_of_elements(orders, start)
     assert shifts.closure(first) == start_mask
     assert shifts.closure(gens, start_mask) == mask_of_elements(orders, want)
+
+
+# orders 2^k - 1, 2^k and 2^k + 1, where the doubling walk stops on a
+# wrap-around, and the primes from 127 to 157
+LARGE_ORDERS = [127, 128, 129, 255, 256, 257, 511, 512, 131, 137, 139, 149, 151, 157]
+
+
+@st.composite
+def large_order_groups(draw):
+    """One cyclic factor of order 127 to 512, alone or mixed with up to
+    two small ones, in any position; at most 4096 elements."""
+    big = draw(st.sampled_from(LARGE_ORDERS))
+    small = draw(
+        st.lists(st.integers(2, 9), max_size=2).filter(lambda o: big * math.prod(o) <= 4096)
+    )
+    return draw(st.permutations([big] + small))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_closure_matches_the_set_closure_at_large_orders(data):
+    orders = data.draw(large_order_groups())
+    shifts = _Shifts(orders)
+    add, zero = group_add(orders), tuple(0 for _ in orders)
+    element = group_element(orders)
+    first = data.draw(st.lists(element, max_size=2))
+    start = additive_closure(add, zero, first)  # an earlier closure
+    # zero and generators drawn from `start`, which must change nothing
+    inside = st.sampled_from(sorted(start))
+    gens = data.draw(st.lists(st.one_of(element, inside, st.just(zero)), max_size=3))
+    want = additive_closure(add, zero, gens, start)
+    start_mask = mask_of_elements(orders, start)
+    assert shifts.closure(first) == start_mask
+    assert shifts.closure(gens, start_mask) == mask_of_elements(orders, want)
+
+
+@pytest.mark.parametrize("n", [2, 3, 128, 129, 151, 512])
+def test_closure_translates_about_log2_n_times(n, monkeypatch):
+    translations = []
+    translate = _Shifts.translate
+
+    def counted(self, mask, x):
+        translations.append(x)
+        return translate(self, mask, x)
+
+    monkeypatch.setattr(_Shifts, "translate", counted)
+    shifts = _Shifts((n,))
+    full = (1 << n) - 1
+    assert shifts.closure([(1,)]) == full
+    assert len(translations) <= n.bit_length() + 1  # floor(log2 n) + 2
+    for g in [(0,), (1,), (n - 1,)]:  # each already in `start`
+        translations.clear()
+        assert shifts.closure([g], full) == full
+        assert len(translations) == 1
+    translations.clear()
+    assert shifts.closure([(0,)]) == 1
+    assert len(translations) == 1
 
 
 def test_shifts_of_the_zero_group():
