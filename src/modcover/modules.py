@@ -1,19 +1,19 @@
 """Finitely presented modules over a FiniteRing, realized as explicit
 finite structures.
 
-A realized module stores its additive invariant factors (from a Smith
-normal form of the relation lattice) plus the action of the ring's
-additive basis on the module's additive basis; everything else is the
-bilinear extension. Its arithmetic, element indices, action, spans and
-greedy generating sets are those of `rings._Coordinates`, which a ring
-shares as a module over itself. Elements are integer coordinate tuples,
-indexed lexicographically by `rings._Shifts`; no element list is stored.
-Quotients come back as ``(quotient, project, lift)`` maps, not as sweeps
-over M. A submodule is its members mask, and every generating set is
-greedy in M's element order: a submodule's, derived when first read, and
-each basis of M/mM, over mM. All values are immutable after
-construction, so each module stores its maximal submodules, semisimple
-invariants and cyclicity once computed.
+A realized module stores its additive invariant factors plus the action
+of the ring's additive basis on the module's additive basis; everything
+else is the bilinear extension. Its arithmetic, element indices, action,
+spans, greedy generating sets and quotients (`realize` quotients R^k)
+are those of `rings._Coordinates`, which a ring shares as a module over
+itself. Elements are integer coordinate tuples, indexed by
+`rings._Shifts`; no element list is stored. Quotients come back as
+``(quotient, project, lift)`` maps, not as sweeps over M. A submodule is
+its members mask, and every generating set is greedy in M's element
+order: a submodule's, derived when first read, and each basis of M/mM,
+over mM. All values are immutable after construction, so each module
+stores its maximal submodules, semisimple invariants and cyclicity once
+computed.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .rings import (
     quotient_ring,
     residue_field,
 )
-from .snf import abelian_quotient
 
 REALIZE_INTERMEDIATE_GUARD = 2**20
 LATTICE_GUARD = 256
@@ -61,9 +60,14 @@ class ModulePresentation:
     relations: tuple  # each a num_generators-tuple of ring coordinate tuples
 
     def __post_init__(self):
+        r = self.ring.rank
         for rel in self.relations:
-            if len(rel) != self.num_generators:
+            if not isinstance(rel, tuple) or len(rel) != self.num_generators:
                 raise ValueError("relation arity does not match generator count")
+            for c in rel:
+                ints = isinstance(c, tuple) and all(isinstance(v, int) for v in c)
+                if not ints or len(c) != r:
+                    raise ValueError(f"relation entry {c!r} is not a tuple of {r} ints")
 
     def to_dsl(self) -> str:
         def coord(c):
@@ -135,7 +139,8 @@ class RealizedModule(_Coordinates):
 
 
 def realize(pres: ModulePresentation) -> RealizedModule:
-    """Materialize R^k modulo the relation submodule.
+    """Materialize R^k modulo the relation submodule, as the `quotient`
+    of R^k's coordinates, k blocks of R's with k copies of R's table.
 
     R^k is never enumerated, but the Smith normal form over R^k has no
     modular reduction and its entries can grow exponentially, so |R|^k
@@ -148,31 +153,16 @@ def realize(pres: ModulePresentation) -> RealizedModule:
             "realize-intermediate",
             f"|R|^k = {ring.size}^{k} exceeds guard {REALIZE_INTERMEDIATE_GUARD}",
         )
-    r = ring.rank
-    full_orders = list(ring.additive_orders) * k
-
-    def flatten(vec):
-        out = []
-        for comp in vec:
-            out.extend(comp)
-        return tuple(out)
-
-    def unflatten(flat):
-        return tuple(tuple(flat[j * r : (j + 1) * r]) for j in range(k))
-
-    bs = basis_vectors(r)
-    addgens = [
-        flatten(tuple(ring.mul(b, comp) for comp in rel))
-        for rel in pres.relations
-        for b in bs
-    ]
-    orders, project, lift = abelian_quotient(full_orders, addgens)
-    lifted = [unflatten(lift(u)) for u in basis_vectors(len(orders))]
-    basis_act = [
-        [project(flatten(tuple(ring.mul(b, comp) for comp in x))) for x in lifted]
-        for b in bs
-    ]
-    return RealizedModule(ring, orders, basis_act, presentation=pres)
+    z = ring.zero
+    free = _Coordinates(
+        ring.orders * k,
+        [
+            [z * j + v + z * (k - 1 - j) for j in range(k) for v in row]
+            for row in ring.mul_table
+        ],
+    )
+    orders, table, _, _ = free.quotient([sum(rel, ()) for rel in pres.relations])
+    return RealizedModule(ring, orders, table, presentation=pres)
 
 
 def free_module(ring: FiniteRing, k: int) -> RealizedModule:
@@ -280,16 +270,15 @@ def all_submodules(m: RealizedModule, max_count=LATTICE_COUNT_BUDGET) -> list:
     if m.size > LATTICE_GUARD:
         raise GuardExceeded("lattice", f"|M| = {m.size} exceeds guard {LATTICE_GUARD}")
     ring = m.ring
-    basis = basis_vectors(m.rank)
     # a unit acts through its coordinates modulo the exponent of M
     exponent = math.lcm(*m.orders)
     units = ring.units()
     intervals = []
     for e in local_factorization(ring).idempotents:
-        em = m.shifts.closure([m.act(e, x) for x in basis])
+        em = m.shifts.closure(m.multiples(e))
         if em == 1:
             continue
-        bottom = m.shifts.closure([m.act(ring.sub(ring.one, e), x) for x in basis])
+        bottom = m.shifts.closure(m.multiples(ring.sub(ring.one, e)))
         # the units of eR are the e·u, and on eM they act as the u do
         local_units = {tuple(c % exponent for c in ring.mul(e, u)) for u in units}
         intervals.append(_interval(m, bottom, em, local_units, max_count))
@@ -362,22 +351,17 @@ def ideal_action(m: RealizedModule, ideal: Ideal) -> Submodule:
     """The submodule I*M."""
     if ideal.ring is not m.ring:
         raise ValueError("ideal belongs to a different ring")
-    gens = [m.act(g, e) for g in ideal.spanning for e in basis_vectors(m.rank)]
-    return Submodule(m, m.span(gens))
+    return Submodule(m, m.span([x for g in ideal.spanning for x in m.multiples(g)]))
 
 
 def quotient_module(m: RealizedModule, n: Submodule):
-    """Cosets of a submodule, as ``(quotient, project, lift)`` like
-    `quotient_ring`: project and lift translate between coordinates of M
-    and of M/N."""
+    """Cosets of a submodule, by `m.quotient`, as ``(quotient, project,
+    lift)`` like `quotient_ring`: project and lift translate between
+    coordinates of M and of M/N."""
     if n.parent is not m:
         raise ValueError("submodule belongs to a different module")
-    orders, project, lift = abelian_quotient(m.orders, m.images(n.generator_coords()))
-    lifted = [lift(u) for u in basis_vectors(len(orders))]
-    basis_act = [
-        [project(m.act(b, x)) for x in lifted] for b in basis_vectors(m.ring.rank)
-    ]
-    q = RealizedModule(m.ring, orders, basis_act, label=f"({m.label})/N")
+    orders, table, project, lift = m.quotient(n.generator_coords())
+    q = RealizedModule(m.ring, orders, table, label=f"({m.label})/N")
     return q, project, lift
 
 
@@ -483,7 +467,7 @@ def length(m: RealizedModule) -> int:
     total = 0
     for e, mask in zip(lf.idempotents, lf.maximal_ideal_masks):
         q = ring.size // mask.bit_count()
-        em = m.shifts.closure([m.act(e, x) for x in basis_vectors(m.rank)])
+        em = m.shifts.closure(m.multiples(e))
         total += _exact_log(
             em.bit_count(), q, f"|eM| is not a power of the residue size {q}"
         )
@@ -581,10 +565,7 @@ def localize_at_s(m: RealizedModule):
     quotient, project, _ = quotient_module(m, ideal_action(m, complement))
     # the complement ideal annihilates the quotient, so the action factors
     # through the quotient ring: act by lifts of its basis
-    basis_act = [
-        [quotient.act(ring_lift(b), u) for u in basis_vectors(quotient.rank)]
-        for b in basis_vectors(new_ring.rank)
-    ]
+    basis_act = quotient.restrict(ring_lift, new_ring.rank)
     localized = RealizedModule(
         new_ring, quotient.orders, basis_act, label=f"localized({m.label})"
     )

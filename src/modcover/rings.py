@@ -6,17 +6,16 @@ arbitrary elements is the bilinear extension. Elements are plain integer
 tuples, reduced coordinate-wise. A ring is a module over itself, so
 `_Coordinates` serves rings and modules alike: arithmetic, element
 indices, the product of a basis table, spans and greedy generating
-sets, with the index codec built on the first mask read. A hand-built
-table is checked to be a ring (`FiniteRing._validate`); the
-constructors, the residue fields and `quotient_ring` build rings by
-construction and skip that check. All values are
-immutable after construction, so the constructors share one object per
-ring (see `_RingTable`) and each ring stores the facts derived from it:
+sets, with the index codec built on the first mask read. Its `quotient`
+is modcover's one Smith normal form. A hand-built table is checked to
+be a ring (`FiniteRing._validate`); the constructors, the residue fields
+and `quotient_ring` build rings by construction and skip that check. All
+values are immutable after construction, so the constructors share one
+object per ring (see `_RingTable`) and each ring stores the facts derived from it:
 its local factorization, maximal ideals, residue fields and units.
 These come from linear algebra over F_p in R's own coordinates (see
 `_factor` and `_fp`): each residue field R/m is R/pR modulo the echelon
-of m's image, with no Smith normal form. The only Smith normal form of
-the ring layer is `quotient_ring`'s, which localization uses.
+of m's image, with no Smith normal form.
 """
 
 from __future__ import annotations
@@ -138,9 +137,10 @@ class _Coordinates:
     one. Products read it through `rows`, its sparse form: the nonzero
     (s, v) of each b_i · e_t, built on the first product, so building a
     ring or module pays nothing for it. `images` applies each basis row
-    to x directly. Elements are reduced coordinate tuples. A subset is a
-    bitmask over the element indices, read through the `shifts` codec,
-    which is built on the first mask read.
+    to x directly. `quotient` builds every quotient module and quotient
+    ring. Elements are reduced coordinate tuples. A subset is a bitmask
+    over the element indices, read through the `shifts` codec, which is
+    built on the first mask read.
     """
 
     def __init__(self, orders, table):
@@ -225,6 +225,25 @@ class _Coordinates:
                         acc[s] += xt * v
                 out.append(tuple(v % d for v, d in zip(acc, self.orders)))
         return out
+
+    def multiples(self, a) -> list:
+        """The a · e_t over this object's basis e_t, for ring coordinates a."""
+        return [self._product(a, e) for e in basis_vectors(self.rank)]
+
+    def restrict(self, lift, rank) -> list:
+        """The table over a quotient ring of rank `rank` that acts here:
+        entry [a][t] is lift(u_a) · e_t, for its basis u_a."""
+        return [self.multiples(lift(u)) for u in basis_vectors(rank)]
+
+    def quotient(self, gens) -> tuple:
+        """``(orders, table, project, lift)`` for this group modulo the span
+        of the images of `gens`, by Smith normal form, with `table[i][j]` =
+        project(b_i · lift(u_j)) over the quotient's basis u_j."""
+        orders, project, lift = abelian_quotient(self.orders, self.images(gens))
+        images = self.images([lift(u) for u in basis_vectors(len(orders))])
+        n = len(self.table)  # b_i · lift(u_j) is images[j * n + i]
+        table = [[project(images[j * n + i]) for j in range(len(orders))] for i in range(n)]
+        return orders, table, project, lift
 
     def span(self, elems, start=1) -> int:
         """Mask of the ideal or submodule generated by the elements and
@@ -581,20 +600,19 @@ def _build_product(a, b):
 
 
 def quotient_ring(ring: FiniteRing, ideal: Ideal):
-    """Cosets of an ideal, with induced operations, by a Smith normal form
-    of the span of `ideal.spanning`.
+    """Cosets of an ideal, with induced operations, by `ring.quotient`.
 
     Returns ``(quotient, project, lift)`` where project/lift translate
-    between ring elements and quotient coordinates. A ring modulo an
-    ideal is a ring, so construction skips `_validate`.
+    between ring elements and quotient coordinates. The product table is
+    R's action on R/I restricted to lifts: project(lift(u) · lift(v)). A
+    ring modulo an ideal is a ring, so construction skips `_validate`.
     """
     if ideal.ring is not ring:
         raise ValueError("ideal belongs to a different ring")
-    qorders, project, lift = abelian_quotient(ring.additive_orders, ring.images(ideal.spanning))
+    qorders, action, project, lift = ring.quotient(ideal.spanning)
     if not qorders:
         raise ValueError("quotient by the unit ideal is the zero ring")
-    lifted = [lift(u) for u in basis_vectors(len(qorders))]
-    table = [[project(ring.mul(x, y)) for y in lifted] for x in lifted]
+    table = _Coordinates(qorders, action).restrict(lift, len(qorders))
     label = f"({ring.label})/<{','.join(str(g) for g in ideal.spanning)}>"
     q = FiniteRing(qorders, table, project(ring.one), label, validate=False)
     return q, project, lift

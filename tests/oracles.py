@@ -24,6 +24,7 @@ from modcover.modules import (
 )
 from modcover.rings import (
     FiniteRing,
+    _Coordinates,
     _poly_mulmod,
     basis_vectors,
     ideal_generated,
@@ -459,10 +460,81 @@ def length_by_snf(m) -> int:
     return total
 
 
+# -- quotients by lifted bases ------------------------------------------------------
+
+
+def realize_by_flatten(pres):
+    """``(orders, basis_act, project, lift)`` for R^k modulo the relations,
+    R^k flattened to k blocks of R's coordinates: a Smith normal form of
+    the b_i·rel, each componentwise product by `ring.mul`, and the action
+    of each b_i on the unflattened lift of each quotient basis vector."""
+    ring, k = pres.ring, pres.num_generators
+    r = ring.rank
+
+    def flatten(vec):
+        return tuple(c for comp in vec for c in comp)
+
+    def unflatten(flat):
+        return tuple(tuple(flat[j * r : (j + 1) * r]) for j in range(k))
+
+    bs = basis_vectors(r)
+    addgens = [
+        flatten(tuple(ring.mul(b, comp) for comp in rel))
+        for rel in pres.relations
+        for b in bs
+    ]
+    orders, project, lift = abelian_quotient(list(ring.additive_orders) * k, addgens)
+    lifted = [unflatten(lift(u)) for u in basis_vectors(len(orders))]
+    basis_act = [
+        [project(flatten(tuple(ring.mul(b, comp) for comp in x))) for x in lifted]
+        for b in bs
+    ]
+    return orders, basis_act, project, lift
+
+
+def free_coordinates(ring, k):
+    """R^k as k blocks of R's coordinates, with the table b_i·e_(j,t) built
+    by `ring.mul` of basis vectors and placed in block j."""
+    table = [
+        [
+            ring.zero * j + ring.mul(b, e) + ring.zero * (k - 1 - j)
+            for j in range(k)
+            for e in basis_vectors(ring.rank)
+        ]
+        for b in basis_vectors(ring.rank)
+    ]
+    return _Coordinates(tuple(ring.additive_orders) * k, table)
+
+
+def quotient_module_by_lifts(m, n):
+    """``(quotient, project, lift)`` for M/N: a Smith normal form of the
+    images of N's generators, and the action of each b_i on the lift of
+    each quotient basis vector, projected."""
+    orders, project, lift = abelian_quotient(m.orders, m.images(n.generator_coords()))
+    lifted = [lift(u) for u in basis_vectors(len(orders))]
+    basis_act = [
+        [project(m.act(b, x)) for x in lifted] for b in basis_vectors(m.ring.rank)
+    ]
+    return RealizedModule(m.ring, orders, basis_act), project, lift
+
+
+def quotient_ring_by_lifts(ring, ideal):
+    """``(quotient, project, lift)`` for R/I: a Smith normal form of the
+    images of I's spanning elements, and the products of the lifts of the
+    quotient basis in R, projected."""
+    orders, project, lift = abelian_quotient(
+        ring.additive_orders, ring.images(ideal.spanning)
+    )
+    lifted = [lift(u) for u in basis_vectors(len(orders))]
+    table = [[project(ring.mul(x, y)) for y in lifted] for x in lifted]
+    q = FiniteRing(orders, table, project(ring.one), "quotient", validate=False)
+    return q, project, lift
+
+
 def localize_at_s(m):
     """``(localized, project)``: M/(1-e)M over R/(1-e)R for the sum e of
-    the S-idempotents, with its own Smith normal form of (1-e)M and the
-    action of the quotient ring's basis through its lifts."""
+    the S-idempotents, with its own Smith normal forms of (1-e)R and
+    (1-e)M and the action of the quotient ring's basis through its lifts."""
     s_masks = {e.ideal.members for e in s_set(m)}
     lf = local_factorization(m.ring)
     e_sum = m.ring.zero
@@ -470,7 +542,7 @@ def localize_at_s(m):
         if mask in s_masks:
             e_sum = m.ring.add(e_sum, e)
     complement = ideal_generated(m.ring, [m.ring.sub(m.ring.one, e_sum)])
-    new_ring, _, ring_lift = quotient_ring(m.ring, complement)
+    new_ring, _, ring_lift = quotient_ring_by_lifts(m.ring, complement)
     killed = ideal_action(m, complement)
     orders, project, lift = abelian_quotient(
         m.orders, m.images(killed.generator_coords())

@@ -143,15 +143,42 @@ def test_realize_respects_relations():
     assert sorted(m.orders) == [2, 4]
 
 
+@pytest.mark.parametrize(
+    "ring, relation, message",
+    [
+        (ring_gf(2, 2), ((1,),), "relation entry"),  # an entry too short
+        (ring_gf(2, 2), ((1, 5, 7),), "relation entry"),  # an entry too long
+        (ring_zmod(6), (7,), "relation entry"),  # a bare int, not a coordinate tuple
+        (ring_zmod(6), 7, "arity"),  # a bare int, not a relation
+    ],
+)
+def test_presentation_rejects_malformed_relation_entries(ring, relation, message):
+    # each relation is a tuple of k entries, each a tuple of ring.rank
+    # ints, or the presentation is refused before anything is realized
+    with pytest.raises(ValueError, match=message):
+        ModulePresentation(ring, 1, (relation,))
+
+
 def test_realize_intermediate_guard(monkeypatch):
     # |R|^k is capped before the Smith normal form runs, also when the
     # relations would leave a small module
-    import modcover.modules as modules
+    import sys
+
+    import modcover.snf as snf
 
     def no_snf(*args):
         raise AssertionError("abelian_quotient ran")
 
-    monkeypatch.setattr(modules, "abelian_quotient", no_snf)
+    # every binding of it, whichever module calls it
+    patched = [
+        mod
+        for name, mod in list(sys.modules.items())
+        if name.split(".")[0] == "modcover"
+        and getattr(mod, "abelian_quotient", None) is snf.abelian_quotient
+    ]
+    for mod in patched:
+        monkeypatch.setattr(mod, "abelian_quotient", no_snf)
+    assert len(patched) >= 2  # snf itself and its caller
     z2 = ring_zmod(2)
     units = tuple(tuple(z2.one if j == i else z2.zero for j in range(1000)) for i in range(1000))
     for build in (
@@ -616,13 +643,16 @@ def test_localize_requires_nonempty_s():
 
 def test_localization_matches_its_own_quotient_construction():
     # localize_at_s acts on quotient_module(M, (1-e)M); the reference
-    # builds M/(1-e)M from its own SNF and acts through its lifts
+    # builds R/(1-e)R and M/(1-e)M from its own SNFs, multiplies lifts in R
+    # for the ring's table and acts through the lifts on M; the corpus
+    # holds every localization of the seed-1 verify report
     localized = 0
     for m in snf_comparison_modules():
         if not s_set(m):
             continue
         got, project = localize_at_s(m)
         want, want_project = oracles.localize_at_s(m)
+        assert (got.ring.mul_table, got.ring.one) == (want.ring.mul_table, want.ring.one)
         assert got.orders == want.orders, m.label
         assert got.basis_act == want.basis_act, m.label
         assert all(project(x) == want_project(x) for x in elements(m)), m.label

@@ -218,6 +218,34 @@ def test_factor_runs_no_snf_outside_quotient_ring(text, monkeypatch):
     assert calls == {"abelian_quotient": 0, "quotient_ring": 0}
 
 
+def test_one_snf_per_quotient(monkeypatch):
+    # `_Coordinates.quotient` is the one Smith normal form: one per module
+    # realized, per quotient module and per quotient ring, and localization
+    # takes one quotient ring and one quotient module
+    calls = _count_calls(monkeypatch, ["abelian_quotient"], snf)
+
+    def count(build):
+        calls["abelian_quotient"] = 0
+        build()
+        return calls["abelian_quotient"]
+
+    for text in [
+        "module over Z/4: gens=2; rels=[(2,2)]",
+        "module over Z/4 x GF(2^2): gens=3; rels=[((2,1,0),(1,0,1),(0,0,0))]",
+        "free 2 over GF(2^2)",
+        "free 0 over Z/6",
+    ]:
+        m = parse_module(text)
+        assert count(lambda: parse_module(text)) == 1, text
+        assert count(lambda: modules.quotient_module(m, jacobson_radical(m))) == 1, text
+    R = parse_ring("Z/12 x Z/10")
+    for ideal in maximal_ideals(R) + [zero_ideal(R)]:
+        assert count(lambda: quotient_ring(R, ideal)) == 1, ideal
+    m = parse_module("Z/2 (+) Z/2 (+) Z/3 over Z/6")
+    semisimple_invariants(m)
+    assert count(lambda: modules.localize_at_s(m)) == 2
+
+
 def test_maximal_ideal_generators_are_derived_only_when_read(monkeypatch, capsys):
     # the factorization, module facts and sigma read the spanning elements;
     # only ring-info prints the greedy generators of the ideals
