@@ -259,7 +259,11 @@ def all_submodules(m: RealizedModule, max_count=LATTICE_COUNT_BUDGET) -> list:
     eM = 0 has the one-point interval {M} and is left out. The lattice is
     then every AND of one mask per interval: that AND is the join of the
     eN, and it costs no closure. A local ring has the one factor e = 1,
-    so its interval is the whole lattice, walked from zero.
+    so its interval is the whole lattice, walked from zero. Each interval
+    is given the nonzero additive generators of eJ, J the radical of R:
+    the maximal ideal m_e of the factor is (1−e)R + eJ, and 1−e acts on
+    eM as zero, so m_e·x = eJ·x for x in eM, which `_interval` reads off
+    these generators. Over a field factor eJ = 0 and the list is empty.
 
     Guarded both by |M| and by a lattice-size budget: some semisimple
     modules within the size guard still have astronomically many
@@ -270,18 +274,20 @@ def all_submodules(m: RealizedModule, max_count=LATTICE_COUNT_BUDGET) -> list:
     if m.size > LATTICE_GUARD:
         raise GuardExceeded("lattice", f"|M| = {m.size} exceeds guard {LATTICE_GUARD}")
     ring = m.ring
-    # a unit acts through its coordinates modulo the exponent of M
-    exponent = math.lcm(*m.orders)
-    units = ring.units()
+    lf = local_factorization(ring)
+    ideals = {ideal.members: ideal for ideal in maximal_ideals(ring)}
     intervals = []
-    for e in local_factorization(ring).idempotents:
+    for e, mask in zip(lf.idempotents, lf.maximal_ideal_masks):
         em = m.shifts.closure(m.multiples(e))
         if em == 1:
             continue
-        bottom = m.shifts.closure(m.multiples(ring.sub(ring.one, e)))
-        # the units of eR are the e·u, and on eM they act as the u do
-        local_units = {tuple(c % exponent for c in ring.mul(e, u)) for u in units}
-        intervals.append(_interval(m, bottom, em, local_units, max_count))
+        f = ring.sub(ring.one, e)
+        bottom = m.shifts.closure(m.multiples(f))
+        # m_e is spanned by g_1 = (1−e) + e·r_1 and the e·r_j (see `_factor`),
+        # so eJ is spanned by e·r_1 = g_1 − (1−e) and the e·r_j
+        g_1, *e_r = ideals[mask].spanning
+        radical = [a for a in dict.fromkeys(ring.images([ring.sub(g_1, f), *e_r])) if any(a)]
+        intervals.append(_interval(m, bottom, em, radical, max_count))
     if math.prod(map(len, intervals)) > max_count:
         raise _lattice_count_exceeded(max_count)
     lattice = [m.full_mask]
@@ -292,33 +298,43 @@ def all_submodules(m: RealizedModule, max_count=LATTICE_COUNT_BUDGET) -> list:
     return out
 
 
-def _interval(m: RealizedModule, bottom: int, em: int, units, max_count) -> set:
+def _interval(m: RealizedModule, bottom: int, em: int, radical, max_count) -> set:
     """The masks of the submodules between `bottom` = (1−e)M and M: the
-    joins of `bottom` with the cyclics Rx, x in `em` = eM.
+    joins of `bottom` with the cyclics Rx, x in `em` = eM; `radical` holds
+    the nonzero additive generators a of eJ, which on eM acts as the
+    maximal ideal m_e of eR.
 
     Steps whose answer is already known are skipped, and nothing else
-    changes. R(ux) = Rx for every unit u, so once x is closed, every later
-    index in its unit orbit would only find Rx again; each cyclic is still
-    recorded by its least index. For one S, the cyclics are walked by
-    ascending mask, and a subset has the smaller mask. Say Ry is walked
-    after Rx and y lies in J = S + Rx, so y = s + rx. If R(rx) = Rx then
-    S + Ry = J; otherwise R(rx) is a smaller cyclic, walked earlier, and
-    S + Ry = S + R(rx) was reached then (or, by the same argument, skipped
-    because it was known). rx lies in eM with x, so this holds inside the
-    interval as it does from zero. Either way S + Ry is already in the
-    lattice, so a cyclic whose generator lies in a join made earlier from
-    S is skipped. The walk, the interval and the point where the count
-    budget trips are those of joining S with every cyclic of eM.
+    changes. eM is a module over the local ring eR, so by Nakayama's lemma
+    y in C = Rx generates C exactly when y is not in m_e·C; once x is
+    closed, every later index in C − m_e·C would only find C again, and
+    each cyclic is still recorded by its least index. m_e·C = eJ·x is
+    the additive span of the a·x = Σ_i a_i (b_i·x), read off the images
+    b_i·x that close C, so it costs no product, and no closure when every
+    a·x is zero, as over a field, where there is no a. x = 0 clears only
+    itself.
+
+    For one S, the cyclics are walked by ascending mask, and a subset has
+    the smaller mask. Say Ry is walked after Rx and y lies in T = S + Rx,
+    so y = s + rx. If R(rx) = Rx then S + Ry = T; otherwise R(rx) is a
+    smaller cyclic, walked earlier, and S + Ry = S + R(rx) was reached
+    then (or, by the same argument, skipped because it was known). rx
+    lies in eM with x, so this holds inside the interval as it does from
+    zero. Either way S + Ry is already in the lattice, so a cyclic whose
+    generator lies in a join made earlier from S is skipped. The walk, the
+    interval and the point where the count budget trips are those of
+    joining S with every cyclic of eM.
     """
     cyclics = {}
-    todo = em  # indices of eM in no unit orbit already closed
+    todo = em  # indices of eM that generate no cyclic already closed
     while todo:
         idx = (todo & -todo).bit_length() - 1
-        x = m.element(idx)
-        for y in {m.act(u, x) for u in units}:
-            todo &= ~(1 << m.index_of(y))
-        images = m.images([x])
-        cyclics.setdefault(m.shifts.closure(images), (idx, images))
+        images = m.images([m.element(idx)])
+        cmask = m.shifts.closure(images)
+        moved = [y for y in (_combination(m, a, images) for a in radical) if any(y)]
+        below = m.shifts.closure(moved) if moved else 1  # m_e·C
+        todo &= ~(cmask & ~below | 1 << idx)
+        cyclics.setdefault(cmask, (idx, images))
     cyclic_items = [(cmask, *gen) for cmask, gen in sorted(cyclics.items())]
     lattice = {bottom}
     work = [bottom]
@@ -336,6 +352,16 @@ def _interval(m: RealizedModule, bottom: int, em: int, units, max_count) -> set:
                 if len(lattice) > max_count:
                     raise _lattice_count_exceeded(max_count)
     return lattice
+
+
+def _combination(m: RealizedModule, a, images) -> tuple:
+    """Σ_i a_i images[i] in M: a·x, for images[i] = b_i·x."""
+    acc = [0] * m.rank
+    for ai, y in zip(a, images):
+        if ai:
+            for t, yt in enumerate(y):
+                acc[t] += ai * yt
+    return tuple(v % d for v, d in zip(acc, m.orders))
 
 
 def _lattice_count_exceeded(max_count) -> GuardExceeded:

@@ -34,6 +34,7 @@ from modcover.modules import (
 )
 from modcover.rings import (
     FiniteRing,
+    _Coordinates,
     _Shifts,
     basis_vectors,
     ideal_generated,
@@ -324,9 +325,10 @@ def test_all_submodules_match_the_sumset_join():
         assert got == oracles.all_submodules(m), m.label
 
 
-# The sigma-search benchmark's module classes with |M| <= 64, and two with
-# many units: Z/61 has 60, and Z/54 has 18 with only 2 distinct multiples
-# on a module of exponent 6.
+# The sigma-search benchmark's module classes with |M| <= 64, and two whose
+# cyclics have many generators: all 60 nonzero elements of Z/61 generate
+# it, and on the Z/54 module of exponent 6 the maximal ideals (2) and (3)
+# of both local factors act as zero, so every m_e·Rx is zero.
 LATTICE_CASES = [
     "free 3 over Z/2",
     "free 4 over Z/2",
@@ -388,6 +390,76 @@ def test_all_submodules_closure_count(monkeypatch):
     monkeypatch.setattr(_Shifts, "closure", counting)
     assert len(all_submodules(m)) == 256
     assert calls == 90
+
+
+def counted(f, calls):
+    """f, appending to the list `calls` on each call."""
+
+    def call(*args, **kwargs):
+        calls.append(1)
+        return f(*args, **kwargs)
+
+    return call
+
+
+@pytest.mark.parametrize(
+    "label, products, closures",
+    [
+        # acting with each of the 60 units on 0 and 1 took 182 products
+        ("free 1 over Z/61", 2, 5),
+        # and here, with 18 units, 58
+        ("module over Z/54: gens=3; rels=[(2,0,0), (0,3,0), (0,0,6)]", 8, 27),
+        # the maximal ideal (2) of Z/8 moves these elements, so each
+        # cyclic also closes its m·Rx: 28 products and 54 closures when
+        # the walk cleared each unit orbit
+        ("Z/4 (+) Z/4 over Z/8", 4, 60),
+    ],
+)
+def test_all_submodules_products_and_closures(label, products, closures, monkeypatch):
+    # the products are e·e_t and (1−e)·e_t per local factor; every m_e·x
+    # is read off the images of x. `mul` and `act` are aliases of
+    # `_product` bound when their classes were made, so each is patched
+    m = parse_module(label)
+    maximal_ideals(m.ring)  # stored ring facts, so that only the walk is counted
+    product_calls, closure_calls = [], []
+    for cls, name in (_Coordinates, "_product"), (FiniteRing, "mul"), (RealizedModule, "act"):
+        monkeypatch.setattr(cls, name, counted(getattr(cls, name), product_calls))
+    monkeypatch.setattr(_Shifts, "closure", counted(_Shifts.closure, closure_calls))
+    all_submodules(m)
+    assert (len(product_calls), len(closure_calls)) == (products, closures)
+
+
+def test_all_submodules_reads_no_multiple_over_a_product_of_fields(monkeypatch):
+    # Z/6 is Z/2 x Z/3: each eJ is zero, so no a·x is formed
+    import modcover.modules
+
+    m = parse_module("free 2 over Z/6")
+    calls = []
+    combination = modcover.modules._combination
+    monkeypatch.setattr(modcover.modules, "_combination", counted(combination, calls))
+    assert len(all_submodules(m)) == 5 * 6
+    assert calls == []
+
+
+# Z/4[x]/(x^2) is local with the maximal ideal (2, x), which no one element
+# generates; its coordinates are those of a + bx. The counts are the
+# oracle's.
+NON_PRINCIPAL = [
+    (1, (), 7),  # R: 0, (2x), (x), (2), (2 + x), (2, x) and R
+    (2, (((2, 0), (0, 0)), ((0, 0), (0, 1))), 13),  # R/(2) (+) R/(x)
+    (2, (((0, 1), (0, 0)), ((0, 0), (0, 1))), 15),  # R/(x) (+) R/(x)
+    (3, (((2, 0), (0, 0), (0, 0)), ((0, 0), (0, 1), (0, 0)), ((0, 0), (0, 0), (2, 1))), 81),
+]
+
+
+@pytest.mark.parametrize("k, rels, count", NON_PRINCIPAL)
+def test_all_submodules_over_a_non_principal_local_ring(k, rels, count):
+    ring = poly_ring(4, [0, 0, 1])  # hand-built, so no other test stores its units
+    m = realize(ModulePresentation(ring, k, rels))
+    got = [(s.members, s.generators) for s in all_submodules(m)]
+    assert ring._units is None  # the walk lists no units
+    assert got == oracles.all_submodules_by_every_join(m)
+    assert len(got) == count
 
 
 def test_all_submodules_budget_trips_only_past_the_lattice_size():
