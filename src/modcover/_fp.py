@@ -2,7 +2,8 @@
 
 A linear map is given by the images of the basis vectors. The ring layer
 uses these helpers to split R/pR into its local factors, to find its
-radical and to build each residue field R/m as R/pR modulo the image of m.
+radical, to certify each residue field R/m from the Frobenius of R/pR and
+to build it as R/pR modulo the image of m.
 """
 
 from __future__ import annotations
@@ -86,7 +87,9 @@ def _apply(images, x, p) -> tuple:
 
 
 def _power(mul, x, n: int):
-    """x^n for n >= 1, by squaring with the product `mul`."""
+    """x^n for n >= 1, by squaring with the product `mul`. Once a square
+    equals its base, that base is idempotent and every power of it left
+    to take is itself, so the squaring stops there."""
     result = None
     while True:
         if n & 1:
@@ -94,7 +97,10 @@ def _power(mul, x, n: int):
         n >>= 1
         if not n:
             return result
-        x = mul(x, x)
+        square = mul(x, x)
+        if square == x:
+            return x if result is None else mul(result, x)
+        x = square
 
 
 def _frobenius(mul, n, p) -> list:

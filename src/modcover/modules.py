@@ -420,13 +420,14 @@ def hyperplanes(m: RealizedModule, ideal: Ideal, start: int, basis) -> list:
     (q^k - 1)/(q - 1) hyperplanes arise once, by lead index l first, then
     by the c_j in field order.
     """
-    field, _, field_lift = residue_field(ideal)
     out = []
     for lead, u in enumerate(basis):
         lead_start = m.span(basis[:lead], start)
         rest = basis[lead + 1 :]
-        # the last lead index has no tail, so it needs no multiples of u
-        scaled = [m.act(field_lift(c), u) for c in field.iter_elements()] if rest else []
+        scaled = []
+        if rest:  # the last lead index has no tail, so it needs no field
+            field, _, field_lift = residue_field(ideal)
+            scaled = [m.act(field_lift(c), u) for c in field.iter_elements()]
         for tail in itertools.product(scaled, repeat=len(rest)):
             vectors = [m.add(w, cu) for w, cu in zip(rest, tail)]
             out.append(Submodule(m, m.span(vectors, lead_start)))

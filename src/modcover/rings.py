@@ -14,8 +14,10 @@ values are immutable after construction, so the constructors share one
 object per ring (see `_RingTable`) and each ring stores the facts derived from it:
 its local factorization, maximal ideals, residue fields and units.
 These come from linear algebra over F_p in R's own coordinates (see
-`_factor` and `_fp`): each residue field R/m is R/pR modulo the echelon
-of m's image, with no Smith normal form.
+`_factor` and `_fp`), with no Smith normal form. Each maximal ideal m is
+certified when R is factored, from the Frobenius of R/pR modulo the
+echelon of m's image; the residue field R/m, R/pR modulo that echelon,
+is built and checked to be a field only when first read.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import itertools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 
 from ._fp import (
     _apply,
@@ -93,15 +95,18 @@ class _Shifts:
             raise IndexError(i)
         return tuple(i % block // weight for weight, block, _ in self.coords)
 
+    def moves(self, x) -> list:
+        """The (c w_t, block, repunit) of each nonzero coordinate c of x:
+        what `_rotate` needs to translate a mask by x."""
+        return [
+            (c * weight, block, repunit)
+            for c, (weight, block, repunit) in zip(x, self.coords)
+            if c
+        ]
+
     def translate(self, mask: int, x) -> int:
         """The mask of {y + x : y in mask}; x a reduced coordinate tuple."""
-        for c, (weight, block, repunit) in zip(x, self.coords):
-            if c:
-                shift = c * weight
-                stay = (repunit << (block - shift)) - repunit  # no wrap-around
-                low = mask & stay
-                mask = low << shift | (mask ^ low) >> (block - shift)
-        return mask
+        return _rotate(mask, self.moves(x))
 
     def closure(self, gens, start: int = 1) -> int:
         """Mask of the subgroup generated by the subgroup `start` and the
@@ -114,18 +119,35 @@ class _Shifts:
         modulo H is at most 2j-1 and the union is H + <g>; when the next
         step 2jg is zero, the order of g divides 2j and so it is too. A
         generator of order n thus costs about log2 n + 1 translations.
+        The step is kept as its `moves`, and doubling it doubles each
+        shift c w_t modulo its block, dropping the coordinates it clears.
         """
         for g in gens:
-            step = g
+            moves = self.moves(g)
             while True:
-                coset = self.translate(start, step)
+                coset = _rotate(start, moves)
                 start |= coset
                 if coset & 1:
                     break
-                step = tuple(2 * c % d for c, d in zip(step, self.orders))
-                if not any(step):
+                moves = [
+                    (doubled, block, repunit)
+                    for shift, block, repunit in moves
+                    if (doubled := 2 * shift % block)
+                ]
+                if not moves:
                     break
         return start
+
+
+def _rotate(mask: int, moves) -> int:
+    """The mask with every block of each move rotated up by its shift,
+    wrapping around: the translate of the mask by the element whose
+    `_Shifts.moves` they are."""
+    for shift, block, repunit in moves:
+        stay = (repunit << (block - shift)) - repunit  # no wrap-around
+        low = mask & stay
+        mask = low << shift | (mask ^ low) >> (block - shift)
+    return mask
 
 
 class _Coordinates:
@@ -296,7 +318,8 @@ class FiniteRing(_Coordinates):
         self._units = None  # frozenset, built from `unit_mask` when asked for
         self._local_factorization = None
         self._maximal_ideals = None  # tuple, sorted by members
-        self._residue_fields = None  # maximal-ideal mask -> (field, project, lift)
+        # maximal-ideal mask -> (field, project, lift), or its build until read
+        self._residue_fields = None
         if validate:
             self._validate()
 
@@ -623,10 +646,11 @@ class LocalFactorization:
     """R ≅ ∏ eR over its primitive idempotents e, each eR ≅ R/(1-e)R
     local, given by the e and by the maximal ideal m_e = (1-e)R + eJ of
     each, J the radical of R. Both come from linear algebra over the
-    residue characteristics (see `_factor`). The factor rings are not
-    built: modules read the decomposition only through the e, and the
-    covering number only through the maximal ideals and the residue
-    fields R/m_e, which are built by echelon over F_p."""
+    residue characteristics (see `_factor`), which certifies each m_e
+    from the Frobenius of R/pR. The factor rings are not built: modules
+    read the decomposition only through the e, and the covering number
+    only through the maximal ideals and the sizes |R/m_e|; a residue
+    field R/m_e is built, by echelon over F_p, only when first read."""
 
     idempotents: tuple  # primitive idempotents, sorted by coordinates
     maximal_ideal_masks: tuple  # m_e, one per idempotent
@@ -635,8 +659,8 @@ class LocalFactorization:
 def local_factorization(ring: FiniteRing) -> LocalFactorization:
     """Decompose as a product of local rings via primitive idempotents.
 
-    Computed once per ring, together with the maximal ideals and residue
-    fields (see `_factor`).
+    Computed once per ring, together with the maximal ideals (see
+    `_factor`).
     """
     if ring._local_factorization is None:
         _factor(ring)
@@ -646,7 +670,8 @@ def local_factorization(ring: FiniteRing) -> LocalFactorization:
 def maximal_ideals(ring: FiniteRing) -> list:
     """All maximal ideals, one per local factor, sorted by members bitmask.
 
-    Each is verified once: the quotient by it is a field.
+    Each is certified once, when R is factored: the quotient by it is a
+    field, read off the Frobenius of R/pR with no residue ring built.
     """
     if ring._maximal_ideals is None:
         local_factorization(ring)
@@ -656,19 +681,24 @@ def maximal_ideals(ring: FiniteRing) -> list:
 def residue_field(ideal: Ideal):
     """``(field, project, lift)`` for R/m: the field, the map from R onto
     its coordinates, and a map back whose images project to the same
-    coordinates; built and checked once per maximal ideal m."""
+    coordinates. `_factor` certified m; R/m is built by `_residue_field`
+    and checked to be a field when first read, once per maximal ideal."""
     ring = ideal.ring
     if ring._residue_fields is None:
         local_factorization(ring)
-    if ideal.members not in ring._residue_fields:
+    entry = ring._residue_fields.get(ideal.members)
+    if entry is None:
         raise ValueError(f"{ideal} is not a maximal ideal")
-    return ring._residue_fields[ideal.members]
+    if callable(entry):  # not built yet
+        entry = ring._residue_fields[ideal.members] = entry()
+        _assert_is_field(entry[0])
+    return entry
 
 
 def _factor(ring: FiniteRing):
-    """Store the local factorization, maximal ideals and residue fields,
-    found by linear algebra over F_p (`_primary_idempotents`), with no
-    sweep over the elements and no Smith normal form.
+    """Store the local factorization and maximal ideals, found by linear
+    algebra over F_p (`_primary_idempotents`), with no sweep over the
+    elements and no Smith normal form.
 
     R is the product of its p-primary parts R_p, and the primitive
     idempotents of R are those of the R_p. For each one, e, the factor eR
@@ -680,22 +710,28 @@ def _factor(ring: FiniteRing):
     idempotents summing to 1 give R = ⊕ eR, so they are checked and the
     factors are not built.
 
-    R/m_e is built once per maximal ideal, by `_residue_field`, and
-    checked to be a field. When m_e = 0, R is a field and is its own
-    residue field. `construct_cover` walks a field's elements in its
-    coordinates, so these fix the order of its certificates.
+    Each m_e, m_e = 0 included, is certified here with no residue ring:
+    R/(m_e + pR) is A/m̄_e for A = R/pR and m̄_e the image of m_e, so
+    A's Frobenius, reduced modulo the echelon of m̄_e and read on its
+    non-pivot columns, is the Frobenius of R/(m_e + pR), which must pass
+    `_is_field`; and |R/m_e| must be its order p^f, so that pR lies in
+    m_e and R/m_e is that field. R/m_e itself is built only when
+    `residue_field` first reads it, from the echelon stored here. When
+    m_e = 0, R is a field and is its own residue field.
+    `construct_cover` walks a field's elements in its coordinates, so
+    these fix the order of its certificates.
     """
     char = reduce(
         math.lcm, (d // math.gcd(d, c) for c, d in zip(ring.one, ring.additive_orders))
     )  # the additive order of 1
-    parts = []  # (idempotent, p, generators r_j of J_p)
+    parts = []  # (idempotent, p, generators r_j of J_p, Frobenius of R/pR)
     for p, a in _prime_powers(char):
         rest = char // p**a
         e_p = ring.scale(rest * pow(rest, -1, p**a), ring.one)  # 1 in R_p, 0 elsewhere
-        idempotents, radical_gens = _primary_idempotents(ring, p, e_p)
-        parts += [(e, p, radical_gens) for e in idempotents]
+        idempotents, radical_gens, frobenius = _primary_idempotents(ring, p, e_p)
+        parts += [(e, p, radical_gens, frobenius) for e in idempotents]
     parts.sort(key=lambda part: part[0])
-    primitive = [e for e, _, _ in parts]
+    primitive = [part[0] for part in parts]
     # sanity: pairwise orthogonal and summing to 1
     acc = ring.zero
     for i, e in enumerate(primitive):
@@ -708,18 +744,22 @@ def _factor(ring: FiniteRing):
 
     ideals = []
     fields = {}
-    for e, p, (r_1, *r_rest) in parts:
+    for e, p, (r_1, *r_rest), frobenius in parts:
         spanning = [ring.add(ring.sub(ring.one, e), ring.mul(e, r_1))]
         spanning += [g for g in (ring.mul(e, r) for r in r_rest) if g != ring.zero]
         images = ring.images(spanning)
         mask = ring.shifts.closure(images)
+        support = _support(ring, p)
+        rows, pivots = _echelon([[x[i] for i in support] for x in images], p)
+        residue = _residue_frobenius(frobenius, rows, pivots, p)
+        if ring.size != mask.bit_count() * p ** len(residue) or not _is_field(residue, p):
+            raise AssertionError(f"{ring.label}: quotient by a maximal ideal is not a field")
+        ideal = Ideal(ring, mask, tuple(spanning))
         if mask == 1:  # m_e = 0: R is a field
             fields[mask] = (ring, ring.reduce, ring.reduce)
         else:
-            label = f"({ring.label})/<{','.join(str(g) for g in spanning)}>"
-            fields[mask] = _residue_field(ring, p, images, label)
-            _assert_is_field(fields[mask][0])
-        ideals.append(Ideal(ring, mask, tuple(spanning)))
+            fields[mask] = partial(_residue_field, ring, p, rows, pivots, ideal.spanning)
+        ideals.append(ideal)
     ring._local_factorization = LocalFactorization(
         tuple(primitive), tuple(ideal.members for ideal in ideals)
     )
@@ -733,20 +773,30 @@ def _support(ring, p) -> list:
     return [i for i, d in enumerate(ring.additive_orders) if d % p == 0]
 
 
-def _residue_field(ring, p, images, label) -> tuple:
-    """``(field, project, lift)`` for R/m, given the additive generators
-    `images` of a maximal ideal m that contains p.
+def _residue_frobenius(frobenius, rows, pivots, p) -> list:
+    """The Frobenius of A/m̄ on the basis of A's non-pivot columns, given
+    A's Frobenius and the reduced echelon form ``(rows, pivots)`` of the
+    ideal m̄: (x + m̄)^p = x^p + m̄, so each image is A's, reduced by the
+    echelon rows and read on the non-pivot columns."""
+    spots = [j for j in range(len(frobenius)) if j not in pivots]
+    reduced = (_reduce(rows, pivots, frobenius[j], p) for j in spots)
+    return [[x[k] for k in spots] for x in reduced]
 
-    Then R/m = A/m̄ for A = R/pR and m̄ the F_p-span of the images in A.
-    In the reduced echelon form of m̄, the non-pivot columns of A are a
-    basis of A/m̄: `project` reduces x mod p by the echelon rows and reads
-    the non-pivot coordinates, and `lift` puts coordinates back on them,
-    with zeros elsewhere. The basis of R/m is the image of the basis
-    vectors of R on the non-pivot columns, so its table is f^2 entries
-    of R's table projected, f = dim A/m̄.
+
+def _residue_field(ring, p, rows, pivots, spanning) -> tuple:
+    """``(field, project, lift)`` for R/m, given the reduced echelon form
+    ``(rows, pivots)`` over F_p of the image m̄ in A = R/pR of a maximal
+    ideal m that contains p, and the elements that span m, which name
+    the field.
+
+    Then R/m = A/m̄. The non-pivot columns of A are a basis of A/m̄:
+    `project` reduces x mod p by the echelon rows and reads the
+    non-pivot coordinates, and `lift` puts coordinates back on them, with
+    zeros elsewhere. The basis of R/m is the image of the basis vectors
+    of R on the non-pivot columns, so its table is f^2 entries of R's
+    table projected, f = dim A/m̄.
     """
     support = _support(ring, p)
-    rows, pivots = _echelon([[x[i] for i in support] for x in images], p)
     spots = [j for j in range(len(support)) if j not in pivots]  # columns of A
     free = [support[j] for j in spots]  # the same columns of R
 
@@ -761,20 +811,31 @@ def _residue_field(ring, p, images, label) -> tuple:
         return tuple(x)
 
     table = [[project(ring.mul_table[i][j]) for j in free] for i in free]
+    label = f"({ring.label})/<{','.join(str(g) for g in spanning)}>"
     residue = FiniteRing([p] * len(free), table, project(ring.one), label, validate=False)
     return residue, project, lift
 
 
+def _algebra(ring, p) -> _Coordinates:
+    """A = R/pR over the coordinates `_support(ring, p)`, with R's table
+    on them read mod p as its structure constants: the b_i with p ∤ d_i
+    lie in pR, and x -> x mod p on the others is a ring map onto A."""
+    support = _support(ring, p)
+    table = [[[ring.mul_table[i][j][s] for s in support] for j in support] for i in support]
+    return _Coordinates((p,) * len(support), table)
+
+
 def _primary_idempotents(ring, p, e_p) -> tuple:
-    """``(idempotents, radical_gens)``: the primitive idempotents e of
-    R_p = e_p R, and generators of the ideal J_p = pR + rad(R/pR) R, the
-    preimage of the radical of R/pR, which is the same for every e.
+    """``(idempotents, radical_gens, frobenius)``: the primitive
+    idempotents e of R_p = e_p R, generators of the ideal J_p = pR +
+    rad(R/pR) R, the preimage of the radical of R/pR, which is the same
+    for every e, and the Frobenius of R/pR on its basis.
 
     R is ⊕ Z/d_i, so pR is ⊕ pZ/d_i and A = R/pR is ⊕ Z/p over the
-    coordinates with p | d_i: `project` keeps those coordinates mod p,
-    and `lift` puts them back with zeros elsewhere. A = R_p/pR_p is an
-    F_p-algebra with x * y = project(lift(x) lift(y)). Frobenius F is
-    F_p-linear on A, and rad A = ker F^s once p^s >= dim A, since a
+    coordinates with p | d_i, read mod p; `lift` puts them back with
+    zeros elsewhere. A = R_p/pR_p is an F_p-algebra, and its products
+    are taken by its own structure constants (`_algebra`). Frobenius
+    F is F_p-linear on A, and rad A = ker F^s once p^s >= dim A, since a
     nilpotent of A has x^(dim A) = 0. In a local factor of A, x^p = x
     makes x^(p-1) an idempotent, so x is 0 or a unit c + n with c in F_p
     and n nilpotent, and then x = x^(p^k) = c + n^(p^k) = c. So the fixed
@@ -786,19 +847,14 @@ def _primary_idempotents(ring, p, e_p) -> tuple:
     """
     support = _support(ring, p)
 
-    def project(x):
-        return tuple(x[i] % p for i in support)
-
     def lift(y):
         x = [0] * ring.rank
         for i, v in zip(support, y):
             x[i] = v
         return tuple(x)
 
-    def mul(x, y):
-        return project(ring.mul(lift(x), lift(y)))
-
     n = len(support)
+    mul = _algebra(ring, p)._product
     frobenius = _frobenius(mul, n, p)
     nil, reach = frobenius, p
     while reach < n:
@@ -806,7 +862,7 @@ def _primary_idempotents(ring, p, e_p) -> tuple:
         reach *= p
     radical_gens = [ring.scale(p, ring.one)] + [lift(r) for r in _kernel(nil, p)]
 
-    one = project(ring.one)
+    one = tuple(ring.one[i] % p for i in support)
     fixed = _fixed_space(frobenius, p)
     idems = [one]
     for b in fixed:
@@ -823,7 +879,7 @@ def _primary_idempotents(ring, p, e_p) -> tuple:
                     split.append(part)
         idems = split
     idempotents = [_lift_idempotent(ring, ring.mul(e_p, lift(e))) for e in idems]
-    return idempotents, radical_gens
+    return idempotents, radical_gens, frobenius
 
 
 def _lift_idempotent(ring, e):
@@ -839,8 +895,9 @@ def _lift_idempotent(ring, e):
 
 def _assert_is_field(ring):
     """Raise unless the ring is a field: its additive orders are one
-    prime p, and as an F_p-algebra it passes `_is_field`. It does not use
-    `units()`, which is derived from the maximal ideals this certifies.
+    prime p, and as an F_p-algebra it passes `_is_field`. `residue_field`
+    runs it on each residue field it builds. It does not use `units()`,
+    which is derived from the maximal ideals.
     """
     p = ring.additive_orders[0]
     if not (

@@ -977,14 +977,15 @@ def test_closure_matches_the_set_closure_at_large_orders(data):
 
 @pytest.mark.parametrize("n", [2, 3, 128, 129, 151, 512])
 def test_closure_translates_about_log2_n_times(n, monkeypatch):
+    # each translation of the running union is one `_rotate` of its blocks
     translations = []
-    translate = _Shifts.translate
+    rotate = rings._rotate
 
-    def counted(self, mask, x):
-        translations.append(x)
-        return translate(self, mask, x)
+    def counted(mask, moves):
+        translations.append(moves)
+        return rotate(mask, moves)
 
-    monkeypatch.setattr(_Shifts, "translate", counted)
+    monkeypatch.setattr(rings, "_rotate", counted)
     shifts = _Shifts((n,))
     full = (1 << n) - 1
     assert shifts.closure([(1,)]) == full

@@ -1,11 +1,16 @@
 """Ring interning and the facts stored on rings and modules."""
 
 import json
+import os
+import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from modcover import cli, modules, rings, snf
+from modcover._fp import _frobenius
 from modcover.covering import SearchSpace, construct_cover, greedy_cover, sigma_exact
 from modcover.dsl import parse_module, parse_ring
 from modcover.modules import (
@@ -176,15 +181,41 @@ def test_the_maximal_ideals_of_z12_and_their_residue_field_labels():
 
 @pytest.mark.parametrize("text,builds", [("Z/4096", 1), ("Z/360", 3), ("Z/12 x Z/10", 4)])
 def test_factor_builds_one_quotient_ring_per_maximal_ideal(text, builds, monkeypatch):
-    # the residue fields R/m, each an echelon over F_p; the local factors
-    # R/(1-e)R are not built
+    # `_factor` certifies each m from the Frobenius of R/pR and builds no
+    # residue field; the first `residue_field` read builds R/m, an echelon
+    # over F_p, once per maximal ideal, and the local factors R/(1-e)R are
+    # never built
     R = parse_ring(text)
     calls = _count_calls(monkeypatch, ["_residue_field"], rings)
     rings._factor(R)
-    assert calls["_residue_field"] == builds == len(maximal_ideals(R))
+    assert calls["_residue_field"] == 0
+    assert builds == len(maximal_ideals(R))
     for ideal in maximal_ideals(R):
         assert residue_field(ideal)[0].size == ideal.residue_size
     assert calls["_residue_field"] == builds
+    for ideal in maximal_ideals(R):
+        residue_field(ideal)
+    assert calls["_residue_field"] == builds
+
+
+@pytest.mark.parametrize("text", ["Z/360", "Z/12 x Z/10", "GF(2^2) x Z/9"])
+def test_ring_and_module_facts_build_no_residue_field(text, monkeypatch):
+    # the closed form reads only |R/m|, and a module of multiplicity 1 at
+    # every m has hyperplanes with no tail, so neither reads R/m as a ring
+    monkeypatch.setattr(rings, "_INTERNED", rings._RingTable())
+    calls = _count_calls(monkeypatch, ["_residue_field"], rings)
+    cli._ring_facts(parse_ring(text))
+    cli._module_facts(parse_module(f"free 1 over {text}"))
+    assert calls["_residue_field"] == 0
+
+
+def test_construct_cover_builds_only_the_witness_residue_field(monkeypatch):
+    # over Z/6, R/m is read as a ring only at the witness, Z/2
+    monkeypatch.setattr(rings, "_INTERNED", rings._RingTable())
+    calls = _count_calls(monkeypatch, ["_residue_field"], rings)
+    cert = construct_cover(parse_module("free 2 over Z/6"))
+    assert cert.is_cover and cert.size == 3
+    assert calls["_residue_field"] == 1
 
 
 @pytest.mark.parametrize("text", PINNED_RINGS + MIXED_PRODUCTS + ["GF(2^2) x GF(3^2)"])
@@ -216,6 +247,113 @@ def test_factor_runs_no_snf_outside_quotient_ring(text, monkeypatch):
     for ideal in maximal_ideals(R):
         residue_field(ideal)
     assert calls == {"abelian_quotient": 0, "quotient_ring": 0}
+
+
+@pytest.mark.parametrize("text", PINNED_RINGS + MIXED_PRODUCTS + GF_CASES)
+def test_certificate_frobenius_is_that_of_the_residue_field(text, monkeypatch):
+    # `_factor` certifies R/m by A's Frobenius reduced modulo m's echelon;
+    # the residue field built on first read has the same Frobenius
+    monkeypatch.setattr(rings, "_INTERNED", rings._RingTable())
+    certified = {}
+    residue_frobenius = rings._residue_frobenius
+
+    def recorded(frobenius, rows, pivots, p):
+        out = residue_frobenius(frobenius, rows, pivots, p)
+        certified[p, tuple(map(tuple, rows)), tuple(pivots)] = out
+        return out
+
+    monkeypatch.setattr(rings, "_residue_frobenius", recorded)
+    R = parse_ring(text)
+    ideals = maximal_ideals(R)
+    assert len(certified) == len(ideals)
+    for ideal in ideals:
+        entry = R._residue_fields[ideal.members]
+        if ideal.members == 1:  # R is a field
+            p, rows, pivots = R.additive_orders[0], [], []
+        else:
+            _, p, rows, pivots, _ = entry.args
+        field = residue_field(ideal)[0]
+        want = _frobenius(field.mul, field.rank, p)
+        assert [list(v) for v in want] == certified[p, tuple(map(tuple, rows)), tuple(pivots)], ideal
+
+
+@pytest.mark.parametrize("text", PINNED_RINGS + MIXED_PRODUCTS + GF_CASES)
+def test_algebra_product_is_the_projected_ring_product(text):
+    # A = R/pR multiplies by R's table on the support read mod p, which is
+    # project(lift(x) lift(y)) through R
+    R = parse_ring(text)
+    rng = random.Random(f"algebra/{text}")
+    for p in sorted({q for d in R.additive_orders for q, _ in rings._prime_powers(d)}):
+        support = rings._support(R, p)
+        A = rings._algebra(R, p)
+
+        def lift(y):
+            x = [0] * R.rank
+            for i, v in zip(support, y):
+                x[i] = v
+            return tuple(x)
+
+        def project(x):
+            return tuple(x[i] % p for i in support)
+
+        for _ in range(40):
+            x, y = (tuple(rng.randrange(p) for _ in support) for _ in range(2))
+            assert A._product(x, y) == project(R.mul(lift(x), lift(y))), (p, x, y)
+
+
+SUMMED_IDEMPOTENTS = (
+    "from functools import reduce\n"
+    "from modcover import rings\n"
+    "from modcover.dsl import parse_ring\n"
+    "primary = rings._primary_idempotents\n"
+    "def summed(ring, p, e_p):\n"
+    "    idempotents, radical_gens, frobenius = primary(ring, p, e_p)\n"
+    "    return [reduce(ring.add, idempotents)], radical_gens, frobenius\n"
+    "def unread(*args):\n"
+    "    raise RuntimeError('a residue field was built')\n"
+    "rings._primary_idempotents = summed\n"
+    "rings._residue_field = unread\n"
+    "print('debug', __debug__)\n"
+    "for text in ['Z/2 x Z/2', 'Z/4 x Z/4']:\n"
+    "    try:\n"
+    "        rings.maximal_ideals(parse_ring(text))\n"
+    "    except AssertionError as exc:\n"
+    "        print('raised', exc)\n"
+    "    else:\n"
+    "        print('accepted', text)\n"
+)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_factor_rejects_idempotents_that_are_not_primitive(flags):
+    # with the two idempotents of Z/2 x Z/2 summed into 1, m_e is {0} and
+    # R would be its own residue field; over Z/4 x Z/4, m_e is 2R. Both
+    # are certified inside `_factor`, before any residue field is built
+    out = subprocess.run(
+        [sys.executable, *flags, "-c", SUMMED_IDEMPOTENTS],
+        capture_output=True, text=True, env=_env_with_src(), timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    debug, *lines = out.stdout.splitlines()
+    assert debug == f"debug {not flags}"
+    assert len(lines) == 2
+    assert all(line.startswith("raised") and "not a field" in line for line in lines), lines
+
+
+def test_factor_rejects_a_maximal_ideal_that_misses_p(monkeypatch):
+    # with 0 in place of r_1 = p, m_e is {0} in Z/4 and 0 x Z/2 in
+    # Z/9 x Z/2: R/(m_e + pR) is a field, but not of order |R/m_e|
+    monkeypatch.setattr(rings, "_INTERNED", rings._RingTable())
+    primary = rings._primary_idempotents
+
+    def without_p(ring, p, e_p):
+        idempotents, radical_gens, frobenius = primary(ring, p, e_p)
+        return idempotents, [ring.zero] + radical_gens[1:], frobenius
+
+    monkeypatch.setattr(rings, "_primary_idempotents", without_p)
+    for text in ["Z/4", "Z/9 x Z/2"]:
+        with pytest.raises(AssertionError, match="not a field"):
+            maximal_ideals(parse_ring(text))
 
 
 def test_one_snf_per_quotient(monkeypatch):
@@ -369,6 +507,14 @@ NOT_A_FIELD = (
     "except AssertionError as exc:\n"
     "    print('raised', exc)\n"
 )
+
+
+def _env_with_src() -> dict:
+    """This environment with the repository's src/ first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
 
 
 def test_field_check_raises_under_python_O():
