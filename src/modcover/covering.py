@@ -18,6 +18,7 @@ from enum import Enum
 from .errors import GuardExceeded
 from .modules import (
     RealizedModule,
+    _residue_span,
     all_submodules,
     hyperplanes,
     maximal_submodules,
@@ -184,6 +185,8 @@ def construct_cover(m: RealizedModule) -> CoverCertificate:
     In the basis u, w, rest of M/mM the line through dx u + dy w pulls
     back to the hyperplane spanned by mM, rest and that vector, so the
     lines are the `hyperplanes` of the plane of w and u over mM + rest.
+    That start is a span over mM, so it is `_residue_span`'s, an additive
+    closure when R/m = F_p.
     """
     t0 = time.perf_counter()
     _reject_zero(m)
@@ -195,7 +198,8 @@ def construct_cover(m: RealizedModule) -> CoverCertificate:
     entry = next(e for e in s_set(m) if e.ideal is pred.witness_ideal)
     u, w, *rest = entry.basis
     # the lines through u + c w for each scalar c, then the line through w
-    covers = hyperplanes(m, entry.ideal, m.span(rest, entry.nm), (w, u))
+    start = _residue_span(m, entry.residue_size)(rest, entry.nm)
+    covers = hyperplanes(m, entry, start, (w, u))
     ok = verify_cover(m, covers)
     return CoverCertificate(
         tuple(covers), ok, len(covers) if ok else None, ok, 0,

@@ -14,6 +14,12 @@ order: a submodule's, derived when first read, and each basis of M/mM,
 over mM. All values are immutable after construction, so each module
 stores its maximal submodules, semisimple invariants and cyclicity once
 computed.
+
+The residue layer works in M/mM's own terms: mM is the additive span of
+products read off the module table (`ideal_action`); a span over a mask
+that contains mM is an additive closure when R/m = F_p (`_residue_span`);
+and the multiples c·u over R/m are combinations of f of them
+(`_field_multiples`).
 """
 
 from __future__ import annotations
@@ -29,6 +35,8 @@ from .rings import (
     FiniteRing,
     Ideal,
     _Coordinates,
+    _greedy,
+    _is_prime,
     basis_vectors,
     ideal_generated,
     local_factorization,
@@ -355,7 +363,9 @@ def _interval(m: RealizedModule, bottom: int, em: int, radical, max_count) -> se
 
 
 def _combination(m: RealizedModule, a, images) -> tuple:
-    """Σ_i a_i images[i] in M: a·x, for images[i] = b_i·x."""
+    """Σ_i a_i images[i] in M, with no product: a·x for images[i] = b_i·x
+    (the images of x, or column t of the table for x = e_t), and c·u for
+    field coordinates c and images[j] = λ_j·u (see `_field_multiples`)."""
     acc = [0] * m.rank
     for ai, y in zip(a, images):
         if ai:
@@ -374,10 +384,16 @@ def _lattice_count_exceeded(max_count) -> GuardExceeded:
 
 
 def ideal_action(m: RealizedModule, ideal: Ideal) -> Submodule:
-    """The submodule I*M."""
+    """The submodule I*M: the additive span of the a·e_t, for a over the
+    additive generators of I (the images of its spanning set) and e_t
+    over M's basis. Each a·e_t = Σ_i a_i (b_i·e_t) is read off the column
+    t of `basis_act`, so it costs no product."""
     if ideal.ring is not m.ring:
         raise ValueError("ideal belongs to a different ring")
-    return Submodule(m, m.span([x for g in ideal.spanning for x in m.multiples(g)]))
+    gens = [a for a in dict.fromkeys(m.ring.images(ideal.spanning)) if any(a)]
+    columns = [[row[t] for row in m.basis_act] for t in range(m.rank)]
+    products = (_combination(m, a, images) for a in gens for images in columns)
+    return Submodule(m, m.shifts.closure(y for y in products if any(y)))
 
 
 def quotient_module(m: RealizedModule, n: Submodule):
@@ -403,35 +419,60 @@ def maximal_submodules(m: RealizedModule) -> list:
         out = [
             s
             for e in semisimple_invariants(m)
-            for s in hyperplanes(m, e.ideal, e.nm, e.basis)
+            for s in hyperplanes(m, e, e.nm, e.basis)
         ]
         out.sort(key=lambda s: s.members)
         m._maximal_submodules = tuple(out)
     return list(m._maximal_submodules)
 
 
-def hyperplanes(m: RealizedModule, ideal: Ideal, start: int, basis) -> list:
-    """The submodules over the submodule mask `start` (containing mM) that
-    pull back the hyperplanes of the span of `basis` (lifts of independent
-    vectors u_1..u_k of M/mM) over the residue field R/m.
+def hyperplanes(m: RealizedModule, entry: SemisimpleEntry, start: int, basis) -> list:
+    """The submodules over the submodule mask `start` that pull back the
+    hyperplanes of the span of `basis` (lifts of independent vectors
+    u_1..u_k of M/mM) over the residue field R/m, for the m and mM of the
+    `SemisimpleEntry` entry; raises ValueError unless `start` contains mM.
 
     The hyperplane ker φ with φ_j = 0 for j < l, φ_l = 1 and φ_j = -c_j
     after l has the basis u_j (j < l) and u_j + c_j u_l (j > l); all
     (q^k - 1)/(q - 1) hyperplanes arise once, by lead index l first, then
-    by the c_j in field order.
+    by the c_j in field order. Each lead start, the span of u_j (j < l)
+    over `start`, is the previous one with u_{l-1} closed in, and every
+    span is over mM, so it is `_residue_span`'s.
     """
+    if start & entry.nm != entry.nm:
+        raise ValueError("hyperplanes: the start mask does not contain mM")
+    span = _residue_span(m, entry.residue_size)
     out = []
+    lead_start = start
     for lead, u in enumerate(basis):
-        lead_start = m.span(basis[:lead], start)
+        if lead:
+            lead_start = span([basis[lead - 1]], lead_start)
         rest = basis[lead + 1 :]
-        scaled = []
-        if rest:  # the last lead index has no tail, so it needs no field
-            field, _, field_lift = residue_field(ideal)
-            scaled = [m.act(field_lift(c), u) for c in field.iter_elements()]
+        # the last lead index has no tail, so it needs no field
+        scaled = _field_multiples(m, entry.ideal, u) if rest else []
         for tail in itertools.product(scaled, repeat=len(rest)):
             vectors = [m.add(w, cu) for w, cu in zip(rest, tail)]
-            out.append(Submodule(m, m.span(vectors, lead_start)))
+            out.append(Submodule(m, span(vectors, lead_start)))
     return out
+
+
+def _field_multiples(m: RealizedModule, ideal: Ideal, u) -> list:
+    """The c·u for c over R/m in field order, c acting through its lift.
+    The lift is linear and the action bilinear, so c·u = Σ_j c_j (λ_j·u)
+    for λ_j the lift of the field's basis vector e_j: f products, f the
+    field's degree, and a `_combination` per c."""
+    field, _, field_lift = residue_field(ideal)
+    images = [m.act(field_lift(e), u) for e in basis_vectors(field.rank)]
+    return [_combination(m, c, images) for c in field.iter_elements()]
+
+
+def _residue_span(m: RealizedModule, q: int):
+    """The routine that spans vectors over a submodule mask containing
+    mM, for q = |R/m|. When q is a prime, R/m = F_p, so for each a in R
+    an integer c has a − c in m, and a·v = c·v + (a − c)·v with the last
+    term in mM: the span is the additive closure of the vectors, which
+    needs no image under the ring basis. Otherwise it is `m.span`."""
+    return m.shifts.closure if _is_prime(q) else m.span
 
 
 def radical_via_maximal(m: RealizedModule) -> int:
@@ -538,15 +579,17 @@ def semisimple_invariants(m: RealizedModule) -> list:
 
 def _residue_dimensions(m: RealizedModule) -> list:
     """The basis of each M/mM is greedy over mM: each vector is the least
-    element that mM and the earlier ones do not span. m annihilates M/mM,
-    so each step adds one R/m-dimension and the result is a basis."""
+    element that mM and the earlier ones do not span, each step closed by
+    `_residue_span`. m annihilates M/mM, so each step adds one
+    R/m-dimension and the result is a basis. No step reads R/m."""
     out = []
     for ideal in maximal_ideals(m.ring):
         nm = ideal_action(m, ideal).members
         if nm == m.full_mask:
             continue
-        basis = tuple(m.element(i) for i in submodule_generators(m, m.full_mask, nm))
         q = ideal.residue_size
+        greedy = _greedy(m, m.full_mask, nm, _residue_span(m, q))
+        basis = tuple(m.element(i) for i in greedy)
         if nm.bit_count() * q ** len(basis) != m.size:
             raise AssertionError("quotient by a maximal ideal is not a vector space")
         out.append(SemisimpleEntry(ideal, q, nm, basis))

@@ -26,7 +26,7 @@ import itertools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import cached_property, partial, reduce
+from functools import cache, cached_property, partial, reduce
 
 from ._fp import (
     _apply,
@@ -277,14 +277,21 @@ class _Coordinates:
         """Greedy generating set (element indices) of the ideal or
         submodule `members` over the mask `start`: each member, in index
         order, that `start` and the earlier ones do not span."""
-        gens = []
+        return _greedy(self, members, start, self.span)
+
+
+def _greedy(coords: _Coordinates, members: int, start: int, span) -> tuple:
+    """The loop of `_Coordinates.greedy`, closing each step with `span`:
+    `coords.span`, or a routine a caller knows gives the same masks over
+    `start` more cheaply (see `modules._residue_span`)."""
+    gens = []
+    rest = members & ~start
+    while rest:
+        idx = (rest & -rest).bit_length() - 1
+        gens.append(idx)
+        start = span([coords.element(idx)], start)
         rest = members & ~start
-        while rest:
-            idx = (rest & -rest).bit_length() - 1
-            gens.append(idx)
-            start = self.span([self.element(idx)], start)
-            rest = members & ~start
-        return tuple(gens)
+    return tuple(gens)
 
 
 class FiniteRing(_Coordinates):
@@ -494,6 +501,7 @@ def _prime_powers(n: int) -> list:
     return out
 
 
+@cache  # read for every residue field size; its arguments are within the ring guard
 def _is_prime(n: int) -> bool:
     return _prime_powers(n) == [(n, 1)]
 

@@ -15,9 +15,9 @@ from types import SimpleNamespace
 
 from modcover.modules import (
     RealizedModule,
+    Submodule,
     cyclic_sum,
     free_module,
-    ideal_action,
     quotient_module,
     s_set,
     submodule_generated,
@@ -214,10 +214,53 @@ def vector_space_coords(v, field, field_lift) -> dict:
     return coords
 
 
+# -- the residue layer by ring products and R-spans --------------------------------
+
+
+def ideal_action_by_products(m, ideal):
+    """I·M as the span of the g·e_t, for g over the spanning elements of
+    I, each made by a product, and spanned through the ring-basis images."""
+    return Submodule(m, m.span([x for g in ideal.spanning for x in m.multiples(g)]))
+
+
+def residue_steps_by_span(m, nm) -> list:
+    """(index, mask after the step) for each step of the greedy basis of
+    M over the mask nm, each step spanned by `m.span`."""
+    steps, start = [], nm
+    while start != m.full_mask:
+        rest = m.full_mask & ~start
+        idx = (rest & -rest).bit_length() - 1
+        start = m.span([m.element(idx)], start)
+        steps.append((idx, start))
+    return steps
+
+
+def field_multiples_by_act(m, ideal, u) -> list:
+    """c·u for each c of R/m in field order, each by one product with
+    the lift of c."""
+    field, _, field_lift = residue_field(ideal)
+    return [m.act(field_lift(c), u) for c in field.iter_elements()]
+
+
+def hyperplanes_by_span(m, ideal, start, basis) -> list:
+    """The masks of the hyperplane pullbacks over `start`, in the order
+    of `modules.hyperplanes`: each lead start spanned from `start` again,
+    the multiples by `field_multiples_by_act` and every span by `m.span`."""
+    out = []
+    for lead, u in enumerate(basis):
+        lead_start = m.span(basis[:lead], start)
+        rest = basis[lead + 1 :]
+        scaled = field_multiples_by_act(m, ideal, u) if rest else []
+        for tail in itertools.product(scaled, repeat=len(rest)):
+            vectors = [m.add(w, cu) for w, cu in zip(rest, tail)]
+            out.append(m.span(vectors, lead_start))
+    return out
+
+
 def _residue_space(m, ideal):
     """The residue field, the index map of M -> M/mM and the coordinates
     of M/mM in the greedy field basis."""
-    nm = ideal_action(m, ideal)
+    nm = ideal_action_by_products(m, ideal)
     v, project, _ = quotient_module(m, nm)
     proj = [v.index_of(project(x)) for x in elements(m)]
     field, _, field_lift = residue_field(ideal)
@@ -234,7 +277,7 @@ def maximal_submodules(m) -> list:
     element x is kept when proj(x) lies in ker φ."""
     out = []
     for ideal in maximal_ideals(m.ring):
-        if ideal_action(m, ideal).members == m.full_mask:
+        if ideal_action_by_products(m, ideal).members == m.full_mask:
             continue
         field, proj, coords = _residue_space(m, ideal)
         k = len(next(iter(coords.values())))
@@ -543,7 +586,7 @@ def localize_at_s(m):
             e_sum = m.ring.add(e_sum, e)
     complement = ideal_generated(m.ring, [m.ring.sub(m.ring.one, e_sum)])
     new_ring, _, ring_lift = quotient_ring_by_lifts(m.ring, complement)
-    killed = ideal_action(m, complement)
+    killed = ideal_action_by_products(m, complement)
     orders, project, lift = abelian_quotient(
         m.orders, m.images(killed.generator_coords())
     )

@@ -13,11 +13,14 @@ from modcover.modules import (
     ModulePresentation,
     RealizedModule,
     Submodule,
+    _field_multiples,
+    _residue_span,
     all_submodules,
     cyclic_sum,
     direct_sum,
     free_module,
     hdim,
+    hyperplanes,
     ideal_action,
     is_cyclic,
     jacobson_radical,
@@ -47,6 +50,7 @@ from modcover.rings import (
 import oracles
 from oracles import (
     MIXED_PRODUCTS,
+    PINNED_RINGS,
     POLY_DEGREES,
     elements,
     member_indices,
@@ -267,11 +271,18 @@ def test_maximal_submodules_counts():
 
 
 @pytest.mark.parametrize(
-    "text, acts", [("free 1 over Z/157", 0), ("free 2 over Z/7", 7), ("free 3 over Z/3", 6)]
+    "text, acts",
+    [
+        ("free 1 over Z/157", 0),
+        ("free 2 over Z/7", 1),
+        ("free 3 over Z/3", 2),
+        ("free 2 over GF(2^3)", 3),
+    ],
 )
 def test_hyperplanes_scale_only_a_lead_vector_with_a_tail(text, acts, monkeypatch):
     # the multiples c*u_l of the lead vector are read only by the vectors
-    # after it, so the last lead index scales nothing
+    # after it, so the last lead index scales nothing; the others are
+    # combinations of the f products λ_j·u_l, f the degree of R/m
     m = parse_module(text)
     semisimple_invariants(m)
     calls = []
@@ -297,6 +308,116 @@ def test_maximal_submodules_are_maximal_in_the_lattice():
             if not any(s != t and s & ~t == 0 for t in lattice)
         }
         assert {s.members for s in maximal_submodules(m)} == maximal
+
+
+def assert_residue_layer_matches_the_references(m):
+    # mM, each greedy step of the basis of M/mM, each hyperplane, each
+    # multiple c·u and `construct_cover`'s plane, against the products,
+    # R-spans and per-c products that built them before
+    for ideal in maximal_ideals(m.ring):
+        reference = oracles.ideal_action_by_products(m, ideal)
+        assert ideal_action(m, ideal).members == reference.members
+    for entry in semisimple_invariants(m):
+        span = _residue_span(m, entry.residue_size)
+        steps = oracles.residue_steps_by_span(m, entry.nm)
+        assert tuple(m.element(i) for i, _ in steps) == entry.basis
+        start = entry.nm
+        for u, (_, mask) in zip(entry.basis, steps):
+            start = span([u], start)
+            assert start == mask
+        for u in entry.basis[:-1]:
+            got = _field_multiples(m, entry.ideal, u)
+            assert got == oracles.field_multiples_by_act(m, entry.ideal, u)
+        planes = [(entry.nm, entry.basis)]
+        if entry.multiplicity >= 2:
+            u, w, *rest = entry.basis
+            assert span(rest, entry.nm) == m.span(rest, entry.nm)
+            planes.append((span(rest, entry.nm), (w, u)))
+        for start, basis in planes:
+            got = [s.members for s in hyperplanes(m, entry, start, basis)]
+            assert got == oracles.hyperplanes_by_span(m, entry.ideal, start, basis)
+
+
+def test_residue_layer_matches_the_references_on_the_corpus():
+    for m in oracles.corpus_modules():
+        assert_residue_layer_matches_the_references(m)
+
+
+# R and R^2 over the pinned rings and GF(2^2) x Z/9, whose residue
+# fields are prime and not; R^2 only where the realize guard admits |R|^2
+RESIDUE_LAYER_MODULES = (
+    [f"free 1 over {text}" for text in PINNED_RINGS + ["GF(2^2) x Z/9"]]
+    + [
+        f"free 2 over {text}"
+        for text in ["Z/360", "GF(2^7)", "Z/12 x Z/10", "GF(3^5)", "GF(2^2) x Z/9"]
+    ]
+    + ["Z/6 (+) Z/6 over Z/6", "free 3 over Z/3", "free 2 over GF(2^3)", "free 2 over GF(3^2)"]
+)
+
+
+@pytest.mark.parametrize("text", RESIDUE_LAYER_MODULES)
+def test_residue_layer_matches_the_references(text, monkeypatch):
+    monkeypatch.setenv("MODCOVER_MAX_MODULE", str(360**2))
+    assert_residue_layer_matches_the_references(parse_module(text))
+
+
+def test_hyperplanes_reject_a_start_without_mm():
+    # over F_p a span over the start is an additive closure, which is a
+    # submodule only when the start holds mM; an explicit check, not an
+    # assert, so that it holds under python -O too
+    m = parse_module("free 2 over Z/4")
+    (entry,) = semisimple_invariants(m)
+    assert entry.nm != 1
+    with pytest.raises(ValueError, match="mM"):
+        hyperplanes(m, entry, 1, entry.basis)
+    assert len(hyperplanes(m, entry, entry.nm, entry.basis)) == 3
+
+
+@pytest.mark.parametrize("text", ["free 2 over Z/13", "Z/6 (+) Z/6 over Z/6"])
+def test_residue_layer_over_prime_fields_takes_no_images_on_m(text, monkeypatch):
+    # every span over mM is an additive closure when R/m = F_p, and mM is
+    # read off the module table; the ring's images of an ideal's spanning
+    # elements, its additive generators, are read on R
+    m = parse_module(text)
+    maximal_ideals(m.ring)
+    calls = []
+    images = _Coordinates.images
+
+    def counted_images(self, elems):
+        if self is m:
+            calls.append(1)
+        return images(self, elems)
+
+    monkeypatch.setattr(_Coordinates, "images", counted_images)
+    assert semisimple_invariants(m) and maximal_submodules(m)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "text", ["free 2 over Z/6", "free 2 over GF(2^2) x Z/9", "Z/2 (+) Z/4 over Z/12"]
+)
+def test_ideal_action_makes_no_product(text, monkeypatch):
+    # `mul` and `act` are aliases of `_product` bound when their classes
+    # were made, so each is patched
+    m = parse_module(text)
+    ideals = maximal_ideals(m.ring)
+    calls = []
+    for cls, name in (_Coordinates, "_product"), (FiniteRing, "mul"), (RealizedModule, "act"):
+        monkeypatch.setattr(cls, name, counted(getattr(cls, name), calls))
+    assert all(ideal_action(m, ideal).size > 1 for ideal in ideals)
+    assert calls == []
+
+
+@pytest.mark.parametrize("text, closures", [("free 2 over Z/2", 4), ("free 3 over Z/2", 9)])
+def test_hyperplanes_close_each_lead_vector_once(text, closures, monkeypatch):
+    # one closure per hyperplane, and each lead start is the previous one
+    # with one more vector closed in
+    m = parse_module(text)
+    (entry,) = semisimple_invariants(m)
+    calls = []
+    monkeypatch.setattr(_Shifts, "closure", counted(_Shifts.closure, calls))
+    count = len(hyperplanes(m, entry, entry.nm, entry.basis))
+    assert len(calls) == closures == count + entry.multiplicity - 1
 
 
 def oracle_modules(max_size=None):
@@ -460,6 +581,12 @@ def test_all_submodules_over_a_non_principal_local_ring(k, rels, count):
     assert ring._units is None  # the walk lists no units
     assert got == oracles.all_submodules_by_every_join(m)
     assert len(got) == count
+
+
+@pytest.mark.parametrize("k, rels, count", NON_PRINCIPAL)
+def test_residue_layer_matches_the_references_over_a_non_principal_ring(k, rels, count):
+    ring = poly_ring(4, [0, 0, 1])
+    assert_residue_layer_matches_the_references(realize(ModulePresentation(ring, k, rels)))
 
 
 def test_all_submodules_budget_trips_only_past_the_lattice_size():
