@@ -154,6 +154,13 @@ def _print_module_facts(facts):
     )
 
 
+def _print_cover(cert) -> None:
+    """One line per cover member: its generators and size."""
+    for i, s in enumerate(cert.submodules):
+        gens = [list(g) for g in s.generator_coords()]
+        print(f"  cover[{i}]: generators={gens} size={s.size}")
+
+
 def cmd_module_info(args) -> int:
     from .dsl import parse_module
 
@@ -191,9 +198,7 @@ def cmd_sigma(args) -> int:
                 ]
             )
             if args.certificate and cert.is_cover:
-                for i, s in enumerate(cert.submodules):
-                    gens = [list(g) for g in s.generator_coords()]
-                    print(f"  cover[{i}]: generators={gens} size={s.size}")
+                _print_cover(cert)
     return EXIT_OK
 
 
@@ -223,9 +228,7 @@ def cmd_cover(args) -> int:
                     ("nodes explored", cert.nodes_explored),
                 ]
             )
-            for i, s in enumerate(cert.submodules):
-                gens = [list(g) for g in s.generator_coords()]
-                print(f"  cover[{i}]: generators={gens} size={s.size}")
+            _print_cover(cert)
     return EXIT_OK
 
 

@@ -282,20 +282,14 @@ def all_submodules(m: RealizedModule, max_count=LATTICE_COUNT_BUDGET) -> list:
     if m.size > LATTICE_GUARD:
         raise GuardExceeded("lattice", f"|M| = {m.size} exceeds guard {LATTICE_GUARD}")
     ring = m.ring
-    lf = local_factorization(ring)
-    ideals = {ideal.members: ideal for ideal in maximal_ideals(ring)}
     intervals = []
-    for e, mask in zip(lf.idempotents, lf.maximal_ideal_masks):
+    for factor in local_factorization(ring):
+        e = factor.idempotent
         em = m.shifts.closure(m.multiples(e))
         if em == 1:
             continue
-        f = ring.sub(ring.one, e)
-        bottom = m.shifts.closure(m.multiples(f))
-        # m_e is spanned by g_1 = (1−e) + e·r_1 and the e·r_j (see `_factor`),
-        # so eJ is spanned by e·r_1 = g_1 − (1−e) and the e·r_j
-        g_1, *e_r = ideals[mask].spanning
-        radical = [a for a in dict.fromkeys(ring.images([ring.sub(g_1, f), *e_r])) if any(a)]
-        intervals.append(_interval(m, bottom, em, radical, max_count))
+        bottom = m.shifts.closure(m.multiples(ring.sub(ring.one, e)))
+        intervals.append(_interval(m, bottom, em, factor.radical, max_count))
     if math.prod(map(len, intervals)) > max_count:
         raise _lattice_count_exceeded(max_count)
     lattice = [m.full_mask]
@@ -530,12 +524,10 @@ def length(m: RealizedModule) -> int:
     length(eM) = log_q |eM|. x ↦ ex is additive, so eM is the additive
     span of the e·e_t over the module basis, closed without enumerating M.
     """
-    ring = m.ring
-    lf = local_factorization(ring)
     total = 0
-    for e, mask in zip(lf.idempotents, lf.maximal_ideal_masks):
-        q = ring.size // mask.bit_count()
-        em = m.shifts.closure(m.multiples(e))
+    for factor in local_factorization(m.ring):
+        q = factor.ideal.residue_size
+        em = m.shifts.closure(m.multiples(factor.idempotent))
         total += _exact_log(
             em.bit_count(), q, f"|eM| is not a power of the residue size {q}"
         )
@@ -556,9 +548,12 @@ def _exact_log(size: int, q: int, message: str) -> int:
 @dataclass(frozen=True)
 class SemisimpleEntry:
     ideal: Ideal
-    residue_size: int
     nm: int  # members mask of mM
     basis: tuple  # greedy over mM in M's element order: a basis of M/mM over R/m
+
+    @property
+    def residue_size(self) -> int:
+        return self.ideal.residue_size
 
     @property
     def multiplicity(self) -> int:
@@ -592,7 +587,7 @@ def _residue_dimensions(m: RealizedModule) -> list:
         basis = tuple(m.element(i) for i in greedy)
         if nm.bit_count() * q ** len(basis) != m.size:
             raise AssertionError("quotient by a maximal ideal is not a vector space")
-        out.append(SemisimpleEntry(ideal, q, nm, basis))
+        out.append(SemisimpleEntry(ideal, nm, basis))
     return out
 
 
@@ -619,17 +614,13 @@ def localize_at_s(m: RealizedModule):
     taking coordinates of M to coordinates of the module over the
     factored ring.
     """
-    s_ideals = s_set(m)
+    s_ideals = {e.ideal for e in s_set(m)}
     if not s_ideals:
         raise ValueError("localization at S requires a nonempty S")
-    s_masks = {e.ideal.members for e in s_ideals}
-    lf = local_factorization(m.ring)
-    chosen = [
-        e for e, mask in zip(lf.idempotents, lf.maximal_ideal_masks) if mask in s_masks
-    ]
     e_sum = m.ring.zero
-    for e in chosen:
-        e_sum = m.ring.add(e_sum, e)
+    for factor in local_factorization(m.ring):
+        if factor.ideal in s_ideals:
+            e_sum = m.ring.add(e_sum, factor.idempotent)
     complement = ideal_generated(m.ring, [m.ring.sub(m.ring.one, e_sum)])
     new_ring, _, ring_lift = quotient_ring(m.ring, complement)
     quotient, project, _ = quotient_module(m, ideal_action(m, complement))

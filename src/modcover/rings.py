@@ -12,12 +12,14 @@ be a ring (`FiniteRing._validate`); the constructors, the residue fields
 and `quotient_ring` build rings by construction and skip that check. All
 values are immutable after construction, so the constructors share one
 object per ring (see `_RingTable`) and each ring stores the facts derived from it:
-its local factorization, maximal ideals, residue fields and units.
-These come from linear algebra over F_p in R's own coordinates (see
-`_factor` and `_fp`), with no Smith normal form. Each maximal ideal m is
-certified when R is factored, from the Frobenius of R/pR modulo the
-echelon of m's image; the residue field R/m, R/pR modulo that echelon,
-is built and checked to be a field only when first read.
+its local factors, maximal ideals and units. These come from linear
+algebra over F_p in R's own coordinates (see `_factor` and `_fp`), with
+no Smith normal form. Each local factor is one `LocalFactor` record: its
+idempotent e, its maximal ideal m_e and the echelon of m_e's image in
+R/pR. Each m_e is certified once, when R is factored, from the
+Frobenius of R/pR modulo that echelon; the generators of eJ and the
+residue field R/m_e, R/pR modulo the same echelon, are built from the
+record only when first read.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import itertools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import cache, cached_property, partial, reduce
+from functools import cache, cached_property, reduce
 
 from ._fp import (
     _apply,
@@ -323,10 +325,8 @@ class FiniteRing(_Coordinates):
         self.one = self.reduce(one)
         self.label = label
         self._units = None  # frozenset, built from `unit_mask` when asked for
-        self._local_factorization = None
+        self._local_factors = None  # maximal-ideal mask -> LocalFactor
         self._maximal_ideals = None  # tuple, sorted by members
-        # maximal-ideal mask -> (field, project, lift), or its build until read
-        self._residue_fields = None
         if validate:
             self._validate()
 
@@ -650,29 +650,47 @@ def quotient_ring(ring: FiniteRing, ideal: Ideal):
 
 
 @dataclass(frozen=True)
-class LocalFactorization:
-    """R ≅ ∏ eR over its primitive idempotents e, each eR ≅ R/(1-e)R
-    local, given by the e and by the maximal ideal m_e = (1-e)R + eJ of
-    each, J the radical of R. Both come from linear algebra over the
-    residue characteristics (see `_factor`), which certifies each m_e
-    from the Frobenius of R/pR. The factor rings are not built: modules
-    read the decomposition only through the e, and the covering number
-    only through the maximal ideals and the sizes |R/m_e|; a residue
-    field R/m_e is built, by echelon over F_p, only when first read."""
+class LocalFactor:
+    """One local factor eR of R ≅ ∏ eR, e a primitive idempotent, and its
+    maximal ideal m_e = (1-e)R + eJ, J the radical of R. `_factor` builds
+    one per e, by linear algebra over the residue characteristic p, and
+    certifies m_e there from the Frobenius of R/pR. The factor ring eR is
+    not built: modules read the decomposition only through e and eJ, and
+    the covering number only through m_e and |R/m_e|."""
 
-    idempotents: tuple  # primitive idempotents, sorted by coordinates
-    maximal_ideal_masks: tuple  # m_e, one per idempotent
+    idempotent: tuple
+    ideal: Ideal  # m_e
+    p: int
+    rows: tuple  # reduced echelon over F_p of m_e's image in R/pR
+    pivots: tuple
+
+    @cached_property
+    def radical(self) -> tuple:
+        """The nonzero additive generators of eJ, built when first read:
+        the images of e r_1 = g_1 - (1-e) and of the e r_j, the elements
+        that span m_e after g_1 (see `_factor`)."""
+        ring = self.ideal.ring
+        g_1, *e_r = self.ideal.spanning
+        e_r_1 = ring.sub(g_1, ring.sub(ring.one, self.idempotent))
+        return tuple(a for a in dict.fromkeys(ring.images([e_r_1, *e_r])) if any(a))
+
+    @cached_property
+    def residue_field(self) -> tuple:
+        """``(field, project, lift)`` for R/m_e, built when first read;
+        when m_e = 0, R is a field and is its own residue field."""
+        ring = self.ideal.ring
+        if self.ideal.members == 1:
+            return ring, ring.reduce, ring.reduce
+        return _residue_field(ring, self.p, self.rows, self.pivots, self.ideal.spanning)
 
 
-def local_factorization(ring: FiniteRing) -> LocalFactorization:
-    """Decompose as a product of local rings via primitive idempotents.
-
-    Computed once per ring, together with the maximal ideals (see
-    `_factor`).
-    """
-    if ring._local_factorization is None:
+def local_factorization(ring: FiniteRing) -> tuple:
+    """The `LocalFactor` of each primitive idempotent, sorted by the
+    idempotents' coordinates. Computed once per ring, together with the
+    maximal ideals (see `_factor`)."""
+    if ring._local_factors is None:
         _factor(ring)
-    return ring._local_factorization
+    return tuple(ring._local_factors.values())
 
 
 def maximal_ideals(ring: FiniteRing) -> list:
@@ -689,22 +707,19 @@ def maximal_ideals(ring: FiniteRing) -> list:
 def residue_field(ideal: Ideal):
     """``(field, project, lift)`` for R/m: the field, the map from R onto
     its coordinates, and a map back whose images project to the same
-    coordinates. `_factor` certified m; R/m is built by `_residue_field`
-    and checked to be a field when first read, once per maximal ideal."""
+    coordinates. It is the `LocalFactor.residue_field` of m, which
+    `_factor` certified."""
     ring = ideal.ring
-    if ring._residue_fields is None:
+    if ring._local_factors is None:
         local_factorization(ring)
-    entry = ring._residue_fields.get(ideal.members)
-    if entry is None:
+    factor = ring._local_factors.get(ideal.members)
+    if factor is None:
         raise ValueError(f"{ideal} is not a maximal ideal")
-    if callable(entry):  # not built yet
-        entry = ring._residue_fields[ideal.members] = entry()
-        _assert_is_field(entry[0])
-    return entry
+    return factor.residue_field
 
 
 def _factor(ring: FiniteRing):
-    """Store the local factorization and maximal ideals, found by linear
+    """Store the `LocalFactor`s and maximal ideals, found by linear
     algebra over F_p (`_primary_idempotents`), with no sweep over the
     elements and no Smith normal form.
 
@@ -713,19 +728,19 @@ def _factor(ring: FiniteRing):
     is local, and m_e = (1-e)R + J_p is the maximal ideal not containing
     e, where J_p, generated by r_1 = p and the lifts r_j of rad(R/pR), is
     the preimage of the radical of R/pR; (1-e)R holds every other factor,
-    so J_p adds only eJ_p. Since g_1 = (1-e) + e r_1 has g_1 (1-e) = 1-e,
-    m_e is spanned by g_1 and the nonzero e r_j, in one span. Orthogonal
-    idempotents summing to 1 give R = ⊕ eR, so they are checked and the
-    factors are not built.
+    so J_p adds only eJ_p = eJ. Since g_1 = (1-e) + e r_1 has
+    g_1 (1-e) = 1-e, m_e is spanned by g_1 and the nonzero e r_j, in one
+    span, and eJ by e r_1 and the e r_j. Orthogonal idempotents summing
+    to 1 give R = ⊕ eR, so they are checked and the factors are not
+    built.
 
     Each m_e, m_e = 0 included, is certified here with no residue ring:
     R/(m_e + pR) is A/m̄_e for A = R/pR and m̄_e the image of m_e, so
     A's Frobenius, reduced modulo the echelon of m̄_e and read on its
     non-pivot columns, is the Frobenius of R/(m_e + pR), which must pass
     `_is_field`; and |R/m_e| must be its order p^f, so that pR lies in
-    m_e and R/m_e is that field. R/m_e itself is built only when
-    `residue_field` first reads it, from the echelon stored here. When
-    m_e = 0, R is a field and is its own residue field.
+    m_e and R/m_e is that field. This is the only field check: R/m_e is
+    built from the same echelon, stored in the record, when first read.
     `construct_cover` walks a field's elements in its coordinates, so
     these fix the order of its certificates.
     """
@@ -739,19 +754,17 @@ def _factor(ring: FiniteRing):
         idempotents, radical_gens, frobenius = _primary_idempotents(ring, p, e_p)
         parts += [(e, p, radical_gens, frobenius) for e in idempotents]
     parts.sort(key=lambda part: part[0])
-    primitive = [part[0] for part in parts]
     # sanity: pairwise orthogonal and summing to 1
     acc = ring.zero
-    for i, e in enumerate(primitive):
+    for i, (e, *_) in enumerate(parts):
         acc = ring.add(acc, e)
-        for f in primitive[i + 1 :]:
+        for f, *_ in parts[i + 1 :]:
             if ring.mul(e, f) != ring.zero:
                 raise AssertionError("primitive idempotents not orthogonal")
     if acc != ring.one:
         raise AssertionError("primitive idempotents do not sum to 1")
 
-    ideals = []
-    fields = {}
+    factors = {}
     for e, p, (r_1, *r_rest), frobenius in parts:
         spanning = [ring.add(ring.sub(ring.one, e), ring.mul(e, r_1))]
         spanning += [g for g in (ring.mul(e, r) for r in r_rest) if g != ring.zero]
@@ -763,16 +776,11 @@ def _factor(ring: FiniteRing):
         if ring.size != mask.bit_count() * p ** len(residue) or not _is_field(residue, p):
             raise AssertionError(f"{ring.label}: quotient by a maximal ideal is not a field")
         ideal = Ideal(ring, mask, tuple(spanning))
-        if mask == 1:  # m_e = 0: R is a field
-            fields[mask] = (ring, ring.reduce, ring.reduce)
-        else:
-            fields[mask] = partial(_residue_field, ring, p, rows, pivots, ideal.spanning)
-        ideals.append(ideal)
-    ring._local_factorization = LocalFactorization(
-        tuple(primitive), tuple(ideal.members for ideal in ideals)
+        factors[mask] = LocalFactor(e, ideal, p, tuple(map(tuple, rows)), tuple(pivots))
+    ring._local_factors = factors
+    ring._maximal_ideals = tuple(
+        sorted((f.ideal for f in factors.values()), key=lambda ideal: ideal.members)
     )
-    ring._maximal_ideals = tuple(sorted(ideals, key=lambda ideal: ideal.members))
-    ring._residue_fields = fields
 
 
 def _support(ring, p) -> list:
@@ -812,16 +820,25 @@ def _residue_field(ring, p, rows, pivots, spanning) -> tuple:
         reduced = _reduce(rows, pivots, [x[i] for i in support], p)
         return tuple(reduced[j] for j in spots)
 
-    def lift(y):
-        x = [0] * ring.rank
-        for i, c in zip(free, y):
-            x[i] = c
-        return tuple(x)
-
+    lift = _placing(ring.rank, free)
     table = [[project(ring.mul_table[i][j]) for j in free] for i in free]
     label = f"({ring.label})/<{','.join(str(g) for g in spanning)}>"
     residue = FiniteRing([p] * len(free), table, project(ring.one), label, validate=False)
     return residue, project, lift
+
+
+def _placing(rank, columns):
+    """The map putting coordinates on `columns` of a rank-`rank` tuple,
+    with zeros elsewhere: the lift from R/pR, or from a residue field,
+    back to R."""
+
+    def lift(y):
+        x = [0] * rank
+        for i, v in zip(columns, y):
+            x[i] = v
+        return tuple(x)
+
+    return lift
 
 
 def _algebra(ring, p) -> _Coordinates:
@@ -854,13 +871,7 @@ def _primary_idempotents(ring, p, e_p) -> tuple:
     R_p by Newton's step e <- 3e^2 - 2e^3, as pR_p is nilpotent.
     """
     support = _support(ring, p)
-
-    def lift(y):
-        x = [0] * ring.rank
-        for i, v in zip(support, y):
-            x[i] = v
-        return tuple(x)
-
+    lift = _placing(ring.rank, support)
     n = len(support)
     mul = _algebra(ring, p)._product
     frobenius = _frobenius(mul, n, p)
@@ -899,18 +910,3 @@ def _lift_idempotent(ring, e):
             return e
         e = ring.sub(ring.scale(3, square), ring.scale(2, ring.mul(square, e)))
     raise AssertionError(f"{ring.label}: idempotent lifting does not converge")
-
-
-def _assert_is_field(ring):
-    """Raise unless the ring is a field: its additive orders are one
-    prime p, and as an F_p-algebra it passes `_is_field`. `residue_field`
-    runs it on each residue field it builds. It does not use `units()`,
-    which is derived from the maximal ideals.
-    """
-    p = ring.additive_orders[0]
-    if not (
-        _is_prime(p)
-        and all(d == p for d in ring.additive_orders)
-        and _is_field(_frobenius(ring.mul, ring.rank, p), p)
-    ):
-        raise AssertionError(f"{ring.label}: quotient by a maximal ideal is not a field")

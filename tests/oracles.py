@@ -428,7 +428,7 @@ def local_factors(ring) -> SimpleNamespace:
     """The local factors eR ≅ R/(1-e)R over the library's primitive
     idempotents e, each with its projection and lift, and the maps
     R -> ∏ eR (`iso_forward`) and back (`iso_backward`)."""
-    idempotents = local_factorization(ring).idempotents
+    idempotents = [f.idempotent for f in local_factorization(ring)]
     factors, projections, lifts = zip(
         *(
             quotient_ring(ring, ideal_generated(ring, [ring.sub(ring.one, e)]))
@@ -483,11 +483,10 @@ def length_by_snf(m) -> int:
     """Σ_e log_q |eM| over the primitive idempotents e, with |eM| =
     |M/(1-e)M| read off a Smith normal form of the span of the (1-e)e_t."""
     ring = m.ring
-    lf = local_factorization(ring)
     total = 0
-    for e, mask in zip(lf.idempotents, lf.maximal_ideal_masks):
-        q = ring.size // mask.bit_count()
-        complement = ring.sub(ring.one, e)
+    for factor in local_factorization(ring):
+        q = ring.size // factor.ideal.size
+        complement = ring.sub(ring.one, factor.idempotent)
         orders, _, _ = abelian_quotient(
             m.orders, [m.act(complement, x) for x in basis_vectors(m.rank)]
         )
@@ -579,11 +578,10 @@ def localize_at_s(m):
     the S-idempotents, with its own Smith normal forms of (1-e)R and
     (1-e)M and the action of the quotient ring's basis through its lifts."""
     s_masks = {e.ideal.members for e in s_set(m)}
-    lf = local_factorization(m.ring)
     e_sum = m.ring.zero
-    for e, mask in zip(lf.idempotents, lf.maximal_ideal_masks):
-        if mask in s_masks:
-            e_sum = m.ring.add(e_sum, e)
+    for factor in local_factorization(m.ring):
+        if factor.ideal.members in s_masks:
+            e_sum = m.ring.add(e_sum, factor.idempotent)
     complement = ideal_generated(m.ring, [m.ring.sub(m.ring.one, e_sum)])
     new_ring, _, ring_lift = quotient_ring_by_lifts(m.ring, complement)
     killed = ideal_action_by_products(m, complement)

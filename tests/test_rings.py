@@ -17,7 +17,6 @@ from modcover.dsl import parse_ring
 from modcover.modules import direct_sum, free_module, quotient_module, submodule_generated
 from modcover.rings import (
     FiniteRing,
-    _assert_is_field,
     _is_irreducible,
     _is_prime,
     _Shifts,
@@ -53,6 +52,7 @@ from oracles import (
     maximal_ideal_masks,
     member_elements,
     monic_polynomials,
+    nilpotents_by_squaring,
     poly_ring,
     residue_field_by_snf,
     smallest_irreducible_by_search,
@@ -308,7 +308,7 @@ def test_local_factorization_of_zmod(n):
     assert sizes == want
     # idempotents are orthogonal and sum to 1
     total = R.zero
-    for e in local_factorization(R).idempotents:
+    for e in idempotents_of(R):
         assert R.mul(e, e) == e
         total = R.add(total, e)
     assert total == R.one
@@ -334,14 +334,31 @@ def test_maximal_ideals_of_gf_product():
 # -- ring structure by linear algebra, against the element sweeps -------------------
 
 
+def idempotents_of(R) -> tuple:
+    return tuple(f.idempotent for f in local_factorization(R))
+
+
 def assert_matches_the_sweeps(R):
-    lf = local_factorization(R)
     idempotents, masks = factor_by_sweeps(R)
-    assert lf.idempotents == idempotents, R.label
-    assert lf.maximal_ideal_masks == masks, R.label
+    assert idempotents_of(R) == idempotents, R.label
+    assert tuple(f.ideal.members for f in local_factorization(R)) == masks, R.label
     assert [i.members for i in maximal_ideals(R)] == sorted(masks), R.label
     for ideal in maximal_ideals(R):
         assert is_field_by_power_walk(residue_field(ideal)[0]), R.label
+
+
+@pytest.mark.parametrize("text", PINNED_RINGS + MIXED_PRODUCTS)
+def test_local_factor_radical_spans_e_times_the_radical(text):
+    # the radical J of a finite commutative ring is its nilradical, so eJ
+    # is {e x : x nilpotent}, swept here; `all_submodules` reads it off
+    # `LocalFactor.radical`
+    R = parse_ring(text)
+    nilpotents = nilpotents_by_squaring(R)
+    for factor in local_factorization(R):
+        e = factor.idempotent
+        want = mask_of(R.index_of(R.mul(e, x)) for x in nilpotents)
+        assert R.shifts.closure(factor.radical) == want, (R.label, e)
+        assert all(any(a) for a in factor.radical), (R.label, e)
 
 
 @pytest.mark.parametrize(
@@ -427,7 +444,7 @@ def test_the_fixed_space_of_r_mod_p_counts_the_primitive_idempotents(spec):
     # p^t cosets of pR; counted over R's own elements and products alone
     R = parse_ring(spec) if isinstance(spec, str) else poly_ring(*spec)
     assert R.size <= 256
-    idempotents = local_factorization(R).idempotents
+    idempotents = idempotents_of(R)
     for p in prime_factors(R.size):
         p_r = {R.scale(p, x) for x in elements(R)}
         fixed = sum(
@@ -509,7 +526,7 @@ def test_residue_fields_meet_their_definition():
             assert all(project(lift(y)) == y for y in field.iter_elements())
             by_snf, _, _ = residue_field_by_snf(ideal)
             assert by_snf.size == field.size
-            _assert_is_field(by_snf)
+            assert is_field_by_power_walk(by_snf), R.label
             checked += 1
     assert checked == 1467
 
@@ -620,14 +637,13 @@ def test_crt_explicit_isomorphism_z6_to_f2_times_f3():
 
 
 def test_local_factorization_idempotents_of_z6():
-    lf = local_factorization(ring_zmod(6))
-    assert sorted(e[0] for e in lf.idempotents) == [3, 4]
+    assert sorted(e[0] for e in idempotents_of(ring_zmod(6))) == [3, 4]
 
 
 def test_local_factorization_of_local_ring_is_trivial():
     R = ring_zmod(8)
     assert len(local_factors(R).factors) == 1
-    assert local_factorization(R).idempotents == ((1,),)
+    assert idempotents_of(R) == ((1,),)
 
 
 @pytest.mark.parametrize(
@@ -672,7 +688,8 @@ def test_maximal_ideal_masks_match_the_elementwise_pullback(make):
     # rad(R/pR); the reference keeps each x whose projection to the factor
     # R/(1-e)R is nilpotent
     R = make()
-    assert local_factorization(R).maximal_ideal_masks == maximal_ideal_masks(R)
+    got = tuple(f.ideal.members for f in local_factorization(R))
+    assert got == maximal_ideal_masks(R)
 
 
 def test_quotient_by_zero_ideal_is_the_ring():

@@ -1,5 +1,6 @@
 """Ring interning and the facts stored on rings and modules."""
 
+import ast
 import json
 import os
 import random
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from modcover import cli, modules, rings, snf
-from modcover._fp import _frobenius
+from modcover._fp import _frobenius, _is_field
 from modcover.covering import SearchSpace, construct_cover, greedy_cover, sigma_exact
 from modcover.dsl import parse_module, parse_ring
 from modcover.modules import (
@@ -24,8 +25,8 @@ from modcover.modules import (
 from modcover.rings import (
     RING_SIZE_GUARD,
     FiniteRing,
-    _assert_is_field,
     ideal_generated,
+    local_factorization,
     maximal_ideals,
     quotient_ring,
     residue_field,
@@ -266,15 +267,11 @@ def test_certificate_frobenius_is_that_of_the_residue_field(text, monkeypatch):
     R = parse_ring(text)
     ideals = maximal_ideals(R)
     assert len(certified) == len(ideals)
-    for ideal in ideals:
-        entry = R._residue_fields[ideal.members]
-        if ideal.members == 1:  # R is a field
-            p, rows, pivots = R.additive_orders[0], [], []
-        else:
-            _, p, rows, pivots, _ = entry.args
-        field = residue_field(ideal)[0]
-        want = _frobenius(field.mul, field.rank, p)
-        assert [list(v) for v in want] == certified[p, tuple(map(tuple, rows)), tuple(pivots)], ideal
+    for factor in local_factorization(R):
+        field = residue_field(factor.ideal)[0]
+        want = _frobenius(field.mul, field.rank, factor.p)
+        key = factor.p, factor.rows, factor.pivots
+        assert [list(v) for v in want] == certified[key], factor.ideal
 
 
 @pytest.mark.parametrize("text", PINNED_RINGS + MIXED_PRODUCTS + GF_CASES)
@@ -338,6 +335,21 @@ def test_factor_rejects_idempotents_that_are_not_primitive(flags):
     assert debug == f"debug {not flags}"
     assert len(lines) == 2
     assert all(line.startswith("raised") and "not a field" in line for line in lines), lines
+
+
+def test_the_library_has_no_bare_assert():
+    # `python -O` strips assert statements, so every invariant the library
+    # checks raises explicitly instead
+    src = Path(__file__).resolve().parents[1] / "src" / "modcover"
+    files = sorted(src.glob("*.py"))
+    assert files
+    bare = [
+        f"{path.name}:{node.lineno}"
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert bare == []
 
 
 def test_factor_rejects_a_maximal_ideal_that_misses_p(monkeypatch):
@@ -473,17 +485,16 @@ def test_ring_info_counts_units_without_the_unit_set(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["units"] == 96  # φ(360)
 
 
-@pytest.mark.parametrize("n", [4, 6, 8, 9])
-def test_field_check_rejects_a_quotient_that_is_not_a_field(n):
-    R = ring_zmod(n)
-    Q, _, _ = quotient_ring(R, zero_ideal(R))
-    with pytest.raises(AssertionError, match="not a field"):
-        _assert_is_field(Q)
+def passes_the_field_check(R) -> bool:
+    """`_is_field`, the predicate of `_factor`'s certificate, on R as an
+    F_p-algebra, p its first additive order."""
+    p = R.additive_orders[0]
+    return _is_field(_frobenius(R.mul, R.rank, p), p)
 
 
 def test_field_check_accepts_fields():
     for text in ("Z/2", "Z/13", "GF(2^3)", "GF(3^2)"):
-        _assert_is_field(parse_ring(text))
+        assert passes_the_field_check(parse_ring(text)), text
 
 
 @pytest.mark.parametrize(
@@ -495,18 +506,7 @@ def test_field_check_accepts_fields():
     ],
 )
 def test_field_check_rejects_an_algebra_that_is_not_a_field(make):
-    with pytest.raises(AssertionError, match="not a field"):
-        _assert_is_field(make())
-
-
-NOT_A_FIELD = (
-    "from modcover.rings import _assert_is_field, ring_product, ring_zmod\n"
-    "print('debug', __debug__)\n"
-    "try:\n"
-    "    _assert_is_field(ring_product(ring_zmod(2), ring_zmod(2)))\n"
-    "except AssertionError as exc:\n"
-    "    print('raised', exc)\n"
-)
+    assert not passes_the_field_check(make())
 
 
 def _env_with_src() -> dict:
@@ -515,22 +515,3 @@ def _env_with_src() -> dict:
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     ))
-
-
-def test_field_check_raises_under_python_O():
-    import os
-    import subprocess
-    from pathlib import Path
-
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    ))
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", NOT_A_FIELD],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert out.returncode == 0, out.stderr
-    lines = out.stdout.splitlines()
-    assert lines[0] == "debug False"
-    assert lines[1].startswith("raised") and "not a field" in lines[1]
