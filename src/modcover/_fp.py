@@ -2,8 +2,9 @@
 
 A linear map is given by the images of the basis vectors. The ring layer
 uses these helpers to split R/pR into its local factors, to find its
-radical, to certify each residue field R/m from the Frobenius of R/pR and
-to build it as R/pR modulo the image of m.
+radical, to certify each residue field R/m from the Frobenius of R/pR (or
+from the kernels of that Frobenius, when R/m is R/pR itself) and to build
+it as R/pR modulo the image of m.
 """
 
 from __future__ import annotations
@@ -118,4 +119,11 @@ def _is_field(frobenius, p) -> bool:
     product of fields, and the Berlekamp kernel ker(F - I) = {x : x^p = x}
     is F_p in each field, so it has dimension 1 exactly when A is one field.
     """
-    return not _kernel(frobenius, p) and len(_fixed_space(frobenius, p)) == 1
+    return _kernels_of_a_field(_kernel(frobenius, p), _fixed_space(frobenius, p))
+
+
+def _kernels_of_a_field(nilpotent, fixed) -> bool:
+    """The test of `_is_field` on kernel bases already formed: `nilpotent`
+    a basis of ker F^s for some s >= 1, which is zero exactly when ker F
+    is, and `fixed` one of ker(F - I)."""
+    return not nilpotent and len(fixed) == 1

@@ -14,10 +14,12 @@ values are immutable after construction, so the constructors share one
 object per ring (see `_RingTable`) and each ring stores the facts derived from it:
 its local factors, maximal ideals and units. These come from linear
 algebra over F_p in R's own coordinates (see `_factor` and `_fp`), with
-no Smith normal form. Each local factor is one `LocalFactor` record: its
-idempotent e, its maximal ideal m_e and the echelon of m_e's image in
-R/pR. Each m_e is certified once, when R is factored, from the
-Frobenius of R/pR modulo that echelon; the generators of eJ and the
+no Smith normal form; R/pR multiplies by R's own product. Each local
+factor is one `LocalFactor` record: its idempotent e, its maximal ideal
+m_e and the echelon of m_e's image in R/pR. Each m_e is certified once,
+when R is factored, from the Frobenius of R/pR modulo that echelon, or,
+when that image is zero, from the kernels of R/pR's own Frobenius that
+the split into idempotents has formed; the generators of eJ and the
 residue field R/m_e, R/pR modulo the same echelon, are built from the
 record only when first read.
 """
@@ -37,6 +39,7 @@ from ._fp import (
     _frobenius,
     _is_field,
     _kernel,
+    _kernels_of_a_field,
     _power,
     _reduce,
     basis_vectors,
@@ -735,24 +738,29 @@ def _factor(ring: FiniteRing):
     built.
 
     Each m_e, m_e = 0 included, is certified here with no residue ring:
-    R/(m_e + pR) is A/m̄_e for A = R/pR and m̄_e the image of m_e, so
-    A's Frobenius, reduced modulo the echelon of m̄_e and read on its
-    non-pivot columns, is the Frobenius of R/(m_e + pR), which must pass
-    `_is_field`; and |R/m_e| must be its order p^f, so that pR lies in
-    m_e and R/m_e is that field. This is the only field check: R/m_e is
-    built from the same echelon, stored in the record, when first read.
+    R/(m_e + pR) is A/m̄_e for A = R/pR and m̄_e the image of m_e, and it
+    must be a field of order p^f, f = dim A/m̄_e, with |R/m_e| = p^f, so
+    that pR lies in m_e and R/m_e is that field. When m̄_e ≠ 0, A's
+    Frobenius, reduced modulo the echelon of m̄_e and read on its
+    non-pivot columns, is the Frobenius of A/m̄_e, and it must pass
+    `_is_field`. When m̄_e = 0, A/m̄_e is A and its Frobenius is A's,
+    whose kernels `_primary_idempotents` has formed: the radical kernel
+    ker F^s, zero exactly when ker F is, and the fixed space ker(F - I).
+    The same test, `_kernels_of_a_field`, is read off those two. This is
+    the only field check: R/m_e is built from the same echelon, stored
+    in the record, when first read.
     `construct_cover` walks a field's elements in its coordinates, so
     these fix the order of its certificates.
     """
     char = reduce(
         math.lcm, (d // math.gcd(d, c) for c, d in zip(ring.one, ring.additive_orders))
     )  # the additive order of 1
-    parts = []  # (idempotent, p, generators r_j of J_p, Frobenius of R/pR)
+    parts = []  # (idempotent, p, generators r_j of J_p, Frobenius of R/pR, its kernels)
     for p, a in _prime_powers(char):
         rest = char // p**a
         e_p = ring.scale(rest * pow(rest, -1, p**a), ring.one)  # 1 in R_p, 0 elsewhere
-        idempotents, radical_gens, frobenius = _primary_idempotents(ring, p, e_p)
-        parts += [(e, p, radical_gens, frobenius) for e in idempotents]
+        idempotents, radical_gens, frobenius, kernels = _primary_idempotents(ring, p, e_p)
+        parts += [(e, p, radical_gens, frobenius, kernels) for e in idempotents]
     parts.sort(key=lambda part: part[0])
     # sanity: pairwise orthogonal and summing to 1
     acc = ring.zero
@@ -765,15 +773,19 @@ def _factor(ring: FiniteRing):
         raise AssertionError("primitive idempotents do not sum to 1")
 
     factors = {}
-    for e, p, (r_1, *r_rest), frobenius in parts:
+    for e, p, (r_1, *r_rest), frobenius, kernels in parts:
         spanning = [ring.add(ring.sub(ring.one, e), ring.mul(e, r_1))]
         spanning += [g for g in (ring.mul(e, r) for r in r_rest) if g != ring.zero]
         images = ring.images(spanning)
         mask = ring.shifts.closure(images)
         support = _support(ring, p)
         rows, pivots = _echelon([[x[i] for i in support] for x in images], p)
-        residue = _residue_frobenius(frobenius, rows, pivots, p)
-        if ring.size != mask.bit_count() * p ** len(residue) or not _is_field(residue, p):
+        if rows:
+            field = _is_field(_residue_frobenius(frobenius, rows, pivots, p), p)
+        else:  # m̄_e = 0, so A/m̄_e is A, whose kernels are at hand
+            field = _kernels_of_a_field(*kernels)
+        degree = len(frobenius) - len(rows)  # dim A/m̄_e
+        if ring.size != mask.bit_count() * p**degree or not field:
             raise AssertionError(f"{ring.label}: quotient by a maximal ideal is not a field")
         ideal = Ideal(ring, mask, tuple(spanning))
         factors[mask] = LocalFactor(e, ideal, p, tuple(map(tuple, rows)), tuple(pivots))
@@ -841,45 +853,44 @@ def _placing(rank, columns):
     return lift
 
 
-def _algebra(ring, p) -> _Coordinates:
-    """A = R/pR over the coordinates `_support(ring, p)`, with R's table
-    on them read mod p as its structure constants: the b_i with p ∤ d_i
-    lie in pR, and x -> x mod p on the others is a ring map onto A."""
-    support = _support(ring, p)
-    table = [[[ring.mul_table[i][j][s] for s in support] for j in support] for i in support]
-    return _Coordinates((p,) * len(support), table)
-
-
 def _primary_idempotents(ring, p, e_p) -> tuple:
-    """``(idempotents, radical_gens, frobenius)``: the primitive
+    """``(idempotents, radical_gens, frobenius, kernels)``: the primitive
     idempotents e of R_p = e_p R, generators of the ideal J_p = pR +
     rad(R/pR) R, the preimage of the radical of R/pR, which is the same
-    for every e, and the Frobenius of R/pR on its basis.
+    for every e, the Frobenius F of A = R/pR on its basis, and the bases
+    of ker F^s and of ker(F - I) that are formed on the way, from which
+    `_factor` certifies A when it is a residue field.
 
     R is ⊕ Z/d_i, so pR is ⊕ pZ/d_i and A = R/pR is ⊕ Z/p over the
     coordinates with p | d_i, read mod p; `lift` puts them back with
-    zeros elsewhere. A = R_p/pR_p is an F_p-algebra, and its products
-    are taken by its own structure constants (`_algebra`). Frobenius
-    F is F_p-linear on A, and rad A = ker F^s once p^s >= dim A, since a
-    nilpotent of A has x^(dim A) = 0. In a local factor of A, x^p = x
-    makes x^(p-1) an idempotent, so x is 0 or a unit c + n with c in F_p
-    and n nilpotent, and then x = x^(p^k) = c + n^(p^k) = c. So the fixed
-    space K = ker(F - I) of A itself is the F_p-span of A's t primitive
+    zeros elsewhere, and A multiplies by R's own product on the lifts,
+    read mod p. A = R_p/pR_p is an F_p-algebra. Frobenius F is F_p-linear
+    on A, and rad A = ker F^s once p^s >= dim A, since a nilpotent of A
+    has x^(dim A) = 0. In a local factor of A, x^p = x makes x^(p-1) an
+    idempotent, so x is 0 or a unit c + n with c in F_p and n nilpotent,
+    and then x = x^(p^k) = c + n^(p^k) = c. So the fixed space
+    K = ker(F - I) of A itself is the F_p-span of A's t primitive
     idempotents. For b in K and c in F_p, 1 - (b - c)^(p-1) is the
     idempotent of the factors where b is c, so splitting 1 by these over
     a basis of K gives the t primitive idempotents. Each lifts uniquely to
-    R_p by Newton's step e <- 3e^2 - 2e^3, as pR_p is nilpotent.
+    R_p by Newton's step e <- 3e^2 - 2e^3, as pR_p is nilpotent; when
+    t = 1 the one it lifts to is e_p itself, and no step is taken.
     """
     support = _support(ring, p)
     lift = _placing(ring.rank, support)
     n = len(support)
-    mul = _algebra(ring, p)._product
+
+    def mul(x, y):
+        product = ring.mul(lift(x), lift(y))
+        return tuple(product[i] % p for i in support)
+
     frobenius = _frobenius(mul, n, p)
     nil, reach = frobenius, p
     while reach < n:
         nil = [_apply(frobenius, x, p) for x in nil]
         reach *= p
-    radical_gens = [ring.scale(p, ring.one)] + [lift(r) for r in _kernel(nil, p)]
+    radical = _kernel(nil, p)
+    radical_gens = [ring.scale(p, ring.one)] + [lift(r) for r in radical]
 
     one = tuple(ring.one[i] % p for i in support)
     fixed = _fixed_space(frobenius, p)
@@ -897,8 +908,11 @@ def _primary_idempotents(ring, p, e_p) -> tuple:
                 if any(part):
                     split.append(part)
         idems = split
-    idempotents = [_lift_idempotent(ring, ring.mul(e_p, lift(e))) for e in idems]
-    return idempotents, radical_gens, frobenius
+    if len(idems) == 1:
+        idempotents = [e_p]
+    else:
+        idempotents = [_lift_idempotent(ring, ring.mul(e_p, lift(e))) for e in idems]
+    return idempotents, radical_gens, frobenius, (radical, fixed)
 
 
 def _lift_idempotent(ring, e):

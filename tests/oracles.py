@@ -8,11 +8,15 @@ and units, and search for polynomial factors; the tests compare the
 library's answers with them.
 """
 
+import functools
 import itertools
+import math
 import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+from modcover import rings
+from modcover._fp import _apply, _echelon, _fixed_space, _frobenius, _is_field, _kernel, _power
 from modcover.modules import (
     RealizedModule,
     Submodule,
@@ -652,6 +656,97 @@ def factor_by_sweeps(ring) -> tuple:
         nilpotents = [lift(y) for y in nilpotents_by_squaring(factor)]
         masks.append(ring.shifts.closure(nilpotents, complement.members))
     return idems, tuple(masks)
+
+
+# -- the factorization by A's own structure constants ------------------------------
+
+
+def algebra(ring, p) -> _Coordinates:
+    """A = R/pR over the coordinates `rings._support(ring, p)`, with R's
+    table on them read mod p as its structure constants."""
+    support = rings._support(ring, p)
+    table = [[[ring.mul_table[i][j][s] for s in support] for j in support] for i in support]
+    return _Coordinates((p,) * len(support), table)
+
+
+def lift_idempotent(ring, e):
+    """The idempotent congruent to e modulo a nilpotent ideal containing
+    e^2 - e, by Newton's step e <- 3e^2 - 2e^3."""
+    for _ in range(ring.size.bit_length()):
+        square = ring.mul(e, e)
+        if square == e:
+            return e
+        e = ring.sub(ring.scale(3, square), ring.scale(2, ring.mul(square, e)))
+    raise AssertionError(f"{ring.label}: idempotent lifting does not converge")
+
+
+def primary_idempotents_by_algebra(ring, p, e_p) -> tuple:
+    """``(idempotents, radical_gens, frobenius)`` of R_p = e_p R: A = R/pR
+    multiplied by its own structure constants (`algebra`), 1 split over
+    the fixed space of A's Frobenius, and every idempotent lifted to R_p
+    by Newton's step, one factor or many."""
+    support = rings._support(ring, p)
+    lift = rings._placing(ring.rank, support)
+    n = len(support)
+    mul = algebra(ring, p)._product
+    frobenius = _frobenius(mul, n, p)
+    nil, reach = frobenius, p
+    while reach < n:
+        nil = [_apply(frobenius, x, p) for x in nil]
+        reach *= p
+    radical_gens = [ring.scale(p, ring.one)] + [lift(r) for r in _kernel(nil, p)]
+    one = tuple(ring.one[i] % p for i in support)
+    fixed = _fixed_space(frobenius, p)
+    idems = [one]
+    for b in fixed:
+        if len(idems) == len(fixed):
+            break
+        split = []
+        for c in range(p):
+            shifted = tuple((v - c * o) % p for v, o in zip(b, one))
+            level = _power(mul, shifted, p - 1)
+            level = tuple((o - v) % p for o, v in zip(one, level))
+            for e in idems:
+                part = mul(e, level)
+                if any(part):
+                    split.append(part)
+        idems = split
+    idempotents = [lift_idempotent(ring, ring.mul(e_p, lift(e))) for e in idems]
+    return idempotents, radical_gens, frobenius
+
+
+def factor_by_algebra(ring) -> tuple:
+    """``(factors, maximal ideal masks)``: the (idempotent, ideal mask,
+    spanning, p, rows, pivots) of each local factor, sorted by the
+    idempotent, and the masks in the order of `maximal_ideals`. Each p
+    runs `primary_idempotents_by_algebra`, and every factor, m̄_e = 0
+    included, is certified by `_is_field` on the Frobenius of A/m̄_e."""
+    char = functools.reduce(
+        math.lcm, (d // math.gcd(d, c) for c, d in zip(ring.one, ring.additive_orders))
+    )
+    parts = []
+    for p, a in rings._prime_powers(char):
+        rest = char // p**a
+        e_p = ring.scale(rest * pow(rest, -1, p**a), ring.one)
+        idempotents, radical_gens, frobenius = primary_idempotents_by_algebra(ring, p, e_p)
+        parts += [(e, p, radical_gens, frobenius) for e in idempotents]
+    parts.sort(key=lambda part: part[0])
+    if functools.reduce(ring.add, (e for e, *_ in parts)) != ring.one:
+        raise AssertionError("primitive idempotents do not sum to 1")
+    factors = []
+    for e, p, (r_1, *r_rest), frobenius in parts:
+        spanning = [ring.add(ring.sub(ring.one, e), ring.mul(e, r_1))]
+        spanning += [g for g in (ring.mul(e, r) for r in r_rest) if g != ring.zero]
+        images = ring.images(spanning)
+        mask = ring.shifts.closure(images)
+        support = rings._support(ring, p)
+        rows, pivots = _echelon([[x[i] for i in support] for x in images], p)
+        residue = rings._residue_frobenius(frobenius, rows, pivots, p)
+        if ring.size != mask.bit_count() * p ** len(residue) or not _is_field(residue, p):
+            raise AssertionError(f"{ring.label}: quotient by a maximal ideal is not a field")
+        rows = tuple(map(tuple, rows))
+        factors.append((e, mask, tuple(spanning), p, rows, tuple(pivots)))
+    return factors, sorted(mask for _, mask, *_ in factors)
 
 
 # -- irreducible polynomials by factor search ----------------------------------------

@@ -34,7 +34,17 @@ from modcover.rings import (
     zero_ideal,
 )
 
-from oracles import MIXED_PRODUCTS, PINNED_RINGS, elements, mask_of, poly_ring
+from oracles import (
+    MIXED_PRODUCTS,
+    PINNED_RINGS,
+    POLY_DEGREES,
+    algebra,
+    elements,
+    factor_by_algebra,
+    mask_of,
+    monic_polynomials,
+    poly_ring,
+)
 
 # -- interning ------------------------------------------------------------------
 
@@ -252,43 +262,84 @@ def test_factor_runs_no_snf_outside_quotient_ring(text, monkeypatch):
 
 @pytest.mark.parametrize("text", PINNED_RINGS + MIXED_PRODUCTS + GF_CASES)
 def test_certificate_frobenius_is_that_of_the_residue_field(text, monkeypatch):
-    # `_factor` certifies R/m by A's Frobenius reduced modulo m's echelon;
-    # the residue field built on first read has the same Frobenius
+    # `_factor` certifies R/m by A's Frobenius reduced modulo m's echelon,
+    # or, when that echelon is empty, by A's own Frobenius, whose kernels
+    # the split into idempotents formed; either way the residue field
+    # built on first read has the certified Frobenius
     monkeypatch.setattr(rings, "_INTERNED", rings._RingTable())
-    certified = {}
-    residue_frobenius = rings._residue_frobenius
+    algebra_frobenius, reduced = {}, {}
+    primary, residue_frobenius = rings._primary_idempotents, rings._residue_frobenius
+
+    def recorded_primary(ring, p, e_p):
+        out = primary(ring, p, e_p)
+        algebra_frobenius[p] = [list(v) for v in out[2]]
+        return out
 
     def recorded(frobenius, rows, pivots, p):
         out = residue_frobenius(frobenius, rows, pivots, p)
-        certified[p, tuple(map(tuple, rows)), tuple(pivots)] = out
+        reduced[p, tuple(map(tuple, rows)), tuple(pivots)] = out
         return out
 
+    monkeypatch.setattr(rings, "_primary_idempotents", recorded_primary)
     monkeypatch.setattr(rings, "_residue_frobenius", recorded)
     R = parse_ring(text)
-    ideals = maximal_ideals(R)
-    assert len(certified) == len(ideals)
-    for factor in local_factorization(R):
+    factors = local_factorization(R)
+    assert len(reduced) == sum(bool(factor.rows) for factor in factors)
+    for factor in factors:
+        key = factor.p, factor.rows, factor.pivots
+        certified = reduced[key] if factor.rows else algebra_frobenius[factor.p]
         field = residue_field(factor.ideal)[0]
         want = _frobenius(field.mul, field.rank, factor.p)
-        key = factor.p, factor.rows, factor.pivots
-        assert [list(v) for v in want] == certified[key], factor.ideal
+        assert [list(v) for v in want] == certified, factor.ideal
+
+
+def _factor_calls(monkeypatch, ring) -> dict:
+    """The calls of `_is_field` and `_lift_idempotent`, and the
+    `_Coordinates` built, while `_factor` factors the ring."""
+    calls = _count_calls(monkeypatch, ["_is_field", "_lift_idempotent"], rings)
+    calls["_Coordinates"] = 0
+    init = rings._Coordinates.__init__
+
+    def counted(self, *args):
+        calls["_Coordinates"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(rings._Coordinates, "__init__", counted)
+    rings._factor(ring)
+    return calls
+
+
+@pytest.mark.parametrize("text", ["Z/30", "GF(13^2)", "GF(2^7)", "Z/12 x Z/35"])
+def test_factor_reads_the_certificate_of_a_residue_field_r_mod_p(text, monkeypatch):
+    # every R/pR here is a field, so each m̄_e is 0: the certificate is
+    # read off the kernels the split formed, with no second field test,
+    # each R_p is local, so its idempotent is e_p with no Newton step, and
+    # R/pR multiplies by R's product, with no algebra of its own built
+    R = parse_ring(text)
+    calls = _factor_calls(monkeypatch, R)
+    assert calls == {"_is_field": 0, "_lift_idempotent": 0, "_Coordinates": 0}
+
+
+def test_factor_runs_the_field_test_once_per_factor_with_a_nonzero_image(monkeypatch):
+    # in Z/4 x Z/2, R/2R = F_2 x F_2, and each m̄_e is the other factor
+    R = parse_ring("Z/4 x Z/2")
+    calls = _factor_calls(monkeypatch, R)
+    assert all(factor.rows for factor in local_factorization(R))
+    assert calls["_is_field"] == len(maximal_ideals(R)) == 2
+    assert calls["_Coordinates"] == 0
 
 
 @pytest.mark.parametrize("text", PINNED_RINGS + MIXED_PRODUCTS + GF_CASES)
 def test_algebra_product_is_the_projected_ring_product(text):
-    # A = R/pR multiplies by R's table on the support read mod p, which is
-    # project(lift(x) lift(y)) through R
+    # A = R/pR multiplied by R's table on the support read mod p, as the
+    # old factorization did (`oracles.algebra`), is project(lift(x) lift(y))
+    # through R, the product `_primary_idempotents` takes
     R = parse_ring(text)
     rng = random.Random(f"algebra/{text}")
     for p in sorted({q for d in R.additive_orders for q, _ in rings._prime_powers(d)}):
         support = rings._support(R, p)
-        A = rings._algebra(R, p)
-
-        def lift(y):
-            x = [0] * R.rank
-            for i, v in zip(support, y):
-                x[i] = v
-            return tuple(x)
+        A = algebra(R, p)
+        lift = rings._placing(R.rank, support)
 
         def project(x):
             return tuple(x[i] % p for i in support)
@@ -298,14 +349,52 @@ def test_algebra_product_is_the_projected_ring_product(text):
             assert A._product(x, y) == project(R.mul(lift(x), lift(y))), (p, x, y)
 
 
+def assert_factor_matches_the_algebra(R):
+    """`_factor` and the factorization by A's own structure constants,
+    with every idempotent lifted by Newton's step and every factor
+    certified by `_is_field`, give the same records in the same order."""
+    factors, masks = factor_by_algebra(R)
+    got = [
+        (f.idempotent, f.ideal.members, f.ideal.spanning, f.p, f.rows, f.pivots)
+        for f in local_factorization(R)
+    ]
+    assert got == factors, R.label
+    assert [ideal.members for ideal in maximal_ideals(R)] == masks, R.label
+
+
+@pytest.mark.parametrize("text", PINNED_RINGS + MIXED_PRODUCTS + GF_CASES)
+def test_factor_matches_the_factorization_by_structure_constants(text):
+    assert_factor_matches_the_algebra(parse_ring(text))
+
+
+def test_factor_matches_the_factorization_by_structure_constants_on_zmod():
+    for n in range(2, 513):
+        assert_factor_matches_the_algebra(ring_zmod(n))
+
+
+def test_factor_matches_the_factorization_by_structure_constants_on_zmod_products():
+    pairs = [(a, b) for a in range(2, 97) for b in range(2, 192 // a + 1)]
+    for a, b in pairs:
+        assert_factor_matches_the_algebra(parse_ring(f"Z/{a} x Z/{b}"))
+
+
+def test_factor_matches_the_factorization_by_structure_constants_on_polynomial_rings():
+    # every Z/q[x]/(f) of the pins, non-reduced ones among them: R/pR with
+    # a radical, several local factors or both
+    polys = [poly_ring(q, f) for q in sorted(POLY_DEGREES) for f in monic_polynomials(q)]
+    assert sum(bool(factor.radical) for R in polys for factor in local_factorization(R))
+    for R in polys:
+        assert_factor_matches_the_algebra(R)
+
+
 SUMMED_IDEMPOTENTS = (
     "from functools import reduce\n"
     "from modcover import rings\n"
     "from modcover.dsl import parse_ring\n"
     "primary = rings._primary_idempotents\n"
     "def summed(ring, p, e_p):\n"
-    "    idempotents, radical_gens, frobenius = primary(ring, p, e_p)\n"
-    "    return [reduce(ring.add, idempotents)], radical_gens, frobenius\n"
+    "    idempotents, *rest = primary(ring, p, e_p)\n"
+    "    return [reduce(ring.add, idempotents)], *rest\n"
     "def unread(*args):\n"
     "    raise RuntimeError('a residue field was built')\n"
     "rings._primary_idempotents = summed\n"
@@ -359,13 +448,29 @@ def test_factor_rejects_a_maximal_ideal_that_misses_p(monkeypatch):
     primary = rings._primary_idempotents
 
     def without_p(ring, p, e_p):
-        idempotents, radical_gens, frobenius = primary(ring, p, e_p)
-        return idempotents, [ring.zero] + radical_gens[1:], frobenius
+        idempotents, radical_gens, *rest = primary(ring, p, e_p)
+        return idempotents, [ring.zero] + radical_gens[1:], *rest
 
     monkeypatch.setattr(rings, "_primary_idempotents", without_p)
     for text in ["Z/4", "Z/9 x Z/2"]:
         with pytest.raises(AssertionError, match="not a field"):
             maximal_ideals(parse_ring(text))
+
+
+def test_factor_rejects_a_maximal_ideal_that_misses_the_radical(monkeypatch):
+    # in F_2[x]/(x^2), with the lift of x dropped from J_p, m_e is {0} and
+    # |R| = 1 * 2^2 passes the size check; R/pR is R, so only its Frobenius
+    # kernels, formed from the ring and not from the generators handed to
+    # `_factor`, show that x is nilpotent
+    primary = rings._primary_idempotents
+
+    def without_radical(ring, p, e_p):
+        idempotents, radical_gens, *rest = primary(ring, p, e_p)
+        return idempotents, radical_gens[:1], *rest
+
+    monkeypatch.setattr(rings, "_primary_idempotents", without_radical)
+    with pytest.raises(AssertionError, match="not a field"):
+        maximal_ideals(poly_ring(2, [0, 0, 1]))
 
 
 def test_one_snf_per_quotient(monkeypatch):
