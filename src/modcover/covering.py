@@ -91,6 +91,10 @@ def sigma_formula(m: RealizedModule) -> SigmaPrediction:
     return SigmaPrediction(best.residue_size + 1, best.ideal, best.residue_size)
 
 
+def _search_order(s):
+    return (-s.size, s.members)
+
+
 def sigma_exact(
     m: RealizedModule,
     space: SearchSpace = SearchSpace.MAXIMAL_ONLY,
@@ -100,17 +104,16 @@ def sigma_exact(
 
     Every minimal cover can be refined to one using maximal submodules
     only, so MAXIMAL_ONLY already yields the true covering number;
-    ALL_PROPER is the cross-check. Deterministic: candidates are sorted
-    by (size descending, members bitmask), and the first optimum found
-    in that order is returned.
+    ALL_PROPER is the cross-check. The greedy maximal cover seeds the
+    search, and the root's lower bound is checked against it before any
+    candidate is built: a seed that meets it is returned as it stands,
+    with no node explored, and neither space builds its candidates.
+    Otherwise the candidates are sorted by (size descending, members
+    bitmask) and the first optimum found in that order is returned.
+    Either way the members are in that order.
     """
     t0 = time.perf_counter()
     _reject_zero(m)
-    if space is SearchSpace.MAXIMAL_ONLY:
-        candidates = maximal_submodules(m)
-    else:
-        candidates = [s for s in all_submodules(m) if s.is_proper()]
-    candidates.sort(key=lambda s: (-s.size, s.members))
     # Every proper submodule lies in a maximal one, so the greedy maximal
     # cover decides coverability in both spaces. It is also the seed a
     # greedy over all proper candidates would find: a non-maximal N with
@@ -123,13 +126,31 @@ def sigma_exact(
         )
 
     full = m.full_mask
+    # the first pick gains the most over zero alone: it is a largest
+    # maximal submodule, hence a largest proper one
+    max_size = greedy.submodules[0].size
+
+    def bound(picked, covered):
+        # every candidate misses zero, so each new pick gains < max_size
+        uncovered = (full & ~covered).bit_count()
+        return picked + -(-uncovered // (max_size - 1))
+
+    if bound(0, 1) >= greedy.size:  # zero is bit 0
+        subs = tuple(sorted(greedy.submodules, key=_search_order))
+        return CoverCertificate(
+            subs, True, greedy.size, True, 0, (time.perf_counter() - t0) * 1000
+        )
+
+    if space is SearchSpace.MAXIMAL_ONLY:
+        candidates = maximal_submodules(m)
+    else:
+        candidates = [s for s in all_submodules(m) if s.is_proper()]
+    candidates.sort(key=_search_order)
     masks = [s.members for s in candidates]
     n = len(masks)
     index = {mask: i for i, mask in enumerate(masks)}
     best_sel = [index[s.members] for s in greedy.submodules]
     best_len = len(best_sel)
-
-    max_size = candidates[0].size
     nodes = 0
 
     def search(start, covered, chosen):
@@ -139,10 +160,7 @@ def sigma_exact(
                 best_len = len(chosen)
                 best_sel = list(chosen)
             return
-        uncovered = (full & ~covered).bit_count()
-        # every candidate misses zero, so each new pick gains < max_size
-        bound = len(chosen) + -(-uncovered // (max_size - 1))
-        if bound >= best_len:
+        if bound(len(chosen), covered) >= best_len:
             return
         for i in range(start, n):
             gain = masks[i] & ~covered
@@ -157,7 +175,7 @@ def sigma_exact(
             search(i + 1, covered | masks[i], chosen)
             chosen.pop()
 
-    search(0, 1, [])  # zero is bit 0
+    search(0, 1, [])
     subs = tuple(candidates[i] for i in sorted(best_sel))
     return CoverCertificate(
         subs, True, best_len, True, nodes, (time.perf_counter() - t0) * 1000
@@ -212,7 +230,7 @@ def greedy_cover(m: RealizedModule) -> CoverCertificate:
     t0 = time.perf_counter()
     _reject_zero(m)
     candidates = maximal_submodules(m)
-    candidates.sort(key=lambda s: (-s.size, s.members))
+    candidates.sort(key=_search_order)
     full = m.full_mask
     union = 0
     for s in candidates:

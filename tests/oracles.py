@@ -15,8 +15,9 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-from modcover import rings
+from modcover import modules, rings
 from modcover._fp import _apply, _echelon, _fixed_space, _frobenius, _is_field, _kernel, _power
+from modcover.covering import CoverCertificate, SearchSpace, greedy_cover
 from modcover.modules import (
     RealizedModule,
     Submodule,
@@ -69,16 +70,33 @@ PINNED_RINGS = ["Z/360", "GF(2^7)", "Z/12 x Z/10", "GF(3^5)", "Z/4096", "GF(4093
 MIXED_PRODUCTS = ["Z/6 x Z/4", "Z/2 x Z/9 x Z/5", "GF(2^2) x Z/6", "Z/4 x GF(3^2)"]
 
 
-def large_ring_labels() -> list:
-    """One label per ring class of the benchmark's large-ring workload."""
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+def _bench():
+    """The benchmark's `reference` and `workloads` modules."""
+    path = str(Path(__file__).resolve().parents[1] / "bench")
+    if path not in sys.path:
+        sys.path.insert(0, path)
     import reference
     import workloads
 
+    return reference, workloads
+
+
+def large_ring_labels() -> list:
+    """One label per ring class of the benchmark's large-ring workload."""
+    reference, workloads = _bench()
     return [
         reference.ring_label(workloads.ring_variants(c)[0])
         for _, classes, _, _ in workloads._strata()
         for c in classes
+    ]
+
+
+def sigma_search_labels() -> list:
+    """One label per module class of the benchmark's sigma-search workload."""
+    reference, workloads = _bench()
+    return [
+        reference.module_label(workloads.module_variants(c)[0])
+        for c in workloads.SIGMA_CLASSES
     ]
 
 
@@ -110,6 +128,20 @@ def corpus_modules():
     from modcover.harness import corpus_generate
 
     return [parse_module(s.module_expr) for s in corpus_generate(seed=1, count=200)]
+
+
+def small_corpus_modules() -> list:
+    """The modules of the default corpora of seeds 1, 2, 3 and 7 with
+    1 < |M| <= 64, in corpus order, seed by seed."""
+    from modcover.dsl import parse_module
+    from modcover.harness import corpus_generate
+
+    return [
+        m
+        for seed in (1, 2, 3, 7)
+        for m in (parse_module(s.module_expr) for s in corpus_generate(seed=seed, count=200))
+        if 1 < m.size <= 64
+    ]
 
 
 def additive_closure(add, zero, gens, start=None):
@@ -407,6 +439,53 @@ def all_submodules_by_every_join(m) -> list:
         ((mask, generators(m, mask)) for mask in lattice),
         key=lambda item: (item[0].bit_count(), item[0]),
     )
+
+
+def sigma_exact_by_enumeration(m, space=SearchSpace.MAXIMAL_ONLY):
+    """`covering.sigma_exact` as it was before the root check moved ahead
+    of the candidates: the candidates are built and sorted by (size
+    descending, members) first, the lattice walked for ALL_PROPER, and
+    the root bound is read from the largest candidate by the search,
+    which has no node budget."""
+    if space is SearchSpace.MAXIMAL_ONLY:
+        candidates = modules.maximal_submodules(m)
+    else:
+        candidates = [s for s in modules.all_submodules(m) if s.is_proper()]
+    candidates.sort(key=lambda s: (-s.size, s.members))
+    greedy = greedy_cover(m)
+    if not greedy.is_cover:
+        return CoverCertificate((), False, None, True, 0, 0.0)
+
+    full = m.full_mask
+    masks = [s.members for s in candidates]
+    n = len(masks)
+    index = {mask: i for i, mask in enumerate(masks)}
+    best_sel = [index[s.members] for s in greedy.submodules]
+    best_len = len(best_sel)
+    max_size = candidates[0].size
+    nodes = 0
+
+    def search(start, covered, chosen):
+        nonlocal best_sel, best_len, nodes
+        if covered == full:
+            if len(chosen) < best_len:
+                best_len = len(chosen)
+                best_sel = list(chosen)
+            return
+        uncovered = (full & ~covered).bit_count()
+        if len(chosen) + -(-uncovered // (max_size - 1)) >= best_len:
+            return
+        for i in range(start, n):
+            if not masks[i] & ~covered:
+                continue
+            nodes += 1
+            chosen.append(i)
+            search(i + 1, covered | masks[i], chosen)
+            chosen.pop()
+
+    search(0, 1, [])  # zero is bit 0
+    subs = tuple(candidates[i] for i in sorted(best_sel))
+    return CoverCertificate(subs, True, best_len, True, nodes, 0.0)
 
 
 def without_keys(payload, keys):

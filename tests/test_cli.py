@@ -115,6 +115,33 @@ def test_cover_search_all(capsys):
     assert code == 0 and payload["size"] == 3
 
 
+@pytest.mark.parametrize(
+    "text,sigma",
+    [
+        ("free 7 over Z/2", 3),  # 29,212 submodules: past LATTICE_COUNT_BUDGET
+        ("free 3 over GF(2^3)", 9),  # |M| = 512: past LATTICE_GUARD
+        ("free 1 over Z/512", "NOT_COVERABLE"),  # cyclic: the greedy decides it
+    ],
+)
+def test_search_all_answers_past_the_lattice_guards_when_the_root_settles_it(
+    capsys, text, sigma
+):
+    # the greedy seed meets the root bound or covers nothing, so no
+    # lattice is walked
+    code, out, _ = run(capsys, "sigma", "--module", text, "--search", "all")
+    assert code == 0
+    assert f"sigma (exact)    {sigma}" in out
+    assert "search nodes     0" in out
+
+
+def test_search_all_that_must_branch_reports_the_lattice_guard(capsys):
+    code, _, err = run(
+        capsys, "sigma", "--module", "free 5 over Z/2 x Z/2", "--search", "all"
+    )
+    assert code == 3
+    assert "guard exceeded (lattice)" in err
+
+
 def test_stdin_batch(capsys, monkeypatch):
     import io
 

@@ -207,6 +207,57 @@ def test_greedy_seed_is_the_same_over_all_proper_submodules():
     assert compared >= 20  # 28 of them are coverable
 
 
+def test_the_root_check_matches_the_enumerating_search():
+    # sigma_exact checks the root bound before it builds any candidate; the
+    # search that first enumerated and sorted them returns the same
+    # certificate, and the bound it read from the largest candidate is the
+    # one read from the largest maximal submodule
+    modules = [make() for make in TINY_CASES] + oracles.small_corpus_modules()
+    settled = branched = 0
+    for m in modules:
+        largest_proper = max(s.size for s in all_submodules(m) if s.is_proper())
+        assert largest_proper == max(s.size for s in maximal_submodules(m)), m.label
+        for space in SearchSpace:
+            got = sigma_exact(m, space)
+            want = oracles.sigma_exact_by_enumeration(m, space)
+            assert [s.members for s in got.submodules] == [
+                s.members for s in want.submodules
+            ], (m.label, space)
+            assert (got.is_cover, got.size, got.optimal, got.nodes_explored) == (
+                want.is_cover, want.size, want.optimal, want.nodes_explored
+            ), (m.label, space)
+            if got.is_cover:
+                settled += got.nodes_explored == 0
+                branched += got.nodes_explored > 0
+    assert settled >= 150 and branched >= 20  # 178 and 20 over the two spaces
+
+
+def test_minimum_certificates_are_pencils():
+    # a cover by q + 1 maximal submodules is the pullback of the q + 1
+    # hyperplanes of some M/mM, |R/m| = q, through one subspace of
+    # codimension 2, so its members meet in a submodule of |M|/q² elements
+    from modcover.dsl import parse_module
+
+    modules = oracles.corpus_modules()
+    modules += [parse_module(label) for label in oracles.sigma_search_labels()]
+    checked = 0
+    for m in modules:
+        pred = sigma_formula(m)
+        if not pred.coverable:
+            continue
+        certs = [sigma_exact(m), construct_cover(m)]
+        if m.size <= 64:
+            certs.append(sigma_exact(m, SearchSpace.ALL_PROPER))
+        for cert in certs:
+            assert cert.size == pred.value, m.label
+            meet = m.full_mask
+            for s in cert.submodules:
+                meet &= s.members
+            assert meet.bit_count() * pred.residue_size**2 == m.size, m.label
+            checked += 1
+    assert checked >= 200  # 214
+
+
 def test_optimal_certificates_are_minimal():
     # dropping any member of an optimal cover must leave a hole
     for make in TINY_CASES:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 
@@ -694,6 +695,14 @@ def test_quotient_by_radical_has_zero_radical():
     for m in [cyclic_sum(ring_zmod(8), [(0,)]), zmod_module(4, [2, 4])]:
         top, _, _ = quotient_module(m, jacobson_radical(m))
         assert jacobson_radical(top).size == 1
+
+
+def test_the_map_onto_the_top_is_onto():
+    # q : M -> Π M/mM has kernel J(M) = ∩ mM, and the mM are pairwise
+    # comaximal, so q is onto: |M| / |J(M)| = Π q_m^{d_m}
+    for m in oracles.corpus_modules():
+        top = math.prod(e.residue_size**e.multiplicity for e in semisimple_invariants(m))
+        assert jacobson_radical(m).size * top == m.size, m.label
 
 
 def test_ideal_action_on_z8():

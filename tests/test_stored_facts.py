@@ -147,6 +147,21 @@ def test_mm_and_the_residue_basis_are_derived_once(text, monkeypatch):
     }
 
 
+@pytest.mark.parametrize(
+    "text,walks",
+    [
+        ("free 3 over GF(2^2)", 0),  # the greedy seed meets the root bound
+        ("free 2 over Z/2 x Z/2", 1),  # the search branches
+    ],
+)
+def test_the_lattice_is_walked_only_by_a_search_that_branches(text, walks, monkeypatch):
+    m = parse_module(text)
+    calls = _count_calls(monkeypatch, ["all_submodules"])
+    cert = sigma_exact(m, SearchSpace.ALL_PROPER)
+    assert calls == {"all_submodules": walks}
+    assert (cert.nodes_explored > 0) == (walks > 0)
+
+
 def test_generators_are_derived_only_when_read(monkeypatch):
     # a submodule is its mask; its greedy generators are derived on first
     # read, and no search, cover, radical or lattice reads them
