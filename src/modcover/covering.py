@@ -203,8 +203,9 @@ def construct_cover(m: RealizedModule) -> CoverCertificate:
     In the basis u, w, rest of M/mM the line through dx u + dy w pulls
     back to the hyperplane spanned by mM, rest and that vector, so the
     lines are the `hyperplanes` of the plane of w and u over mM + rest.
-    That start is a span over mM, so it is `_residue_span`'s, an additive
-    closure when R/m = F_p.
+    That start is a span over mM, so it is `_residue_span`'s: the additive
+    closure of the vectors v of rest and their b_i·v over R/m's span
+    columns, of which F_p has none. R/m is not built as a ring.
     """
     t0 = time.perf_counter()
     _reject_zero(m)
@@ -216,7 +217,7 @@ def construct_cover(m: RealizedModule) -> CoverCertificate:
     entry = next(e for e in s_set(m) if e.ideal is pred.witness_ideal)
     u, w, *rest = entry.basis
     # the lines through u + c w for each scalar c, then the line through w
-    start = _residue_span(m, entry.residue_size)(rest, entry.nm)
+    start = _residue_span(m, entry.factor)(rest, entry.nm)
     covers = hyperplanes(m, entry, start, (w, u))
     ok = verify_cover(m, covers)
     return CoverCertificate(

@@ -15,10 +15,13 @@ over mM. All values are immutable after construction, so each module
 stores its maximal submodules, semisimple invariants and cyclicity once
 computed.
 
-The residue layer works in M/mM's own terms: mM is the additive span of
-products read off the module table (`ideal_action`); a span over a mask
-that contains mM is an additive closure when R/m = F_p (`_residue_span`);
-and the multiples c·u over R/m are combinations of f of them
+The residue layer works in M/mM's own terms, and reads R/m's coordinates
+off the `LocalFactor` of m, with no residue ring built: mM is the
+additive span of the multiples a·e_t read off the module table
+(`ideal_action`); a span over a mask that contains mM is the additive
+closure of the vectors v and of the b_i·v over R/m's span columns, which
+over F_p are none (`_residue_span`); and the multiples c·u over R/m are
+combinations of the f vectors b_i·u over its residue columns
 (`_field_multiples`).
 """
 
@@ -34,16 +37,16 @@ from .errors import GuardExceeded
 from .rings import (
     FiniteRing,
     Ideal,
+    LocalFactor,
     _Coordinates,
     _greedy,
-    _is_prime,
     basis_vectors,
     ideal_generated,
+    local_factor,
     local_factorization,
     maximal_ideals,
     power_exceeds,
     quotient_ring,
-    residue_field,
 )
 
 REALIZE_INTERMEDIATE_GUARD = 2**20
@@ -358,8 +361,8 @@ def _interval(m: RealizedModule, bottom: int, em: int, radical, max_count) -> se
 
 def _combination(m: RealizedModule, a, images) -> tuple:
     """Σ_i a_i images[i] in M, with no product: a·x for images[i] = b_i·x
-    (the images of x, or column t of the table for x = e_t), and c·u for
-    field coordinates c and images[j] = λ_j·u (see `_field_multiples`)."""
+    (the images of x), and c·u for field coordinates c and images[j] the
+    b_i·u over R/m's residue columns (see `_field_multiples`)."""
     acc = [0] * m.rank
     for ai, y in zip(a, images):
         if ai:
@@ -380,13 +383,12 @@ def _lattice_count_exceeded(max_count) -> GuardExceeded:
 def ideal_action(m: RealizedModule, ideal: Ideal) -> Submodule:
     """The submodule I*M: the additive span of the a·e_t, for a over the
     additive generators of I (the images of its spanning set) and e_t
-    over M's basis. Each a·e_t = Σ_i a_i (b_i·e_t) is read off the column
-    t of `basis_act`, so it costs no product."""
+    over M's basis, each read off the table by `m.multiples(a)`, with no
+    product."""
     if ideal.ring is not m.ring:
         raise ValueError("ideal belongs to a different ring")
     gens = [a for a in dict.fromkeys(m.ring.images(ideal.spanning)) if any(a)]
-    columns = [[row[t] for row in m.basis_act] for t in range(m.rank)]
-    products = (_combination(m, a, images) for a in gens for images in columns)
+    products = (y for a in gens for y in m.multiples(a))
     return Submodule(m, m.shifts.closure(y for y in products if any(y)))
 
 
@@ -429,44 +431,56 @@ def hyperplanes(m: RealizedModule, entry: SemisimpleEntry, start: int, basis) ->
     The hyperplane ker φ with φ_j = 0 for j < l, φ_l = 1 and φ_j = -c_j
     after l has the basis u_j (j < l) and u_j + c_j u_l (j > l); all
     (q^k - 1)/(q - 1) hyperplanes arise once, by lead index l first, then
-    by the c_j in field order. Each lead start, the span of u_j (j < l)
-    over `start`, is the previous one with u_{l-1} closed in, and every
-    span is over mM, so it is `_residue_span`'s.
+    by the c_j in field order, the order of R/m's coordinates. Each lead
+    start, the span of u_j (j < l) over `start`, is the previous one with
+    u_{l-1} closed in, and every span is over mM, so it is
+    `_residue_span`'s. Nothing reads R/m as a ring: the c_j u_l are
+    `_field_multiples`, read off the rows of M's table on R/m's columns.
     """
     if start & entry.nm != entry.nm:
         raise ValueError("hyperplanes: the start mask does not contain mM")
-    span = _residue_span(m, entry.residue_size)
+    span = _residue_span(m, entry.factor)
     out = []
     lead_start = start
     for lead, u in enumerate(basis):
         if lead:
             lead_start = span([basis[lead - 1]], lead_start)
         rest = basis[lead + 1 :]
-        # the last lead index has no tail, so it needs no field
-        scaled = _field_multiples(m, entry.ideal, u) if rest else []
+        # the last lead index has no tail, so it needs no multiples
+        scaled = _field_multiples(m, entry.factor, u) if rest else []
         for tail in itertools.product(scaled, repeat=len(rest)):
             vectors = [m.add(w, cu) for w, cu in zip(rest, tail)]
             out.append(Submodule(m, span(vectors, lead_start)))
     return out
 
 
-def _field_multiples(m: RealizedModule, ideal: Ideal, u) -> list:
-    """The c·u for c over R/m in field order, c acting through its lift.
-    The lift is linear and the action bilinear, so c·u = Σ_j c_j (λ_j·u)
-    for λ_j the lift of the field's basis vector e_j: f products, f the
-    field's degree, and a `_combination` per c."""
-    field, _, field_lift = residue_field(ideal)
-    images = [m.act(field_lift(e), u) for e in basis_vectors(field.rank)]
-    return [_combination(m, c, images) for c in field.iter_elements()]
+def _field_multiples(m: RealizedModule, factor: LocalFactor, u) -> list:
+    """The c·u for c over R/m in field order, for m the maximal ideal of
+    the `LocalFactor` factor, c acting through its lift. The lift puts c
+    on the residue columns and the action is bilinear, so c·u =
+    Σ_j c_j (b_j·u) over those columns: f rows of M's table read, f the
+    field's degree, and a `_combination` per c. The c run over
+    F_p^f in the order of `itertools.product`, which is R/m's own."""
+    images = [m.row_image(i, u) for i in factor.residue_columns]
+    scalars = itertools.product(range(factor.p), repeat=len(images))
+    return [_combination(m, c, images) for c in scalars]
 
 
-def _residue_span(m: RealizedModule, q: int):
+def _residue_span(m: RealizedModule, factor: LocalFactor):
     """The routine that spans vectors over a submodule mask containing
-    mM, for q = |R/m|. When q is a prime, R/m = F_p, so for each a in R
-    an integer c has a − c in m, and a·v = c·v + (a − c)·v with the last
-    term in mM: the span is the additive closure of the vectors, which
-    needs no image under the ring basis. Otherwise it is `m.span`."""
-    return m.shifts.closure if _is_prime(q) else m.span
+    mM, for m the maximal ideal of the `LocalFactor` factor. 1 and the
+    b_i of its span columns lift an F_p-basis of R/m, so every a in R is
+    c_0 + Σ_i c_i b_i + y with integers c and y in m, and a·v = c_0 v +
+    Σ_i c_i (b_i·v) + y·v with y·v in mM. The span is thus the additive
+    closure of the vectors v and their b_i·v, each read off one row of
+    M's table. Over F_p no column is left: it is the closure of the v."""
+    columns = factor.span_columns
+
+    def span(vectors, start):
+        images = [m.row_image(i, v) for v in vectors for i in columns]
+        return m.shifts.closure([*vectors, *images], start)
+
+    return span
 
 
 def radical_via_maximal(m: RealizedModule) -> int:
@@ -547,9 +561,13 @@ def _exact_log(size: int, q: int, message: str) -> int:
 
 @dataclass(frozen=True)
 class SemisimpleEntry:
-    ideal: Ideal
+    factor: LocalFactor  # of m, whose residue columns give R/m's coordinates
     nm: int  # members mask of mM
     basis: tuple  # greedy over mM in M's element order: a basis of M/mM over R/m
+
+    @property
+    def ideal(self) -> Ideal:
+        return self.factor.ideal
 
     @property
     def residue_size(self) -> int:
@@ -576,18 +594,18 @@ def _residue_dimensions(m: RealizedModule) -> list:
     """The basis of each M/mM is greedy over mM: each vector is the least
     element that mM and the earlier ones do not span, each step closed by
     `_residue_span`. m annihilates M/mM, so each step adds one
-    R/m-dimension and the result is a basis. No step reads R/m."""
+    R/m-dimension and the result is a basis. No step builds R/m."""
     out = []
     for ideal in maximal_ideals(m.ring):
         nm = ideal_action(m, ideal).members
         if nm == m.full_mask:
             continue
-        q = ideal.residue_size
-        greedy = _greedy(m, m.full_mask, nm, _residue_span(m, q))
+        factor = local_factor(ideal)
+        greedy = _greedy(m, m.full_mask, nm, _residue_span(m, factor))
         basis = tuple(m.element(i) for i in greedy)
-        if nm.bit_count() * q ** len(basis) != m.size:
+        if nm.bit_count() * ideal.residue_size ** len(basis) != m.size:
             raise AssertionError("quotient by a maximal ideal is not a vector space")
-        out.append(SemisimpleEntry(ideal, nm, basis))
+        out.append(SemisimpleEntry(factor, nm, basis))
     return out
 
 

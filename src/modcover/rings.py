@@ -19,9 +19,9 @@ factor is one `LocalFactor` record: its idempotent e, its maximal ideal
 m_e and the echelon of m_e's image in R/pR. Each m_e is certified once,
 when R is factored, from the Frobenius of R/pR modulo that echelon, or,
 when that image is zero, from the kernels of R/pR's own Frobenius that
-the split into idempotents has formed; the generators of eJ and the
-residue field R/m_e, R/pR modulo the same echelon, are built from the
-record only when first read.
+the split into idempotents has formed; the generators of eJ, R/m_e's
+coordinates (the residue columns) and the residue field R/m_e, R/pR
+modulo the same echelon, are built from the record only when first read.
 """
 
 from __future__ import annotations
@@ -162,9 +162,10 @@ class _Coordinates:
     `table[i][t]` holds the coordinates of b_i · e_t, for b_i the ring's
     additive basis and e_t this object's; for a ring the two bases are
     one. Products read it through `rows`, its sparse form: the nonzero
-    (s, v) of each b_i · e_t, built on the first product, so building a
-    ring or module pays nothing for it. `images` applies each basis row
-    to x directly. `quotient` builds every quotient module and quotient
+    (s, v) of each b_i · e_t, built when first read, so building a ring
+    or module pays nothing for it. `images` and `row_image` apply basis
+    rows to x directly, and `multiples` reads their columns with no
+    product. `quotient` builds every quotient module and quotient
     ring. Elements are reduced coordinate tuples. A subset is a bitmask
     over the element indices, read through the `shifts` codec, which is
     built on the first mask read.
@@ -253,9 +254,25 @@ class _Coordinates:
                 out.append(tuple(v % d for v, d in zip(acc, self.orders)))
         return out
 
+    def row_image(self, i, x) -> Element:
+        """b_i · x = Σ_t x_t (b_i · e_t), read off the basis row i alone."""
+        acc = [0] * self.rank
+        for xt, entries in zip(x, self.rows[i]):
+            if xt:
+                for s, v in entries:
+                    acc[s] += xt * v
+        return tuple(v % d for v, d in zip(acc, self.orders))
+
     def multiples(self, a) -> list:
-        """The a · e_t over this object's basis e_t, for ring coordinates a."""
-        return [self._product(a, e) for e in basis_vectors(self.rank)]
+        """The a · e_t over this object's basis e_t, for ring coordinates
+        a: each Σ_i a_i (b_i · e_t), read off the rows with no product."""
+        accs = [[0] * self.rank for _ in range(self.rank)]
+        for ai, row in zip(a, self.rows):
+            if ai:
+                for acc, entries in zip(accs, row):
+                    for s, v in entries:
+                        acc[s] += ai * v
+        return [tuple(v % d for v, d in zip(acc, self.orders)) for acc in accs]
 
     def restrict(self, lift, rank) -> list:
         """The table over a quotient ring of rank `rank` that acts here:
@@ -288,7 +305,9 @@ class _Coordinates:
 def _greedy(coords: _Coordinates, members: int, start: int, span) -> tuple:
     """The loop of `_Coordinates.greedy`, closing each step with `span`:
     `coords.span`, or a routine a caller knows gives the same masks over
-    `start` more cheaply (see `modules._residue_span`)."""
+    `start` more cheaply: over a mask that contains mM, the additive
+    closure of a vector v and of the b_i·v for R/m's span columns (see
+    `modules._residue_span`)."""
     gens = []
     rest = members & ~start
     while rest:
@@ -504,7 +523,7 @@ def _prime_powers(n: int) -> list:
     return out
 
 
-@cache  # read for every residue field size; its arguments are within the ring guard
+@cache  # read by `ring_gf` on each build or lookup; its arguments are within the ring guard
 def _is_prime(n: int) -> bool:
     return _prime_powers(n) == [(n, 1)]
 
@@ -658,8 +677,9 @@ class LocalFactor:
     maximal ideal m_e = (1-e)R + eJ, J the radical of R. `_factor` builds
     one per e, by linear algebra over the residue characteristic p, and
     certifies m_e there from the Frobenius of R/pR. The factor ring eR is
-    not built: modules read the decomposition only through e and eJ, and
-    the covering number only through m_e and |R/m_e|."""
+    not built: modules read the decomposition only through e and eJ, the
+    residue layer through m_e and R/m_e's coordinates, and the covering
+    number only through m_e and |R/m_e|."""
 
     idempotent: tuple
     ideal: Ideal  # m_e
@@ -678,13 +698,44 @@ class LocalFactor:
         return tuple(a for a in dict.fromkeys(ring.images([e_r_1, *e_r])) if any(a))
 
     @cached_property
+    def residue_columns(self) -> tuple:
+        """R/m_e's coordinates, read when first asked for: the columns of
+        A = R/pR (R's columns i with p | d_i) that are not pivots of the
+        echelon of m̄_e. They are a basis of A/m̄_e = R/m_e, so the basis
+        vectors b_i of R on them lift R/m_e's basis, in order."""
+        support = _support(self.ideal.ring, self.p)
+        return tuple(c for j, c in enumerate(support) if j not in self.pivots)
+
+    @cached_property
+    def span_columns(self) -> tuple:
+        """The residue columns but the one exchanged for 1: the first on
+        which the residue of 1 is nonzero. So 1 and the b_i of these lift
+        an F_p-basis of R/m_e. When |R/m_e| = p there is one residue
+        column, and 1 is not in m_e, so that column is the one exchanged
+        and none is left; no column is formed to learn it."""
+        if self.ideal.residue_size == self.p:
+            return ()
+        columns = self.residue_columns
+        one = self.residue(self.ideal.ring.one)
+        exchanged = next(j for j, c in enumerate(one) if c)
+        return columns[:exchanged] + columns[exchanged + 1 :]
+
+    def residue(self, x) -> tuple:
+        """The coordinates of x + m_e in R/m_e: x mod p on A's columns,
+        reduced by the echelon rows and read on the residue columns."""
+        support = _support(self.ideal.ring, self.p)
+        reduced = _reduce(self.rows, self.pivots, [x[i] for i in support], self.p)
+        columns = self.residue_columns
+        return tuple(c for i, c in zip(support, reduced) if i in columns)
+
+    @cached_property
     def residue_field(self) -> tuple:
         """``(field, project, lift)`` for R/m_e, built when first read;
         when m_e = 0, R is a field and is its own residue field."""
         ring = self.ideal.ring
         if self.ideal.members == 1:
             return ring, ring.reduce, ring.reduce
-        return _residue_field(ring, self.p, self.rows, self.pivots, self.ideal.spanning)
+        return _residue_field(self)
 
 
 def local_factorization(ring: FiniteRing) -> tuple:
@@ -707,18 +758,24 @@ def maximal_ideals(ring: FiniteRing) -> list:
     return list(ring._maximal_ideals)
 
 
-def residue_field(ideal: Ideal):
-    """``(field, project, lift)`` for R/m: the field, the map from R onto
-    its coordinates, and a map back whose images project to the same
-    coordinates. It is the `LocalFactor.residue_field` of m, which
-    `_factor` certified."""
+def local_factor(ideal: Ideal) -> LocalFactor:
+    """The `LocalFactor` whose maximal ideal is m; raises ValueError
+    unless m is a maximal ideal."""
     ring = ideal.ring
     if ring._local_factors is None:
         local_factorization(ring)
     factor = ring._local_factors.get(ideal.members)
     if factor is None:
         raise ValueError(f"{ideal} is not a maximal ideal")
-    return factor.residue_field
+    return factor
+
+
+def residue_field(ideal: Ideal):
+    """``(field, project, lift)`` for R/m: the field, the map from R onto
+    its coordinates, and a map back whose images project to the same
+    coordinates. It is the `LocalFactor.residue_field` of m, which
+    `_factor` certified."""
+    return local_factor(ideal).residue_field
 
 
 def _factor(ring: FiniteRing):
@@ -811,32 +868,26 @@ def _residue_frobenius(frobenius, rows, pivots, p) -> list:
     return [[x[k] for k in spots] for x in reduced]
 
 
-def _residue_field(ring, p, rows, pivots, spanning) -> tuple:
-    """``(field, project, lift)`` for R/m, given the reduced echelon form
-    ``(rows, pivots)`` over F_p of the image m̄ in A = R/pR of a maximal
-    ideal m that contains p, and the elements that span m, which name
+def _residue_field(factor: LocalFactor) -> tuple:
+    """``(field, project, lift)`` for R/m, m the maximal ideal of the
+    `LocalFactor` factor, which contains p; the elements that span m name
     the field.
 
-    Then R/m = A/m̄. The non-pivot columns of A are a basis of A/m̄:
-    `project` reduces x mod p by the echelon rows and reads the
-    non-pivot coordinates, and `lift` puts coordinates back on them, with
-    zeros elsewhere. The basis of R/m is the image of the basis vectors
-    of R on the non-pivot columns, so its table is f^2 entries of R's
-    table projected, f = dim A/m̄.
+    Then R/m = A/m̄, for A = R/pR and m̄ the image of m there. `project`
+    is the record's `residue`, and `lift` puts coordinates back on its
+    residue columns, with zeros elsewhere. The basis of R/m is the image
+    of the basis vectors of R on those columns, so its table is f^2
+    entries of R's table projected, f = dim A/m̄.
     """
-    support = _support(ring, p)
-    spots = [j for j in range(len(support)) if j not in pivots]  # columns of A
-    free = [support[j] for j in spots]  # the same columns of R
-
-    def project(x):
-        reduced = _reduce(rows, pivots, [x[i] for i in support], p)
-        return tuple(reduced[j] for j in spots)
-
-    lift = _placing(ring.rank, free)
-    table = [[project(ring.mul_table[i][j]) for j in free] for i in free]
-    label = f"({ring.label})/<{','.join(str(g) for g in spanning)}>"
-    residue = FiniteRing([p] * len(free), table, project(ring.one), label, validate=False)
-    return residue, project, lift
+    ring = factor.ideal.ring
+    columns = factor.residue_columns
+    project = factor.residue
+    table = [[project(ring.mul_table[i][j]) for j in columns] for i in columns]
+    label = f"({ring.label})/<{','.join(str(g) for g in factor.ideal.spanning)}>"
+    residue = FiniteRing(
+        [factor.p] * len(columns), table, project(ring.one), label, validate=False
+    )
+    return residue, project, _placing(ring.rank, columns)
 
 
 def _placing(rank, columns):

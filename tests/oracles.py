@@ -110,6 +110,14 @@ def poly_ring(q, f) -> FiniteRing:
     return FiniteRing([q] * k, table, tuple(units[0]), label)
 
 
+def gf4_on_x_and_1() -> FiniteRing:
+    """GF(4) = Z/2[x]/(x^2 + x + 1) on the basis (x, 1), so that 1 is its
+    second basis vector and x^2 = x + 1 is (1, 1). No constructor ring
+    puts 1 anywhere but first, so this one tells which residue column is
+    exchanged for 1: exchanging the first would leave 1 twice."""
+    return FiniteRing([2, 2], [[(1, 1), (1, 0)], [(1, 0), (0, 1)]], (0, 1), "GF(4) on (x, 1)")
+
+
 # q -> the largest degree of f tried; every monic f up to it, so reducible
 # and repeated factors of f mod p are all there
 POLY_DEGREES = {2: 5, 3: 3, 4: 3, 5: 2, 7: 2, 8: 2, 9: 2}
@@ -256,7 +264,8 @@ def vector_space_coords(v, field, field_lift) -> dict:
 def ideal_action_by_products(m, ideal):
     """I·M as the span of the g·e_t, for g over the spanning elements of
     I, each made by a product, and spanned through the ring-basis images."""
-    return Submodule(m, m.span([x for g in ideal.spanning for x in m.multiples(g)]))
+    products = [m.act(g, e) for g in ideal.spanning for e in basis_vectors(m.rank)]
+    return Submodule(m, m.span(products))
 
 
 def residue_steps_by_span(m, nm) -> list:

@@ -272,7 +272,7 @@ def test_maximal_submodules_counts():
 
 
 @pytest.mark.parametrize(
-    "text, acts",
+    "text, reads",
     [
         ("free 1 over Z/157", 0),
         ("free 2 over Z/7", 1),
@@ -280,24 +280,39 @@ def test_maximal_submodules_counts():
         ("free 2 over GF(2^3)", 3),
     ],
 )
-def test_hyperplanes_scale_only_a_lead_vector_with_a_tail(text, acts, monkeypatch):
+def test_hyperplanes_scale_only_a_lead_vector_with_a_tail(text, reads, monkeypatch):
     # the multiples c*u_l of the lead vector are read only by the vectors
     # after it, so the last lead index scales nothing; the others are
-    # combinations of the f products λ_j·u_l, f the degree of R/m
+    # combinations of the f rows b_i·u_l over R/m's residue columns, f the
+    # degree of R/m, and no product is made
+    import modcover.modules
+
     m = parse_module(text)
     semisimple_invariants(m)
-    calls = []
-    act = RealizedModule.act
+    acts, row_reads, scaling = [], [], []
+    act, row_image = RealizedModule.act, _Coordinates.row_image
+    field_multiples = modcover.modules._field_multiples
 
-    def counted(self, a, x):
-        calls.append(1)
-        return act(self, a, x)
+    def counted_row_image(self, i, x):
+        if scaling:  # inside `_field_multiples`, not a span
+            row_reads.append(i)
+        return row_image(self, i, x)
 
-    monkeypatch.setattr(RealizedModule, "act", counted)
+    def scaled(*args):
+        scaling.append(1)
+        try:
+            return field_multiples(*args)
+        finally:
+            scaling.pop()
+
+    monkeypatch.setattr(RealizedModule, "act", counted(act, acts))
+    monkeypatch.setattr(_Coordinates, "row_image", counted_row_image)
+    monkeypatch.setattr(modcover.modules, "_field_multiples", scaled)
     assert len(maximal_submodules(m)) == sum(
         e.residue_size ** k for e in semisimple_invariants(m) for k in range(e.multiplicity)
     )
-    assert len(calls) == acts
+    assert acts == []
+    assert len(row_reads) == reads
 
 
 def test_maximal_submodules_are_maximal_in_the_lattice():
@@ -319,7 +334,7 @@ def assert_residue_layer_matches_the_references(m):
         reference = oracles.ideal_action_by_products(m, ideal)
         assert ideal_action(m, ideal).members == reference.members
     for entry in semisimple_invariants(m):
-        span = _residue_span(m, entry.residue_size)
+        span = _residue_span(m, entry.factor)
         steps = oracles.residue_steps_by_span(m, entry.nm)
         assert tuple(m.element(i) for i, _ in steps) == entry.basis
         start = entry.nm
@@ -327,7 +342,7 @@ def assert_residue_layer_matches_the_references(m):
             start = span([u], start)
             assert start == mask
         for u in entry.basis[:-1]:
-            got = _field_multiples(m, entry.ideal, u)
+            got = _field_multiples(m, entry.factor, u)
             assert got == oracles.field_multiples_by_act(m, entry.ideal, u)
         planes = [(entry.nm, entry.basis)]
         if entry.multiplicity >= 2:
@@ -360,6 +375,22 @@ RESIDUE_LAYER_MODULES = (
 def test_residue_layer_matches_the_references(text, monkeypatch):
     monkeypatch.setenv("MODCOVER_MAX_MODULE", str(360**2))
     assert_residue_layer_matches_the_references(parse_module(text))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("times_z3", [False, True], ids=["GF(4)", "Z/3 x GF(4)"])
+def test_residue_layer_matches_the_references_when_one_is_not_the_first_column(
+    k, times_z3
+):
+    # over GF(4) on the basis (x, 1) the residue of 1 is zero on the first
+    # residue column, so the span columns must leave out the second
+    ring = oracles.gf4_on_x_and_1()
+    if times_z3:
+        ring = ring_product(ring_zmod(3), ring)
+    m = free_module(ring, k)
+    columns = {e.residue_size: e.factor.span_columns for e in semisimple_invariants(m)}
+    assert columns[4] == (ring.rank - 2,)  # x's column, not 1's
+    assert_residue_layer_matches_the_references(m)
 
 
 def test_hyperplanes_reject_a_start_without_mm():
@@ -525,22 +556,23 @@ def counted(f, calls):
 
 
 @pytest.mark.parametrize(
-    "label, products, closures",
+    "label, closures",
     [
         # acting with each of the 60 units on 0 and 1 took 182 products
-        ("free 1 over Z/61", 2, 5),
+        ("free 1 over Z/61", 5),
         # and here, with 18 units, 58
-        ("module over Z/54: gens=3; rels=[(2,0,0), (0,3,0), (0,0,6)]", 8, 27),
+        ("module over Z/54: gens=3; rels=[(2,0,0), (0,3,0), (0,0,6)]", 27),
         # the maximal ideal (2) of Z/8 moves these elements, so each
         # cyclic also closes its m·Rx: 28 products and 54 closures when
         # the walk cleared each unit orbit
-        ("Z/4 (+) Z/4 over Z/8", 4, 60),
+        ("Z/4 (+) Z/4 over Z/8", 60),
     ],
 )
-def test_all_submodules_products_and_closures(label, products, closures, monkeypatch):
-    # the products are e·e_t and (1−e)·e_t per local factor; every m_e·x
-    # is read off the images of x. `mul` and `act` are aliases of
-    # `_product` bound when their classes were made, so each is patched
+def test_all_submodules_products_and_closures(label, closures, monkeypatch):
+    # no product: the e·e_t and (1−e)·e_t of each local factor are read
+    # off the table's rows by `multiples`, and every m_e·x off the images
+    # of x. `mul` and `act` are aliases of `_product` bound when their
+    # classes were made, so each is patched
     m = parse_module(label)
     maximal_ideals(m.ring)  # stored ring facts, so that only the walk is counted
     product_calls, closure_calls = [], []
@@ -548,7 +580,7 @@ def test_all_submodules_products_and_closures(label, products, closures, monkeyp
         monkeypatch.setattr(cls, name, counted(getattr(cls, name), product_calls))
     monkeypatch.setattr(_Shifts, "closure", counted(_Shifts.closure, closure_calls))
     all_submodules(m)
-    assert (len(product_calls), len(closure_calls)) == (products, closures)
+    assert (len(product_calls), len(closure_calls)) == (0, closures)
 
 
 def test_all_submodules_reads_no_multiple_over_a_product_of_fields(monkeypatch):

@@ -386,14 +386,20 @@ def sample_elements(x, rng, count=6) -> list:
 
 
 def assert_products_are_dense(x, rng):
-    """`_product` and `images` of x agree with the dense bilinear loop,
-    on ring elements a and elements of x, images in the same order."""
+    """`_product`, `images`, `row_image` and `multiples` of x agree with
+    the dense bilinear loop, on ring elements a and elements of x, images
+    in the same order."""
     ring = x if isinstance(x, FiniteRing) else x.ring
     scalars, elems = sample_elements(ring, rng), sample_elements(x, rng)
     for a in scalars:
         for y in elems:
             assert x._product(a, y) == dense_product(x, a, y)
+        assert x.multiples(a) == [dense_product(x, a, e) for e in basis_vectors(x.rank)]
     assert x.images(elems) == dense_images(x, elems)
+    bs = basis_vectors(ring.rank)
+    assert [x.row_image(i, y) for y in elems for i in range(ring.rank)] == [
+        dense_product(x, b, y) for y in elems for b in bs
+    ]
 
 
 def test_products_match_the_dense_loop_on_rings_and_residue_fields():

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from modcover import cli, modules, rings, snf
-from modcover._fp import _frobenius, _is_field
+from modcover._fp import _echelon, _frobenius, _is_field, basis_vectors
 from modcover.covering import SearchSpace, construct_cover, greedy_cover, sigma_exact
 from modcover.dsl import parse_module, parse_ring
 from modcover.modules import (
@@ -30,6 +30,7 @@ from modcover.rings import (
     maximal_ideals,
     quotient_ring,
     residue_field,
+    ring_product,
     ring_zmod,
     zero_ideal,
 )
@@ -41,6 +42,7 @@ from oracles import (
     algebra,
     elements,
     factor_by_algebra,
+    gf4_on_x_and_1,
     mask_of,
     monic_polynomials,
     poly_ring,
@@ -235,13 +237,20 @@ def test_ring_and_module_facts_build_no_residue_field(text, monkeypatch):
     assert calls["_residue_field"] == 0
 
 
-def test_construct_cover_builds_only_the_witness_residue_field(monkeypatch):
-    # over Z/6, R/m is read as a ring only at the witness, Z/2
+@pytest.mark.parametrize(
+    "text, sigma, maximal", [("free 2 over Z/6", 3, 7), ("free 2 over GF(2^2)", 5, 5)]
+)
+def test_the_residue_layer_builds_no_residue_field(text, sigma, maximal, monkeypatch):
+    # the hyperplanes, with tails, and the cover's q + 1 lines read R/m's
+    # coordinates off its `LocalFactor`, so R/m is neither read nor built
+    # as a ring
     monkeypatch.setattr(rings, "_INTERNED", rings._RingTable())
-    calls = _count_calls(monkeypatch, ["_residue_field"], rings)
-    cert = construct_cover(parse_module("free 2 over Z/6"))
-    assert cert.is_cover and cert.size == 3
-    assert calls["_residue_field"] == 1
+    calls = _count_calls(monkeypatch, ["residue_field", "_residue_field"], rings)
+    m = parse_module(text)
+    cert = construct_cover(m)
+    assert cert.is_cover and cert.size == sigma
+    assert len(maximal_submodules(m)) == maximal
+    assert calls == {"residue_field": 0, "_residue_field": 0}
 
 
 @pytest.mark.parametrize("text", PINNED_RINGS + MIXED_PRODUCTS + ["GF(2^2) x GF(3^2)"])
@@ -306,6 +315,38 @@ def test_certificate_frobenius_is_that_of_the_residue_field(text, monkeypatch):
         field = residue_field(factor.ideal)[0]
         want = _frobenius(field.mul, field.rank, factor.p)
         assert [list(v) for v in want] == certified, factor.ideal
+
+
+def _ring_or_gf4_on_x_and_1(text) -> FiniteRing:
+    """The ring of `text`, where "GF(4) on (x, 1)" names the hand-built
+    `gf4_on_x_and_1`, whose 1 is its second basis vector."""
+    gf4 = "GF(4) on (x, 1)"
+    if gf4 not in text:
+        return parse_ring(text)
+    ring = gf4_on_x_and_1()
+    return ring if text == gf4 else ring_product(parse_ring(text.split(" x ")[0]), ring)
+
+
+@pytest.mark.parametrize(
+    "text",
+    PINNED_RINGS + MIXED_PRODUCTS + GF_CASES + ["GF(4) on (x, 1)", "Z/3 x GF(4) on (x, 1)"],
+)
+def test_residue_columns_are_the_residue_field_coordinates(text):
+    # the lift of R/m's basis vector j is R's basis vector on residue
+    # column j, and 1 with the b_i of the span columns projects to an
+    # F_p-basis of R/m, which `modules._residue_span` relies on
+    R = _ring_or_gf4_on_x_and_1(text)
+    for factor in local_factorization(R):
+        field, project, lift = residue_field(factor.ideal)
+        columns, span = factor.residue_columns, factor.span_columns
+        f = len(columns)
+        assert field.size == factor.p**f == factor.ideal.residue_size
+        for j, u in enumerate(basis_vectors(f)):
+            assert lift(u) == basis_vectors(R.rank)[columns[j]]
+        assert len(span) == f - 1 and set(span) < set(columns)
+        lifts = [R.one] + [basis_vectors(R.rank)[i] for i in span]
+        rows, _ = _echelon([project(x) for x in lifts], factor.p)
+        assert len(rows) == f, factor.ideal
 
 
 def _factor_calls(monkeypatch, ring) -> dict:
@@ -454,6 +495,27 @@ def test_the_library_has_no_bare_assert():
         if isinstance(node, ast.Assert)
     ]
     assert bare == []
+
+
+def test_the_library_reads_every_name_it_imports():
+    # an import left behind by a refactor hides what a module depends on;
+    # `__init__.py` imports its names to re-export them
+    src = Path(__file__).resolve().parents[1] / "src" / "modcover"
+    files = sorted(path for path in src.glob("*.py") if path.name != "__init__.py")
+    assert files
+    unread = []
+    for path in files:
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unread.append(f"{path.name}:{node.lineno} {name}")
+    assert unread == []
 
 
 def test_factor_rejects_a_maximal_ideal_that_misses_p(monkeypatch):
