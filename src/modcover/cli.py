@@ -49,6 +49,12 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
 
+SEARCH_HELP = (
+    "candidate submodules for the exact search: the maximal ones, read off "
+    "the hyperplanes of each M/mM, or (all) the coatoms of the submodule "
+    "lattice, read off its walk; both give the same certificate"
+)
+
 
 def _module_exprs(arg: str):
     """The module argument, or one expression per stdin line for '-'."""
@@ -315,8 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--module", required=True, help="module expression or '-'")
     p.add_argument("--certificate", action="store_true", help="include the cover")
     p.add_argument(
-        "--search", choices=["maximal", "all"], default="maximal",
-        help="candidate submodules for the exact search",
+        "--search", choices=["maximal", "all"], default="maximal", help=SEARCH_HELP
     )
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_sigma)
@@ -329,7 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="closed-form construction instead of search",
     )
     g.add_argument("--greedy", action="store_true", help="greedy upper bound")
-    p.add_argument("--search", choices=["maximal", "all"], default="maximal")
+    p.add_argument(
+        "--search", choices=["maximal", "all"], default="maximal", help=SEARCH_HELP
+    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_cover)
 

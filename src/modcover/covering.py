@@ -19,8 +19,8 @@ from .errors import GuardExceeded
 from .modules import (
     RealizedModule,
     _residue_span,
-    all_submodules,
     hyperplanes,
+    lattice_coatoms,
     maximal_submodules,
     s_set,
 )
@@ -104,82 +104,134 @@ def sigma_exact(
 
     Every minimal cover can be refined to one using maximal submodules
     only, so MAXIMAL_ONLY already yields the true covering number;
-    ALL_PROPER is the cross-check. The greedy maximal cover seeds the
-    search, and the root's lower bound is checked against it before any
-    candidate is built: a seed that meets it is returned as it stands,
-    with no node explored, and neither space builds its candidates.
-    Otherwise the candidates are sorted by (size descending, members
-    bitmask) and the first optimum found in that order is returned.
-    Either way the members are in that order.
+    ALL_PROPER is the cross-check, and it reads its candidates off the
+    submodule lattice, not off the hyperplanes: the lattice's coatoms
+    (`lattice_coatoms`). A proper submodule that is not a coatom lies in
+    a larger one, which sorts before it, and swapping it for that one
+    leaves a cover of the same size that sorts earlier; so the first
+    optimum among all proper submodules uses coatoms alone, and it is
+    the first among them.
+
+    The module's greedy maximal cover (`_seed`) is the incumbent, and
+    the root's lower bound is checked against it before any candidate is
+    built: a seed that meets it is returned as it stands, with no node
+    explored, and neither space builds its candidates. Otherwise the
+    candidates are sorted by (size descending, members bitmask) and the
+    first optimum found in that order is returned; the seed is returned
+    when no smaller cover exists. Either way the members are in that
+    order. A node, U being the elements its picks leave uncovered, is cut
+    when the candidates it may still pick miss part of U, or when the
+    fewest of them whose gains on U can add up to |U| would make a cover
+    no smaller than the incumbent; neither cut drops a smaller cover.
     """
     t0 = time.perf_counter()
     _reject_zero(m)
-    # Every proper submodule lies in a maximal one, so the greedy maximal
-    # cover decides coverability in both spaces. It is also the seed a
-    # greedy over all proper candidates would find: a non-maximal N with
-    # the best gain lies in a maximal K, whose gain is at least N's and
-    # which sorts before N, so that greedy picks the same maximal ones.
-    greedy = greedy_cover(m)
-    if not greedy.is_cover:
+    seed = _seed(m)
+    if not seed:
         return CoverCertificate(
             (), False, None, True, 0, (time.perf_counter() - t0) * 1000
         )
 
-    full = m.full_mask
     # the first pick gains the most over zero alone: it is a largest
-    # maximal submodule, hence a largest proper one
-    max_size = greedy.submodules[0].size
-
-    def bound(picked, covered):
-        # every candidate misses zero, so each new pick gains < max_size
-        uncovered = (full & ~covered).bit_count()
-        return picked + -(-uncovered // (max_size - 1))
-
-    if bound(0, 1) >= greedy.size:  # zero is bit 0
-        subs = tuple(sorted(greedy.submodules, key=_search_order))
+    # maximal submodule, hence a largest proper one, and every candidate
+    # misses zero, so each pick gains fewer than its size
+    if -(-(m.size - 1) // (seed[0].size - 1)) >= len(seed):
+        subs = tuple(sorted(seed, key=_search_order))
         return CoverCertificate(
-            subs, True, greedy.size, True, 0, (time.perf_counter() - t0) * 1000
+            subs, True, len(seed), True, 0, (time.perf_counter() - t0) * 1000
         )
 
     if space is SearchSpace.MAXIMAL_ONLY:
         candidates = maximal_submodules(m)
     else:
-        candidates = [s for s in all_submodules(m) if s.is_proper()]
+        candidates = lattice_coatoms(m)
     candidates.sort(key=_search_order)
     masks = [s.members for s in candidates]
     n = len(masks)
-    index = {mask: i for i, mask in enumerate(masks)}
-    best_sel = [index[s.members] for s in greedy.submodules]
-    best_len = len(best_sel)
+    reach = [0] * (n + 1)  # reach[i]: the union of masks[i:]
+    for i in range(n - 1, -1, -1):
+        reach[i] = reach[i + 1] | masks[i]
+    best = None  # the picks of a cover smaller than the seed, once found
+    best_len = len(seed)
     nodes = 0
+    chosen = []
 
-    def search(start, covered, chosen):
-        nonlocal best_sel, best_len, nodes
-        if covered == full:
-            if len(chosen) < best_len:
-                best_len = len(chosen)
-                best_sel = list(chosen)
+    def search(start, uncovered):
+        nonlocal best, best_len, nodes
+        if reach[start] & uncovered != uncovered:
             return
-        if bound(len(chosen), covered) >= best_len:
+        depth = len(chosen)
+        # a smaller cover makes at most room more picks, and each gains
+        # at most its gain on U; room >= 0, since a pick is made only
+        # while depth + 1 < best_len
+        room = best_len - depth - 1
+        gains = [(mask & uncovered).bit_count() for mask in masks[start:]]
+        if sum(sorted(gains, reverse=True)[:room]) < uncovered.bit_count():
             return
-        for i in range(start, n):
-            gain = masks[i] & ~covered
+        for i, gain in enumerate(gains, start):
             if not gain:
                 continue
+            if depth + 1 >= best_len:
+                return
             nodes += 1
             if nodes > node_budget:
                 raise GuardExceeded(
                     "search-nodes", f"branch and bound exceeded {node_budget} nodes"
                 )
             chosen.append(i)
-            search(i + 1, covered | masks[i], chosen)
+            rest = uncovered & ~masks[i]
+            if rest:
+                search(i + 1, rest)
+            else:
+                best, best_len = list(chosen), depth + 1
             chosen.pop()
 
-    search(0, 1, [])
-    subs = tuple(candidates[i] for i in sorted(best_sel))
+    search(0, m.full_mask & ~1)  # zero is bit 0
+    subs = (
+        tuple(sorted(seed, key=_search_order))
+        if best is None
+        else tuple(candidates[i] for i in best)
+    )
     return CoverCertificate(
         subs, True, best_len, True, nodes, (time.perf_counter() - t0) * 1000
     )
+
+
+def _seed(m: RealizedModule) -> tuple:
+    """The greedy cover by maximal submodules, in pick order, or () when
+    they do not cover M: the incumbent of `sigma_exact` in both spaces
+    and the cover of `greedy_cover`. Formed once per module."""
+    if m._greedy_seed is None:
+        m._greedy_seed = _greedy_picks(m)
+    return m._greedy_seed
+
+
+def _greedy_picks(m: RealizedModule) -> tuple:
+    """Each pick is the first maximal submodule, in search order, that
+    gains the most elements not yet covered; read off the masks.
+
+    Every proper submodule lies in a maximal one, so whether these cover
+    M decides coverability in both search spaces. They are also the picks
+    of a greedy over all proper submodules: a non-maximal N with the best
+    gain lies in a maximal K, whose gain is at least N's and which sorts
+    before N, so that greedy picks the same maximal ones.
+    """
+    candidates = sorted(maximal_submodules(m), key=_search_order)
+    masks = [s.members for s in candidates]
+    full = m.full_mask
+    union = 0
+    for mask in masks:
+        union |= mask
+    if union != full:
+        return ()
+    picks = []
+    covered = 1  # zero is bit 0
+    while covered != full:
+        gains = [(mask & ~covered).bit_count() for mask in masks]
+        i = gains.index(max(gains))
+        picks.append(candidates[i])
+        covered |= masks[i]
+    return tuple(picks)
 
 
 def verify_cover(m: RealizedModule, submodules) -> bool:
@@ -227,27 +279,12 @@ def construct_cover(m: RealizedModule) -> CoverCertificate:
 
 
 def greedy_cover(m: RealizedModule) -> CoverCertificate:
-    """Greedy maximal-submodule cover; an upper bound, not always optimal."""
+    """Greedy maximal-submodule cover; an upper bound, not always optimal.
+    It is the module's stored `_seed`."""
     t0 = time.perf_counter()
     _reject_zero(m)
-    candidates = maximal_submodules(m)
-    candidates.sort(key=_search_order)
-    full = m.full_mask
-    union = 0
-    for s in candidates:
-        union |= s.members
-    if union != full:
-        return CoverCertificate(
-            (), False, None, False, 0, (time.perf_counter() - t0) * 1000
-        )
-    chosen = []
-    covered = 1  # zero is bit 0
-    while covered != full:
-        best = max(candidates, key=lambda s: (s.members & ~covered).bit_count())
-        chosen.append(best)
-        covered |= best.members
+    picks = _seed(m)
     return CoverCertificate(
-        tuple(chosen), True, len(chosen), False, 0,
+        picks, bool(picks), len(picks) if picks else None, False, 0,
         (time.perf_counter() - t0) * 1000,
     )
-

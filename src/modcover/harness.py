@@ -12,7 +12,9 @@ identities they test:
     cyclicity           not coverable exactly when one generator suffices
     localization        the covering number survives localization
     finiteness          a finite cover exists exactly when predicted
-    maximal-count       maximal-submodule count matches the hyperplane tally
+    maximal-count       maximal-submodule count matches the hyperplane tally,
+                        and for |M| <= 64 the maximal submodules are the
+                        coatoms of the submodule lattice, read off its walk
     hdim-additivity     hdim adds over direct sums and is the length of
                         M/J(M) (pairs of instances)
 
@@ -36,11 +38,11 @@ from .covering import SearchSpace, greedy_cover, sigma_exact, sigma_formula
 from .errors import GuardExceeded
 from .modules import (
     REALIZE_INTERMEDIATE_GUARD,
-    all_submodules,
     direct_sum,
     hdim,
     is_cyclic,
     jacobson_radical,
+    lattice_coatoms,
     length,
     localize_at_s,
     maximal_submodules,
@@ -346,14 +348,7 @@ def check_maximal_count(spec: InstanceSpec, m):
     if expected != actual:
         return FAIL, _counterexample(spec, expected=expected, actual=actual)
     if m.size <= 64:
-        # all_submodules is sorted by size and holds no mask twice, so
-        # only a later submodule can strictly contain an earlier one
-        proper = [s for s in all_submodules(m) if s.is_proper()]
-        lattice = {
-            s.members
-            for i, s in enumerate(proper)
-            if not any(s.members & ~t.members == 0 for t in proper[i + 1 :])
-        }
+        lattice = {s.members for s in lattice_coatoms(m)}
         if lattice != {s.members for s in maximal}:
             return FAIL, _counterexample(spec, hyperplane=actual, lattice=len(lattice))
     return PASS, {"count": actual}

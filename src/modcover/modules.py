@@ -12,8 +12,8 @@ itself. Elements are integer coordinate tuples, indexed by
 its members mask, and every generating set is greedy in M's element
 order: a submodule's, derived when first read, and each basis of M/mM,
 over mM. All values are immutable after construction, so each module
-stores its maximal submodules, semisimple invariants and cyclicity once
-computed.
+stores its maximal submodules, semisimple invariants, cyclicity and the
+greedy seed of the cover search once computed.
 
 The residue layer works in M/mM's own terms, and reads R/m's coordinates
 off the `LocalFactor` of m, with no residue ring built: mM is the
@@ -107,6 +107,7 @@ class RealizedModule(_Coordinates):
         self._maximal_submodules = None
         self._semisimple_invariants = None
         self._cyclic = None
+        self._greedy_seed = None  # see covering._seed
 
     act = _Coordinates._product
 
@@ -258,7 +259,56 @@ def submodule_generators(m: RealizedModule, members: int, start=1) -> tuple:
 
 
 def all_submodules(m: RealizedModule, max_count=LATTICE_COUNT_BUDGET) -> list:
-    """Every submodule, as the product of one interval per local factor.
+    """Every submodule, as every AND of one mask per interval of
+    `_intervals`: that AND is the join of the eN, and it costs no
+    closure.
+
+    Guarded both by |M| and by a lattice-size budget: some semisimple
+    modules within the size guard still have astronomically many
+    submodules. The lattice has Π (interval sizes) members, so the budget
+    trips, before the AND pass, exactly when that product exceeds
+    `max_count`; an interval past it trips during its own walk.
+    """
+    intervals = _intervals(m, max_count)
+    if math.prod(map(len, intervals)) > max_count:
+        raise _lattice_count_exceeded(max_count)
+    lattice = [m.full_mask]
+    for interval in intervals:
+        lattice = [a & b for a in lattice for b in interval]
+    out = [Submodule(m, mask) for mask in lattice]
+    out.sort(key=lambda s: (s.size, s.members))
+    return out
+
+
+def lattice_coatoms(m: RealizedModule) -> list:
+    """The coatoms of the submodule lattice, read off the intervals of
+    `_intervals` with no product lattice, sorted by members.
+
+    The lattice is the product of the intervals, each topped by M, so its
+    coatoms are the masks that are M in every interval but one, and a
+    coatom of that one: the union of the intervals' coatoms. Each
+    interval is scanned by size, largest first, and a mask other than M
+    is kept when no coatom kept so far contains it. Every other mask lies
+    under a larger coatom, found before it, and a coatom lies under no
+    other, so the scan reads each mask once against the coatoms found.
+
+    Guarded like the walk: by |M| and, per interval, by the lattice-size
+    budget `LATTICE_COUNT_BUDGET`.
+    """
+    full = m.full_mask
+    out = []
+    for interval in _intervals(m, LATTICE_COUNT_BUDGET):
+        found = []
+        for mask in sorted(interval, key=int.bit_count, reverse=True):
+            if mask != full and all(mask & ~c for c in found):
+                found.append(mask)
+        out += found
+    out.sort()
+    return [Submodule(m, mask) for mask in out]
+
+
+def _intervals(m: RealizedModule, max_count) -> list:
+    """The submodule lattice as one interval of masks per local factor.
 
     M is the direct sum of the eM over the primitive idempotents e of the
     ring, and every submodule N is the direct sum of its eN. x lies in
@@ -267,20 +317,15 @@ def all_submodules(m: RealizedModule, max_count=LATTICE_COUNT_BUDGET) -> list:
     interval of submodules that contain (1−e)M. A submodule there is
     (1−e)M plus a sum of cyclics Rx with x in eM, so `_interval` walks it
     from the mask of (1−e)M, joining only those cyclics; a factor with
-    eM = 0 has the one-point interval {M} and is left out. The lattice is
-    then every AND of one mask per interval: that AND is the join of the
-    eN, and it costs no closure. A local ring has the one factor e = 1,
-    so its interval is the whole lattice, walked from zero. Each interval
-    is given the nonzero additive generators of eJ, J the radical of R:
-    the maximal ideal m_e of the factor is (1−e)R + eJ, and 1−e acts on
-    eM as zero, so m_e·x = eJ·x for x in eM, which `_interval` reads off
-    these generators. Over a field factor eJ = 0 and the list is empty.
+    eM = 0 has the one-point interval {M} and is left out. A local ring
+    has the one factor e = 1, so its interval is the whole lattice,
+    walked from zero. Each interval is given the nonzero additive
+    generators of eJ, J the radical of R: the maximal ideal m_e of the
+    factor is (1−e)R + eJ, and 1−e acts on eM as zero, so m_e·x = eJ·x
+    for x in eM, which `_interval` reads off these generators. Over a
+    field factor eJ = 0 and the list is empty.
 
-    Guarded both by |M| and by a lattice-size budget: some semisimple
-    modules within the size guard still have astronomically many
-    submodules. The lattice has Π (interval sizes) members, so the budget
-    trips, before the AND pass, exactly when that product exceeds
-    `max_count`; an interval past it trips during its own walk.
+    Guarded by |M| (`LATTICE_GUARD`), and each interval by `max_count`.
     """
     if m.size > LATTICE_GUARD:
         raise GuardExceeded("lattice", f"|M| = {m.size} exceeds guard {LATTICE_GUARD}")
@@ -293,14 +338,7 @@ def all_submodules(m: RealizedModule, max_count=LATTICE_COUNT_BUDGET) -> list:
             continue
         bottom = m.shifts.closure(m.multiples(ring.sub(ring.one, e)))
         intervals.append(_interval(m, bottom, em, factor.radical, max_count))
-    if math.prod(map(len, intervals)) > max_count:
-        raise _lattice_count_exceeded(max_count)
-    lattice = [m.full_mask]
-    for interval in intervals:
-        lattice = [a & b for a in lattice for b in interval]
-    out = [Submodule(m, mask) for mask in lattice]
-    out.sort(key=lambda s: (s.size, s.members))
-    return out
+    return intervals
 
 
 def _interval(m: RealizedModule, bottom: int, em: int, radical, max_count) -> set:

@@ -450,6 +450,20 @@ def all_submodules_by_every_join(m) -> list:
     )
 
 
+def coatoms_by_containment(m) -> set:
+    """The masks of the proper submodules that no other proper submodule
+    contains, by comparing every pair of `all_submodules`: the scan the
+    harness check maximal-count made before it read `lattice_coatoms`."""
+    # all_submodules is sorted by size and holds no mask twice, so only a
+    # later submodule can strictly contain an earlier one
+    proper = [s for s in modules.all_submodules(m) if s.is_proper()]
+    return {
+        s.members
+        for i, s in enumerate(proper)
+        if not any(s.members & ~t.members == 0 for t in proper[i + 1 :])
+    }
+
+
 def sigma_exact_by_enumeration(m, space=SearchSpace.MAXIMAL_ONLY):
     """`covering.sigma_exact` as it was before the root check moved ahead
     of the candidates: the candidates are built and sorted by (size

@@ -25,6 +25,7 @@ from modcover.modules import (
     ideal_action,
     is_cyclic,
     jacobson_radical,
+    lattice_coatoms,
     length,
     localize_at_s,
     maximal_submodules,
@@ -53,6 +54,7 @@ from oracles import (
     MIXED_PRODUCTS,
     PINNED_RINGS,
     POLY_DEGREES,
+    TINY_CASES,
     elements,
     member_indices,
     monic_polynomials,
@@ -629,6 +631,24 @@ def test_all_submodules_budget_trips_only_past_the_lattice_size():
             all_submodules(m, max_count=budget)
         assert exc.value.guard == "lattice-count"
     assert len(all_submodules(m, max_count=256)) == 256
+
+
+def test_lattice_coatoms_match_the_containment_scan():
+    modules = [make() for make in TINY_CASES] + oracles.small_corpus_modules()
+    for m in modules:
+        got = [s.members for s in lattice_coatoms(m)]
+        assert got == sorted(oracles.coatoms_by_containment(m)), m.label
+    assert len(modules) > 600  # 675
+
+
+def test_lattice_coatoms_are_the_maximal_submodules():
+    # read off the lattice walk with no hyperplane fact, and past |M| = 64
+    # on intervals of up to 2,825 masks (F_2^6) and on two factors of 67
+    modules = [make() for make in TINY_CASES] + oracles.small_corpus_modules()
+    modules += [parse_module(t) for t in ("free 6 over Z/2", "free 4 over Z/2 x Z/2")]
+    for m in modules:
+        got = [s.members for s in lattice_coatoms(m)]
+        assert got == [s.members for s in maximal_submodules(m)], m.label
 
 
 def gaussian_binomial(n, k, q):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from modcover import cli, modules, rings, snf
+from modcover import cli, covering, modules, rings, snf
 from modcover._fp import _echelon, _frobenius, _is_field, basis_vectors
 from modcover.covering import SearchSpace, construct_cover, greedy_cover, sigma_exact
 from modcover.dsl import parse_module, parse_ring
@@ -157,11 +157,35 @@ def test_mm_and_the_residue_basis_are_derived_once(text, monkeypatch):
     ],
 )
 def test_the_lattice_is_walked_only_by_a_search_that_branches(text, walks, monkeypatch):
+    # the search over all proper submodules reads the lattice's coatoms off
+    # one walk of the intervals, and builds no product lattice
     m = parse_module(text)
-    calls = _count_calls(monkeypatch, ["all_submodules"])
+    calls = _count_calls(monkeypatch, ["_intervals", "all_submodules"])
     cert = sigma_exact(m, SearchSpace.ALL_PROPER)
-    assert calls == {"all_submodules": walks}
+    assert calls == {"_intervals": walks, "all_submodules": 0}
     assert (cert.nodes_explored > 0) == (walks > 0)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "free 3 over GF(2^2)",  # settled at the root
+        "free 2 over Z/2 x Z/2",  # branches in both spaces
+        "Z/2 (+) Z/2 (+) Z/3 over Z/6",
+        "free 1 over Z/6",  # cyclic: no seed
+    ],
+)
+def test_the_greedy_seed_is_formed_once_per_module(text, monkeypatch):
+    from modcover.harness import InstanceSpec, check_finiteness
+
+    m = parse_module(text)
+    calls = _count_calls(monkeypatch, ["_greedy_picks"], source=covering)
+    certs = [sigma_exact(m, space) for space in SearchSpace]
+    finiteness = check_finiteness(InstanceSpec("", text, 0, "CURATED"), m)
+    greedy = greedy_cover(m)
+    assert calls == {"_greedy_picks": 1}
+    assert [c.is_cover for c in certs] == [greedy.is_cover] * 2
+    assert finiteness.details["coverable"] == greedy.is_cover
 
 
 def test_generators_are_derived_only_when_read(monkeypatch):
