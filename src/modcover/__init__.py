@@ -18,7 +18,7 @@ from .covering import (
     sigma_formula,
     verify_cover,
 )
-from .dsl import parse_module, parse_ring
+from .dsl import parse_module, parse_presentation, parse_ring
 from .errors import GuardExceeded, ParseError
 from .harness import (
     InstanceSpec,
@@ -92,6 +92,7 @@ __all__ = [
     "maximal_ideals",
     "maximal_submodules",
     "parse_module",
+    "parse_presentation",
     "parse_ring",
     "quotient_module",
     "quotient_ring",

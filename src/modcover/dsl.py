@@ -21,6 +21,9 @@ Relation entries are ring elements: a bare integer means n * 1 in the
 ring, a tuple gives additive coordinates directly. The cyclic-sum sugar
 is only valid over a Z/n ring. Ring labels produced by the constructors
 reparse to the same ring, and ModulePresentation.to_dsl round-trips.
+
+A module text parses to a `ModulePresentation`, R^k and its relations,
+with no Smith normal form run; `parse_module` realizes it.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import re
 
 from .errors import ParseError
-from .modules import ModulePresentation, RealizedModule, cyclic_sum, realize
+from .modules import ModulePresentation, RealizedModule, realize
 from .rings import FiniteRing, ring_gf, ring_product, ring_zmod
 
 _TOKEN_RE = re.compile(
@@ -139,7 +142,7 @@ class _Parser:
 
     # -- modules -------------------------------------------------------------
 
-    def module(self) -> RealizedModule:
+    def module(self) -> ModulePresentation:
         kind, val, _ = self.peek()
         if val == "module over":
             return self.module_presented()
@@ -148,10 +151,10 @@ class _Parser:
             k = self.expect_int()
             self.expect("over")
             ring = self.ring()
-            return realize(ModulePresentation(ring, k, ()))
+            return ModulePresentation(ring, k, ())
         return self.module_cyclic_sum()
 
-    def module_presented(self) -> RealizedModule:
+    def module_presented(self) -> ModulePresentation:
         self.expect("module over")
         ring = self.ring()
         self.expect(":")
@@ -168,7 +171,7 @@ class _Parser:
             while self.accept(","):
                 rels.append(self.relation(ring, k))
             self.expect("]")
-        return realize(ModulePresentation(ring, k, tuple(rels)))
+        return ModulePresentation(ring, k, tuple(rels))
 
     def relation(self, ring, k):
         _, _, start = self.peek()
@@ -204,7 +207,7 @@ class _Parser:
             return ring.reduce(tuple(coords))
         self.fail("expected a ring element (integer or coordinate tuple)")
 
-    def module_cyclic_sum(self) -> RealizedModule:
+    def module_cyclic_sum(self) -> ModulePresentation:
         _, _, start = self.peek()
         anns = [self.zmod_annihilator()]
         while self.accept("(+)"):
@@ -221,7 +224,7 @@ class _Parser:
                 raise ParseError(
                     f"Z/{a} is not a cyclic module over Z/{n}", self.text, start
                 )
-        return cyclic_sum(ring, [ring.scale(a, ring.one) for a in anns])
+        return ModulePresentation.diagonal(ring, [ring.scale(a, ring.one) for a in anns])
 
     def zmod_annihilator(self) -> int:
         self.expect("Z")
@@ -241,8 +244,13 @@ def parse_ring(text: str) -> FiniteRing:
     return r
 
 
-def parse_module(text: str) -> RealizedModule:
+def parse_presentation(text: str) -> ModulePresentation:
+    """The presentation a module text writes, in any of the three forms."""
     p = _Parser(text)
-    m = p.module()
+    pres = p.module()
     p.done()
-    return m
+    return pres
+
+
+def parse_module(text: str) -> RealizedModule:
+    return realize(parse_presentation(text))

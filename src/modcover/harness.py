@@ -25,10 +25,7 @@ into the summary, and `reports_to_text`, `reports_to_json` and
 
 from __future__ import annotations
 
-import concurrent.futures
-import csv
 import functools
-import io
 import json
 import random
 import time
@@ -435,6 +432,8 @@ def run_suite(specs, checks=DEFAULT_CHECKS, parallelism: int = 1):
     """
     run = functools.partial(_run_one, checks=validate_checks(checks))
     if parallelism > 1 and len(specs) > 1:
+        import concurrent.futures  # only a parallel run pays for the import
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=parallelism) as pool:
             reports = list(pool.map(run, specs, chunksize=4))
     else:
@@ -516,6 +515,9 @@ def reports_to_json(reports, summary, extra_results=()) -> str:
 
 
 def reports_to_csv(reports, extra_results=()) -> str:
+    import csv
+    import io
+
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["ring", "module", "seed", "check", "status", "details", "ms"])

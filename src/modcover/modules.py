@@ -4,10 +4,10 @@ finite structures.
 A realized module stores its additive invariant factors plus the action
 of the ring's additive basis on the module's additive basis; everything
 else is the bilinear extension. Its arithmetic, element indices, action,
-spans, greedy generating sets and quotients (`realize` quotients R^k)
-are those of `rings._Coordinates`, which a ring shares as a module over
-itself. Elements are integer coordinate tuples, indexed by
-`rings._Shifts`; no element list is stored. Quotients come back as
+spans, greedy generating sets and quotients (`realize` quotients R^k,
+read through R's basis rows) are those of `rings._Coordinates`, which a
+ring shares as a module over itself. Elements are integer coordinate
+tuples, indexed by `rings._Shifts`; no element list is stored. Quotients come back as
 ``(quotient, project, lift)`` maps, not as sweeps over M. A submodule is
 its members mask, and every generating set is greedy in M's element
 order: a submodule's, derived when first read, and each basis of M/mM,
@@ -80,6 +80,16 @@ class ModulePresentation:
                 if not ints or len(c) != r:
                     raise ValueError(f"relation entry {c!r} is not a tuple of {r} ints")
 
+    @classmethod
+    def diagonal(cls, ring: FiniteRing, annihilators) -> ModulePresentation:
+        """⊕_j R/(a_j) for scalars a_j: one generator per a_j, killed by it."""
+        k = len(annihilators)
+        rels = tuple(
+            tuple(ring.reduce(a) if j == i else ring.zero for j in range(k))
+            for i, a in enumerate(annihilators)
+        )
+        return cls(ring, k, rels)
+
     def to_dsl(self) -> str:
         def coord(c):
             return str(c[0]) if len(c) == 1 else "(" + ",".join(map(str, c)) + ")"
@@ -151,8 +161,9 @@ class RealizedModule(_Coordinates):
 
 
 def realize(pres: ModulePresentation) -> RealizedModule:
-    """Materialize R^k modulo the relation submodule, as the `quotient`
-    of R^k's coordinates, k blocks of R's with k copies of R's table.
+    """Materialize R^k modulo the relation submodule, by `quotient` over
+    R^k's coordinates, k blocks of R's: R^k's basis rows are R's, shifted
+    into each block, so R^k's table is never built.
 
     R^k is never enumerated, but the Smith normal form over R^k has no
     modular reduction and its entries can grow exponentially, so |R|^k
@@ -165,15 +176,15 @@ def realize(pres: ModulePresentation) -> RealizedModule:
             "realize-intermediate",
             f"|R|^k = {ring.size}^{k} exceeds guard {REALIZE_INTERMEDIATE_GUARD}",
         )
-    z = ring.zero
-    free = _Coordinates(
-        ring.orders * k,
-        [
-            [z * j + v + z * (k - 1 - j) for j in range(k) for v in row]
-            for row in ring.mul_table
-        ],
-    )
-    orders, table, _, _ = free.quotient([sum(rel, ()) for rel in pres.relations])
+    r = ring.rank
+    rows = ring.rows
+    if k != 1:
+        rows = [
+            [tuple((s + j * r, v) for s, v in entries) for j in range(k) for entries in row]
+            for row in rows
+        ]
+    gens = [sum(rel, ()) for rel in pres.relations]
+    orders, table, _, _ = _Coordinates.quotient(ring.orders * k, rows, gens)
     return RealizedModule(ring, orders, table, presentation=pres)
 
 
@@ -183,12 +194,7 @@ def free_module(ring: FiniteRing, k: int) -> RealizedModule:
 
 def cyclic_sum(ring: FiniteRing, annihilators) -> RealizedModule:
     """⊕_j R/(a_j) for scalars a_j, as a diagonal presentation."""
-    k = len(annihilators)
-    rels = tuple(
-        tuple(ring.reduce(a) if j == i else ring.zero for j in range(k))
-        for i, a in enumerate(annihilators)
-    )
-    return realize(ModulePresentation(ring, k, rels))
+    return realize(ModulePresentation.diagonal(ring, annihilators))
 
 
 def direct_sum(a: RealizedModule, b: RealizedModule) -> RealizedModule:
@@ -436,7 +442,7 @@ def quotient_module(m: RealizedModule, n: Submodule):
     coordinates of M and of M/N."""
     if n.parent is not m:
         raise ValueError("submodule belongs to a different module")
-    orders, table, project, lift = m.quotient(n.generator_coords())
+    orders, table, project, lift = _Coordinates.quotient(m.orders, m.rows, n.generator_coords())
     q = RealizedModule(m.ring, orders, table, label=f"({m.label})/N")
     return q, project, lift
 

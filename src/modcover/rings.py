@@ -7,11 +7,12 @@ tuples, reduced coordinate-wise. A ring is a module over itself, so
 `_Coordinates` serves rings and modules alike: arithmetic, element
 indices, the product of a basis table, spans and greedy generating
 sets, with the index codec built on the first mask read. Its `quotient`
-is modcover's one Smith normal form. A hand-built table is checked to
-be a ring (`FiniteRing._validate`); the constructors, the residue fields
-and `quotient_ring` build rings by construction and skip that check. All
-values are immutable after construction, so the constructors share one
-object per ring (see `_RingTable`) and each ring stores the facts derived from it:
+is modcover's one Smith normal form call site, and reads nothing but
+sparse basis rows, so R^k is realized from R's rows. A hand-built table
+is checked to be a ring (`FiniteRing._validate`); the constructors, the
+residue fields and `quotient_ring` build rings by construction and skip
+that check. All values are immutable after construction, so the
+constructors share one object per ring (see `_RingTable`) and each ring stores the facts derived from it:
 its local factors, maximal ideals and units. These come from linear
 algebra over F_p in R's own coordinates (see `_factor` and `_fp`), with
 no Smith normal form; R/pR multiplies by R's own product. Each local
@@ -165,8 +166,9 @@ class _Coordinates:
     (s, v) of each b_i · e_t, built when first read, so building a ring
     or module pays nothing for it. `images` and `row_image` apply basis
     rows to x directly, and `multiples` reads their columns with no
-    product. `quotient` builds every quotient module and quotient
-    ring. Elements are reduced coordinate tuples. A subset is a bitmask
+    product. `quotient`, given the orders and rows of any such group,
+    builds every realized module, quotient module and quotient ring.
+    Elements are reduced coordinate tuples. A subset is a bitmask
     over the element indices, read through the `shifts` codec, which is
     built on the first mask read.
     """
@@ -279,15 +281,30 @@ class _Coordinates:
         entry [a][t] is lift(u_a) · e_t, for its basis u_a."""
         return [self.multiples(lift(u)) for u in basis_vectors(rank)]
 
-    def quotient(self, gens) -> tuple:
-        """``(orders, table, project, lift)`` for this group modulo the span
-        of the images of `gens`, by Smith normal form, with `table[i][j]` =
-        project(b_i · lift(u_j)) over the quotient's basis u_j."""
-        orders, project, lift = abelian_quotient(self.orders, self.images(gens))
-        images = self.images([lift(u) for u in basis_vectors(len(orders))])
-        n = len(self.table)  # b_i · lift(u_j) is images[j * n + i]
-        table = [[project(images[j * n + i]) for j in range(len(orders))] for i in range(n)]
-        return orders, table, project, lift
+    @staticmethod
+    def quotient(orders, rows, gens) -> tuple:
+        """``(orders, table, project, lift)`` for ⊕_t Z/orders[t], with the
+        basis rows `rows` in the form of `_Coordinates.rows`, modulo the
+        span of the images b_i · x of `gens`, by Smith normal form, with
+        `table[i][j]` = project(b_i · lift(u_j)) over the quotient's basis
+        u_j. Only the rows are read, so the ambient group need not be
+        built: `realize` passes R^k's as R's, shifted into each block."""
+
+        def image(row, x):
+            acc = [0] * len(orders)
+            for xt, entries in zip(x, row):
+                if xt:
+                    for s, v in entries:
+                        acc[s] += xt * v
+            return acc
+
+        images = [
+            tuple([a % d for a, d in zip(image(row, x), orders)]) for x in gens for row in rows
+        ]
+        qorders, project, lift = abelian_quotient(orders, images)
+        lifts = [lift(u) for u in basis_vectors(len(qorders))]
+        table = [[project(image(row, x)) for x in lifts] for row in rows]
+        return qorders, table, project, lift
 
     def span(self, elems, start=1) -> int:
         """Mask of the ideal or submodule generated by the elements and
@@ -662,7 +679,7 @@ def quotient_ring(ring: FiniteRing, ideal: Ideal):
     """
     if ideal.ring is not ring:
         raise ValueError("ideal belongs to a different ring")
-    qorders, action, project, lift = ring.quotient(ideal.spanning)
+    qorders, action, project, lift = _Coordinates.quotient(ring.orders, ring.rows, ideal.spanning)
     if not qorders:
         raise ValueError("quotient by the unit ideal is the zero ring")
     table = _Coordinates(qorders, action).restrict(lift, len(qorders))

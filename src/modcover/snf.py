@@ -20,12 +20,12 @@ def smith_normal_form(rows: Sequence[Sequence[int]], ncols: int):
     A = [list(map(int, r)) for r in rows]
     m = len(A)
     n = ncols
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    Vinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    V = [[0] * n for _ in range(n)]
+    Vinv = [[0] * n for _ in range(n)]
+    for i in range(n):
+        V[i][i] = Vinv[i][i] = 1
 
     def swap_cols(i, j):
-        if i == j:
-            return
         for row in A:
             row[i], row[j] = row[j], row[i]
         for row in V:
@@ -33,15 +33,16 @@ def smith_normal_form(rows: Sequence[Sequence[int]], ncols: int):
         Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
     def add_col(src, dst, c):
-        # column dst += c * column src
+        # column dst += c * column src, skipping the rows where src is 0
         if c == 0:
             return
         for row in A:
-            row[dst] += c * row[src]
+            if row[src]:
+                row[dst] += c * row[src]
         for row in V:
-            row[dst] += c * row[src]
-        for k in range(n):
-            Vinv[src][k] -= c * Vinv[dst][k]
+            if row[src]:
+                row[dst] += c * row[src]
+        Vinv[src] = [a - c * b for a, b in zip(Vinv[src], Vinv[dst])]
 
     def neg_col(i):
         for row in A:
@@ -51,8 +52,7 @@ def smith_normal_form(rows: Sequence[Sequence[int]], ncols: int):
         Vinv[i] = [-x for x in Vinv[i]]
 
     def swap_rows(i, j):
-        if i != j:
-            A[i], A[j] = A[j], A[i]
+        A[i], A[j] = A[j], A[i]
 
     def add_row(src, dst, c):
         if c:
@@ -61,16 +61,22 @@ def smith_normal_form(rows: Sequence[Sequence[int]], ncols: int):
     def take_pivot(t) -> bool:
         """Swap the first entry of least nonzero magnitude in rows and
         columns t.. into (t, t); False if they are all zero."""
-        pivot = None
+        pivot, least = None, 0
         for i in range(t, m):
+            row = A[i]
             for j in range(t, n):
-                v = A[i][j]
-                if v and (pivot is None or abs(v) < abs(A[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
+                v = row[j]
+                if v and (pivot is None or abs(v) < least):
+                    pivot, least = (i, j), abs(v)
+            if least == 1:  # no later entry is smaller
+                break
         if pivot is None:
             return False
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
+        i, j = pivot
+        if i != t:
+            swap_rows(t, i)
+        if j != t:
+            swap_cols(t, j)
         return True
 
     t = 0
@@ -79,18 +85,19 @@ def smith_normal_form(rows: Sequence[Sequence[int]], ncols: int):
             break
         while True:
             dirty = False
+            # a zero entry has quotient 0: nothing to add and nothing to swap
             for i in range(t + 1, m):
-                q = A[i][t] // A[t][t]
-                add_row(t, i, -q)
                 if A[i][t]:
-                    swap_rows(t, i)
-                    dirty = True
+                    add_row(t, i, -(A[i][t] // A[t][t]))
+                    if A[i][t]:
+                        swap_rows(t, i)
+                        dirty = True
             for j in range(t + 1, n):
-                q = A[t][j] // A[t][t]
-                add_col(t, j, -q)
                 if A[t][j]:
-                    swap_cols(t, j)
-                    dirty = True
+                    add_col(t, j, -(A[t][j] // A[t][t]))
+                    if A[t][j]:
+                        swap_cols(t, j)
+                        dirty = True
             if not dirty:
                 break
         if A[t][t] < 0:
@@ -108,15 +115,15 @@ def smith_normal_form(rows: Sequence[Sequence[int]], ncols: int):
                 take_pivot(t)  # column t is nonzero: it holds A[t][t] = a
                 dirty = False
                 for i in range(t + 1, m):
-                    q = A[i][t] // A[t][t]
-                    add_row(t, i, -q)
                     if A[i][t]:
-                        dirty = True
+                        add_row(t, i, -(A[i][t] // A[t][t]))
+                        if A[i][t]:
+                            dirty = True
                 for j in range(t + 1, n):
-                    q = A[t][j] // A[t][t]
-                    add_col(t, j, -q)
                     if A[t][j]:
-                        dirty = True
+                        add_col(t, j, -(A[t][j] // A[t][t]))
+                        if A[t][j]:
+                            dirty = True
                 if not dirty:
                     break
             if A[t][t] < 0:
@@ -140,28 +147,42 @@ def abelian_quotient(
     Returns ``(new_orders, project, lift)``. ``new_orders`` are the cyclic
     invariant factors (each ≥ 2; empty tuple for the trivial quotient).
     ``project`` maps an ambient coordinate tuple to canonical quotient
-    coordinates; ``lift`` is a section of ``project``.
+    coordinates; ``lift`` is a section of ``project``. With V the column
+    transform of the Smith form, coordinate j of ``project(x)`` is x times
+    column j of V, and the lift of basis vector j is row j of V⁻¹ reduced,
+    for the kept j: those whose diagonal entry is not 1. ``project`` is a
+    homomorphism from Z^r that kills each orders[i]·e_i, so x need not be
+    reduced.
     """
     r = len(orders)
-    rows = [[orders[i] if j == i else 0 for j in range(r)] for i in range(r)]
+    rows = [[0] * r for _ in range(r)]
+    for i, d in enumerate(orders):
+        rows[i][i] = d
     rows.extend(list(g) for g in gens)
     diag, V, Vinv = smith_normal_form(rows, r)
-    # the lattice contains orders[i]*e_i, so every diagonal entry is >= 1
-    keep = [j for j in range(r) if diag[j] > 1]
-    new_orders = tuple(diag[j] for j in keep)
+    # the lattice contains orders[i]*e_i, so every diagonal entry is >= 1,
+    # and each divides the next, so the entries 1 come first: the kept
+    # columns of V and rows of V⁻¹ are those from `first` on
+    first = diag.count(1)
+    new_orders = tuple(diag[first:])
+    # row i of V on the kept columns: its nonzero (idx, V[i][first + idx])
+    vrows = [[(idx, v) for idx, v in enumerate(row[first:]) if v] for row in V]
+    lifts = Vinv[first:]
 
     def project(x):
-        return tuple(
-            sum(x[i] * V[i][j] for i in range(r)) % diag[j] for j in keep
-        )
+        acc = [0] * len(new_orders)
+        for xi, row in zip(x, vrows):
+            if xi:
+                for idx, v in row:
+                    acc[idx] += xi * v
+        return tuple([a % d for a, d in zip(acc, new_orders)])
 
     def lift(c):
-        full = [0] * r
-        for idx, j in enumerate(keep):
-            full[j] = c[idx]
-        return tuple(
-            sum(full[j] * Vinv[j][i] for j in range(r)) % orders[i]
-            for i in range(r)
-        )
+        acc = [0] * r
+        for cj, row in zip(c, lifts):
+            if cj:
+                for i, v in enumerate(row):
+                    acc[i] += cj * v
+        return tuple([a % d for a, d in zip(acc, orders)])
 
     return new_orders, project, lift

@@ -100,6 +100,17 @@ def sigma_search_labels() -> list:
     ]
 
 
+def sigma_search_variant_labels() -> list:
+    """Every label the benchmark's sigma-search workload may write for each
+    of its module classes."""
+    reference, workloads = _bench()
+    return [
+        reference.module_label(variant)
+        for c in workloads.SIGMA_CLASSES
+        for variant in workloads.module_variants(c)
+    ]
+
+
 def poly_ring(q, f) -> FiniteRing:
     """Z/q[x]/(f) for monic f (coefficients low degree first), on the
     basis 1, x, ..., x^(k-1)."""
@@ -652,6 +663,176 @@ def free_coordinates(ring, k):
         for b in basis_vectors(ring.rank)
     ]
     return _Coordinates(tuple(ring.additive_orders) * k, table)
+
+
+# -- the dense quotient route --------------------------------------------------------
+
+
+def smith_normal_form_by_full_scan(rows, ncols):
+    """`snf.smith_normal_form` as it was before it skipped zero multiples:
+    every pivot search scans every entry left, and every column operation
+    adds c times each entry of the source column, zeros included. The
+    pivot choice and the order of operations are the library's, so the
+    two return the same (diag, V, V⁻¹)."""
+    A = [list(map(int, r)) for r in rows]
+    m = len(A)
+    n = ncols
+    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    Vinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def swap_cols(i, j):
+        if i == j:
+            return
+        for row in A:
+            row[i], row[j] = row[j], row[i]
+        for row in V:
+            row[i], row[j] = row[j], row[i]
+        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
+
+    def add_col(src, dst, c):
+        if c == 0:
+            return
+        for row in A:
+            row[dst] += c * row[src]
+        for row in V:
+            row[dst] += c * row[src]
+        for k in range(n):
+            Vinv[src][k] -= c * Vinv[dst][k]
+
+    def neg_col(i):
+        for row in A:
+            row[i] = -row[i]
+        for row in V:
+            row[i] = -row[i]
+        Vinv[i] = [-x for x in Vinv[i]]
+
+    def swap_rows(i, j):
+        if i != j:
+            A[i], A[j] = A[j], A[i]
+
+    def add_row(src, dst, c):
+        if c:
+            A[dst] = [a + c * b for a, b in zip(A[dst], A[src])]
+
+    def take_pivot(t) -> bool:
+        pivot = None
+        for i in range(t, m):
+            for j in range(t, n):
+                v = A[i][j]
+                if v and (pivot is None or abs(v) < abs(A[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            return False
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+        return True
+
+    t = 0
+    while t < m and t < n:
+        if not take_pivot(t):
+            break
+        while True:
+            dirty = False
+            for i in range(t + 1, m):
+                q = A[i][t] // A[t][t]
+                add_row(t, i, -q)
+                if A[i][t]:
+                    swap_rows(t, i)
+                    dirty = True
+            for j in range(t + 1, n):
+                q = A[t][j] // A[t][t]
+                add_col(t, j, -q)
+                if A[t][j]:
+                    swap_cols(t, j)
+                    dirty = True
+            if not dirty:
+                break
+        if A[t][t] < 0:
+            neg_col(t)
+        t += 1
+
+    # enforce the divisibility chain d_t | d_{t+1}
+    t = 0
+    while t + 1 < min(m, n):
+        a, b = A[t][t], A[t + 1][t + 1]
+        if a and b % a != 0:
+            add_col(t + 1, t, 1)  # reintroduces an off-diagonal entry
+            # re-run elimination from position t
+            while True:
+                take_pivot(t)  # column t is nonzero: it holds A[t][t] = a
+                dirty = False
+                for i in range(t + 1, m):
+                    q = A[i][t] // A[t][t]
+                    add_row(t, i, -q)
+                    if A[i][t]:
+                        dirty = True
+                for j in range(t + 1, n):
+                    q = A[t][j] // A[t][t]
+                    add_col(t, j, -q)
+                    if A[t][j]:
+                        dirty = True
+                if not dirty:
+                    break
+            if A[t][t] < 0:
+                neg_col(t)
+            t = max(t - 1, 0)
+        else:
+            t += 1
+
+    for j in range(min(m, n)):
+        if A[j][j] < 0:
+            neg_col(j)
+    diag = [A[j][j] if j < m else 0 for j in range(n)]
+    return diag, V, Vinv
+
+
+def abelian_quotient_by_dense_transforms(orders, gens):
+    """`snf.abelian_quotient` on `smith_normal_form_by_full_scan`, with
+    project and lift summed over every entry of V and V⁻¹, zeros included."""
+    r = len(orders)
+    rows = [[orders[i] if j == i else 0 for j in range(r)] for i in range(r)]
+    rows.extend(list(g) for g in gens)
+    diag, V, Vinv = smith_normal_form_by_full_scan(rows, r)
+    keep = [j for j in range(r) if diag[j] > 1]
+
+    def project(x):
+        return tuple(sum(x[i] * V[i][j] for i in range(r)) % diag[j] for j in keep)
+
+    def lift(c):
+        full = [0] * r
+        for idx, j in enumerate(keep):
+            full[j] = c[idx]
+        return tuple(sum(full[j] * Vinv[j][i] for j in range(r)) % orders[i] for i in range(r))
+
+    return tuple(diag[j] for j in keep), project, lift
+
+
+def quotient_by_dense_table(coords, gens):
+    """``(orders, table, project, lift)`` for a `_Coordinates` modulo the
+    span of the images of `gens`, as `_Coordinates.quotient` once built
+    it: the images of the lifted quotient basis read off coords' whole
+    table, and each entry b_i·lift(u_j) projected."""
+    orders, project, lift = abelian_quotient_by_dense_transforms(coords.orders, coords.images(gens))
+    images = coords.images([lift(u) for u in basis_vectors(len(orders))])
+    n = len(coords.table)  # b_i · lift(u_j) is images[j * n + i]
+    table = [[project(images[j * n + i]) for j in range(len(orders))] for i in range(n)]
+    return orders, table, project, lift
+
+
+def realize_by_dense_table(pres):
+    """``(orders, basis_act, project, lift)`` for R^k modulo the relations,
+    by `quotient_by_dense_table` over R^k built as a dense `_Coordinates`."""
+    free = free_coordinates(pres.ring, pres.num_generators)
+    return quotient_by_dense_table(free, [sum(rel, ()) for rel in pres.relations])
+
+
+def quotient_ring_by_dense_table(ring, ideal):
+    """``(quotient, project, lift)`` for R/I as `quotient_ring` builds it,
+    with `quotient_by_dense_table` for its quotient."""
+    orders, action, project, lift = quotient_by_dense_table(ring, ideal.spanning)
+    table = _Coordinates(orders, action).restrict(lift, len(orders))
+    q = FiniteRing(orders, table, project(ring.one), "quotient", validate=False)
+    return q, project, lift
 
 
 def quotient_module_by_lifts(m, n):

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import modcover.cli as cli
 import modcover.dsl as dsl
 from modcover.cli import main
 
@@ -205,16 +206,43 @@ def test_guard_exceeded_exit_3(capsys, monkeypatch):
     assert "guard" in err
 
 
-def run_module(*argv, flags=(), timeout=10):
-    """`python [flags] -m modcover.cli argv` on this checkout's sources."""
+def checkout_env() -> dict:
+    """The environment with this checkout's sources first on PYTHONPATH."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     ))
+
+
+def run_module(*argv, flags=(), timeout=10):
+    """`python [flags] -m modcover.cli argv` on this checkout's sources."""
     return subprocess.run(
         [sys.executable, *flags, "-m", "modcover.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=timeout,
+        capture_output=True, text=True, env=checkout_env(), timeout=timeout,
     )
+
+
+def test_a_reader_that_closes_the_pipe_early_gets_no_traceback():
+    # 2,000 covers print far more than a pipe holds, so the writer is
+    # still printing when the reader stops after four lines
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "modcover.cli", "cover", "--module", "-"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=checkout_env(),
+    )
+    proc.stdin.write(b"free 2 over Z/2\n" * 2000)
+    proc.stdin.close()
+    lines = [proc.stdout.readline() for _ in range(4)]
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert lines[0].startswith(b"cover size")
+    assert err == b""
+    assert code == cli.EXIT_PIPE_CLOSED == 141
 
 
 @pytest.mark.parametrize(

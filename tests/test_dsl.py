@@ -1,7 +1,11 @@
 import pytest
 
-from modcover.dsl import parse_module, parse_ring
-from modcover.errors import ParseError
+from modcover import snf
+from modcover.dsl import parse_module, parse_presentation, parse_ring
+from modcover.errors import GuardExceeded, ParseError
+from modcover.modules import ModulePresentation, cyclic_sum, realize
+
+from test_stored_facts import _count_calls
 
 
 # -- rings --------------------------------------------------------------------
@@ -126,3 +130,61 @@ def test_presentation_round_trip():
         again = parse_module(m.presentation.to_dsl())
         assert again.size == m.size
         assert sorted(again.orders) == sorted(m.orders)
+
+
+# -- presentations -----------------------------------------------------------------
+
+# realizing it hangs in the Smith normal form (ROADMAP item 2)
+HANG = (
+    "module over Z/32: gens=4; rels=[(10,20,11,9), (13,26,5,6), (12,11,21,18), "
+    "(0,24,25,20), (12,8,19,14)]"
+)
+
+
+def test_parse_presentation_runs_no_smith_normal_form(monkeypatch):
+    calls = _count_calls(monkeypatch, ["abelian_quotient"], source=snf)
+
+    def hang(rows, ncols):
+        raise AssertionError("a Smith normal form ran, and on this text it would not end")
+
+    monkeypatch.setattr(snf, "smith_normal_form", hang)
+    pres = parse_presentation(HANG)
+    assert calls == {"abelian_quotient": 0}
+    assert (pres.ring.label, pres.num_generators, len(pres.relations)) == ("Z/32", 4, 5)
+    assert pres.relations[0] == ((10,), (20,), (11,), (9,))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "free 3 over Z/2 x Z/2",
+        "module over Z/2 x Z/3: gens=2; rels=[((1,0),(0,1)), (2,3)]",
+        "module over Z/2: gens=2; rels=[]",
+        "Z/2 (+) Z/6 (+) Z/3 over Z/6",
+    ],
+)
+def test_parse_module_realizes_the_parsed_presentation(text):
+    pres = parse_presentation(text)
+    m, want = parse_module(text), realize(pres)
+    assert m.presentation == pres
+    assert (m.orders, m.basis_act, m.label) == (want.orders, want.basis_act, want.label)
+
+
+def test_the_cyclic_sum_form_is_cyclic_sums_presentation():
+    pres = parse_presentation("Z/2 (+) Z/6 (+) Z/3 over Z/6")
+    ring = pres.ring
+    anns = [ring.scale(a, ring.one) for a in (2, 6, 3)]
+    assert pres == ModulePresentation.diagonal(ring, anns)
+    assert pres == cyclic_sum(ring, anns).presentation
+    assert pres.relations == (((2,), (0,), (0,)), ((0,), (0,), (0,)), ((0,), (0,), (3,)))
+
+
+def test_a_parse_error_wins_over_a_realize_guard():
+    # the whole text is parsed before R^k is realized
+    assert parse_presentation("free 100000000 over Z/3").num_generators == 100000000
+    with pytest.raises(GuardExceeded):
+        parse_module("free 100000000 over Z/3")
+    # over the realize-intermediate guard, and over the module-size guard
+    for text in ["free 100000000 over Z/3 junk", "free 13 over Z/2 )"]:
+        with pytest.raises(ParseError):
+            parse_module(text)

@@ -2,6 +2,9 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -366,3 +369,18 @@ def test_seed_1_report_matches_the_recorded_digests():
     got += [_digest(run_hdim_pairs([p])) for p in pairs]
     assert len(got) == len(want) == 250
     assert got == want
+
+
+def test_importing_modcover_leaves_the_process_pool_unloaded():
+    # only a parallel run_suite needs concurrent.futures, and only
+    # reports_to_csv needs csv
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    probe = "import sys, modcover; print(sorted({'concurrent.futures', 'csv'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
