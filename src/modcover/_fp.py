@@ -1,10 +1,14 @@
-"""Linear algebra over F_p, on vectors given as sequences of integers.
+"""Linear algebra over F_p, on vectors given as sequences of integers,
+and `combine`, modcover's one routine that sums a vector from rows.
 
-A linear map is given by the images of the basis vectors. The ring layer
-uses these helpers to split R/pR into its local factors, to find its
-radical, to certify each residue field R/m from the Frobenius of R/pR (or
-from the kernels of that Frobenius, when R/m is R/pR itself) and to build
-it as R/pR modulo the image of m.
+A linear map is given by the images of the basis vectors. `combine` sums
+Σ_t x_t·rows[t] in ⊕ Z/d over sparse or dense rows: every product,
+image and multiple of a basis table, every Smith-form coordinate and
+every power of the Frobenius in the library is one such sum. The ring
+layer uses the F_p helpers to split R/pR into its local factors, to
+find its radical, to certify each residue field R/m from the Frobenius
+of R/pR (or from the kernels of that Frobenius, when R/m is R/pR
+itself) and to build it as R/pR modulo the image of m.
 """
 
 from __future__ import annotations
@@ -16,6 +20,19 @@ from functools import cache
 def basis_vectors(rank: int) -> tuple:
     """The coordinate tuples of the additive basis e_0, ..., e_{rank-1}."""
     return tuple(tuple(int(s == t) for s in range(rank)) for t in range(rank))
+
+
+def combine(x, rows, orders) -> tuple:
+    """Σ_t x_t·rows[t] reduced mod `orders`, where each rows[t] holds the
+    (s, v) entries of a vector: the nonzero entries of a sparse basis
+    row, or ``tuple(enumerate(y))`` for a dense vector y. A zero x_t reads
+    nothing, and neither x nor the rows need be reduced."""
+    acc = [0] * len(orders)
+    for xt, row in zip(x, rows):
+        if xt:
+            for s, v in row:
+                acc[s] += xt * v
+    return tuple([a % d for a, d in zip(acc, orders)])
 
 
 def _echelon(rows, p) -> tuple:
@@ -74,17 +91,6 @@ def _fixed_space(images, p) -> list:
         [tuple((v - (i == j)) % p for i, v in enumerate(img)) for j, img in enumerate(images)],
         p,
     )
-
-
-def _apply(images, x, p) -> tuple:
-    """The image of x under the linear map sending the j-th basis vector
-    to images[j]."""
-    acc = [0] * len(images[0])
-    for xj, img in zip(x, images):
-        if xj:
-            for i, v in enumerate(img):
-                acc[i] += xj * v
-    return tuple(a % p for a in acc)
 
 
 def _power(mul, x, n: int):

@@ -21,7 +21,7 @@ additive span of the multiples a·e_t read off the module table
 (`ideal_action`); a span over a mask that contains mM is the additive
 closure of the vectors v and of the b_i·v over R/m's span columns, which
 over F_p are none (`_residue_span`); and the multiples c·u over R/m are
-combinations of the f vectors b_i·u over its residue columns
+each one `combine` of the f vectors b_i·u over its residue columns
 (`_field_multiples`).
 """
 
@@ -33,6 +33,7 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 
+from ._fp import combine
 from .errors import GuardExceeded
 from .rings import (
     FiniteRing,
@@ -71,6 +72,9 @@ class ModulePresentation:
     relations: tuple  # each a num_generators-tuple of ring coordinate tuples
 
     def __post_init__(self):
+        k = self.num_generators
+        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+            raise ValueError(f"generator count {k!r} is not an int >= 0")
         r = self.ring.rank
         for rel in self.relations:
             if not isinstance(rel, tuple) or len(rel) != self.num_generators:
@@ -89,6 +93,19 @@ class ModulePresentation:
             for i, a in enumerate(annihilators)
         )
         return cls(ring, k, rels)
+
+    def direct_sum(self, other: ModulePresentation) -> ModulePresentation:
+        """The block-diagonal presentation of the direct sum: the
+        generators of `self`, then those of `other`, each relation padded
+        with zeros on the other block."""
+        if not _same_ring(self.ring, other.ring):
+            raise ValueError("direct sum requires presentations over the same ring")
+        zero_a = (self.ring.zero,) * self.num_generators
+        zero_b = (self.ring.zero,) * other.num_generators
+        rels = tuple(rel + zero_b for rel in self.relations) + tuple(
+            zero_a + rel for rel in other.relations
+        )
+        return ModulePresentation(self.ring, self.num_generators + other.num_generators, rels)
 
     def to_dsl(self) -> str:
         def coord(c):
@@ -197,12 +214,16 @@ def cyclic_sum(ring: FiniteRing, annihilators) -> RealizedModule:
     return realize(ModulePresentation.diagonal(ring, annihilators))
 
 
+def _same_ring(r: FiniteRing, s: FiniteRing) -> bool:
+    """Whether r and s are one ring: the same object, or the same table,
+    whatever their labels."""
+    return r is s or (
+        r.additive_orders == s.additive_orders and r.mul_table == s.mul_table and r.one == s.one
+    )
+
+
 def direct_sum(a: RealizedModule, b: RealizedModule) -> RealizedModule:
-    if a.ring is not b.ring and (
-        a.ring.additive_orders != b.ring.additive_orders
-        or a.ring.mul_table != b.ring.mul_table
-        or a.ring.one != b.ring.one
-    ):
+    if not _same_ring(a.ring, b.ring):
         raise ValueError("direct sum requires modules over the same ring")
     ring = a.ring
     orders = a.orders + b.orders
@@ -212,13 +233,7 @@ def direct_sum(a: RealizedModule, b: RealizedModule) -> RealizedModule:
     ]
     pres = None
     if a.presentation is not None and b.presentation is not None:
-        ka, kb = a.presentation.num_generators, b.presentation.num_generators
-        zero_a = tuple(ring.zero for _ in range(ka))
-        zero_b = tuple(ring.zero for _ in range(kb))
-        rels = tuple(rel + zero_b for rel in a.presentation.relations) + tuple(
-            zero_a + rel for rel in b.presentation.relations
-        )
-        pres = ModulePresentation(ring, ka + kb, rels)
+        pres = a.presentation.direct_sum(b.presentation)
     return RealizedModule(
         ring, orders, basis_act, presentation=pres, label=f"({a.label}) (+) ({b.label})"
     )
@@ -358,10 +373,10 @@ def _interval(m: RealizedModule, bottom: int, em: int, radical, max_count) -> se
     y in C = Rx generates C exactly when y is not in m_e·C; once x is
     closed, every later index in C − m_e·C would only find C again, and
     each cyclic is still recorded by its least index. m_e·C = eJ·x is
-    the additive span of the a·x = Σ_i a_i (b_i·x), read off the images
-    b_i·x that close C, so it costs no product, and no closure when every
-    a·x is zero, as over a field, where there is no a. x = 0 clears only
-    itself.
+    the additive span of the a·x = Σ_i a_i (b_i·x), each one `combine`
+    of the images b_i·x that close C, so it costs no product, and no
+    closure when every a·x is zero, as over a field, where there is no a.
+    x = 0 clears only itself.
 
     For one S, the cyclics are walked by ascending mask, and a subset has
     the smaller mask. Say Ry is walked after Rx and y lies in T = S + Rx,
@@ -380,7 +395,8 @@ def _interval(m: RealizedModule, bottom: int, em: int, radical, max_count) -> se
         idx = (todo & -todo).bit_length() - 1
         images = m.images([m.element(idx)])
         cmask = m.shifts.closure(images)
-        moved = [y for y in (_combination(m, a, images) for a in radical) if any(y)]
+        rows = [tuple(enumerate(y)) for y in images] if radical else ()
+        moved = [y for y in (combine(a, rows, m.orders) for a in radical) if any(y)]
         below = m.shifts.closure(moved) if moved else 1  # m_e·C
         todo &= ~(cmask & ~below | 1 << idx)
         cyclics.setdefault(cmask, (idx, images))
@@ -401,18 +417,6 @@ def _interval(m: RealizedModule, bottom: int, em: int, radical, max_count) -> se
                 if len(lattice) > max_count:
                     raise _lattice_count_exceeded(max_count)
     return lattice
-
-
-def _combination(m: RealizedModule, a, images) -> tuple:
-    """Σ_i a_i images[i] in M, with no product: a·x for images[i] = b_i·x
-    (the images of x), and c·u for field coordinates c and images[j] the
-    b_i·u over R/m's residue columns (see `_field_multiples`)."""
-    acc = [0] * m.rank
-    for ai, y in zip(a, images):
-        if ai:
-            for t, yt in enumerate(y):
-                acc[t] += ai * yt
-    return tuple(v % d for v, d in zip(acc, m.orders))
 
 
 def _lattice_count_exceeded(max_count) -> GuardExceeded:
@@ -503,11 +507,11 @@ def _field_multiples(m: RealizedModule, factor: LocalFactor, u) -> list:
     the `LocalFactor` factor, c acting through its lift. The lift puts c
     on the residue columns and the action is bilinear, so c·u =
     Σ_j c_j (b_j·u) over those columns: f rows of M's table read, f the
-    field's degree, and a `_combination` per c. The c run over
-    F_p^f in the order of `itertools.product`, which is R/m's own."""
-    images = [m.row_image(i, u) for i in factor.residue_columns]
-    scalars = itertools.product(range(factor.p), repeat=len(images))
-    return [_combination(m, c, images) for c in scalars]
+    field's degree, and a `combine` of those f vectors per c. The c run
+    over F_p^f in the order of `itertools.product`, which is R/m's own."""
+    rows = [tuple(enumerate(m.row_image(i, u))) for i in factor.residue_columns]
+    scalars = itertools.product(range(factor.p), repeat=len(rows))
+    return [combine(c, rows, m.orders) for c in scalars]
 
 
 def _residue_span(m: RealizedModule, factor: LocalFactor):

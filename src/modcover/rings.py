@@ -6,14 +6,16 @@ arbitrary elements is the bilinear extension. Elements are plain integer
 tuples, reduced coordinate-wise. A ring is a module over itself, so
 `_Coordinates` serves rings and modules alike: arithmetic, element
 indices, the product of a basis table, spans and greedy generating
-sets, with the index codec built on the first mask read. Its `quotient`
-is modcover's one Smith normal form call site, and reads nothing but
-sparse basis rows, so R^k is realized from R's rows. A hand-built table
-is checked to be a ring (`FiniteRing._validate`); the constructors, the
-residue fields and `quotient_ring` build rings by construction and skip
-that check. All values are immutable after construction, so the
-constructors share one object per ring (see `_RingTable`) and each ring stores the facts derived from it:
-its local factors, maximal ideals and units. These come from linear
+sets, with the index codec built on the first mask read. Every product,
+image and multiple is one `_fp.combine` over the table's rows. Its
+`quotient` is modcover's one Smith normal form call site, and reads
+nothing but sparse basis rows, so R^k is realized from R's rows. A
+hand-built table is checked to be a ring (`FiniteRing._validate`); the
+constructors, the residue fields and `quotient_ring` build rings by
+construction and skip that check. All values are immutable after
+construction, so the constructors share one object per ring (see
+`_RingTable`) and each ring stores the facts derived from it: its
+local factors, maximal ideals and units. These come from linear
 algebra over F_p in R's own coordinates (see `_factor` and `_fp`), with
 no Smith normal form; R/pR multiplies by R's own product. Each local
 factor is one `LocalFactor` record: its idempotent e, its maximal ideal
@@ -34,7 +36,6 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property, reduce
 
 from ._fp import (
-    _apply,
     _echelon,
     _fixed_space,
     _frobenius,
@@ -44,6 +45,7 @@ from ._fp import (
     _power,
     _reduce,
     basis_vectors,
+    combine,
 )
 from .errors import GuardExceeded
 from .snf import abelian_quotient
@@ -164,9 +166,10 @@ class _Coordinates:
     additive basis and e_t this object's; for a ring the two bases are
     one. Products read it through `rows`, its sparse form: the nonzero
     (s, v) of each b_i · e_t, built when first read, so building a ring
-    or module pays nothing for it. `images` and `row_image` apply basis
-    rows to x directly, and `multiples` reads their columns with no
-    product. `quotient`, given the orders and rows of any such group,
+    or module pays nothing for it. Each read is one `combine`: `images`
+    and `row_image` apply basis rows to x directly, `multiples` reads
+    their columns with no product, and `_product` reads their entries in
+    turn. `quotient`, given the orders and rows of any such group,
     builds every realized module, quotient module and quotient ring.
     Elements are reduced coordinate tuples. A subset is a bitmask
     over the element indices, read through the `shifts` codec, which is
@@ -208,16 +211,10 @@ class _Coordinates:
 
     def _product(self, a, x) -> Element:
         """Σ a_i x_t (b_i · e_t): the table extended bilinearly to the
-        ring coordinates a and these coordinates x."""
-        acc = [0] * self.rank
-        for ai, row in zip(a, self.rows):
-            if ai:
-                for xt, entries in zip(x, row):
-                    if xt:
-                        c = ai * xt
-                        for s, v in entries:
-                            acc[s] += c * v
-        return tuple(v % d for v, d in zip(acc, self.orders))
+        ring coordinates a and these coordinates x, one `combine` over the
+        entries of the rows in turn."""
+        coefficients = [ai * xt for ai in a for xt in x]
+        return combine(coefficients, itertools.chain.from_iterable(self.rows), self.orders)
 
     # -- element indices (lexicographic on coordinates) --------------------
 
@@ -245,36 +242,17 @@ class _Coordinates:
         """The b_i · x over the ring basis, for each x in turn: additive
         generators of the ideal or submodule that the elements x
         generate. Each is Σ_t x_t (b_i · e_t), read off the basis row i."""
-        out = []
-        for x in elems:
-            nonzero = [(xt, t) for t, xt in enumerate(x) if xt]
-            for row in self.rows:
-                acc = [0] * self.rank
-                for xt, t in nonzero:
-                    for s, v in row[t]:
-                        acc[s] += xt * v
-                out.append(tuple(v % d for v, d in zip(acc, self.orders)))
-        return out
+        return [combine(x, row, self.orders) for x in elems for row in self.rows]
 
     def row_image(self, i, x) -> Element:
         """b_i · x = Σ_t x_t (b_i · e_t), read off the basis row i alone."""
-        acc = [0] * self.rank
-        for xt, entries in zip(x, self.rows[i]):
-            if xt:
-                for s, v in entries:
-                    acc[s] += xt * v
-        return tuple(v % d for v, d in zip(acc, self.orders))
+        return combine(x, self.rows[i], self.orders)
 
     def multiples(self, a) -> list:
         """The a · e_t over this object's basis e_t, for ring coordinates
-        a: each Σ_i a_i (b_i · e_t), read off the rows with no product."""
-        accs = [[0] * self.rank for _ in range(self.rank)]
-        for ai, row in zip(a, self.rows):
-            if ai:
-                for acc, entries in zip(accs, row):
-                    for s, v in entries:
-                        acc[s] += ai * v
-        return [tuple(v % d for v, d in zip(acc, self.orders)) for acc in accs]
+        a: each Σ_i a_i (b_i · e_t), read off column t of the rows with no
+        product."""
+        return [combine(a, column, self.orders) for column in zip(*self.rows)]
 
     def restrict(self, lift, rank) -> list:
         """The table over a quotient ring of rank `rank` that acts here:
@@ -290,20 +268,10 @@ class _Coordinates:
         u_j. Only the rows are read, so the ambient group need not be
         built: `realize` passes R^k's as R's, shifted into each block."""
 
-        def image(row, x):
-            acc = [0] * len(orders)
-            for xt, entries in zip(x, row):
-                if xt:
-                    for s, v in entries:
-                        acc[s] += xt * v
-            return acc
-
-        images = [
-            tuple([a % d for a, d in zip(image(row, x), orders)]) for x in gens for row in rows
-        ]
+        images = [combine(x, row, orders) for x in gens for row in rows]
         qorders, project, lift = abelian_quotient(orders, images)
         lifts = [lift(u) for u in basis_vectors(len(qorders))]
-        table = [[project(image(row, x)) for x in lifts] for row in rows]
+        table = [[project(combine(x, row, orders)) for x in lifts] for row in rows]
         return qorders, table, project, lift
 
     def span(self, elems, start=1) -> int:
@@ -954,8 +922,9 @@ def _primary_idempotents(ring, p, e_p) -> tuple:
 
     frobenius = _frobenius(mul, n, p)
     nil, reach = frobenius, p
+    images = [tuple(enumerate(y)) for y in frobenius]
     while reach < n:
-        nil = [_apply(frobenius, x, p) for x in nil]
+        nil = [combine(x, images, (p,) * n) for x in nil]
         reach *= p
     radical = _kernel(nil, p)
     radical_gens = [ring.scale(p, ring.one)] + [lift(r) for r in radical]

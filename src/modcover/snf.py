@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
+from ._fp import combine
+
 
 def smith_normal_form(rows: Sequence[Sequence[int]], ncols: int):
     """Diagonalize an integer matrix by unimodular row/column operations.
@@ -150,7 +152,8 @@ def abelian_quotient(
     coordinates; ``lift`` is a section of ``project``. With V the column
     transform of the Smith form, coordinate j of ``project(x)`` is x times
     column j of V, and the lift of basis vector j is row j of V⁻¹ reduced,
-    for the kept j: those whose diagonal entry is not 1. ``project`` is a
+    for the kept j: those whose diagonal entry is not 1. Each is one
+    `combine` over those columns or rows, kept sparse. ``project`` is a
     homomorphism from Z^r that kills each orders[i]·e_i, so x need not be
     reduced.
     """
@@ -165,24 +168,15 @@ def abelian_quotient(
     # columns of V and rows of V⁻¹ are those from `first` on
     first = diag.count(1)
     new_orders = tuple(diag[first:])
-    # row i of V on the kept columns: its nonzero (idx, V[i][first + idx])
+    # row i of V on the kept columns, and the kept rows of V⁻¹: their
+    # nonzero (idx, v), which `combine` sums
     vrows = [[(idx, v) for idx, v in enumerate(row[first:]) if v] for row in V]
-    lifts = Vinv[first:]
+    lifts = [[(i, v) for i, v in enumerate(row) if v] for row in Vinv[first:]]
 
     def project(x):
-        acc = [0] * len(new_orders)
-        for xi, row in zip(x, vrows):
-            if xi:
-                for idx, v in row:
-                    acc[idx] += xi * v
-        return tuple([a % d for a, d in zip(acc, new_orders)])
+        return combine(x, vrows, new_orders)
 
     def lift(c):
-        acc = [0] * r
-        for cj, row in zip(c, lifts):
-            if cj:
-                for i, v in enumerate(row):
-                    acc[i] += cj * v
-        return tuple([a % d for a, d in zip(acc, orders)])
+        return combine(c, lifts, orders)
 
     return new_orders, project, lift

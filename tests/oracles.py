@@ -16,7 +16,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from modcover import modules, rings
-from modcover._fp import _apply, _echelon, _fixed_space, _frobenius, _is_field, _kernel, _power
+from modcover._fp import _echelon, _fixed_space, _frobenius, _is_field, _kernel, _power
 from modcover.covering import CoverCertificate, SearchSpace, greedy_cover
 from modcover.modules import (
     RealizedModule,
@@ -961,6 +961,17 @@ def lift_idempotent(ring, e):
             return e
         e = ring.sub(ring.scale(3, square), ring.scale(2, ring.mul(square, e)))
     raise AssertionError(f"{ring.label}: idempotent lifting does not converge")
+
+
+def _apply(images, x, p) -> tuple:
+    """The image of x under the linear map sending the j-th basis vector
+    to images[j], by the dense loop the library once used."""
+    acc = [0] * len(images[0])
+    for xj, img in zip(x, images):
+        if xj:
+            for i, v in enumerate(img):
+                acc[i] += xj * v
+    return tuple(a % p for a in acc)
 
 
 def primary_idempotents_by_algebra(ring, p, e_p) -> tuple:

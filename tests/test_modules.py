@@ -167,6 +167,14 @@ def test_presentation_rejects_malformed_relation_entries(ring, relation, message
         ModulePresentation(ring, 1, (relation,))
 
 
+@pytest.mark.parametrize("gens", [-2, True, 2.0])
+def test_presentation_rejects_a_bad_generator_count(gens):
+    # a negative count would realize as the zero module under a label that
+    # does not parse back; a bool or a float is not a count
+    with pytest.raises(ValueError, match="generator count"):
+        ModulePresentation(ring_zmod(4), gens, ())
+
+
 def test_realize_intermediate_guard(monkeypatch):
     # |R|^k is capped before the Smith normal form runs, also when the
     # relations would leave a small module
@@ -591,8 +599,8 @@ def test_all_submodules_reads_no_multiple_over_a_product_of_fields(monkeypatch):
 
     m = parse_module("free 2 over Z/6")
     calls = []
-    combination = modcover.modules._combination
-    monkeypatch.setattr(modcover.modules, "_combination", counted(combination, calls))
+    combine = modcover.modules.combine
+    monkeypatch.setattr(modcover.modules, "combine", counted(combine, calls))
     assert len(all_submodules(m)) == 5 * 6
     assert calls == []
 
@@ -937,6 +945,7 @@ def test_localized_invariants_match_s_entries():
 
 def test_direct_sum_size_and_presentation_round_trip():
     from modcover.dsl import parse_module
+    from modcover.harness import HDIM_PAIR_BUDGET, corpus_generate, hdim_pairs_from_specs
 
     a = zmod_module(6, [2])
     b = zmod_module(6, [3, 6])
@@ -948,6 +957,28 @@ def test_direct_sum_size_and_presentation_round_trip():
     # so compare isomorphism invariants rather than raw coordinates
     assert length(again) == length(c)
     assert hdim(again) == hdim(c)
+
+    # over the seed-1 hdim pairs within their budget, the block-diagonal
+    # presentation realizes a module of direct_sum's size and invariants,
+    # unless R^(ka + kb) is past the guard that caps the Smith form
+    def invariants(m):
+        return [(e.ideal.members, e.multiplicity) for e in semisimple_invariants(m)]
+
+    checked = 0
+    for spec_a, spec_b in hdim_pairs_from_specs(corpus_generate(1, 200), 50):
+        a, b = spec_a.module, spec_b.module
+        if a.size * b.size > HDIM_PAIR_BUDGET:
+            continue
+        try:
+            summed = realize(a.presentation.direct_sum(b.presentation))
+        except GuardExceeded as exc:
+            assert exc.guard == "realize-intermediate"
+            continue
+        c = direct_sum(a, b)
+        assert summed.presentation == c.presentation
+        assert (summed.size, invariants(summed)) == (c.size, invariants(c))
+        checked += 1
+    assert checked >= 30  # 32 of the 34 within budget
 
 
 def test_direct_sum_requires_same_ring():
@@ -966,6 +997,8 @@ def test_direct_sum_rejects_different_rings_with_one_label():
     b = free_module(relabelled(ring_product(ring_zmod(2), ring_zmod(2)), "R"), 1)
     with pytest.raises(ValueError):
         direct_sum(a, b)
+    with pytest.raises(ValueError, match="same ring"):
+        a.presentation.direct_sum(b.presentation)
 
 
 def test_direct_sum_accepts_a_rebuilt_copy_of_the_ring():

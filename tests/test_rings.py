@@ -12,6 +12,7 @@ from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_factor
 
 from modcover import rings
+from modcover._fp import combine
 from modcover.cli import main
 from modcover.dsl import parse_ring
 from modcover.modules import direct_sum, free_module, quotient_module, submodule_generated
@@ -383,6 +384,47 @@ def sample_elements(x, rng, count=6) -> list:
     if isinstance(x, FiniteRing):
         sample.append(x.one)
     return sample
+
+
+def dense_combination(x, vectors, orders) -> tuple:
+    """Σ_t x_t vectors[t] mod orders, summed over every coordinate of the
+    dense vectors, zero coefficients and entries included."""
+    return tuple(sum(xt * y[s] for xt, y in zip(x, vectors)) % d for s, d in enumerate(orders))
+
+
+class Unread:
+    """A row that fails when read."""
+
+    def __iter__(self):
+        raise AssertionError("a row was read for a zero coefficient")
+
+
+def test_combine_matches_the_dense_loop():
+    # coefficients and entries negative and unreduced, as V and V⁻¹ carry,
+    # over sparse rows and dense `enumerate` rows alike
+    rng = random.Random(30)
+    for _ in range(300):
+        orders = tuple(rng.randrange(1, 13) for _ in range(rng.randrange(1, 6)))
+        vectors = [
+            tuple(rng.randrange(-40, 41) for _ in orders) for _ in range(rng.randrange(0, 6))
+        ]
+        x = [rng.choice([0, rng.randrange(-30, 31)]) for _ in vectors]
+        want = dense_combination(x, vectors, orders)
+        sparse = [[(s, v) for s, v in enumerate(y) if v] for y in vectors]
+        assert combine(x, sparse, orders) == want
+        assert combine(x, [tuple(enumerate(y)) for y in vectors], orders) == want
+        assert all(0 <= v < d for v, d in zip(want, orders))
+
+
+def test_combine_reads_no_row_for_a_zero_coefficient():
+    assert combine((0, 0, 0), [Unread()] * 3, (4, 6)) == (0, 0)
+    assert combine((0, 5), [Unread(), [(1, -3)]], (4, 6)) == (0, 3)
+
+
+def test_combine_over_empty_orders_is_empty():
+    # the trivial quotient's `project`: no kept column, so every row is empty
+    assert combine((3, -1), [(), ()], ()) == ()
+    assert combine((), [], ()) == ()
 
 
 def assert_products_are_dense(x, rng):

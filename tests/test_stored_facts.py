@@ -521,6 +521,38 @@ def test_the_library_has_no_bare_assert():
     assert bare == []
 
 
+def test_the_library_sums_rows_in_one_place():
+    # `_fp.combine` is the one routine that sums a vector from rows; the
+    # Smith form's column step (`add_col`) is the elimination itself. No
+    # other function holds a `target[...] += a * b` accumulation
+    src = Path(__file__).resolve().parents[1] / "src" / "modcover"
+    files = sorted(src.glob("*.py"))
+    assert files
+    allowed = {("_fp.py", "combine"), ("snf.py", "add_col")}
+    loops = []
+    for path in files:
+        tree = ast.parse(path.read_text(), str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef) or (path.name, fn.name) in allowed:
+                continue
+            # the statements of fn itself, not of the functions it defines
+            work = list(ast.iter_child_nodes(fn))
+            while work:
+                node = work.pop()
+                if isinstance(node, ast.FunctionDef):
+                    continue
+                if (
+                    isinstance(node, ast.AugAssign)
+                    and isinstance(node.op, ast.Add)
+                    and isinstance(node.target, ast.Subscript)
+                    and isinstance(node.value, ast.BinOp)
+                    and isinstance(node.value.op, ast.Mult)
+                ):
+                    loops.append(f"{path.name}:{node.lineno} {fn.name}")
+                work.extend(ast.iter_child_nodes(node))
+    assert loops == []
+
+
 def test_the_library_reads_every_name_it_imports():
     # an import left behind by a refactor hides what a module depends on;
     # `__init__.py` imports its names to re-export them
