@@ -244,20 +244,7 @@ def cmd_cover(args) -> int:
 def cmd_corpus(args) -> int:
     specs = corpus_generate(args.seed, args.count, args.max_ring, args.max_module)
     if args.json:
-        print(
-            json.dumps(
-                [
-                    {
-                        "ring": s.ring_expr,
-                        "module": s.module_expr,
-                        "seed": s.seed,
-                        "provenance": s.provenance,
-                    }
-                    for s in specs
-                ],
-                indent=2,
-            )
-        )
+        print(json.dumps([s.record() for s in specs], indent=2))
     else:
         for s in specs:
             print(s.module_expr)

@@ -79,6 +79,15 @@ class InstanceSpec:
     def __reduce__(self):
         return InstanceSpec, (self.ring_expr, self.module_expr, self.seed, self.provenance)
 
+    def record(self) -> dict:
+        """The instance as a JSON record, in `corpus --json` key order."""
+        return {
+            "ring": self.ring_expr,
+            "module": self.module_expr,
+            "seed": self.seed,
+            "provenance": self.provenance,
+        }
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -86,6 +95,10 @@ class CheckResult:
     status: str
     details: dict
     ms: float
+
+    def record(self) -> dict:
+        """The result as a JSON record."""
+        return {"check": self.check, "status": self.status, "details": self.details, "ms": self.ms}
 
 
 @dataclass(frozen=True)
@@ -486,31 +499,12 @@ def reports_to_json(reports, summary, extra_results=()) -> str:
     payload = {
         "summary": summary,
         "reports": [
-            {
-                "instance": {
-                    "ring": r.instance.ring_expr,
-                    "module": r.instance.module_expr,
-                    "seed": r.instance.seed,
-                    "provenance": r.instance.provenance,
-                },
-                "checks": [
-                    {
-                        "check": c.check,
-                        "status": c.status,
-                        "details": c.details,
-                        "ms": c.ms,
-                    }
-                    for c in r.results
-                ],
-            }
+            {"instance": r.instance.record(), "checks": [c.record() for c in r.results]}
             for r in reports
         ],
     }
     if extra_results:
-        payload["pair_checks"] = [
-            {"check": c.check, "status": c.status, "details": c.details, "ms": c.ms}
-            for c in extra_results
-        ]
+        payload["pair_checks"] = [c.record() for c in extra_results]
     return json.dumps(payload, indent=2, sort_keys=True)
 
 

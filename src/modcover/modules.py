@@ -41,7 +41,6 @@ from .rings import (
     LocalFactor,
     _Coordinates,
     _greedy,
-    basis_vectors,
     ideal_generated,
     local_factor,
     local_factorization,
@@ -125,12 +124,12 @@ class RealizedModule(_Coordinates):
         size, guard = math.prod(orders), module_size_guard()
         if size > guard:
             raise GuardExceeded("module-size", f"|M| = {size} exceeds guard {guard}")
+        self.label = label or (presentation.to_dsl() if presentation else "module")
         # basis_act[i][t] = coords of (ring basis b_i) . (module basis e_t)
-        super().__init__(orders, basis_act)
+        super().__init__(orders, basis_act, ring.rank)
         self.basis_act = self.table
         self.ring = ring
         self.presentation = presentation
-        self.label = label or (presentation.to_dsl() if presentation else "module")
         self._maximal_submodules = None
         self._semisimple_invariants = None
         self._cyclic = None
@@ -139,36 +138,11 @@ class RealizedModule(_Coordinates):
     act = _Coordinates._product
 
     def axiom_check(self):
-        """Check the module laws exactly, in O(r^2 k) basis actions; raises
-        ValueError naming the first law that fails.
-
-        `act` is the bilinear extension of `basis_act` to coordinate
-        representatives. It is well defined on R x M, hence distributive in
-        both arguments, exactly when d_i (b_i e_t) = 0 and d'_t (b_i e_t) = 0
-        for the additive orders d_i of R and d'_t of M. Then 1x = x and
-        (ab)x = a(bx) hold on all elements once they hold on the bases, so
-        these checks are complete. Realized, quotient, direct-sum and
-        localized modules are modules by construction, so the constructor
-        does not run it.
-        """
-        ring = self.ring
-        bs = basis_vectors(ring.rank)
-        for t, e in enumerate(basis_vectors(self.rank)):
-            if self.act(ring.one, e) != e:
-                raise ValueError(f"{self.label}: 1x = x fails at x = e_{t}")
-            for i, (b, d) in enumerate(zip(bs, ring.additive_orders)):
-                v = self.act(b, e)
-                if self.scale(d, v) != self.zero or self.scale(self.orders[t], v) != self.zero:
-                    raise ValueError(
-                        f"{self.label}: b_{i} e_{t} is not killed by d_{i} and d'_{t}, "
-                        "so the action is not well defined (distributivity fails)"
-                    )
-                for j, c in enumerate(bs):
-                    if self.act(ring.mul(b, c), e) != self.act(b, self.act(c, e)):
-                        raise ValueError(
-                            f"{self.label}: (ab)x = a(bx) fails at a = b_{i}, "
-                            f"b = b_{j}, x = e_{t}"
-                        )
+        """Check the module laws exactly, by `check_laws` over `ring`;
+        raises ValueError naming the first law that fails. Realized,
+        quotient, direct-sum and localized modules are modules by
+        construction, so the constructor does not run it."""
+        self.check_laws(self.ring)
 
     def __repr__(self):
         return f"RealizedModule({self.label}, |M|={self.size})"

@@ -9,10 +9,13 @@ indices, the product of a basis table, spans and greedy generating
 sets, with the index codec built on the first mask read. Every product,
 image and multiple is one `_fp.combine` over the table's rows. Its
 `quotient` is modcover's one Smith normal form call site, and reads
-nothing but sparse basis rows, so R^k is realized from R's rows. A
-hand-built table is checked to be a ring (`FiniteRing._validate`); the
-constructors, the residue fields and `quotient_ring` build rings by
-construction and skip that check. All values are immutable after
+nothing but sparse basis rows, so R^k is realized from R's rows. Every
+table, a ring's or a module's, passes one shape rule when built, and one
+law check (`_Coordinates.check_laws`) tells whether R acting through it
+is a module. A hand-built table is checked to be a ring: commutative,
+and R a module over itself (`FiniteRing._validate`); the constructors,
+the residue fields and `quotient_ring` build rings by construction and
+skip that check. All values are immutable after
 construction, so the constructors share one object per ring (see
 `_RingTable`) and each ring stores the facts derived from it: its
 local factors, maximal ideals and units. These come from linear
@@ -112,10 +115,6 @@ class _Shifts:
             if c
         ]
 
-    def translate(self, mask: int, x) -> int:
-        """The mask of {y + x : y in mask}; x a reduced coordinate tuple."""
-        return _rotate(mask, self.moves(x))
-
     def closure(self, gens, start: int = 1) -> int:
         """Mask of the subgroup generated by the subgroup `start` and the
         gens (reduced coordinate tuples), by doubling.
@@ -174,14 +173,31 @@ class _Coordinates:
     Elements are reduced coordinate tuples. A subset is a bitmask
     over the element indices, read through the `shifts` codec, which is
     built on the first mask read.
+
+    A ring and a module are accepted by the same two rules. The shape
+    rule, run on every construction: the table has one row per basis
+    element of the ring that acts, `ring_rank` of them, and each row has
+    one entry per e_t, each of this object's rank. The law check,
+    `check_laws`, run on demand: the ring acting through the table is a
+    module.
     """
 
-    def __init__(self, orders, table):
+    label = "table"  # a ring or a module names itself in the errors
+
+    def __init__(self, orders, table, ring_rank):
         self.orders = orders
-        self.rank = len(orders)
+        self.rank = r = len(orders)
         self.size = math.prod(orders)
-        self.zero = (0,) * self.rank
+        self.zero = (0,) * r
         self.table = tuple(tuple(self.reduce(v) for v in row) for row in table)
+        # `reduce` zips, so an entry of the wrong length would be cut short
+        if len(table) != ring_rank or any(
+            len(row) != r or any(len(v) != r for v in row) for row in table
+        ):
+            raise ValueError(
+                f"{self.label}: the table must be {ring_rank} x {r}, "
+                f"with each entry of length {r}"
+            )
 
     # -- additive structure ------------------------------------------------
 
@@ -190,9 +206,6 @@ class _Coordinates:
 
     def add(self, x, y) -> Element:
         return tuple((a + b) % d for a, b, d in zip(x, y, self.orders))
-
-    def neg(self, x) -> Element:
-        return tuple((-a) % d for a, d in zip(x, self.orders))
 
     def sub(self, x, y) -> Element:
         return tuple((a - b) % d for a, b, d in zip(x, y, self.orders))
@@ -274,6 +287,42 @@ class _Coordinates:
         table = [[project(combine(x, row, orders)) for x in lifts] for row in rows]
         return qorders, table, project, lift
 
+    def check_laws(self, ring):
+        """Check exactly that `ring` (R) acting through the table is a
+        module, on the basis triples (b_i, b_j, e_t); raises ValueError
+        naming the first law that fails.
+
+        `_product` is the bilinear extension of the table to coordinate
+        representatives. It is well defined on R x ⊕ Z/d'_t, hence
+        distributive in both arguments, exactly when d_i·(b_i·e_t) = 0
+        and d'_t·(b_i·e_t) = 0 for R's additive orders d_i. Then 1·x = x
+        is linear in x and (ab)·x = a·(b·x) trilinear in a, b, x, so they
+        hold on all elements once they hold on the bases: 1·e_t = e_t and
+        (b_i b_j)·e_t = b_i·(b_j·e_t). So these checks are complete. They
+        read R's product only on basis pairs, so R acting on itself runs
+        them too: with a commutative table they are the ring laws (see
+        `FiniteRing._validate`).
+        """
+        label = self.label
+        for t, (x, e) in enumerate(zip(self.multiples(ring.one), basis_vectors(self.rank))):
+            if x != e:
+                raise ValueError(f"{label}: 1x = x fails at x = e_{t}")
+        for i, (d, row) in enumerate(zip(ring.orders, self.table)):
+            for t, (v, d_t) in enumerate(zip(row, self.orders)):
+                if self.scale(d, v) != self.zero or self.scale(d_t, v) != self.zero:
+                    raise ValueError(
+                        f"{label}: b_{i} e_{t} is not killed by d_{i} and d'_{t}, "
+                        "so the action is not well defined (distributivity fails)"
+                    )
+        for i, products in enumerate(ring.table):
+            for j, b_ij in enumerate(products):
+                for t, x in enumerate(self.multiples(b_ij)):
+                    if x != self.row_image(i, self.table[j][t]):
+                        raise ValueError(
+                            f"{label}: (ab)x = a(bx) fails at a = b_{i}, "
+                            f"b = b_{j}, x = e_{t}"
+                        )
+
     def span(self, elems, start=1) -> int:
         """Mask of the ideal or submodule generated by the elements and
         the ideal or submodule mask `start`: the additive span of their
@@ -305,32 +354,30 @@ def _greedy(coords: _Coordinates, members: int, start: int, span) -> tuple:
 
 class FiniteRing(_Coordinates):
     """A ring given by its additive orders d_i, the products b_i b_j of
-    its basis as coordinate tuples, and its one. With `validate` (the
-    default) the table is checked to be a ring; the constructors pass
-    False for the rings they build by construction."""
+    its basis as coordinate tuples, and its one: a module over itself,
+    so its table passes `_Coordinates`' shape rule with r rows. With
+    `validate` (the default) the table is checked to be a ring; the
+    constructors pass False for the rings they build by construction."""
 
     def __init__(self, additive_orders, mul_table, one, label, *, validate=True):
+        self.label = label
         orders = tuple(int(d) for d in additive_orders)
         if not orders or any(d < 2 for d in orders):
             raise ValueError("additive orders must be a nonempty list of integers >= 2")
         size = math.prod(orders)
         if size > RING_SIZE_GUARD:
-            raise GuardExceeded("ring-size", f"|R| = {size} exceeds guard {RING_SIZE_GUARD}")
-        # `reduce` zips, so a tuple of the wrong length would be truncated
+            raise GuardExceeded(
+                "ring-size", f"|{label}| = {size} exceeds guard {RING_SIZE_GUARD}"
+            )
         r = len(orders)
-        if (
-            len(one) != r
-            or len(mul_table) != r
-            or any(len(row) != r or any(len(e) != r for e in row) for row in mul_table)
-        ):
+        if len(one) != r:  # `reduce` would cut it short
             raise ValueError(
                 f"{label}: the table must be {r} x {r}, and one and each entry of length {r}"
             )
-        super().__init__(orders, mul_table)
+        super().__init__(orders, mul_table, r)
         self.additive_orders = self.orders
         self.mul_table = self.table
         self.one = self.reduce(one)
-        self.label = label
         self._units = None  # frozenset, built from `unit_mask` when asked for
         self._local_factors = None  # maximal-ideal mask -> LocalFactor
         self._maximal_ideals = None  # tuple, sorted by members
@@ -370,32 +417,16 @@ class FiniteRing(_Coordinates):
     # -- validation ----------------------------------------------------------
 
     def _validate(self):
-        """Check the ring laws exactly, in O(r^3) basis products.
-
-        `mul` is the bilinear extension of the table to coordinate
-        representatives. It is well defined on ⊕ Z/d_i, hence distributive,
-        exactly when d_i * (b_i b_j) = 0 for all i, j; by bilinearity the
-        unit law, commutativity and associativity then hold on all elements
-        once they hold on the basis. So these checks are complete.
+        """Check the ring laws exactly: a commutative basis table, and R a
+        module over itself through it (`check_laws`). With the table
+        commutative, the module laws are the ring laws: 1 is a unit on
+        either side, the product is well defined on ⊕ Z/d_i, hence
+        distributive on either side, and associative.
         """
-        r = self.rank
-        bs = basis_vectors(r)
-        for i, d in enumerate(self.additive_orders):
-            if self.mul(self.one, bs[i]) != bs[i]:
-                raise ValueError(f"{self.label}: 1*b_{i} != b_{i}")
-            for j in range(r):
-                if self.mul_table[i][j] != self.mul_table[j][i]:
-                    raise ValueError(f"{self.label}: basis product not commutative")
-                if self.scale(d, self.mul_table[i][j]) != self.zero:
-                    raise ValueError(
-                        f"{self.label}: d_{i} * b_{i}b_{j} != 0, so the product "
-                        "is not well defined (distributivity fails)"
-                    )
-                for k in range(r):
-                    lhs = self.mul(self.mul(bs[i], bs[j]), bs[k])
-                    rhs = self.mul(bs[i], self.mul(bs[j], bs[k]))
-                    if lhs != rhs:
-                        raise ValueError(f"{self.label}: basis product not associative")
+        table = self.table
+        if any(table[i][j] != table[j][i] for i in range(self.rank) for j in range(i)):
+            raise ValueError(f"{self.label}: basis product not commutative")
+        self.check_laws(self)
 
 
 # -- ideals ------------------------------------------------------------------
@@ -443,10 +474,6 @@ def ideal_generated(ring: FiniteRing, gens) -> Ideal:
     return Ideal(ring, ring.span(gens), tuple(sorted(gens)))
 
 
-def zero_ideal(ring: FiniteRing) -> Ideal:
-    return Ideal(ring, 1, ())  # zero is bit 0
-
-
 # -- constructors --------------------------------------------------------------
 
 
@@ -487,8 +514,6 @@ def _build_zmod(n):
     # Z/n is a ring, so construction skips `_validate`
     if n < 2:
         raise ValueError(f"Z/{n}: modulus must be at least 2")
-    if n > RING_SIZE_GUARD:
-        raise GuardExceeded("ring-size", f"Z/{n} exceeds guard {RING_SIZE_GUARD}")
     return FiniteRing([n], [[(1,)]], (1,), f"Z/{n}", validate=False)
 
 
@@ -608,10 +633,6 @@ def ring_product(a: FiniteRing, b: FiniteRing) -> FiniteRing:
 
 def _build_product(a, b):
     # a product of two rings is a ring, so construction skips `_validate`
-    if a.size * b.size > RING_SIZE_GUARD:
-        raise GuardExceeded(
-            "ring-size", f"|{a.label} x {b.label}| exceeds guard {RING_SIZE_GUARD}"
-        )
     ra, rb = a.rank, b.rank
     zero_a, zero_b = a.zero, b.zero
     table = []
@@ -650,7 +671,7 @@ def quotient_ring(ring: FiniteRing, ideal: Ideal):
     qorders, action, project, lift = _Coordinates.quotient(ring.orders, ring.rows, ideal.spanning)
     if not qorders:
         raise ValueError("quotient by the unit ideal is the zero ring")
-    table = _Coordinates(qorders, action).restrict(lift, len(qorders))
+    table = _Coordinates(qorders, action, ring.rank).restrict(lift, len(qorders))
     label = f"({ring.label})/<{','.join(str(g) for g in ideal.spanning)}>"
     q = FiniteRing(qorders, table, project(ring.one), label, validate=False)
     return q, project, lift

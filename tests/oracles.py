@@ -662,7 +662,7 @@ def free_coordinates(ring, k):
         ]
         for b in basis_vectors(ring.rank)
     ]
-    return _Coordinates(tuple(ring.additive_orders) * k, table)
+    return _Coordinates(tuple(ring.additive_orders) * k, table, ring.rank)
 
 
 # -- the dense quotient route --------------------------------------------------------
@@ -830,7 +830,7 @@ def quotient_ring_by_dense_table(ring, ideal):
     """``(quotient, project, lift)`` for R/I as `quotient_ring` builds it,
     with `quotient_by_dense_table` for its quotient."""
     orders, action, project, lift = quotient_by_dense_table(ring, ideal.spanning)
-    table = _Coordinates(orders, action).restrict(lift, len(orders))
+    table = _Coordinates(orders, action, ring.rank).restrict(lift, len(orders))
     q = FiniteRing(orders, table, project(ring.one), "quotient", validate=False)
     return q, project, lift
 
@@ -949,7 +949,7 @@ def algebra(ring, p) -> _Coordinates:
     table on them read mod p as its structure constants."""
     support = rings._support(ring, p)
     table = [[[ring.mul_table[i][j][s] for s in support] for j in support] for i in support]
-    return _Coordinates((p,) * len(support), table)
+    return _Coordinates((p,) * len(support), table, len(support))
 
 
 def lift_idempotent(ring, e):

@@ -160,6 +160,21 @@ def test_stdin_batch(capsys, monkeypatch):
     assert sizes == [3, 4]
 
 
+def test_module_info_reads_one_expression_per_stdin_line(capsys, monkeypatch):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO("free 1 over Z/2\n\nfree 2 over Z/3\n"))
+    code, out, _ = run(capsys, "module-info", "-", "--json")
+    assert code == 0
+    decoder = json.JSONDecoder()
+    sizes, pos = [], 0
+    while pos < len(out.strip()):
+        payload, end = decoder.raw_decode(out, pos)
+        sizes.append(payload["size"])
+        pos = end + 1
+    assert sizes == [2, 9]
+
+
 @pytest.mark.parametrize("text,q", [("GF(2^9)", 512), ("GF(2^12)", 4096), ("GF(3^7)", 2187)])
 def test_ring_info_on_fields_of_degree_above_8(capsys, text, q):
     code, out, _ = run(capsys, "ring-info", text, "--json")
@@ -204,6 +219,14 @@ def test_guard_exceeded_exit_3(capsys, monkeypatch):
     code, _, err = run(capsys, "module-info", "free 2 over Z/6")
     assert code == 3
     assert "guard" in err
+
+
+@pytest.mark.parametrize("text", ["Z/4097", "Z/65536", "Z/" + "9" * 40, "Z/64 x Z/128"])
+def test_the_ring_size_guard_trips_on_the_ring_being_built(capsys, text):
+    # Z/n and products check no size of their own: the ring's constructor does
+    code, _, err = run(capsys, "ring-info", text)
+    assert code == 3
+    assert err.startswith("guard exceeded (ring-size)")
 
 
 def checkout_env() -> dict:

@@ -39,6 +39,7 @@ from modcover.modules import (
 )
 from modcover.rings import (
     FiniteRing,
+    Ideal,
     _Coordinates,
     _Shifts,
     basis_vectors,
@@ -76,9 +77,7 @@ def brute_submodule_masks(m):
         ok = True
         for i in members:
             for j in members:
-                d = m.index_of(
-                    m.add(elems[i], m.neg(elems[j]))
-                )
+                d = m.index_of(m.sub(elems[i], elems[j]))
                 if not bits >> d & 1:
                     ok = False
                     break
@@ -1053,9 +1052,7 @@ def test_ideal_action_pointwise_on_mixed_module():
     assert len(members) == 2
     assert all(m.add(x, x) == m.zero for x in members)
 
-    from modcover.rings import zero_ideal
-
-    assert ideal_action(m, zero_ideal(m.ring)).size == 1
+    assert ideal_action(m, Ideal(m.ring, 1, ())).size == 1
 
 
 def test_ideal_annihilates_residue_power():
@@ -1143,6 +1140,23 @@ BROKEN_UNIT_LAW = (
 )
 
 
+# neither a non-associative table nor a wrong-shaped one may rest on asserts
+BROKEN_TABLES = (
+    "from modcover.modules import RealizedModule\n"
+    "from modcover.rings import FiniteRing, ring_zmod\n"
+    "one, x, y, zero = (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)\n"
+    "builds = [\n"
+    "    lambda: FiniteRing([2, 2, 2], [[one, x, y], [x, zero, one], [y, one, zero]], one, 'R'),\n"
+    "    lambda: RealizedModule(ring_zmod(4), [4], [[(1,)], [(1,)]]),\n"
+    "]\n"
+    "for build in builds:\n"
+    "    try:\n"
+    "        build()\n"
+    "    except ValueError as exc:\n"
+    "        print('raised', exc)\n"
+)
+
+
 def assert_the_regular_module_is_the_ring(R):
     # R as a module over itself: its submodules are the ideals, and its
     # maximal submodules the maximal ideals
@@ -1167,6 +1181,20 @@ def test_the_regular_module_is_the_ring_on_polynomial_quotients(q):
     for f in monic_polynomials(q):
         if q ** (len(f) - 1) <= 64:
             assert_the_regular_module_is_the_ring(poly_ring(q, f))
+
+
+@pytest.mark.parametrize(
+    "orders, basis_act",
+    [
+        ((4, 4), [[(1,), (0, 1)]]),  # an entry too short
+        ((4,), [[(1,)], [(1,)]]),  # two rows for a ring of rank 1
+        ((4, 4), [[(1, 0)]]),  # one entry for a module of rank 2
+        ((4,), [[(1, 0)]]),  # an entry too long
+    ],
+)
+def test_rejects_a_table_of_the_wrong_shape(orders, basis_act):
+    with pytest.raises(ValueError, match="the table must be 1 x"):
+        RealizedModule(ring_zmod(4), orders, basis_act)
 
 
 def test_axiom_check_raises_on_a_broken_unit_law():
@@ -1267,3 +1295,24 @@ def test_axiom_check_raises_under_python_O():
     lines = out.stdout.splitlines()
     assert lines[0] == "debug False"
     assert lines[1].startswith("raised") and "1x = x" in lines[1]
+
+
+def test_ring_and_module_tables_are_checked_under_python_O():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", "assert False\n" + BROKEN_TABLES],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr  # so the asserts are off
+    assert out.stdout.splitlines() == [
+        "raised R: (ab)x = a(bx) fails at a = b_1, b = b_1, x = e_2",
+        "raised module: the table must be 1 x 1, with each entry of length 1",
+    ]

@@ -16,6 +16,7 @@ from modcover.dsl import parse_presentation, parse_ring
 from modcover.harness import corpus_generate
 from modcover.modules import ModulePresentation, jacobson_radical, quotient_module, realize
 from modcover.rings import (
+    Ideal,
     _Coordinates,
     basis_vectors,
     maximal_ideals,
@@ -23,7 +24,6 @@ from modcover.rings import (
     ring_gf,
     ring_product,
     ring_zmod,
-    zero_ideal,
 )
 
 import oracles
@@ -134,7 +134,7 @@ def test_quotient_module_matches_the_dense_route_on_m_mod_radical(snf_inputs):
 @pytest.mark.parametrize("text", PINNED_RINGS)
 def test_quotient_ring_matches_the_dense_route(text, snf_inputs):
     ring = parse_ring(text)
-    for ideal in maximal_ideals(ring) + [zero_ideal(ring)]:
+    for ideal in maximal_ideals(ring) + [Ideal(ring, 1, ())]:
         q, project, lift = quotient_ring(ring, ideal)
         want, want_project, want_lift = oracles.quotient_ring_by_dense_table(ring, ideal)
         assert q.one == want.one, text
@@ -162,9 +162,9 @@ def test_realize_builds_only_the_modules_coordinates(text, monkeypatch):
     built = []
     original = rings._Coordinates.__init__
 
-    def counted(self, orders, table):
+    def counted(self, *args):
         built.append(type(self).__name__)
-        original(self, orders, table)
+        original(self, *args)
 
     monkeypatch.setattr(rings._Coordinates, "__init__", counted)
     realize(pres)
@@ -229,7 +229,7 @@ def test_quotient_module_matches_lifts_on_m_mod_radical():
 @pytest.mark.parametrize("text", PINNED_RINGS)
 def test_quotient_ring_matches_lifts(text):
     ring = parse_ring(text)
-    for ideal in maximal_ideals(ring) + [zero_ideal(ring)]:
+    for ideal in maximal_ideals(ring) + [Ideal(ring, 1, ())]:
         q, project, lift = quotient_ring(ring, ideal)
         want, want_project, want_lift = oracles.quotient_ring_by_lifts(ring, ideal)
         assert q.one == want.one, text

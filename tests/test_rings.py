@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +19,10 @@ from modcover.dsl import parse_ring
 from modcover.modules import direct_sum, free_module, quotient_module, submodule_generated
 from modcover.rings import (
     FiniteRing,
+    Ideal,
     _is_irreducible,
     _is_prime,
+    _rotate,
     _Shifts,
     basis_vectors,
     ideal_generated,
@@ -32,7 +35,6 @@ from modcover.rings import (
     ring_product,
     ring_zmod,
     smallest_irreducible,
-    zero_ideal,
 )
 
 from oracles import (
@@ -89,7 +91,7 @@ def test_zmod_matches_integer_arithmetic(n, a, b):
     assert R.add(x, y) == ((a + b) % n,)
     assert R.mul(x, y) == ((a * b) % n,)
     assert R.sub(x, y) == ((a - b) % n,)
-    assert R.neg(x) == ((-a) % n,)
+    assert R.sub(R.zero, x) == ((-a) % n,)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 12, 30, 64])
@@ -271,7 +273,8 @@ def test_ideal_generated_brute_force_oracle():
 
 def test_zero_ideal_is_zero():
     R = ring_zmod(6)
-    assert zero_ideal(R).size == 1
+    assert Ideal(R, 1, ()).size == 1
+    assert Ideal(R, 1, ()) == ideal_generated(R, [R.zero])
 
 
 def test_quotient_of_z12_by_4_is_z4():
@@ -742,7 +745,7 @@ def test_maximal_ideal_masks_match_the_elementwise_pullback(make):
 
 def test_quotient_by_zero_ideal_is_the_ring():
     R = ring_zmod(12)
-    Q, project, lift = quotient_ring(R, zero_ideal(R))
+    Q, project, lift = quotient_ring(R, Ideal(R, 1, ()))
     assert Q.size == R.size
     seen = {project(x) for x in elements(R)}
     assert len(seen) == R.size
@@ -767,12 +770,12 @@ def test_rejects_non_associative_table():
     # basis 1, x, y over Z/2 with x^2 = y^2 = 0 and xy = 1: (xx)y = 0, x(xy) = x
     one, x, y, zero = (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)
     table = [[one, x, y], [x, zero, one], [y, one, zero]]
-    with pytest.raises(ValueError, match="not associative"):
+    with pytest.raises(ValueError, match=re.escape("(ab)x = a(bx)")):
         FiniteRing([2, 2, 2], table, one, "nonassoc")
 
 
 def test_rejects_wrong_unit():
-    with pytest.raises(ValueError, match="1\\*b_0"):
+    with pytest.raises(ValueError, match="1x = x"):
         FiniteRing([3], [[(1,)]], (2,), "badone")
 
 
@@ -985,7 +988,7 @@ def test_translate_adds_the_element_to_every_member(data):
     x = data.draw(group_element(orders))
     members = [y for i, y in enumerate(elems) if mask >> i & 1]
     want = mask_of_elements(orders, [group_add(orders)(y, x) for y in members])
-    assert _Shifts(orders).translate(mask, x) == want
+    assert _rotate(mask, _Shifts(orders).moves(x)) == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -1067,7 +1070,7 @@ def test_closure_translates_about_log2_n_times(n, monkeypatch):
 def test_shifts_of_the_zero_group():
     shifts = _Shifts(())
     assert shifts.index(()) == 0 and shifts.element(0) == ()
-    assert shifts.translate(1, ()) == 1
+    assert _rotate(1, shifts.moves(())) == 1
     assert shifts.closure([(), ()]) == 1
     assert shifts.closure([], 1) == 1
 
@@ -1091,7 +1094,7 @@ def test_index_of_rejects_what_is_not_a_reduced_element():
         with pytest.raises(KeyError):
             R.index_of(bad)
         with pytest.raises(KeyError):
-            bad in zero_ideal(R)
+            bad in Ideal(R, 1, ())
     for bad in [4, -1]:
         with pytest.raises(IndexError):
             R.element(bad)

@@ -25,6 +25,7 @@ from modcover.modules import (
 from modcover.rings import (
     RING_SIZE_GUARD,
     FiniteRing,
+    Ideal,
     ideal_generated,
     local_factorization,
     maximal_ideals,
@@ -32,7 +33,6 @@ from modcover.rings import (
     residue_field,
     ring_product,
     ring_zmod,
-    zero_ideal,
 )
 
 from oracles import (
@@ -627,7 +627,7 @@ def test_one_snf_per_quotient(monkeypatch):
         assert count(lambda: parse_module(text)) == 1, text
         assert count(lambda: modules.quotient_module(m, jacobson_radical(m))) == 1, text
     R = parse_ring("Z/12 x Z/10")
-    for ideal in maximal_ideals(R) + [zero_ideal(R)]:
+    for ideal in maximal_ideals(R) + [Ideal(R, 1, ())]:
         assert count(lambda: quotient_ring(R, ideal)) == 1, ideal
     m = parse_module("Z/2 (+) Z/2 (+) Z/3 over Z/6")
     semisimple_invariants(m)
