@@ -96,9 +96,7 @@ def _search_order(s):
 
 
 def sigma_exact(
-    m: RealizedModule,
-    space: SearchSpace = SearchSpace.MAXIMAL_ONLY,
-    node_budget: int = BNB_NODE_BUDGET,
+    m: RealizedModule, space: SearchSpace = SearchSpace.MAXIMAL_ONLY
 ) -> CoverCertificate:
     """Exact minimum cover by branch and bound over candidate submodules.
 
@@ -174,9 +172,9 @@ def sigma_exact(
             if depth + 1 >= best_len:
                 return
             nodes += 1
-            if nodes > node_budget:
+            if nodes > BNB_NODE_BUDGET:
                 raise GuardExceeded(
-                    "search-nodes", f"branch and bound exceeded {node_budget} nodes"
+                    "search-nodes", f"branch and bound exceeded {BNB_NODE_BUDGET} nodes"
                 )
             chosen.append(i)
             rest = uncovered & ~masks[i]
@@ -200,10 +198,12 @@ def sigma_exact(
 def _seed(m: RealizedModule) -> tuple:
     """The greedy cover by maximal submodules, in pick order, or () when
     they do not cover M: the incumbent of `sigma_exact` in both spaces
-    and the cover of `greedy_cover`. Formed once per module."""
-    if m._greedy_seed is None:
-        m._greedy_seed = _greedy_picks(m)
-    return m._greedy_seed
+    and the cover of `greedy_cover`. Formed once per module and kept as
+    its `_greedy_seed`, since `modules` cannot import `_greedy_picks`."""
+    seed = vars(m).get("_greedy_seed")
+    if seed is None:
+        seed = m._greedy_seed = _greedy_picks(m)
+    return seed
 
 
 def _greedy_picks(m: RealizedModule) -> tuple:

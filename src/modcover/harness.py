@@ -35,6 +35,7 @@ from .covering import SearchSpace, greedy_cover, sigma_exact, sigma_formula
 from .errors import GuardExceeded
 from .modules import (
     REALIZE_INTERMEDIATE_GUARD,
+    ModulePresentation,
     direct_sum,
     hdim,
     is_cyclic,
@@ -106,10 +107,6 @@ class VerificationReport:
     instance: InstanceSpec
     results: tuple
 
-    @property
-    def failed(self) -> bool:
-        return any(r.status == FAIL for r in self.results)
-
 
 def _realize_spec(spec: InstanceSpec):
     """The spec's module; parsed from its text only when it carries none."""
@@ -139,24 +136,15 @@ def _ring_pool(max_ring: int):
     return pool
 
 
-def _random_presentation(rng, ring_expr, ring):
+def _random_presentation(rng, ring):
     k = rng.randint(1, 3)
     if power_exceeds(ring.size, k, REALIZE_INTERMEDIATE_GUARD):
         k = 1
-    nrels = rng.randint(0, k + 1)
-    rels = []
-    for _ in range(nrels):
-        rels.append(
-            "("
-            + ",".join(
-                "(" + ",".join(str(rng.randrange(d)) for d in ring.additive_orders) + ")"
-                if ring.rank > 1
-                else str(rng.randrange(ring.size))
-                for _ in range(k)
-            )
-            + ")"
-        )
-    return f"module over {ring_expr}: gens={k}; rels=[{', '.join(rels)}]"
+    rels = tuple(
+        tuple(tuple(rng.randrange(d) for d in ring.additive_orders) for _ in range(k))
+        for _ in range(rng.randint(0, k + 1))
+    )
+    return ModulePresentation(ring, k, rels).to_dsl()
 
 
 def corpus_generate(seed: int, count: int, max_ring: int = 64, max_module: int = 512):
@@ -212,7 +200,7 @@ def corpus_generate(seed: int, count: int, max_ring: int = 64, max_module: int =
         if i < quota_cyclic + quota_multi:
             ring_expr = rng.choice(multi_pool)
             ring = parse_ring(ring_expr)
-            expr = _random_presentation(rng, ring_expr, ring)
+            expr = _random_presentation(rng, ring)
             admit(ring_expr, expr)
             continue
         ring_expr = rng.choice(pool)
@@ -228,7 +216,7 @@ def corpus_generate(seed: int, count: int, max_ring: int = 64, max_module: int =
             expr = f"free {k} over {ring_expr}"
         else:
             ring = parse_ring(ring_expr)
-            expr = _random_presentation(rng, ring_expr, ring)
+            expr = _random_presentation(rng, ring)
         admit(ring_expr, expr)
     if len(specs) < count:
         raise ValueError(

@@ -12,8 +12,9 @@ tuples, indexed by `rings._Shifts`; no element list is stored. Quotients come ba
 its members mask, and every generating set is greedy in M's element
 order: a submodule's, derived when first read, and each basis of M/mM,
 over mM. All values are immutable after construction, so each module
-stores its maximal submodules, semisimple invariants, cyclicity and the
-greedy seed of the cover search once computed.
+keeps its semisimple invariants, maximal submodules and cyclicity as
+cached properties, formed when first read; the cover search stores its
+greedy seed on the module too (see `covering._seed`).
 
 The residue layer works in M/mM's own terms, and reads R/m's coordinates
 off the `LocalFactor` of m, with no residue ring built: mM is the
@@ -117,6 +118,11 @@ class ModulePresentation:
 
 
 class RealizedModule(_Coordinates):
+    """A module over `ring`: its invariant factors and the action of the
+    ring basis on its own. Its derived facts are cached properties, formed
+    when first read, which `semisimple_invariants`, `maximal_submodules`
+    and `is_cyclic` read."""
+
     def __init__(self, ring, orders, basis_act, presentation=None, label=None):
         orders = tuple(int(d) for d in orders)
         if any(d < 2 for d in orders):
@@ -130,12 +136,35 @@ class RealizedModule(_Coordinates):
         self.basis_act = self.table
         self.ring = ring
         self.presentation = presentation
-        self._maximal_submodules = None
-        self._semisimple_invariants = None
-        self._cyclic = None
-        self._greedy_seed = None  # see covering._seed
 
     act = _Coordinates._product
+
+    # -- derived facts -------------------------------------------------------
+
+    @cached_property
+    def _semisimple_invariants(self) -> tuple:
+        return tuple(_residue_dimensions(self))
+
+    @cached_property
+    def _maximal_submodules(self) -> tuple:
+        """The hyperplane pullbacks of each M/mM, sorted by members."""
+        out = [
+            s
+            for e in semisimple_invariants(self)
+            for s in hyperplanes(self, e, e.nm, e.basis)
+        ]
+        out.sort(key=lambda s: s.members)
+        return tuple(out)
+
+    @cached_property
+    def _cyclic(self) -> tuple:
+        """(True, the least index in no maximal submodule), or (False, None)."""
+        rest = self.full_mask
+        for s in maximal_submodules(self):
+            rest &= ~s.members
+        if rest:
+            return True, self.element((rest & -rest).bit_length() - 1)
+        return False, None
 
     def axiom_check(self):
         """Check the module laws exactly, by `check_laws` over `ring`;
@@ -253,7 +282,7 @@ def submodule_generators(m: RealizedModule, members: int, start=1) -> tuple:
     return m.greedy(members, start)
 
 
-def all_submodules(m: RealizedModule, max_count=LATTICE_COUNT_BUDGET) -> list:
+def all_submodules(m: RealizedModule) -> list:
     """Every submodule, as every AND of one mask per interval of
     `_intervals`: that AND is the join of the eN, and it costs no
     closure.
@@ -262,11 +291,11 @@ def all_submodules(m: RealizedModule, max_count=LATTICE_COUNT_BUDGET) -> list:
     modules within the size guard still have astronomically many
     submodules. The lattice has Π (interval sizes) members, so the budget
     trips, before the AND pass, exactly when that product exceeds
-    `max_count`; an interval past it trips during its own walk.
+    `LATTICE_COUNT_BUDGET`; an interval past it trips during its own walk.
     """
-    intervals = _intervals(m, max_count)
-    if math.prod(map(len, intervals)) > max_count:
-        raise _lattice_count_exceeded(max_count)
+    intervals = _intervals(m)
+    if math.prod(map(len, intervals)) > LATTICE_COUNT_BUDGET:
+        raise _lattice_count_exceeded()
     lattice = [m.full_mask]
     for interval in intervals:
         lattice = [a & b for a in lattice for b in interval]
@@ -292,7 +321,7 @@ def lattice_coatoms(m: RealizedModule) -> list:
     """
     full = m.full_mask
     out = []
-    for interval in _intervals(m, LATTICE_COUNT_BUDGET):
+    for interval in _intervals(m):
         found = []
         for mask in sorted(interval, key=int.bit_count, reverse=True):
             if mask != full and all(mask & ~c for c in found):
@@ -302,7 +331,7 @@ def lattice_coatoms(m: RealizedModule) -> list:
     return [Submodule(m, mask) for mask in out]
 
 
-def _intervals(m: RealizedModule, max_count) -> list:
+def _intervals(m: RealizedModule) -> list:
     """The submodule lattice as one interval of masks per local factor.
 
     M is the direct sum of the eM over the primitive idempotents e of the
@@ -320,7 +349,8 @@ def _intervals(m: RealizedModule, max_count) -> list:
     for x in eM, which `_interval` reads off these generators. Over a
     field factor eJ = 0 and the list is empty.
 
-    Guarded by |M| (`LATTICE_GUARD`), and each interval by `max_count`.
+    Guarded by |M| (`LATTICE_GUARD`), and each interval by
+    `LATTICE_COUNT_BUDGET`.
     """
     if m.size > LATTICE_GUARD:
         raise GuardExceeded("lattice", f"|M| = {m.size} exceeds guard {LATTICE_GUARD}")
@@ -332,11 +362,11 @@ def _intervals(m: RealizedModule, max_count) -> list:
         if em == 1:
             continue
         bottom = m.shifts.closure(m.multiples(ring.sub(ring.one, e)))
-        intervals.append(_interval(m, bottom, em, factor.radical, max_count))
+        intervals.append(_interval(m, bottom, em, factor.radical))
     return intervals
 
 
-def _interval(m: RealizedModule, bottom: int, em: int, radical, max_count) -> set:
+def _interval(m: RealizedModule, bottom: int, em: int, radical) -> set:
     """The masks of the submodules between `bottom` = (1−e)M and M: the
     joins of `bottom` with the cyclics Rx, x in `em` = eM; `radical` holds
     the nonzero additive generators a of eJ, which on eM acts as the
@@ -388,14 +418,14 @@ def _interval(m: RealizedModule, bottom: int, em: int, radical, max_count) -> se
             if jmask not in lattice:
                 lattice.add(jmask)
                 work.append(jmask)
-                if len(lattice) > max_count:
-                    raise _lattice_count_exceeded(max_count)
+                if len(lattice) > LATTICE_COUNT_BUDGET:
+                    raise _lattice_count_exceeded()
     return lattice
 
 
-def _lattice_count_exceeded(max_count) -> GuardExceeded:
+def _lattice_count_exceeded() -> GuardExceeded:
     return GuardExceeded(
-        "lattice-count", f"more than {max_count} submodules; enumeration aborted"
+        "lattice-count", f"more than {LATTICE_COUNT_BUDGET} submodules; enumeration aborted"
     )
 
 
@@ -433,14 +463,6 @@ def maximal_submodules(m: RealizedModule) -> list:
     hyperplane of the R/m-vector space M/mM; conversely every such
     pullback is maximal. Computed once per module.
     """
-    if m._maximal_submodules is None:
-        out = [
-            s
-            for e in semisimple_invariants(m)
-            for s in hyperplanes(m, e, e.nm, e.basis)
-        ]
-        out.sort(key=lambda s: s.members)
-        m._maximal_submodules = tuple(out)
     return list(m._maximal_submodules)
 
 
@@ -540,14 +562,6 @@ def is_cyclic(m: RealizedModule):
     would find; the zero module is generated by zero. Computed once per
     module.
     """
-    if m._cyclic is None:
-        rest = m.full_mask
-        for s in maximal_submodules(m):
-            rest &= ~s.members
-        if rest:
-            m._cyclic = (True, m.element((rest & -rest).bit_length() - 1))
-        else:
-            m._cyclic = (False, None)
     return m._cyclic
 
 
@@ -607,8 +621,6 @@ def semisimple_invariants(m: RealizedModule) -> list:
 
     Computed once per module.
     """
-    if m._semisimple_invariants is None:
-        m._semisimple_invariants = tuple(_residue_dimensions(m))
     return list(m._semisimple_invariants)
 
 

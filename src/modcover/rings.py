@@ -17,8 +17,9 @@ and R a module over itself (`FiniteRing._validate`); the constructors,
 the residue fields and `quotient_ring` build rings by construction and
 skip that check. All values are immutable after
 construction, so the constructors share one object per ring (see
-`_RingTable`) and each ring stores the facts derived from it: its
-local factors, maximal ideals and units. These come from linear
+`_RingTable`), and each ring keeps the facts derived from it as cached
+properties, formed when first read: its local factors, maximal ideals
+and unit mask. These come from linear
 algebra over F_p in R's own coordinates (see `_factor` and `_fp`), with
 no Smith normal form; R/pR multiplies by R's own product. Each local
 factor is one `LocalFactor` record: its idempotent e, its maximal ideal
@@ -189,8 +190,7 @@ class _Coordinates:
         self.rank = r = len(orders)
         self.size = math.prod(orders)
         self.zero = (0,) * r
-        self.table = tuple(tuple(self.reduce(v) for v in row) for row in table)
-        # `reduce` zips, so an entry of the wrong length would be cut short
+        # checked before `reduce`, so that a wrong entry names the shape
         if len(table) != ring_rank or any(
             len(row) != r or any(len(v) != r for v in row) for row in table
         ):
@@ -198,10 +198,15 @@ class _Coordinates:
                 f"{self.label}: the table must be {ring_rank} x {r}, "
                 f"with each entry of length {r}"
             )
+        self.table = tuple(tuple(self.reduce(v) for v in row) for row in table)
 
     # -- additive structure ------------------------------------------------
 
     def reduce(self, x) -> Element:
+        """x reduced coordinate-wise, where an element enters: one of the wrong
+        length raises ValueError. The arithmetic below checks no length."""
+        if len(x) != self.rank:
+            raise ValueError(f"{self.label}: {x!r} is not of length {self.rank}")
         return tuple(int(c) % d for c, d in zip(x, self.orders))
 
     def add(self, x, y) -> Element:
@@ -357,7 +362,9 @@ class FiniteRing(_Coordinates):
     its basis as coordinate tuples, and its one: a module over itself,
     so its table passes `_Coordinates`' shape rule with r rows. With
     `validate` (the default) the table is checked to be a ring; the
-    constructors pass False for the rings they build by construction."""
+    constructors pass False for the rings they build by construction. Its
+    derived facts are cached properties, formed when first read: `_factors`
+    (what `_factor` returns), the sorted maximal ideals and `unit_mask`."""
 
     def __init__(self, additive_orders, mul_table, one, label, *, validate=True):
         self.label = label
@@ -370,7 +377,7 @@ class FiniteRing(_Coordinates):
                 "ring-size", f"|{label}| = {size} exceeds guard {RING_SIZE_GUARD}"
             )
         r = len(orders)
-        if len(one) != r:  # `reduce` would cut it short
+        if len(one) != r:  # before `reduce`, so that the shape is named
             raise ValueError(
                 f"{label}: the table must be {r} x {r}, and one and each entry of length {r}"
             )
@@ -378,15 +385,22 @@ class FiniteRing(_Coordinates):
         self.additive_orders = self.orders
         self.mul_table = self.table
         self.one = self.reduce(one)
-        self._units = None  # frozenset, built from `unit_mask` when asked for
-        self._local_factors = None  # maximal-ideal mask -> LocalFactor
-        self._maximal_ideals = None  # tuple, sorted by members
         if validate:
             self._validate()
 
     mul = _Coordinates._product
 
-    # -- units ---------------------------------------------------------------
+    # -- derived facts -------------------------------------------------------
+
+    @cached_property
+    def _factors(self) -> dict:
+        """Maximal-ideal mask -> `LocalFactor`, as `_factor` finds them."""
+        return _factor(self)
+
+    @cached_property
+    def _maximal_ideals(self) -> tuple:
+        """The maximal ideals of `_factors`, sorted by members."""
+        return tuple(sorted((f.ideal for f in self._factors.values()), key=lambda i: i.members))
 
     @cached_property
     def unit_mask(self) -> int:
@@ -401,15 +415,11 @@ class FiniteRing(_Coordinates):
         return self.unit_mask.bit_count()
 
     def units(self) -> frozenset:
-        """The units as coordinate tuples. `unit_mask` is read once, as a
-        string whose character i is bit i, and picks them out of the
-        elements in index order."""
-        if self._units is None:
-            bits = bin(self.unit_mask)[:1:-1]
-            self._units = frozenset(
-                itertools.compress(self.iter_elements(), map("1".__eq__, bits))
-            )
-        return self._units
+        """The units as coordinate tuples, built from `unit_mask` on each
+        call: the mask is read as a string whose character i is bit i, and
+        picks them out of the elements in index order."""
+        bits = bin(self.unit_mask)[:1:-1]
+        return frozenset(itertools.compress(self.iter_elements(), map("1".__eq__, bits)))
 
     def __repr__(self):
         return f"FiniteRing({self.label}, |R|={self.size})"
@@ -611,19 +621,9 @@ def _build_gf(p, k, f):
         if not _is_irreducible(f, p):
             raise ValueError(f"GF({p}^{k}): polynomial {f} is reducible")
         label = f"GF({p}^{k}; f={','.join(str(c) for c in f)})"
-    # basis 1, x, ..., x^(k-1)
-    table = []
-    for i in range(k):
-        row = []
-        xi = [0] * k
-        xi[i] = 1
-        for j in range(k):
-            xj = [0] * k
-            xj[j] = 1
-            row.append(tuple(_poly_mulmod(xi, xj, f, p)))
-        table.append(row)
-    one = tuple([1] + [0] * (k - 1))
-    return FiniteRing([p] * k, table, one, label, validate=False)
+    basis = basis_vectors(k)  # 1, x, ..., x^(k-1)
+    table = [[tuple(_poly_mulmod(xi, xj, f, p)) for xj in basis] for xi in basis]
+    return FiniteRing([p] * k, table, basis[0], label, validate=False)
 
 
 def ring_product(a: FiniteRing, b: FiniteRing) -> FiniteRing:
@@ -748,9 +748,7 @@ def local_factorization(ring: FiniteRing) -> tuple:
     """The `LocalFactor` of each primitive idempotent, sorted by the
     idempotents' coordinates. Computed once per ring, together with the
     maximal ideals (see `_factor`)."""
-    if ring._local_factors is None:
-        _factor(ring)
-    return tuple(ring._local_factors.values())
+    return tuple(ring._factors.values())
 
 
 def maximal_ideals(ring: FiniteRing) -> list:
@@ -759,18 +757,13 @@ def maximal_ideals(ring: FiniteRing) -> list:
     Each is certified once, when R is factored: the quotient by it is a
     field, read off the Frobenius of R/pR with no residue ring built.
     """
-    if ring._maximal_ideals is None:
-        local_factorization(ring)
     return list(ring._maximal_ideals)
 
 
 def local_factor(ideal: Ideal) -> LocalFactor:
     """The `LocalFactor` whose maximal ideal is m; raises ValueError
     unless m is a maximal ideal."""
-    ring = ideal.ring
-    if ring._local_factors is None:
-        local_factorization(ring)
-    factor = ring._local_factors.get(ideal.members)
+    factor = ideal.ring._factors.get(ideal.members)
     if factor is None:
         raise ValueError(f"{ideal} is not a maximal ideal")
     return factor
@@ -784,10 +777,12 @@ def residue_field(ideal: Ideal):
     return local_factor(ideal).residue_field
 
 
-def _factor(ring: FiniteRing):
-    """Store the `LocalFactor`s and maximal ideals, found by linear
-    algebra over F_p (`_primary_idempotents`), with no sweep over the
-    elements and no Smith normal form.
+def _factor(ring: FiniteRing) -> dict:
+    """The `LocalFactor` of each maximal ideal, keyed by its members mask
+    in the order of the idempotents' coordinates, found by linear algebra
+    over F_p (`_primary_idempotents`), with no sweep over the elements and
+    no Smith normal form. Nothing is stored: the ring keeps the map as
+    its `_factors`.
 
     R is the product of its p-primary parts R_p, and the primitive
     idempotents of R are those of the R_p. For each one, e, the factor eR
@@ -852,10 +847,7 @@ def _factor(ring: FiniteRing):
             raise AssertionError(f"{ring.label}: quotient by a maximal ideal is not a field")
         ideal = Ideal(ring, mask, tuple(spanning))
         factors[mask] = LocalFactor(e, ideal, p, tuple(map(tuple, rows)), tuple(pivots))
-    ring._local_factors = factors
-    ring._maximal_ideals = tuple(
-        sorted((f.ideal for f in factors.values()), key=lambda ideal: ideal.members)
-    )
+    return factors
 
 
 def _support(ring, p) -> list:

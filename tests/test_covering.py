@@ -323,15 +323,17 @@ def test_zero_module_rejected():
             fn(zero)
 
 
-def test_node_budget_guard():
+def test_node_budget_guard(monkeypatch):
+    from modcover import covering
     from modcover.errors import GuardExceeded
 
     # (Z/3)^2 (+) Z/2 needs real branching: the greedy seed is one above
     # the root lower bound, so the search must expand nodes
     m = zmod_module(6, [3, 3, 2])
     assert sigma_exact(m).nodes_explored > 1
+    monkeypatch.setattr(covering, "BNB_NODE_BUDGET", 1)
     with pytest.raises(GuardExceeded):
-        sigma_exact(m, SearchSpace.ALL_PROPER, node_budget=1)
+        sigma_exact(m, SearchSpace.ALL_PROPER)
 
 
 def test_search_is_deterministic():

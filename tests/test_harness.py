@@ -293,7 +293,7 @@ def test_a_spec_pickles_without_its_module():
     factored = []
     for spec in corpus_generate(seed=1, count=10):
         run_suite([spec])
-        if spec.module.ring._local_factors:
+        if "_factors" in vars(spec.module.ring):
             factored.append(spec)
     assert factored
     for spec in factored:

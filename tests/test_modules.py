@@ -616,11 +616,13 @@ NON_PRINCIPAL = [
 
 
 @pytest.mark.parametrize("k, rels, count", NON_PRINCIPAL)
-def test_all_submodules_over_a_non_principal_local_ring(k, rels, count):
-    ring = poly_ring(4, [0, 0, 1])  # hand-built, so no other test stores its units
+def test_all_submodules_over_a_non_principal_local_ring(k, rels, count, monkeypatch):
+    ring = poly_ring(4, [0, 0, 1])
     m = realize(ModulePresentation(ring, k, rels))
+    units = []
+    monkeypatch.setattr(FiniteRing, "units", counted(FiniteRing.units, units))
     got = [(s.members, s.generators) for s in all_submodules(m)]
-    assert ring._units is None  # the walk lists no units
+    assert units == []  # the walk lists no units
     assert got == oracles.all_submodules_by_every_join(m)
     assert len(got) == count
 
@@ -631,13 +633,17 @@ def test_residue_layer_matches_the_references_over_a_non_principal_ring(k, rels,
     assert_residue_layer_matches_the_references(realize(ModulePresentation(ring, k, rels)))
 
 
-def test_all_submodules_budget_trips_only_past_the_lattice_size():
+def test_all_submodules_budget_trips_only_past_the_lattice_size(monkeypatch):
+    import modcover.modules
+
     m = parse_module("free 3 over Z/2 x Z/2")
     for budget in (1, 17, 100, 255):
+        monkeypatch.setattr(modcover.modules, "LATTICE_COUNT_BUDGET", budget)
         with pytest.raises(GuardExceeded) as exc:
-            all_submodules(m, max_count=budget)
+            all_submodules(m)
         assert exc.value.guard == "lattice-count"
-    assert len(all_submodules(m, max_count=256)) == 256
+    monkeypatch.setattr(modcover.modules, "LATTICE_COUNT_BUDGET", 256)
+    assert len(all_submodules(m)) == 256
 
 
 def test_lattice_coatoms_match_the_containment_scan():
@@ -688,13 +694,17 @@ def test_semisimple_lattice_sizes_match_the_subspace_counts(label, factors):
     assert len(all_submodules(m)) == expected
 
 
-def test_all_submodules_budget_at_the_lattice_guard():
+def test_all_submodules_budget_at_the_lattice_guard(monkeypatch):
+    import modcover.modules
+
     m = parse_module("free 4 over Z/2 x Z/2")
     assert m.size == LATTICE_GUARD
+    monkeypatch.setattr(modcover.modules, "LATTICE_COUNT_BUDGET", 4488)
     with pytest.raises(GuardExceeded) as exc:
-        all_submodules(m, max_count=4488)
+        all_submodules(m)
     assert exc.value.guard == "lattice-count"
-    assert len(all_submodules(m, max_count=4489)) == 67**2
+    monkeypatch.setattr(modcover.modules, "LATTICE_COUNT_BUDGET", 4489)
+    assert len(all_submodules(m)) == 67**2
 
 
 def test_is_cyclic_matches_the_least_index_sweep():
@@ -1195,6 +1205,15 @@ def test_the_regular_module_is_the_ring_on_polynomial_quotients(q):
 def test_rejects_a_table_of_the_wrong_shape(orders, basis_act):
     with pytest.raises(ValueError, match="the table must be 1 x"):
         RealizedModule(ring_zmod(4), orders, basis_act)
+
+
+def test_an_element_of_the_wrong_length_is_rejected_where_it_enters():
+    # `reduce` once zipped the extra coordinates away: these gave the
+    # ideal <2> and the module Z/4/<2>
+    with pytest.raises(ValueError, match="is not of length 1"):
+        ideal_generated(ring_zmod(4), [(2, 7, 9)])
+    with pytest.raises(ValueError, match="is not of length 1"):
+        ModulePresentation.diagonal(ring_zmod(4), [(2, 5)])
 
 
 def test_axiom_check_raises_on_a_broken_unit_law():

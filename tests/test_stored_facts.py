@@ -401,11 +401,13 @@ def test_factor_reads_the_certificate_of_a_residue_field_r_mod_p(text, monkeypat
 
 
 def test_factor_runs_the_field_test_once_per_factor_with_a_nonzero_image(monkeypatch):
-    # in Z/4 x Z/2, R/2R = F_2 x F_2, and each m̄_e is the other factor
+    # in Z/4 x Z/2, R/2R = F_2 x F_2, and each m̄_e is the other factor;
+    # the facts are read before `_factor` is counted, which stores nothing
     R = parse_ring("Z/4 x Z/2")
-    calls = _factor_calls(monkeypatch, R)
     assert all(factor.rows for factor in local_factorization(R))
-    assert calls["_is_field"] == len(maximal_ideals(R)) == 2
+    assert len(maximal_ideals(R)) == 2
+    calls = _factor_calls(monkeypatch, R)
+    assert calls["_is_field"] == 2
     assert calls["_Coordinates"] == 0
 
 
@@ -551,6 +553,91 @@ def test_the_library_sums_rows_in_one_place():
                     loops.append(f"{path.name}:{node.lineno} {fn.name}")
                 work.extend(ast.iter_child_nodes(node))
     assert loops == []
+
+
+def _hand_kept_stores(tree) -> list:
+    """The functions of a module's ast, by qualified name, that keep a fact
+    by hand: an `if x._name is None` branch, an attribute set to None, or
+    a write to an attribute of a parameter other than `self`."""
+    found = []
+
+    def keeps_by_hand(fn) -> bool:
+        params = {
+            a.arg
+            for f in ast.walk(fn)
+            if isinstance(f, (ast.FunctionDef, ast.Lambda))
+            for a in f.args.posonlyargs + f.args.args + f.args.kwonlyargs
+        } - {"self"}
+        for node in ast.walk(fn):
+            if isinstance(node, ast.If) and isinstance(node.test, ast.Compare):
+                test = node.test
+                if (
+                    isinstance(test.left, ast.Attribute)
+                    and test.left.attr.startswith("_")
+                    and isinstance(test.ops[0], ast.Is)
+                    and isinstance(test.comparators[0], ast.Constant)
+                    and test.comparators[0].value is None
+                ):
+                    return True
+            if isinstance(node, ast.Assign):
+                targets, value = node.targets, node.value
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets, value = [node.target], node.value
+            else:
+                continue
+            for target in targets:
+                for t in ast.walk(target):
+                    if not isinstance(t, ast.Attribute):
+                        continue
+                    if isinstance(value, ast.Constant) and value.value is None:
+                        return True
+                    if isinstance(t.value, ast.Name) and t.value.id in params:
+                        return True
+        return False
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.FunctionDef) and keeps_by_hand(child):
+                found.append(prefix + child.name)
+
+    visit(tree, "")
+    return found
+
+
+def test_rings_and_modules_keep_each_derived_fact_as_a_cached_property():
+    # a fact derived from a ring or a module is a cached property of the
+    # object it describes: no attribute is set to None to be filled by an
+    # `is None` branch later, and no function stores a fact on an object
+    # it was handed. Covering's greedy seed is the one store kept by hand
+    src = Path(__file__).resolve().parents[1] / "src" / "modcover"
+    found = []
+    for name in ("rings.py", "modules.py"):
+        tree = ast.parse((src / name).read_text(), name)
+        found += [f"{name} {fn}" for fn in _hand_kept_stores(tree)]
+    assert found == []
+
+
+def test_the_hand_kept_store_check_flags_each_form():
+    code = (
+        "class A:\n"
+        "    def __init__(self):\n"
+        "        self._fact = None\n"
+        "    def fact(self):\n"
+        "        if self._fact is None:\n"
+        "            self._fact = 1\n"
+        "        return self._fact\n"
+        "    def read(self):\n"
+        "        return self._fact\n"
+        "def store(ring):\n"
+        "    ring._facts = {}\n"
+        "def lift(rank):\n"
+        "    x = [0] * rank\n"
+        "    x[0] = 1\n"
+        "    return x\n"
+    )
+    assert _hand_kept_stores(ast.parse(code)) == ["A.__init__", "A.fact", "store"]
 
 
 def test_the_library_reads_every_name_it_imports():
