@@ -110,7 +110,7 @@ def sigma_exact(
     optimum among all proper submodules uses coatoms alone, and it is
     the first among them.
 
-    The module's greedy maximal cover (`_seed`) is the incumbent, and
+    The module's greedy maximal cover (`_greedy_seed`) is the incumbent, and
     the root's lower bound is checked against it before any candidate is
     built: a seed that meets it is returned as it stands, with no node
     explored, and neither space builds its candidates. Otherwise the
@@ -124,7 +124,7 @@ def sigma_exact(
     """
     t0 = time.perf_counter()
     _reject_zero(m)
-    seed = _seed(m)
+    seed = m._greedy_seed
     if not seed:
         return CoverCertificate(
             (), False, None, True, 0, (time.perf_counter() - t0) * 1000
@@ -193,17 +193,6 @@ def sigma_exact(
     return CoverCertificate(
         subs, True, best_len, True, nodes, (time.perf_counter() - t0) * 1000
     )
-
-
-def _seed(m: RealizedModule) -> tuple:
-    """The greedy cover by maximal submodules, in pick order, or () when
-    they do not cover M: the incumbent of `sigma_exact` in both spaces
-    and the cover of `greedy_cover`. Formed once per module and kept as
-    its `_greedy_seed`, since `modules` cannot import `_greedy_picks`."""
-    seed = vars(m).get("_greedy_seed")
-    if seed is None:
-        seed = m._greedy_seed = _greedy_picks(m)
-    return seed
 
 
 def _greedy_picks(m: RealizedModule) -> tuple:
@@ -280,10 +269,10 @@ def construct_cover(m: RealizedModule) -> CoverCertificate:
 
 def greedy_cover(m: RealizedModule) -> CoverCertificate:
     """Greedy maximal-submodule cover; an upper bound, not always optimal.
-    It is the module's stored `_seed`."""
+    It is the module's stored `_greedy_seed`."""
     t0 = time.perf_counter()
     _reject_zero(m)
-    picks = _seed(m)
+    picks = m._greedy_seed
     return CoverCertificate(
         picks, bool(picks), len(picks) if picks else None, False, 0,
         (time.perf_counter() - t0) * 1000,

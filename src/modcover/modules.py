@@ -12,9 +12,9 @@ tuples, indexed by `rings._Shifts`; no element list is stored. Quotients come ba
 its members mask, and every generating set is greedy in M's element
 order: a submodule's, derived when first read, and each basis of M/mM,
 over mM. All values are immutable after construction, so each module
-keeps its semisimple invariants, maximal submodules and cyclicity as
-cached properties, formed when first read; the cover search stores its
-greedy seed on the module too (see `covering._seed`).
+keeps its semisimple invariants, maximal submodules, cyclicity and the
+greedy cover that seeds the exact search as cached properties, formed
+when first read.
 
 The residue layer works in M/mM's own terms, and reads R/m's coordinates
 off the `LocalFactor` of m, with no residue ring built: mM is the
@@ -120,8 +120,8 @@ class ModulePresentation:
 class RealizedModule(_Coordinates):
     """A module over `ring`: its invariant factors and the action of the
     ring basis on its own. Its derived facts are cached properties, formed
-    when first read, which `semisimple_invariants`, `maximal_submodules`
-    and `is_cyclic` read."""
+    when first read, which `semisimple_invariants`, `maximal_submodules`,
+    `is_cyclic` and the cover search read."""
 
     def __init__(self, ring, orders, basis_act, presentation=None, label=None):
         orders = tuple(int(d) for d in orders)
@@ -165,6 +165,15 @@ class RealizedModule(_Coordinates):
         if rest:
             return True, self.element((rest & -rest).bit_length() - 1)
         return False, None
+
+    @cached_property
+    def _greedy_seed(self) -> tuple:
+        """The greedy cover by maximal submodules, in pick order, or ()
+        when they do not cover M: the incumbent of `sigma_exact` in both
+        spaces and the cover of `greedy_cover`."""
+        from .covering import _greedy_picks  # covering imports this module
+
+        return _greedy_picks(self)
 
     def axiom_check(self):
         """Check the module laws exactly, by `check_laws` over `ring`;

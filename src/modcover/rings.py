@@ -178,7 +178,8 @@ class _Coordinates:
     A ring and a module are accepted by the same two rules. The shape
     rule, run on every construction: the table has one row per basis
     element of the ring that acts, `ring_rank` of them, and each row has
-    one entry per e_t, each of this object's rank. The law check,
+    one entry per e_t, each of this object's rank (an entry of another
+    length is rejected by `reduce`, as any element is). The law check,
     `check_laws`, run on demand: the ring acting through the table is a
     module.
     """
@@ -190,10 +191,8 @@ class _Coordinates:
         self.rank = r = len(orders)
         self.size = math.prod(orders)
         self.zero = (0,) * r
-        # checked before `reduce`, so that a wrong entry names the shape
-        if len(table) != ring_rank or any(
-            len(row) != r or any(len(v) != r for v in row) for row in table
-        ):
+        # `reduce` rejects an entry of the wrong length
+        if len(table) != ring_rank or any(len(row) != r for row in table):
             raise ValueError(
                 f"{self.label}: the table must be {ring_rank} x {r}, "
                 f"with each entry of length {r}"
@@ -376,12 +375,7 @@ class FiniteRing(_Coordinates):
             raise GuardExceeded(
                 "ring-size", f"|{label}| = {size} exceeds guard {RING_SIZE_GUARD}"
             )
-        r = len(orders)
-        if len(one) != r:  # before `reduce`, so that the shape is named
-            raise ValueError(
-                f"{label}: the table must be {r} x {r}, and one and each entry of length {r}"
-            )
-        super().__init__(orders, mul_table, r)
+        super().__init__(orders, mul_table, len(orders))
         self.additive_orders = self.orders
         self.mul_table = self.table
         self.one = self.reduce(one)
@@ -399,8 +393,9 @@ class FiniteRing(_Coordinates):
 
     @cached_property
     def _maximal_ideals(self) -> tuple:
-        """The maximal ideals of `_factors`, sorted by members."""
-        return tuple(sorted((f.ideal for f in self._factors.values()), key=lambda i: i.members))
+        """The maximal ideals of `local_factorization`, sorted by members;
+        read through it, so that R is factored under one name."""
+        return tuple(sorted((f.ideal for f in local_factorization(self)), key=lambda i: i.members))
 
     @cached_property
     def unit_mask(self) -> int:
@@ -746,8 +741,8 @@ class LocalFactor:
 
 def local_factorization(ring: FiniteRing) -> tuple:
     """The `LocalFactor` of each primitive idempotent, sorted by the
-    idempotents' coordinates. Computed once per ring, together with the
-    maximal ideals (see `_factor`)."""
+    idempotents' coordinates. Computed once per ring, on the first read
+    of it or of the maximal ideals (see `_factor`)."""
     return tuple(ring._factors.values())
 
 

@@ -618,11 +618,11 @@ NON_PRINCIPAL = [
 @pytest.mark.parametrize("k, rels, count", NON_PRINCIPAL)
 def test_all_submodules_over_a_non_principal_local_ring(k, rels, count, monkeypatch):
     ring = poly_ring(4, [0, 0, 1])
-    m = realize(ModulePresentation(ring, k, rels))
     units = []
     monkeypatch.setattr(FiniteRing, "units", counted(FiniteRing.units, units))
+    m = realize(ModulePresentation(ring, k, rels))
     got = [(s.members, s.generators) for s in all_submodules(m)]
-    assert units == []  # the walk lists no units
+    assert units == []  # neither realize nor the walk lists units
     assert got == oracles.all_submodules_by_every_join(m)
     assert len(got) == count
 
@@ -1203,7 +1203,9 @@ def test_the_regular_module_is_the_ring_on_polynomial_quotients(q):
     ],
 )
 def test_rejects_a_table_of_the_wrong_shape(orders, basis_act):
-    with pytest.raises(ValueError, match="the table must be 1 x"):
+    # a wrong row count is the shape rule's; an entry of the wrong length
+    # is rejected by `reduce`, as any element is
+    with pytest.raises(ValueError, match="the table must be 1 x|is not of length"):
         RealizedModule(ring_zmod(4), orders, basis_act)
 
 

@@ -27,6 +27,7 @@ from modcover.rings import (
     FiniteRing,
     Ideal,
     ideal_generated,
+    local_factor,
     local_factorization,
     maximal_ideals,
     quotient_ring,
@@ -376,7 +377,15 @@ def test_residue_columns_are_the_residue_field_coordinates(text):
 def _factor_calls(monkeypatch, ring) -> dict:
     """The calls of `_is_field` and `_lift_idempotent`, and the
     `_Coordinates` built, while `_factor` factors the ring."""
-    calls = _count_calls(monkeypatch, ["_is_field", "_lift_idempotent"], rings)
+    calls = _factor_work(monkeypatch)
+    rings._factor(ring)
+    return calls
+
+
+def _factor_work(monkeypatch) -> dict:
+    """{name: 0} for `_factor`, `_is_field` and `_lift_idempotent`, each
+    counting its calls from now on, and for the `_Coordinates` built."""
+    calls = _count_calls(monkeypatch, ["_factor", "_is_field", "_lift_idempotent"], rings)
     calls["_Coordinates"] = 0
     init = rings._Coordinates.__init__
 
@@ -385,7 +394,6 @@ def _factor_calls(monkeypatch, ring) -> dict:
         init(self, *args)
 
     monkeypatch.setattr(rings._Coordinates, "__init__", counted)
-    rings._factor(ring)
     return calls
 
 
@@ -397,17 +405,20 @@ def test_factor_reads_the_certificate_of_a_residue_field_r_mod_p(text, monkeypat
     # R/pR multiplies by R's product, with no algebra of its own built
     R = parse_ring(text)
     calls = _factor_calls(monkeypatch, R)
-    assert calls == {"_is_field": 0, "_lift_idempotent": 0, "_Coordinates": 0}
+    assert calls == {"_factor": 1, "_is_field": 0, "_lift_idempotent": 0, "_Coordinates": 0}
 
 
 def test_factor_runs_the_field_test_once_per_factor_with_a_nonzero_image(monkeypatch):
     # in Z/4 x Z/2, R/2R = F_2 x F_2, and each m̄_e is the other factor;
-    # the facts are read before `_factor` is counted, which stores nothing
+    # on a ring no test has factored, the three readers share one factoring
+    monkeypatch.setattr(rings, "_INTERNED", rings._RingTable())
     R = parse_ring("Z/4 x Z/2")
+    calls = _factor_work(monkeypatch)
     assert all(factor.rows for factor in local_factorization(R))
-    assert len(maximal_ideals(R)) == 2
-    calls = _factor_calls(monkeypatch, R)
-    assert calls["_is_field"] == 2
+    ideals = maximal_ideals(R)
+    assert [local_factor(ideal).ideal for ideal in ideals] == ideals
+    assert calls["_factor"] == 1
+    assert calls["_is_field"] == len(ideals) == 2
     assert calls["_Coordinates"] == 0
 
 
@@ -610,10 +621,10 @@ def test_rings_and_modules_keep_each_derived_fact_as_a_cached_property():
     # a fact derived from a ring or a module is a cached property of the
     # object it describes: no attribute is set to None to be filled by an
     # `is None` branch later, and no function stores a fact on an object
-    # it was handed. Covering's greedy seed is the one store kept by hand
+    # it was handed
     src = Path(__file__).resolve().parents[1] / "src" / "modcover"
     found = []
-    for name in ("rings.py", "modules.py"):
+    for name in ("rings.py", "modules.py", "covering.py"):
         tree = ast.parse((src / name).read_text(), name)
         found += [f"{name} {fn}" for fn in _hand_kept_stores(tree)]
     assert found == []
