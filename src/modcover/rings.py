@@ -25,10 +25,15 @@ no Smith normal form; R/pR multiplies by R's own product. Each local
 factor is one `LocalFactor` record: its idempotent e, its maximal ideal
 m_e and the echelon of m_e's image in R/pR. Each m_e is certified once,
 when R is factored, from the Frobenius of R/pR modulo that echelon, or,
-when that image is zero, from the kernels of R/pR's own Frobenius that
-the split into idempotents has formed; the generators of eJ, R/m_e's
+when R/pR is a field, so that the image is zero, from the kernels of
+R/pR's own Frobenius that the split into idempotents has formed, with
+no echelon taken; the generators of eJ, R/m_e's
 coordinates (the residue columns) and the residue field R/m_e, R/pR
 modulo the same echelon, are built from the record only when first read.
+The linear algebra is sized by R/pR: where it has dimension 1, as for
+every prime of Z/n and GF(p), it is F_p, and no Frobenius, kernel or
+echelon is formed at all. GF(p^k)'s table is read off the powers
+x^0, ..., x^(2k-2) mod f.
 """
 
 from __future__ import annotations
@@ -565,10 +570,13 @@ def _poly_mulmod(a, b, f, p):
 
 def _is_irreducible(f, p) -> bool:
     """Whether monic f is irreducible over Z/p, that is, whether
-    Z/p[x]/(f), on the basis 1, x, ..., x^(k-1), is a field."""
+    Z/p[x]/(f), on the basis 1, x, ..., x^(k-1), is a field. At degree 1
+    it is Z/p itself, so the answer is True with no Frobenius formed."""
     k = len(f) - 1
     if k < 1:
         return False
+    if k == 1:
+        return True
     return _is_field(_frobenius(lambda a, b: _poly_mulmod(a, b, f, p), k, p), p)
 
 
@@ -604,7 +612,12 @@ def ring_gf(p: int, k: int = 1, f=None) -> FiniteRing:
 
 
 def _build_gf(p, k, f):
-    # Z/p[x]/(f) is a ring for every monic f, so construction skips `_validate`
+    """Z/p[x]/(f) on the basis 1, x, ..., x^(k-1), for f the smallest
+    irreducible of degree k or a given monic f, which must be irreducible.
+    Its table is read off the powers x^0, ..., x^(2k-2) mod f, since
+    x^i x^j = x^(i+j): 2k - 2 shift-and-reduce steps in place of k^2
+    polynomial products. It is a ring for every monic f, so construction
+    skips `_validate`."""
     if power_exceeds(p, k, RING_SIZE_GUARD):
         raise GuardExceeded("ring-size", f"GF({p}^{k}) exceeds guard {RING_SIZE_GUARD}")
     if f is None:
@@ -616,9 +629,15 @@ def _build_gf(p, k, f):
         if not _is_irreducible(f, p):
             raise ValueError(f"GF({p}^{k}): polynomial {f} is reducible")
         label = f"GF({p}^{k}; f={','.join(str(c) for c in f)})"
-    basis = basis_vectors(k)  # 1, x, ..., x^(k-1)
-    table = [[tuple(_poly_mulmod(xi, xj, f, p)) for xj in basis] for xi in basis]
-    return FiniteRing([p] * k, table, basis[0], label, validate=False)
+    powers = [basis_vectors(k)[0]]  # x^0, ..., x^(2k-2) mod f
+    for _ in range(2 * k - 2):
+        # x times the last power: shifted up a degree, with the c·x^k
+        # pushed out replaced by -c·(f_0 + ... + f_(k-1) x^(k-1))
+        power = powers[-1]
+        c = power[-1]
+        powers.append(tuple((low - c * fj) % p for low, fj in zip((0,) + power[:-1], f)))
+    table = [[powers[i + j] for j in range(k)] for i in range(k)]
+    return FiniteRing([p] * k, table, powers[0], label, validate=False)
 
 
 def ring_product(a: FiniteRing, b: FiniteRing) -> FiniteRing:
@@ -796,12 +815,20 @@ def _factor(ring: FiniteRing) -> dict:
     that pR lies in m_e and R/m_e is that field. When m̄_e ≠ 0, A's
     Frobenius, reduced modulo the echelon of m̄_e and read on its
     non-pivot columns, is the Frobenius of A/m̄_e, and it must pass
-    `_is_field`. When m̄_e = 0, A/m̄_e is A and its Frobenius is A's,
-    whose kernels `_primary_idempotents` has formed: the radical kernel
-    ker F^s, zero exactly when ker F is, and the fixed space ker(F - I).
-    The same test, `_kernels_of_a_field`, is read off those two. This is
-    the only field check: R/m_e is built from the same echelon, stored
-    in the record, when first read.
+    `_is_field`. When A is a field, its Frobenius's kernels, which
+    `_primary_idempotents` has formed, show it: the radical kernel ker
+    F^s, zero exactly when ker F is, and the fixed space ker(F - I) of
+    dimension 1 (`_kernels_of_a_field`). Then 1 is A's one idempotent and
+    rad A = 0, so the image of m_e = (1-e_p)R + pR is zero, and no
+    echelon is taken: m̄_e = 0, A/m̄_e is A, and the certificate is that
+    same test. When A is not a field, the echelon is taken, and an
+    m̄_e = 0 fails, since A/m̄_e is then A. Where A has dimension 1,
+    `_primary_idempotents` forms no Frobenius or kernel either (A is
+    F_p), so that factor takes no linear algebra at all. Every factor,
+    on every path, still passes the size check |R| = |m_e|·p^f, and the
+    idempotents still pass the orthogonality and sum-to-1 checks. This
+    is the only field check: R/m_e is built from the same echelon,
+    stored in the record, when first read.
     `construct_cover` walks a field's elements in its coordinates, so
     these fix the order of its certificates.
     """
@@ -831,12 +858,12 @@ def _factor(ring: FiniteRing) -> dict:
         spanning += [g for g in (ring.mul(e, r) for r in r_rest) if g != ring.zero]
         images = ring.images(spanning)
         mask = ring.shifts.closure(images)
-        support = _support(ring, p)
-        rows, pivots = _echelon([[x[i] for i in support] for x in images], p)
-        if rows:
-            field = _is_field(_residue_frobenius(frobenius, rows, pivots, p), p)
-        else:  # m̄_e = 0, so A/m̄_e is A, whose kernels are at hand
-            field = _kernels_of_a_field(*kernels)
+        if _kernels_of_a_field(*kernels):  # A is a field, so m̄_e = 0
+            rows, pivots, field = [], [], True
+        else:
+            support = _support(ring, p)
+            rows, pivots = _echelon([[x[i] for i in support] for x in images], p)
+            field = bool(rows) and _is_field(_residue_frobenius(frobenius, rows, pivots, p), p)
         degree = len(frobenius) - len(rows)  # dim A/m̄_e
         if ring.size != mask.bit_count() * p**degree or not field:
             raise AssertionError(f"{ring.label}: quotient by a maximal ideal is not a field")
@@ -919,8 +946,17 @@ def _primary_idempotents(ring, p, e_p) -> tuple:
     a basis of K gives the t primitive idempotents. Each lifts uniquely to
     R_p by Newton's step e <- 3e^2 - 2e^3, as pR_p is nilpotent; when
     t = 1 the one it lifts to is e_p itself, and no step is taken.
+
+    When A has dimension 1, as over every Z/n and GF(p), none of this is
+    formed: R_p ≠ 0 and p is nilpotent on it, so 1 is not in pR_p and
+    A = F_p·1. Then F = I (u^p = u for u = c·1, by Fermat), ker F = 0,
+    ker(F - I) = A, and the one idempotent is e_p: the values returned
+    are `[e_p], [p·1], [(1,)], ([], [(1,)])`, exactly those the general
+    path computes there. The dimension is read from R's coordinates.
     """
     support = _support(ring, p)
+    if len(support) == 1:  # A = F_p·1: F = I, ker F = 0 and ker(F - I) = A
+        return [e_p], [ring.scale(p, ring.one)], [(1,)], ([], [(1,)])
     lift = _placing(ring.rank, support)
     n = len(support)
 

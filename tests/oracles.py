@@ -111,14 +111,19 @@ def sigma_search_variant_labels() -> list:
     ]
 
 
+def poly_mulmod_table(f, q) -> tuple:
+    """The k^2 products (a*b) mod f over Z/q of the basis 1, x, ...,
+    x^(k-1), for monic f of degree k, each by `_poly_mulmod`."""
+    basis = basis_vectors(len(f) - 1)
+    return tuple(tuple(tuple(_poly_mulmod(a, b, f, q)) for b in basis) for a in basis)
+
+
 def poly_ring(q, f) -> FiniteRing:
     """Z/q[x]/(f) for monic f (coefficients low degree first), on the
     basis 1, x, ..., x^(k-1)."""
     k = len(f) - 1
-    units = [[int(i == j) for j in range(k)] for i in range(k)]
-    table = [[tuple(_poly_mulmod(a, b, f, q)) for b in units] for a in units]
     label = f"Z/{q}[x]/({','.join(str(c) for c in f)})"
-    return FiniteRing([q] * k, table, tuple(units[0]), label)
+    return FiniteRing([q] * k, poly_mulmod_table(f, q), basis_vectors(k)[0], label)
 
 
 def gf4_on_x_and_1() -> FiniteRing:

@@ -18,6 +18,7 @@ from modcover.cli import main
 from modcover.dsl import parse_ring
 from modcover.modules import direct_sum, free_module, quotient_module, submodule_generated
 from modcover.rings import (
+    RING_SIZE_GUARD,
     FiniteRing,
     Ideal,
     _is_irreducible,
@@ -56,6 +57,7 @@ from oracles import (
     member_elements,
     monic_polynomials,
     nilpotents_by_squaring,
+    poly_mulmod_table,
     poly_ring,
     residue_field_by_snf,
     smallest_irreducible_by_search,
@@ -183,6 +185,51 @@ def test_irreducibility_matches_the_factor_search(p, max_degree):
 def test_gf_rejects_reducible_polynomial():
     with pytest.raises(ValueError):
         ring_gf(2, 2, (0, 0, 1))  # x^2 is reducible
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("GF(2^2; f=1,0,1)", "GF(2^2): polynomial [1, 0, 1] is reducible"),
+        ("GF(5^3; f=3,0,1,1)", "GF(5^3): polynomial [3, 0, 1, 1] is reducible"),
+    ],
+)
+def test_gf_rejects_a_reducible_polynomial_by_name(text, message):
+    # x^2 + 1 = (x + 1)^2 over F_2, and x^3 + x^2 + 3 has the root 1 over F_5
+    with pytest.raises(ValueError) as excinfo:
+        parse_ring(text)
+    assert str(excinfo.value) == f"{message} at position 0:\n{text}\n^"
+
+
+def _gf_degrees(bound) -> list:
+    """Every (p, k) with p prime, k >= 1 and p^k <= bound."""
+    primes = [p for p in range(2, bound + 1) if _is_prime(p)]
+    return [(p, k) for p in primes for k in range(1, bound.bit_length()) if p**k <= bound]
+
+
+def test_gf_table_is_the_table_of_polynomial_products():
+    # the table read off x^0, ..., x^(2k-2) mod f is the k^2 products of
+    # 1, x, ..., x^(k-1) mod f: for every monic irreducible f of degree
+    # 2 to 8 with p^k <= 256, and for the default f up to the ring guard
+    for p, k in _gf_degrees(256):
+        if k < 2:
+            continue
+        for tail in itertools.product(range(p), repeat=k):
+            f = list(tail) + [1]
+            if _is_irreducible(f, p):
+                assert rings._build_gf(p, k, f).mul_table == poly_mulmod_table(f, p), (p, f)
+    for p, k in _gf_degrees(RING_SIZE_GUARD):
+        want = poly_mulmod_table(smallest_irreducible(p, k), p)
+        assert rings._build_gf(p, k, None).mul_table == want, (p, k)
+
+
+def test_degree_one_polynomials_are_irreducible():
+    # Z/p[x]/(x + c) is Z/p, so x itself is the smallest irreducible
+    for p, k in _gf_degrees(RING_SIZE_GUARD):
+        if k == 1:
+            assert smallest_irreducible(p, 1) == [0, 1], p
+    for p in (2, 3, 131, 4093):
+        assert all(_is_irreducible([c, 1], p) for c in range(p)), p
 
 
 def test_gf_rejects_composite_characteristic():

@@ -44,6 +44,7 @@ from oracles import (
     elements,
     factor_by_algebra,
     gf4_on_x_and_1,
+    large_ring_labels,
     mask_of,
     monic_polynomials,
     poly_ring,
@@ -375,17 +376,21 @@ def test_residue_columns_are_the_residue_field_coordinates(text):
 
 
 def _factor_calls(monkeypatch, ring) -> dict:
-    """The calls of `_is_field` and `_lift_idempotent`, and the
+    """The calls of the functions `_factor_work` counts, and the
     `_Coordinates` built, while `_factor` factors the ring."""
     calls = _factor_work(monkeypatch)
     rings._factor(ring)
     return calls
 
 
+FACTOR_WORK = ["_factor", "_is_field", "_lift_idempotent", "_frobenius", "_kernel", "_echelon"]
+
+
 def _factor_work(monkeypatch) -> dict:
-    """{name: 0} for `_factor`, `_is_field` and `_lift_idempotent`, each
-    counting its calls from now on, and for the `_Coordinates` built."""
-    calls = _count_calls(monkeypatch, ["_factor", "_is_field", "_lift_idempotent"], rings)
+    """{name: 0} for each function of FACTOR_WORK, counting its calls from
+    now on (`_kernel` and `_echelon` inside `_fp` included), and for the
+    `_Coordinates` built."""
+    calls = _count_calls(monkeypatch, FACTOR_WORK, rings)
     calls["_Coordinates"] = 0
     init = rings._Coordinates.__init__
 
@@ -405,7 +410,37 @@ def test_factor_reads_the_certificate_of_a_residue_field_r_mod_p(text, monkeypat
     # R/pR multiplies by R's product, with no algebra of its own built
     R = parse_ring(text)
     calls = _factor_calls(monkeypatch, R)
-    assert calls == {"_factor": 1, "_is_field": 0, "_lift_idempotent": 0, "_Coordinates": 0}
+    assert calls["_factor"] == 1
+    assert calls["_is_field"] == calls["_lift_idempotent"] == calls["_Coordinates"] == 0
+
+
+@pytest.mark.parametrize("text", ["Z/210", "Z/12 x Z/35", "GF(131^1; f=5,1)"])
+def test_a_one_dimensional_r_mod_p_is_factored_with_no_linear_algebra(text, monkeypatch):
+    # every R/pR here is one coordinate read mod p, so it is F_p: F = I,
+    # with kernel 0 and fixed space R/pR, one idempotent, and m̄_e = 0;
+    # building the ring is counted too, so GF(p^1; f) tests no irreducibility
+    monkeypatch.setattr(rings, "_INTERNED", rings._RingTable())
+    calls = _factor_work(monkeypatch)
+    R = parse_ring(text)
+    assert all(factor.rows == factor.pivots == () for factor in local_factorization(R))
+    assert calls["_factor"] == 1
+    assert calls["_frobenius"] == calls["_kernel"] == calls["_echelon"] == 0
+
+
+@pytest.mark.parametrize("text", ["GF(2^7)", "GF(13^2)", "Z/4 x Z/2"])
+def test_a_larger_r_mod_p_runs_the_general_split(text, monkeypatch):
+    # a field R/pR of degree 2 or more is split and certified by the two
+    # kernels of its Frobenius, with no echelon of m̄_e = 0 beside the two
+    # inside those kernels; F_2 x F_2 in Z/4 x Z/2 takes the echelon of
+    # each m̄_e and a field test on each quotient
+    R = parse_ring(text)
+    calls = _factor_calls(monkeypatch, R)
+    assert calls["_frobenius"] == 1
+    if text.startswith("GF"):
+        assert calls["_kernel"] == calls["_echelon"] == 2
+    else:
+        assert calls["_kernel"] == 2 + 2 * calls["_is_field"] == 6
+        assert calls["_echelon"] == calls["_kernel"] + 2
 
 
 def test_factor_runs_the_field_test_once_per_factor_with_a_nonzero_image(monkeypatch):
@@ -469,6 +504,22 @@ def test_factor_matches_the_factorization_by_structure_constants_on_zmod_product
     pairs = [(a, b) for a in range(2, 97) for b in range(2, 192 // a + 1)]
     for a, b in pairs:
         assert_factor_matches_the_algebra(parse_ring(f"Z/{a} x Z/{b}"))
+
+
+def test_factor_matches_the_factorization_by_structure_constants_on_large_ring_classes():
+    # every ring class of the benchmark's large-ring workload, the
+    # one-dimensional R/pR of Z/n and GF(p) beside GF(2^7), GF(13^2) and
+    # products with a shared prime
+    for text in large_ring_labels():
+        assert_factor_matches_the_algebra(parse_ring(text))
+
+
+def test_factor_matches_the_factorization_by_structure_constants_on_prime_fields_by_polynomial():
+    # every GF(p^1; f=c,1) that large-ring may write for its prime fields
+    primes = [p for p in range(127, 158) if rings._is_prime(p)]
+    for p in primes:
+        for c in range(p):
+            assert_factor_matches_the_algebra(parse_ring(f"GF({p}^1; f={c},1)"))
 
 
 def test_factor_matches_the_factorization_by_structure_constants_on_polynomial_rings():
