@@ -16,14 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import GuardExceeded
-from .modules import (
-    RealizedModule,
-    _residue_span,
-    hyperplanes,
-    lattice_coatoms,
-    maximal_submodules,
-    s_set,
-)
+from .modules import RealizedModule, lattice_coatoms, maximal_submodules
 
 BNB_NODE_BUDGET = 10_000_000
 
@@ -80,14 +73,14 @@ class CoverCertificate:
 def sigma_formula(m: RealizedModule) -> SigmaPrediction:
     """min over S of |R/m|, plus one; None when S is empty.
 
-    Ties break toward the ideal whose member bitmask is smallest, which
-    is deterministic because ring elements are enumerated canonically.
+    The witness is the module's `_witness`: ties break toward the ideal
+    whose member bitmask is smallest, which is deterministic because ring
+    elements are enumerated canonically.
     """
     _reject_zero(m)
-    entries = s_set(m)
-    if not entries:
+    best = m._witness
+    if best is None:
         return SigmaPrediction(None, None, None)
-    best = min(entries, key=lambda e: (e.residue_size, e.ideal.members))
     return SigmaPrediction(best.residue_size + 1, best.ideal, best.residue_size)
 
 
@@ -241,28 +234,23 @@ def construct_cover(m: RealizedModule) -> CoverCertificate:
     greedy basis of M/mM), and pulls back its q + 1 lines. Each pullback
     is a proper submodule and every element lands in some line, so the
     result is a cover of the predicted size.
-    In the basis u, w, rest of M/mM the line through dx u + dy w pulls
-    back to the hyperplane spanned by mM, rest and that vector, so the
-    lines are the `hyperplanes` of the plane of w and u over mM + rest.
-    That start is a span over mM, so it is `_residue_span`'s: the additive
-    closure of the vectors v of rest and their b_i·v over R/m's span
-    columns, of which F_p has none. R/m is not built as a ring.
+    The lines are the module's `_formula_cover`, built once per module:
+    the `hyperplanes` of the plane of w and u over mM and the rest of the
+    basis, spanned by `_residue_span`, with R/m not built as a ring. When
+    the witness has multiplicity 2 they are also that entry's maximal
+    submodules, and `maximal_submodules` holds the same objects, so
+    whichever of the two runs first builds them for both.
     """
     t0 = time.perf_counter()
     _reject_zero(m)
-    pred = sigma_formula(m)
-    if not pred.coverable:
+    covers = m._formula_cover
+    if not covers:  # S is empty: M is cyclic
         return CoverCertificate(
             (), False, None, True, 0, (time.perf_counter() - t0) * 1000
         )
-    entry = next(e for e in s_set(m) if e.ideal is pred.witness_ideal)
-    u, w, *rest = entry.basis
-    # the lines through u + c w for each scalar c, then the line through w
-    start = _residue_span(m, entry.factor)(rest, entry.nm)
-    covers = hyperplanes(m, entry, start, (w, u))
     ok = verify_cover(m, covers)
     return CoverCertificate(
-        tuple(covers), ok, len(covers) if ok else None, ok, 0,
+        covers, ok, len(covers) if ok else None, ok, 0,
         (time.perf_counter() - t0) * 1000,
     )
 

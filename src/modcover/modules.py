@@ -12,18 +12,18 @@ tuples, indexed by `rings._Shifts`; no element list is stored. Quotients come ba
 its members mask, and every generating set is greedy in M's element
 order: a submodule's, derived when first read, and each basis of M/mM,
 over mM. All values are immutable after construction, so each module
-keeps its semisimple invariants, maximal submodules, cyclicity and the
-greedy cover that seeds the exact search as cached properties, formed
-when first read.
+keeps its semisimple invariants, maximal submodules, cyclicity, the
+greedy cover that seeds the exact search, the formula's witness and the
+q + 1 lines of its cover as cached properties, formed when first read.
 
 The residue layer works in M/mM's own terms, and reads R/m's coordinates
 off the `LocalFactor` of m, with no residue ring built: mM is the
-additive span of the multiples a·e_t read off the module table
-(`ideal_action`); a span over a mask that contains mM is the additive
-closure of the vectors v and of the b_i·v over R/m's span columns, which
-over F_p are none (`_residue_span`); and the multiples c·u over R/m are
-each one `combine` of the f vectors b_i·u over its residue columns
-(`_field_multiples`).
+additive span of the multiples a·e_t read off the module table, for a
+over the additive generators that m keeps (`ideal_action`); a span over
+a mask that contains mM is the additive closure of the vectors v and of
+the b_i·v over R/m's span columns, which over F_p are none
+(`_residue_span`); and the multiples c·u over R/m are each one `combine`
+of the f vectors b_i·u over its residue columns (`_field_multiples`).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from ._fp import combine
 from .errors import GuardExceeded
@@ -56,7 +56,13 @@ LATTICE_COUNT_BUDGET = 20000
 
 
 def module_size_guard() -> int:
-    text = os.environ.get("MODCOVER_MAX_MODULE", "4096")
+    """`MODCOVER_MAX_MODULE`, read from the environment on each call, since
+    it may change between calls; each distinct text is parsed once."""
+    return _parse_module_guard(os.environ.get("MODCOVER_MAX_MODULE", "4096"))
+
+
+@cache
+def _parse_module_guard(text: str) -> int:
     try:
         if int(text) >= 1:
             return int(text)
@@ -121,7 +127,7 @@ class RealizedModule(_Coordinates):
     """A module over `ring`: its invariant factors and the action of the
     ring basis on its own. Its derived facts are cached properties, formed
     when first read, which `semisimple_invariants`, `maximal_submodules`,
-    `is_cyclic` and the cover search read."""
+    `is_cyclic`, the cover search and `construct_cover` read."""
 
     def __init__(self, ring, orders, basis_act, presentation=None, label=None):
         orders = tuple(int(d) for d in orders)
@@ -147,14 +153,44 @@ class RealizedModule(_Coordinates):
 
     @cached_property
     def _maximal_submodules(self) -> tuple:
-        """The hyperplane pullbacks of each M/mM, sorted by members."""
-        out = [
-            s
-            for e in semisimple_invariants(self)
-            for s in hyperplanes(self, e, e.nm, e.basis)
-        ]
+        """The hyperplane pullbacks of each M/mM, sorted by members. When
+        the formula's witness has multiplicity 2, the plane of
+        `_formula_cover` is all of M/mM and its start is mM, so its q + 1
+        lines are that entry's hyperplanes: they are read, not built
+        again, and the cover of `construct_cover` holds the same objects."""
+        out = []
+        for e in semisimple_invariants(self):
+            if e.multiplicity == 2 and e is self._witness:
+                out += self._formula_cover
+            else:
+                out += hyperplanes(self, e, e.nm, e.basis)
         out.sort(key=lambda s: s.members)
         return tuple(out)
+
+    @cached_property
+    def _witness(self) -> SemisimpleEntry | None:
+        """The entry of S whose residue field is smallest, ties broken
+        toward the ideal whose members mask is smallest, which is
+        deterministic because ring elements are enumerated canonically;
+        None when S is empty. `sigma_formula` reads σ(M) off it, and
+        `_formula_cover` the lines that cover M."""
+        return min(s_set(self), key=lambda e: (e.residue_size, e.ideal.members), default=None)
+
+    @cached_property
+    def _formula_cover(self) -> tuple:
+        """The q + 1 lines of one plane of M/mM, for m the formula's
+        witness (`_witness`), pulled back to M, or () when S is empty:
+        the cover of `construct_cover`. In the basis u, w, rest of M/mM
+        the line through dx u + dy w pulls back to the hyperplane spanned
+        by mM, rest and that vector, so the lines are the `hyperplanes` of
+        the plane of w and u over the `_residue_span` of rest over mM."""
+        entry = self._witness
+        if entry is None:
+            return ()
+        u, w, *rest = entry.basis
+        # the lines through u + c w for each scalar c, then the line through w
+        start = _residue_span(self, entry.factor)(rest, entry.nm)
+        return tuple(hyperplanes(self, entry, start, (w, u)))
 
     @cached_property
     def _cyclic(self) -> tuple:
@@ -443,13 +479,12 @@ def _lattice_count_exceeded() -> GuardExceeded:
 
 def ideal_action(m: RealizedModule, ideal: Ideal) -> Submodule:
     """The submodule I*M: the additive span of the a·e_t, for a over the
-    additive generators of I (the images of its spanning set) and e_t
-    over M's basis, each read off the table by `m.multiples(a)`, with no
-    product."""
+    additive generators that I keeps (`Ideal.additive`, imaged once per
+    ideal, not once per module) and e_t over M's basis, each read off the
+    table by `m.multiples(a)`, with no product."""
     if ideal.ring is not m.ring:
         raise ValueError("ideal belongs to a different ring")
-    gens = [a for a in dict.fromkeys(m.ring.images(ideal.spanning)) if any(a)]
-    products = (y for a in gens for y in m.multiples(a))
+    products = (y for a in ideal.additive for y in m.multiples(a))
     return Submodule(m, m.shifts.closure(y for y in products if any(y)))
 
 
@@ -470,7 +505,9 @@ def maximal_submodules(m: RealizedModule) -> list:
     Every maximal submodule contains mM for the maximal ideal m that
     annihilates its (simple) quotient, so it is the pullback of a
     hyperplane of the R/m-vector space M/mM; conversely every such
-    pullback is maximal. Computed once per module.
+    pullback is maximal. Computed once per module; where M/mM is the
+    plane of `construct_cover`'s lines, its hyperplanes are those lines,
+    the same objects, built once for both.
     """
     return list(m._maximal_submodules)
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cache, cached_property, reduce
@@ -211,7 +212,7 @@ class _Coordinates:
         length raises ValueError. The arithmetic below checks no length."""
         if len(x) != self.rank:
             raise ValueError(f"{self.label}: {x!r} is not of length {self.rank}")
-        return tuple(int(c) % d for c, d in zip(x, self.orders))
+        return tuple(map(operator.mod, map(int, x), self.orders))
 
     def add(self, x, y) -> Element:
         return tuple((a + b) % d for a, b, d in zip(x, y, self.orders))
@@ -446,7 +447,9 @@ class FiniteRing(_Coordinates):
 class Ideal:
     """An ideal is its members mask. `spanning` holds the elements it was
     built from, whose ideal span is that mask; the greedy `generators`
-    are derived from the mask when first read."""
+    are derived from the mask, and the `additive` generators from
+    `spanning`, when first read, so every module over an interned ring
+    reads the same ones."""
 
     ring: FiniteRing
     members: int  # bitmask over the ring's element indices
@@ -457,6 +460,13 @@ class Ideal:
         """The greedy generating set in R's element order, as coordinate
         tuples; derived when first read."""
         return tuple(self.ring.element(i) for i in self.ring.greedy(self.members))
+
+    @cached_property
+    def additive(self) -> tuple:
+        """The distinct nonzero b_i·g over the ring basis and the
+        `spanning` elements g, in order: additive generators of I, from
+        which `ideal_action` reads I·M."""
+        return tuple(a for a in dict.fromkeys(self.ring.images(self.spanning)) if any(a))
 
     @property
     def size(self) -> int:

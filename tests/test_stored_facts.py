@@ -190,6 +190,77 @@ def test_the_greedy_seed_is_formed_once_per_module(text, monkeypatch):
     assert finiteness.details["coverable"] == greedy.is_cover
 
 
+def _counted_closures(monkeypatch) -> list:
+    calls = []
+    closure = rings._Shifts.closure
+
+    def counted(self, gens, start=1):
+        calls.append(1)
+        return closure(self, gens, start)
+
+    monkeypatch.setattr(rings._Shifts, "closure", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "free 2 over Z/13",
+        "free 2 over Z/7 x Z/7",  # two witnesses of one size: the least mask
+        "free 2 over GF(2^3)",
+        "Z/6 (+) Z/10 (+) Z/15 over Z/30",  # multiplicity 2 at each of 3 ideals
+    ],
+)
+def test_the_witness_plane_is_closed_once(text, monkeypatch):
+    # at multiplicity 2 the plane of the formula's cover is all of M/mM,
+    # so its q + 1 lines are the witness's maximal submodules: the cover
+    # reads them, with no closure, and they are the same objects
+    m = parse_module(text)
+    maximal = maximal_submodules(m)
+    calls = _counted_closures(monkeypatch)
+    cert = construct_cover(m)
+    assert calls == []
+    assert cert.is_cover and len(cert.submodules) == cert.size
+    assert all(any(s is t for t in maximal) for s in cert.submodules)
+
+
+@pytest.mark.parametrize("text, q", [("free 12 over Z/2", 2), ("free 3 over GF(2^4)", 16)])
+def test_the_formula_cover_alone_builds_only_its_lines(text, q, monkeypatch):
+    # a cover read alone builds the q + 1 lines of its plane and not the
+    # maximal submodules, which number 4,095 and 273 here: the start over
+    # mM and the rest, q lines through u + c w, then the lead start of w
+    # and its line, q + 3 closures
+    m = parse_module(text)
+    semisimple_invariants(m)
+    calls = _counted_closures(monkeypatch)
+    cert = construct_cover(m)
+    assert cert.size == q + 1
+    assert len(calls) == q + 3
+    assert "_maximal_submodules" not in vars(m)
+
+
+def test_each_ideal_is_imaged_once_across_modules(monkeypatch):
+    # an ideal keeps its additive generators, so two modules over one
+    # interned ring read the images of each maximal ideal's spanning set
+    # once between them
+    monkeypatch.setattr(rings, "_INTERNED", rings._RingTable())
+    big, small = parse_module("free 2 over Z/7 x Z/7"), parse_module("free 1 over Z/7 x Z/7")
+    assert big.ring is small.ring
+    spanning = [ideal.spanning for ideal in maximal_ideals(big.ring)]
+    calls = []
+    images = rings._Coordinates.images
+
+    def counted(self, elems):
+        if self is big.ring and elems in spanning:
+            calls.append(elems)
+        return images(self, elems)
+
+    monkeypatch.setattr(rings._Coordinates, "images", counted)
+    assert [e.multiplicity for e in semisimple_invariants(big)] == [2, 2]
+    assert [e.multiplicity for e in semisimple_invariants(small)] == [1, 1]
+    assert sorted(calls) == sorted(spanning)
+
+
 def test_generators_are_derived_only_when_read(monkeypatch):
     # a submodule is its mask; its greedy generators are derived on first
     # read, and no search, cover, radical or lattice reads them
