@@ -77,7 +77,7 @@ def _ring_facts(ring) -> dict:
     return {
         "ring": ring.label,
         "size": ring.size,
-        "additive_orders": list(ring.additive_orders),
+        "additive_orders": list(ring.orders),
         "units": ring.unit_count,
         "maximal_ideals": [
             {

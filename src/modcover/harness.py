@@ -141,7 +141,7 @@ def _random_presentation(rng, ring):
     if power_exceeds(ring.size, k, REALIZE_INTERMEDIATE_GUARD):
         k = 1
     rels = tuple(
-        tuple(tuple(rng.randrange(d) for d in ring.additive_orders) for _ in range(k))
+        tuple(tuple(rng.randrange(d) for d in ring.orders) for _ in range(k))
         for _ in range(rng.randint(0, k + 1))
     )
     return ModulePresentation(ring, k, rels).to_dsl()

@@ -7,14 +7,15 @@ else is the bilinear extension. Its arithmetic, element indices, action,
 spans, greedy generating sets and quotients (`realize` quotients R^k,
 read through R's basis rows) are those of `rings._Coordinates`, which a
 ring shares as a module over itself. Elements are integer coordinate
-tuples, indexed by `rings._Shifts`; no element list is stored. Quotients come back as
-``(quotient, project, lift)`` maps, not as sweeps over M. A submodule is
-its members mask, and every generating set is greedy in M's element
-order: a submodule's, derived when first read, and each basis of M/mM,
-over mM. All values are immutable after construction, so each module
-keeps its semisimple invariants, maximal submodules, cyclicity, the
-greedy cover that seeds the exact search, the formula's witness and the
-q + 1 lines of its cover as cached properties, formed when first read.
+tuples, indexed by `rings._Coordinates`; no element list is stored.
+Quotients come back as ``(quotient, project, lift)`` maps, not as sweeps
+over M. A submodule is its members mask, and every generating set is
+greedy in M's element order: a submodule's, derived when first read,
+and each basis of M/mM, over mM. All values are immutable after
+construction, so each module keeps its semisimple invariants, maximal
+submodules, cyclicity, the greedy cover that seeds the exact search,
+the formula's witness and the q + 1 lines of its cover as cached
+properties, formed when first read.
 
 The residue layer works in M/mM's own terms, and reads R/m's coordinates
 off the `LocalFactor` of m, with no residue ring built: mM is the
@@ -129,7 +130,7 @@ class RealizedModule(_Coordinates):
     when first read, which `semisimple_invariants`, `maximal_submodules`,
     `is_cyclic`, the cover search and `construct_cover` read."""
 
-    def __init__(self, ring, orders, basis_act, presentation=None, label=None):
+    def __init__(self, ring, orders, table, presentation=None, label=None):
         orders = tuple(int(d) for d in orders)
         if any(d < 2 for d in orders):
             raise ValueError("module invariant factors must be >= 2")
@@ -137,9 +138,8 @@ class RealizedModule(_Coordinates):
         if size > guard:
             raise GuardExceeded("module-size", f"|M| = {size} exceeds guard {guard}")
         self.label = label or (presentation.to_dsl() if presentation else "module")
-        # basis_act[i][t] = coords of (ring basis b_i) . (module basis e_t)
-        super().__init__(orders, basis_act, ring.rank)
-        self.basis_act = self.table
+        # table[i][t] = coords of (ring basis b_i) . (module basis e_t)
+        super().__init__(orders, table, ring.rank)
         self.ring = ring
         self.presentation = presentation
 
@@ -266,7 +266,7 @@ def _same_ring(r: FiniteRing, s: FiniteRing) -> bool:
     """Whether r and s are one ring: the same object, or the same table,
     whatever their labels."""
     return r is s or (
-        r.additive_orders == s.additive_orders and r.mul_table == s.mul_table and r.one == s.one
+        r.orders == s.orders and r.table == s.table and r.one == s.one
     )
 
 
@@ -275,15 +275,15 @@ def direct_sum(a: RealizedModule, b: RealizedModule) -> RealizedModule:
         raise ValueError("direct sum requires modules over the same ring")
     ring = a.ring
     orders = a.orders + b.orders
-    basis_act = [
-        [v + b.zero for v in a.basis_act[i]] + [a.zero + v for v in b.basis_act[i]]
+    table = [
+        [v + b.zero for v in a.table[i]] + [a.zero + v for v in b.table[i]]
         for i in range(ring.rank)
     ]
     pres = None
     if a.presentation is not None and b.presentation is not None:
         pres = a.presentation.direct_sum(b.presentation)
     return RealizedModule(
-        ring, orders, basis_act, presentation=pres, label=f"({a.label}) (+) ({b.label})"
+        ring, orders, table, presentation=pres, label=f"({a.label}) (+) ({b.label})"
     )
 
 
@@ -321,10 +321,10 @@ def submodule_generated(m: RealizedModule, gen_indices) -> Submodule:
     return Submodule(m, m.span([m.element(g) for g in gen_indices]))
 
 
-def submodule_generators(m: RealizedModule, members: int, start=1) -> tuple:
-    """Greedy generating set (element indices) of the submodule `members`
-    over the submodule mask `start`; see `_Coordinates.greedy`."""
-    return m.greedy(members, start)
+def submodule_generators(m: RealizedModule, members: int) -> tuple:
+    """Greedy generating set (element indices) of the submodule `members`;
+    see `_Coordinates.greedy`."""
+    return m.greedy(members)
 
 
 def all_submodules(m: RealizedModule) -> list:
@@ -403,10 +403,10 @@ def _intervals(m: RealizedModule) -> list:
     intervals = []
     for factor in local_factorization(ring):
         e = factor.idempotent
-        em = m.shifts.closure(m.multiples(e))
+        em = m.closure(m.multiples(e))
         if em == 1:
             continue
-        bottom = m.shifts.closure(m.multiples(ring.sub(ring.one, e)))
+        bottom = m.closure(m.multiples(ring.sub(ring.one, e)))
         intervals.append(_interval(m, bottom, em, factor.radical))
     return intervals
 
@@ -443,10 +443,10 @@ def _interval(m: RealizedModule, bottom: int, em: int, radical) -> set:
     while todo:
         idx = (todo & -todo).bit_length() - 1
         images = m.images([m.element(idx)])
-        cmask = m.shifts.closure(images)
+        cmask = m.closure(images)
         rows = [tuple(enumerate(y)) for y in images] if radical else ()
         moved = [y for y in (combine(a, rows, m.orders) for a in radical) if any(y)]
-        below = m.shifts.closure(moved) if moved else 1  # m_e·C
+        below = m.closure(moved) if moved else 1  # m_e·C
         todo &= ~(cmask & ~below | 1 << idx)
         cyclics.setdefault(cmask, (idx, images))
     cyclic_items = [(cmask, *gen) for cmask, gen in sorted(cyclics.items())]
@@ -458,7 +458,7 @@ def _interval(m: RealizedModule, bottom: int, em: int, radical) -> set:
         for cmask, cgen, images in cyclic_items:
             if cmask & smask == cmask or joined >> cgen & 1:
                 continue
-            jmask = m.shifts.closure(images, smask)
+            jmask = m.closure(images, smask)
             joined |= jmask
             if jmask not in lattice:
                 lattice.add(jmask)
@@ -485,7 +485,7 @@ def ideal_action(m: RealizedModule, ideal: Ideal) -> Submodule:
     if ideal.ring is not m.ring:
         raise ValueError("ideal belongs to a different ring")
     products = (y for a in ideal.additive for y in m.multiples(a))
-    return Submodule(m, m.shifts.closure(y for y in products if any(y)))
+    return Submodule(m, m.closure(y for y in products if any(y)))
 
 
 def quotient_module(m: RealizedModule, n: Submodule):
@@ -568,7 +568,7 @@ def _residue_span(m: RealizedModule, factor: LocalFactor):
 
     def span(vectors, start):
         images = [m.row_image(i, v) for v in vectors for i in columns]
-        return m.shifts.closure([*vectors, *images], start)
+        return m.closure([*vectors, *images], start)
 
     return span
 
@@ -623,7 +623,7 @@ def length(m: RealizedModule) -> int:
     total = 0
     for factor in local_factorization(m.ring):
         q = factor.ideal.residue_size
-        em = m.shifts.closure(m.multiples(factor.idempotent))
+        em = m.closure(m.multiples(factor.idempotent))
         total += _exact_log(
             em.bit_count(), q, f"|eM| is not a power of the residue size {q}"
         )
@@ -724,8 +724,6 @@ def localize_at_s(m: RealizedModule):
     quotient, project, _ = quotient_module(m, ideal_action(m, complement))
     # the complement ideal annihilates the quotient, so the action factors
     # through the quotient ring: act by lifts of its basis
-    basis_act = quotient.restrict(ring_lift, new_ring.rank)
-    localized = RealizedModule(
-        new_ring, quotient.orders, basis_act, label=f"localized({m.label})"
-    )
+    table = quotient.restrict(ring_lift, new_ring.rank)
+    localized = RealizedModule(new_ring, quotient.orders, table, label=f"localized({m.label})")
     return localized, project

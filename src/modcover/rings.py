@@ -72,91 +72,10 @@ def power_exceeds(base: int, k: int, bound: int) -> bool:
     return k > bound.bit_length() or base**k > bound
 
 
-class _Shifts:
-    """Subsets of ⊕ Z/d_t as bitmasks over the lexicographic element
-    indices, where x has index Σ x_t w_t with w_t = Π_{s>t} d_s; zero is
-    bit 0. `index` and `element` convert between the two, so no element
-    list is stored.
-
-    Adding c to coordinate t moves index i by c w_t inside its block of
-    d_t w_t consecutive indices, wrapping around, so translating a whole
-    mask is one rotation of every block per nonzero coordinate. The
-    repunit of coordinate t has bit 0 of every block set.
-    """
-
-    def __init__(self, orders):
-        self.orders = tuple(orders)
-        self.size = size = math.prod(orders)
-        self.coords = []  # (weight, block, repunit) per coordinate
-        weight = size
-        for d in orders:
-            weight //= d
-            block = d * weight
-            repunit = ((1 << size) - 1) // ((1 << block) - 1)
-            self.coords.append((weight, block, repunit))
-
-    def index(self, x) -> int:
-        """Σ x_t w_t; raises KeyError unless x is a reduced coordinate tuple."""
-        if len(x) != len(self.coords):
-            raise KeyError(x)
-        i = 0
-        for c, (weight, block, _) in zip(x, self.coords):
-            if not 0 <= c * weight < block:  # c outside [0, d_t)
-                raise KeyError(x)
-            i += c * weight
-        return i
-
-    def element(self, i) -> tuple:
-        """The reduced coordinate tuple of index i: (i // w_t mod d_t)_t;
-        raises IndexError unless 0 <= i < size."""
-        if not 0 <= i < self.size:
-            raise IndexError(i)
-        return tuple(i % block // weight for weight, block, _ in self.coords)
-
-    def moves(self, x) -> list:
-        """The (c w_t, block, repunit) of each nonzero coordinate c of x:
-        what `_rotate` needs to translate a mask by x."""
-        return [
-            (c * weight, block, repunit)
-            for c, (weight, block, repunit) in zip(x, self.coords)
-            if c
-        ]
-
-    def closure(self, gens, start: int = 1) -> int:
-        """Mask of the subgroup generated by the subgroup `start` and the
-        gens (reduced coordinate tuples), by doubling.
-
-        For H the running subgroup and a generator g, the union starts as
-        H and is ORed with itself translated by g, 2g, 4g, ...: after the
-        step jg it is H + {0, ..., 2j-1}g. When the coset just added holds
-        zero, some kg with j <= k <= 2j-1 lies in H, so the order of g
-        modulo H is at most 2j-1 and the union is H + <g>; when the next
-        step 2jg is zero, the order of g divides 2j and so it is too. A
-        generator of order n thus costs about log2 n + 1 translations.
-        The step is kept as its `moves`, and doubling it doubles each
-        shift c w_t modulo its block, dropping the coordinates it clears.
-        """
-        for g in gens:
-            moves = self.moves(g)
-            while True:
-                coset = _rotate(start, moves)
-                start |= coset
-                if coset & 1:
-                    break
-                moves = [
-                    (doubled, block, repunit)
-                    for shift, block, repunit in moves
-                    if (doubled := 2 * shift % block)
-                ]
-                if not moves:
-                    break
-        return start
-
-
 def _rotate(mask: int, moves) -> int:
     """The mask with every block of each move rotated up by its shift,
     wrapping around: the translate of the mask by the element whose
-    `_Shifts.moves` they are."""
+    `_Coordinates.moves` they are."""
     for shift, block, repunit in moves:
         stay = (repunit << (block - shift)) - repunit  # no wrap-around
         low = mask & stay
@@ -177,9 +96,14 @@ class _Coordinates:
     their columns with no product, and `_product` reads their entries in
     turn. `quotient`, given the orders and rows of any such group,
     builds every realized module, quotient module and quotient ring.
-    Elements are reduced coordinate tuples. A subset is a bitmask
-    over the element indices, read through the `shifts` codec, which is
-    built on the first mask read.
+    Elements are reduced coordinate tuples. A subset is a bitmask over
+    the lexicographic element indices, where x has index Σ x_t w_t with
+    w_t = Π_{s>t} d_s, so zero is bit 0; `index_of` and `element` convert
+    between the two, so no element list is stored. Adding c to coordinate
+    t moves index i by c w_t inside its block of d_t w_t consecutive
+    indices, wrapping around, so translating a whole mask is one rotation
+    of every block per nonzero coordinate (`moves`, `_rotate`). The
+    `codec` that these read is built on the first mask read.
 
     A ring and a module are accepted by the same two rules. The shape
     rule, run on every construction: the table has one row per basis
@@ -242,8 +166,16 @@ class _Coordinates:
     # -- element indices (lexicographic on coordinates) --------------------
 
     @cached_property
-    def shifts(self) -> _Shifts:
-        return _Shifts(self.orders)
+    def codec(self) -> list:
+        """The (weight w_t, block d_t w_t, repunit) of each coordinate t,
+        where the repunit has bit 0 of every block set."""
+        codec = []
+        weight = self.size
+        for d in self.orders:
+            weight //= d
+            block = d * weight
+            codec.append((weight, block, self.full_mask // ((1 << block) - 1)))
+        return codec
 
     @property
     def full_mask(self) -> int:
@@ -254,10 +186,61 @@ class _Coordinates:
         return itertools.product(*(range(d) for d in self.orders))
 
     def index_of(self, x) -> int:
-        return self.shifts.index(x)
+        """Σ x_t w_t; raises KeyError unless x is a reduced coordinate tuple."""
+        if len(x) != self.rank:
+            raise KeyError(x)
+        i = 0
+        for c, (weight, block, _) in zip(x, self.codec):
+            if not 0 <= c * weight < block:  # c outside [0, d_t)
+                raise KeyError(x)
+            i += c * weight
+        return i
 
     def element(self, i) -> Element:
-        return self.shifts.element(i)
+        """The reduced coordinate tuple of index i: (i // w_t mod d_t)_t;
+        raises IndexError unless 0 <= i < size."""
+        if not 0 <= i < self.size:
+            raise IndexError(i)
+        return tuple(i % block // weight for weight, block, _ in self.codec)
+
+    def moves(self, x) -> list:
+        """The (c w_t, block, repunit) of each nonzero coordinate c of x:
+        what `_rotate` needs to translate a mask by x."""
+        return [
+            (c * weight, block, repunit)
+            for c, (weight, block, repunit) in zip(x, self.codec)
+            if c
+        ]
+
+    def closure(self, gens, start: int = 1) -> int:
+        """Mask of the subgroup generated by the subgroup `start` and the
+        gens (reduced coordinate tuples), by doubling.
+
+        For H the running subgroup and a generator g, the union starts as
+        H and is ORed with itself translated by g, 2g, 4g, ...: after the
+        step jg it is H + {0, ..., 2j-1}g. When the coset just added holds
+        zero, some kg with j <= k <= 2j-1 lies in H, so the order of g
+        modulo H is at most 2j-1 and the union is H + <g>; when the next
+        step 2jg is zero, the order of g divides 2j and so it is too. A
+        generator of order n thus costs about log2 n + 1 translations.
+        The step is kept as its `moves`, and doubling it doubles each
+        shift c w_t modulo its block, dropping the coordinates it clears.
+        """
+        for g in gens:
+            moves = self.moves(g)
+            while True:
+                coset = _rotate(start, moves)
+                start |= coset
+                if coset & 1:
+                    break
+                moves = [
+                    (doubled, block, repunit)
+                    for shift, block, repunit in moves
+                    if (doubled := 2 * shift % block)
+                ]
+                if not moves:
+                    break
+        return start
 
     # -- spans and generators ------------------------------------------------
 
@@ -337,13 +320,13 @@ class _Coordinates:
         """Mask of the ideal or submodule generated by the elements and
         the ideal or submodule mask `start`: the additive span of their
         images, which is already closed under the action."""
-        return self.shifts.closure(self.images(elems), start)
+        return self.closure(self.images(elems), start)
 
-    def greedy(self, members: int, start=1) -> tuple:
+    def greedy(self, members: int) -> tuple:
         """Greedy generating set (element indices) of the ideal or
-        submodule `members` over the mask `start`: each member, in index
-        order, that `start` and the earlier ones do not span."""
-        return _greedy(self, members, start, self.span)
+        submodule `members`: each member, in index order, that the earlier
+        ones do not span."""
+        return _greedy(self, members, 1, self.span)
 
 
 def _greedy(coords: _Coordinates, members: int, start: int, span) -> tuple:
@@ -371,9 +354,9 @@ class FiniteRing(_Coordinates):
     derived facts are cached properties, formed when first read: `_factors`
     (what `_factor` returns), the sorted maximal ideals and `unit_mask`."""
 
-    def __init__(self, additive_orders, mul_table, one, label, *, validate=True):
+    def __init__(self, orders, table, one, label, *, validate=True):
         self.label = label
-        orders = tuple(int(d) for d in additive_orders)
+        orders = tuple(int(d) for d in orders)
         if not orders or any(d < 2 for d in orders):
             raise ValueError("additive orders must be a nonempty list of integers >= 2")
         size = math.prod(orders)
@@ -381,9 +364,7 @@ class FiniteRing(_Coordinates):
             raise GuardExceeded(
                 "ring-size", f"|{label}| = {size} exceeds guard {RING_SIZE_GUARD}"
             )
-        super().__init__(orders, mul_table, len(orders))
-        self.additive_orders = self.orders
-        self.mul_table = self.table
+        super().__init__(orders, table, len(orders))
         self.one = self.reduce(one)
         if validate:
             self._validate()
@@ -664,14 +645,14 @@ def _build_product(a, b):
         row = []
         for j in range(ra + rb):
             if i < ra and j < ra:
-                row.append(a.mul_table[i][j] + zero_b)
+                row.append(a.table[i][j] + zero_b)
             elif i >= ra and j >= ra:
-                row.append(zero_a + b.mul_table[i - ra][j - ra])
+                row.append(zero_a + b.table[i - ra][j - ra])
             else:
                 row.append(zero_a + zero_b)
         table.append(row)
     return FiniteRing(
-        list(a.additive_orders) + list(b.additive_orders),
+        a.orders + b.orders,
         table,
         a.one + b.one,
         f"{a.label} x {b.label}",
@@ -843,7 +824,7 @@ def _factor(ring: FiniteRing) -> dict:
     these fix the order of its certificates.
     """
     char = reduce(
-        math.lcm, (d // math.gcd(d, c) for c, d in zip(ring.one, ring.additive_orders))
+        math.lcm, (d // math.gcd(d, c) for c, d in zip(ring.one, ring.orders))
     )  # the additive order of 1
     parts = []  # (idempotent, p, generators r_j of J_p, Frobenius of R/pR, its kernels)
     for p, a in _prime_powers(char):
@@ -867,7 +848,7 @@ def _factor(ring: FiniteRing) -> dict:
         spanning = [ring.add(ring.sub(ring.one, e), ring.mul(e, r_1))]
         spanning += [g for g in (ring.mul(e, r) for r in r_rest) if g != ring.zero]
         images = ring.images(spanning)
-        mask = ring.shifts.closure(images)
+        mask = ring.closure(images)
         if _kernels_of_a_field(*kernels):  # A is a field, so m̄_e = 0
             rows, pivots, field = [], [], True
         else:
@@ -885,7 +866,7 @@ def _factor(ring: FiniteRing) -> dict:
 def _support(ring, p) -> list:
     """The coordinates i with p | d_i. pR is ⊕ pZ/d_i, so A = R/pR is ⊕ Z/p
     over these coordinates, read as x_i mod p."""
-    return [i for i, d in enumerate(ring.additive_orders) if d % p == 0]
+    return [i for i, d in enumerate(ring.orders) if d % p == 0]
 
 
 def _residue_frobenius(frobenius, rows, pivots, p) -> list:
@@ -912,7 +893,7 @@ def _residue_field(factor: LocalFactor) -> tuple:
     ring = factor.ideal.ring
     columns = factor.residue_columns
     project = factor.residue
-    table = [[project(ring.mul_table[i][j]) for j in columns] for i in columns]
+    table = [[project(ring.table[i][j]) for j in columns] for i in columns]
     label = f"({ring.label})/<{','.join(str(g) for g in factor.ideal.spanning)}>"
     residue = FiniteRing(
         [factor.p] * len(columns), table, project(ring.one), label, validate=False

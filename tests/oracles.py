@@ -456,7 +456,7 @@ def all_submodules_by_every_join(m) -> list:
         for cmask, images in cyclic_items:
             if cmask & smask == cmask:
                 continue
-            jmask = m.shifts.closure(images, smask)
+            jmask = m.closure(images, smask)
             if jmask not in lattice:
                 lattice.add(jmask)
                 work.append(jmask)
@@ -647,7 +647,7 @@ def realize_by_flatten(pres):
         for rel in pres.relations
         for b in bs
     ]
-    orders, project, lift = abelian_quotient(list(ring.additive_orders) * k, addgens)
+    orders, project, lift = abelian_quotient(list(ring.orders) * k, addgens)
     lifted = [unflatten(lift(u)) for u in basis_vectors(len(orders))]
     basis_act = [
         [project(flatten(tuple(ring.mul(b, comp) for comp in x))) for x in lifted]
@@ -667,7 +667,7 @@ def free_coordinates(ring, k):
         ]
         for b in basis_vectors(ring.rank)
     ]
-    return _Coordinates(tuple(ring.additive_orders) * k, table, ring.rank)
+    return _Coordinates(tuple(ring.orders) * k, table, ring.rank)
 
 
 # -- the dense quotient route --------------------------------------------------------
@@ -857,7 +857,7 @@ def quotient_ring_by_lifts(ring, ideal):
     images of I's spanning elements, and the products of the lifts of the
     quotient basis in R, projected."""
     orders, project, lift = abelian_quotient(
-        ring.additive_orders, ring.images(ideal.spanning)
+        ring.orders, ring.images(ideal.spanning)
     )
     lifted = [lift(u) for u in basis_vectors(len(orders))]
     table = [[project(ring.mul(x, y)) for y in lifted] for x in lifted]
@@ -942,7 +942,7 @@ def factor_by_sweeps(ring) -> tuple:
         complement = ideal_generated(ring, [ring.sub(ring.one, e)])
         factor, _, lift = quotient_ring(ring, complement)
         nilpotents = [lift(y) for y in nilpotents_by_squaring(factor)]
-        masks.append(ring.shifts.closure(nilpotents, complement.members))
+        masks.append(ring.closure(nilpotents, complement.members))
     return idems, tuple(masks)
 
 
@@ -953,7 +953,7 @@ def algebra(ring, p) -> _Coordinates:
     """A = R/pR over the coordinates `rings._support(ring, p)`, with R's
     table on them read mod p as its structure constants."""
     support = rings._support(ring, p)
-    table = [[[ring.mul_table[i][j][s] for s in support] for j in support] for i in support]
+    table = [[[ring.table[i][j][s] for s in support] for j in support] for i in support]
     return _Coordinates((p,) * len(support), table, len(support))
 
 
@@ -1021,7 +1021,7 @@ def factor_by_algebra(ring) -> tuple:
     runs `primary_idempotents_by_algebra`, and every factor, m̄_e = 0
     included, is certified by `_is_field` on the Frobenius of A/m̄_e."""
     char = functools.reduce(
-        math.lcm, (d // math.gcd(d, c) for c, d in zip(ring.one, ring.additive_orders))
+        math.lcm, (d // math.gcd(d, c) for c, d in zip(ring.one, ring.orders))
     )
     parts = []
     for p, a in rings._prime_powers(char):
@@ -1037,7 +1037,7 @@ def factor_by_algebra(ring) -> tuple:
         spanning = [ring.add(ring.sub(ring.one, e), ring.mul(e, r_1))]
         spanning += [g for g in (ring.mul(e, r) for r in r_rest) if g != ring.zero]
         images = ring.images(spanning)
-        mask = ring.shifts.closure(images)
+        mask = ring.closure(images)
         support = rings._support(ring, p)
         rows, pivots = _echelon([[x[i] for i in support] for x in images], p)
         residue = rings._residue_frobenius(frobenius, rows, pivots, p)

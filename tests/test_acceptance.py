@@ -160,7 +160,7 @@ def test_criterion_5_hdim_additivity_50_pairs():
 
             rels = tuple(
                 tuple((rng.randrange(R.size),) if R.rank == 1
-                      else tuple(rng.randrange(d) for d in R.additive_orders)
+                      else tuple(rng.randrange(d) for d in R.orders)
                       for _ in range(k))
                 for _ in range(rng.randint(0, k))
             )

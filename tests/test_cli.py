@@ -495,6 +495,39 @@ def test_cli_json_output_without_generators_is_pinned(capsys):
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_CLI_MASKS_DIGEST
 
 
+# -- pinned text output ------------------------------------------------------------
+
+# sha256 of `pinned_text_output()`; a change that alters any of these
+# renderings on purpose re-records it and says why
+PINNED_TEXT_DIGEST = "7cd4759d0b535e3a358f76eb3057b9ead9ba72c7cf2379d297a7b7a59459a152"
+
+
+def pinned_text_output(capsys) -> str:
+    """The text output (no --json) of ring-info on PINNED_RINGS and of
+    module-info, sigma --certificate, cover --construct, cover --greedy and
+    cover on CLI_MODULES, each after its command line and exit code. None
+    of these prints a timing."""
+    commands = [["ring-info", r] for r in PINNED_RINGS]
+    for m in CLI_MODULES:
+        commands += [
+            ["module-info", m],
+            ["sigma", "--module", m, "--certificate"],
+            ["cover", "--module", m, "--construct"],
+            ["cover", "--module", m, "--greedy"],
+            ["cover", "--module", m],
+        ]
+    texts = []
+    for argv in commands:
+        code, out, _ = run(capsys, *argv)
+        texts.append(f"{json.dumps(argv)} {code}\n{out}")
+    return "".join(texts)
+
+
+def test_cli_text_output_is_pinned(capsys):
+    digest = hashlib.sha256(pinned_text_output(capsys).encode()).hexdigest()
+    assert digest == PINNED_TEXT_DIGEST
+
+
 # -- pinned verify renderings -------------------------------------------------------
 
 # sha256 of `verify_renderings()`; a change that alters the verify report on

@@ -167,7 +167,7 @@ def test_parse_module_realizes_the_parsed_presentation(text):
     pres = parse_presentation(text)
     m, want = parse_module(text), realize(pres)
     assert m.presentation == pres
-    assert (m.orders, m.basis_act, m.label) == (want.orders, want.basis_act, want.label)
+    assert (m.orders, m.table, m.label) == (want.orders, want.table, want.label)
 
 
 def test_the_cyclic_sum_form_is_cyclic_sums_presentation():

@@ -384,3 +384,24 @@ def test_importing_modcover_leaves_the_process_pool_unloaded():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_the_runtime_imports_the_standard_library_alone():
+    # start-up hooks may load other packages before the probe runs, so only
+    # the modules that the imports add are compared
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import modcover, modcover.cli, modcover.harness\n"
+        "added = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(sorted(added - set(sys.stdlib_module_names) - {'modcover'}))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

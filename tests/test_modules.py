@@ -41,7 +41,6 @@ from modcover.rings import (
     FiniteRing,
     Ideal,
     _Coordinates,
-    _Shifts,
     basis_vectors,
     ideal_generated,
     maximal_ideals,
@@ -456,7 +455,7 @@ def test_hyperplanes_close_each_lead_vector_once(text, closures, monkeypatch):
     m = parse_module(text)
     (entry,) = semisimple_invariants(m)
     calls = []
-    monkeypatch.setattr(_Shifts, "closure", counted(_Shifts.closure, calls))
+    monkeypatch.setattr(_Coordinates, "closure", counted(_Coordinates.closure, calls))
     count = len(hyperplanes(m, entry, entry.nm, entry.basis))
     assert len(calls) == closures == count + entry.multiplicity - 1
 
@@ -542,14 +541,14 @@ def test_all_submodules_closure_count(monkeypatch):
     m = parse_module("free 3 over Z/2 x Z/2")
     m.ring.units()  # stored ring facts, so that only the walk is counted
     calls = 0
-    closure = _Shifts.closure
+    closure = _Coordinates.closure
 
     def counting(self, gens, start=1):
         nonlocal calls
         calls += 1
         return closure(self, gens, start)
 
-    monkeypatch.setattr(_Shifts, "closure", counting)
+    monkeypatch.setattr(_Coordinates, "closure", counting)
     assert len(all_submodules(m)) == 256
     assert calls == 90
 
@@ -587,7 +586,7 @@ def test_all_submodules_products_and_closures(label, closures, monkeypatch):
     product_calls, closure_calls = [], []
     for cls, name in (_Coordinates, "_product"), (FiniteRing, "mul"), (RealizedModule, "act"):
         monkeypatch.setattr(cls, name, counted(getattr(cls, name), product_calls))
-    monkeypatch.setattr(_Shifts, "closure", counted(_Shifts.closure, closure_calls))
+    monkeypatch.setattr(_Coordinates, "closure", counted(_Coordinates.closure, closure_calls))
     all_submodules(m)
     assert (len(product_calls), len(closure_calls)) == (0, closures)
 
@@ -929,9 +928,9 @@ def test_localization_matches_its_own_quotient_construction():
             continue
         got, project = localize_at_s(m)
         want, want_project = oracles.localize_at_s(m)
-        assert (got.ring.mul_table, got.ring.one) == (want.ring.mul_table, want.ring.one)
+        assert (got.ring.table, got.ring.one) == (want.ring.table, want.ring.one)
         assert got.orders == want.orders, m.label
-        assert got.basis_act == want.basis_act, m.label
+        assert got.table == want.table, m.label
         assert all(project(x) == want_project(x) for x in elements(m)), m.label
         localized += 1
     assert localized >= 40
@@ -996,7 +995,7 @@ def test_direct_sum_requires_same_ring():
 
 
 def relabelled(ring, label):
-    return FiniteRing(ring.additive_orders, ring.mul_table, ring.one, label)
+    return FiniteRing(ring.orders, ring.table, ring.one, label)
 
 
 def test_direct_sum_rejects_different_rings_with_one_label():
@@ -1170,7 +1169,7 @@ BROKEN_TABLES = (
 def assert_the_regular_module_is_the_ring(R):
     # R as a module over itself: its submodules are the ideals, and its
     # maximal submodules the maximal ideals
-    M = RealizedModule(R, R.additive_orders, R.mul_table)
+    M = RealizedModule(R, R.orders, R.table)
     bs = basis_vectors(R.rank)
     assert all(M.act(a, b) == R.mul(a, b) for a in bs for b in bs)
     M.axiom_check()

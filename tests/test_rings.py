@@ -21,10 +21,10 @@ from modcover.rings import (
     RING_SIZE_GUARD,
     FiniteRing,
     Ideal,
+    _Coordinates,
     _is_irreducible,
     _is_prime,
     _rotate,
-    _Shifts,
     basis_vectors,
     ideal_generated,
     local_factorization,
@@ -217,10 +217,10 @@ def test_gf_table_is_the_table_of_polynomial_products():
         for tail in itertools.product(range(p), repeat=k):
             f = list(tail) + [1]
             if _is_irreducible(f, p):
-                assert rings._build_gf(p, k, f).mul_table == poly_mulmod_table(f, p), (p, f)
+                assert rings._build_gf(p, k, f).table == poly_mulmod_table(f, p), (p, f)
     for p, k in _gf_degrees(RING_SIZE_GUARD):
         want = poly_mulmod_table(smallest_irreducible(p, k), p)
-        assert rings._build_gf(p, k, None).mul_table == want, (p, k)
+        assert rings._build_gf(p, k, None).table == want, (p, k)
 
 
 def test_degree_one_polynomials_are_irreducible():
@@ -329,7 +329,7 @@ def test_quotient_of_z12_by_4_is_z4():
     I = ideal_generated(R, [(4,)])
     Q, project, lift = quotient_ring(R, I)
     assert Q.size == 4
-    assert Q.additive_orders == (4,)
+    assert Q.orders == (4,)
     # projection is a ring homomorphism
     for x in elements(R):
         for y in elements(R):
@@ -408,7 +408,7 @@ def test_local_factor_radical_spans_e_times_the_radical(text):
     for factor in local_factorization(R):
         e = factor.idempotent
         want = mask_of(R.index_of(R.mul(e, x)) for x in nilpotents)
-        assert R.shifts.closure(factor.radical) == want, (R.label, e)
+        assert R.closure(factor.radical) == want, (R.label, e)
         assert all(any(a) for a in factor.radical), (R.label, e)
 
 
@@ -517,7 +517,7 @@ def test_products_match_the_dense_loop_on_modules():
 
 
 def additive_order(R, x):
-    return math.lcm(*(d // math.gcd(d, c) for c, d in zip(x, R.additive_orders)))
+    return math.lcm(*(d // math.gcd(d, c) for c, d in zip(x, R.orders)))
 
 
 # Z/q[x]/(f) that are not reduced, as (q, f) with f low degree first
@@ -586,7 +586,7 @@ def test_residue_field_coordinates_are_pinned():
         for ideal in maximal_ideals(R):
             field, project, _ = residue_field(ideal)
             images = [project(b) for b in basis_vectors(R.rank)]
-            fact = (R.label, field.additive_orders, field.mul_table, field.one, images)
+            fact = (R.label, field.orders, field.table, field.one, images)
             digest.update(repr(fact).encode() + b"\n")
     assert digest.hexdigest() == RESIDUE_FIELD_DIGEST
 
@@ -860,7 +860,7 @@ def test_constructor_rings_and_their_residue_fields_are_rings():
         for S in [R] + [residue_field(ideal)[0] for ideal in maximal_ideals(R)]:
             S._validate()
             checked += 1
-            table = (S.additive_orders, S.mul_table, S.one)
+            table = (S.orders, S.table, S.one)
             if S.size <= 16 and table not in small:
                 assert satisfies_ring_laws(S), S.label
                 small.add(table)
@@ -1037,14 +1037,14 @@ def test_translate_adds_the_element_to_every_member(data):
     x = data.draw(group_element(orders))
     members = [y for i, y in enumerate(elems) if mask >> i & 1]
     want = mask_of_elements(orders, [group_add(orders)(y, x) for y in members])
-    assert _rotate(mask, _Shifts(orders).moves(x)) == want
+    assert _rotate(mask, _Coordinates(orders, (), 0).moves(x)) == want
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_closure_matches_the_set_closure(data):
     orders = data.draw(shift_groups())
-    shifts = _Shifts(orders)
+    group = _Coordinates(orders, (), 0)
     add, zero = group_add(orders), tuple(0 for _ in orders)
     element = group_element(orders)
     first = data.draw(st.lists(element, max_size=3))
@@ -1054,8 +1054,8 @@ def test_closure_matches_the_set_closure(data):
     gens = data.draw(st.lists(st.one_of(element, inside), max_size=4))
     want = additive_closure(add, zero, gens, start)
     start_mask = mask_of_elements(orders, start)
-    assert shifts.closure(first) == start_mask
-    assert shifts.closure(gens, start_mask) == mask_of_elements(orders, want)
+    assert group.closure(first) == start_mask
+    assert group.closure(gens, start_mask) == mask_of_elements(orders, want)
 
 
 # orders 2^k - 1, 2^k and 2^k + 1, where the doubling walk stops on a
@@ -1078,7 +1078,7 @@ def large_order_groups(draw):
 @given(data=st.data())
 def test_closure_matches_the_set_closure_at_large_orders(data):
     orders = data.draw(large_order_groups())
-    shifts = _Shifts(orders)
+    group = _Coordinates(orders, (), 0)
     add, zero = group_add(orders), tuple(0 for _ in orders)
     element = group_element(orders)
     first = data.draw(st.lists(element, max_size=2))
@@ -1088,8 +1088,8 @@ def test_closure_matches_the_set_closure_at_large_orders(data):
     gens = data.draw(st.lists(st.one_of(element, inside, st.just(zero)), max_size=3))
     want = additive_closure(add, zero, gens, start)
     start_mask = mask_of_elements(orders, start)
-    assert shifts.closure(first) == start_mask
-    assert shifts.closure(gens, start_mask) == mask_of_elements(orders, want)
+    assert group.closure(first) == start_mask
+    assert group.closure(gens, start_mask) == mask_of_elements(orders, want)
 
 
 @pytest.mark.parametrize("n", [2, 3, 128, 129, 151, 512])
@@ -1103,38 +1103,38 @@ def test_closure_translates_about_log2_n_times(n, monkeypatch):
         return rotate(mask, moves)
 
     monkeypatch.setattr(rings, "_rotate", counted)
-    shifts = _Shifts((n,))
+    group = _Coordinates((n,), (), 0)
     full = (1 << n) - 1
-    assert shifts.closure([(1,)]) == full
+    assert group.closure([(1,)]) == full
     assert len(translations) <= n.bit_length() + 1  # floor(log2 n) + 2
     for g in [(0,), (1,), (n - 1,)]:  # each already in `start`
         translations.clear()
-        assert shifts.closure([g], full) == full
+        assert group.closure([g], full) == full
         assert len(translations) == 1
     translations.clear()
-    assert shifts.closure([(0,)]) == 1
+    assert group.closure([(0,)]) == 1
     assert len(translations) == 1
 
 
 def test_shifts_of_the_zero_group():
-    shifts = _Shifts(())
-    assert shifts.index(()) == 0 and shifts.element(0) == ()
-    assert _rotate(1, shifts.moves(())) == 1
-    assert shifts.closure([(), ()]) == 1
-    assert shifts.closure([], 1) == 1
+    group = _Coordinates((), (), 0)
+    assert group.index_of(()) == 0 and group.element(0) == ()
+    assert _rotate(1, group.moves(())) == 1
+    assert group.closure([(), ()]) == 1
+    assert group.closure([], 1) == 1
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_index_codec_is_the_lexicographic_order(data):
     orders = data.draw(shift_groups())
-    shifts = _Shifts(orders)
+    group = _Coordinates(orders, (), 0)
     elems = group_elements(orders)
     x = data.draw(group_element(orders))
     i = data.draw(st.integers(0, len(elems) - 1))
-    assert shifts.element(shifts.index(x)) == x
-    assert shifts.index(shifts.element(i)) == i
-    assert shifts.element(i) == elems[i]
+    assert group.element(group.index_of(x)) == x
+    assert group.index_of(group.element(i)) == i
+    assert group.element(i) == elems[i]
 
 
 def test_index_of_rejects_what_is_not_a_reduced_element():

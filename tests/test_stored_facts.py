@@ -192,13 +192,13 @@ def test_the_greedy_seed_is_formed_once_per_module(text, monkeypatch):
 
 def _counted_closures(monkeypatch) -> list:
     calls = []
-    closure = rings._Shifts.closure
+    closure = rings._Coordinates.closure
 
     def counted(self, gens, start=1):
         calls.append(1)
         return closure(self, gens, start)
 
-    monkeypatch.setattr(rings._Shifts, "closure", counted)
+    monkeypatch.setattr(rings._Coordinates, "closure", counted)
     return calls
 
 
@@ -535,7 +535,7 @@ def test_algebra_product_is_the_projected_ring_product(text):
     # through R, the product `_primary_idempotents` takes
     R = parse_ring(text)
     rng = random.Random(f"algebra/{text}")
-    for p in sorted({q for d in R.additive_orders for q, _ in rings._prime_powers(d)}):
+    for p in sorted({q for d in R.orders for q, _ in rings._prime_powers(d)}):
         support = rings._support(R, p)
         A = algebra(R, p)
         lift = rings._placing(R.rank, support)
@@ -861,10 +861,10 @@ def test_maximal_ideal_generators_are_derived_only_when_read(monkeypatch, capsys
     calls = []
     greedy = rings._Coordinates.greedy
 
-    def counted(self, members, start=1):
+    def counted(self, members):
         if isinstance(self, FiniteRing):
             calls.append(self.label)
-        return greedy(self, members, start)
+        return greedy(self, members)
 
     monkeypatch.setattr(rings._Coordinates, "greedy", counted)
     for text in PINNED_RINGS + MIXED_PRODUCTS:
@@ -899,16 +899,17 @@ def test_the_index_codec_is_built_only_when_a_mask_is_read(text, monkeypatch):
     # the only codec built is R's own, for the ideal spans of `_factor`
     monkeypatch.setattr(rings, "_INTERNED", rings._RingTable())
     builds = []
-    init = rings._Shifts.__init__
+    codec = rings._Coordinates.__dict__["codec"]
+    build = codec.func
 
-    def counted(self, orders):
-        builds.append(orders)
-        init(self, orders)
+    def counted(self):
+        builds.append(self.orders)
+        return build(self)
 
-    monkeypatch.setattr(rings._Shifts, "__init__", counted)
+    monkeypatch.setattr(codec, "func", counted)
     R = parse_ring(text)
     maximal_ideals(R)
-    assert builds == [R.additive_orders]
+    assert builds == [R.orders]
 
 
 # -- units and the field check -------------------------------------------------------
@@ -946,7 +947,7 @@ def test_ring_info_counts_units_without_the_unit_set(monkeypatch, capsys):
 def passes_the_field_check(R) -> bool:
     """`_is_field`, the predicate of `_factor`'s certificate, on R as an
     F_p-algebra, p its first additive order."""
-    p = R.additive_orders[0]
+    p = R.orders[0]
     return _is_field(_frobenius(R.mul, R.rank, p), p)
 
 
