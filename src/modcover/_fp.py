@@ -8,7 +8,7 @@ every power of the Frobenius in the library is one such sum. The ring
 layer uses the F_p helpers to split R/pR into its local factors, to
 find its radical, to certify each residue field R/m from the Frobenius
 of R/pR (or from the kernels of that Frobenius, when R/m is R/pR
-itself) and to build it as R/pR modulo the image of m.
+itself) and to read R/m's coordinates off the echelon of m's image.
 """
 
 from __future__ import annotations

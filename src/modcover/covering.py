@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import GuardExceeded
-from .modules import RealizedModule, lattice_coatoms, maximal_submodules
+from .modules import RealizedModule, _search_order, lattice_coatoms, maximal_submodules
 
 BNB_NODE_BUDGET = 10_000_000
 
@@ -48,10 +48,14 @@ class SigmaPrediction:
 class CoverCertificate:
     submodules: tuple  # of Submodule
     is_cover: bool
-    size: int | None
     optimal: bool
     nodes_explored: int
     time_ms: float
+
+    @property
+    def size(self) -> int | None:
+        """The number of submodules when they cover M, else None."""
+        return len(self.submodules) if self.is_cover else None
 
     def to_json_dict(self) -> dict:
         return {
@@ -70,6 +74,12 @@ class CoverCertificate:
         }
 
 
+def _certificate(t0, submodules, is_cover, optimal, nodes) -> CoverCertificate:
+    """The certificate of a construction that started at `t0`, timed now."""
+    elapsed_ms = (time.perf_counter() - t0) * 1000
+    return CoverCertificate(submodules, is_cover, optimal, nodes, elapsed_ms)
+
+
 def sigma_formula(m: RealizedModule) -> SigmaPrediction:
     """min over S of |R/m|, plus one; None when S is empty.
 
@@ -82,10 +92,6 @@ def sigma_formula(m: RealizedModule) -> SigmaPrediction:
     if best is None:
         return SigmaPrediction(None, None, None)
     return SigmaPrediction(best.residue_size + 1, best.ideal, best.residue_size)
-
-
-def _search_order(s):
-    return (-s.size, s.members)
 
 
 def sigma_exact(
@@ -119,18 +125,13 @@ def sigma_exact(
     _reject_zero(m)
     seed = m._greedy_seed
     if not seed:
-        return CoverCertificate(
-            (), False, None, True, 0, (time.perf_counter() - t0) * 1000
-        )
+        return _certificate(t0, (), False, True, 0)
 
     # the first pick gains the most over zero alone: it is a largest
     # maximal submodule, hence a largest proper one, and every candidate
     # misses zero, so each pick gains fewer than its size
     if -(-(m.size - 1) // (seed[0].size - 1)) >= len(seed):
-        subs = tuple(sorted(seed, key=_search_order))
-        return CoverCertificate(
-            subs, True, len(seed), True, 0, (time.perf_counter() - t0) * 1000
-        )
+        return _certificate(t0, tuple(sorted(seed, key=_search_order)), True, True, 0)
 
     if space is SearchSpace.MAXIMAL_ONLY:
         candidates = maximal_submodules(m)
@@ -183,37 +184,7 @@ def sigma_exact(
         if best is None
         else tuple(candidates[i] for i in best)
     )
-    return CoverCertificate(
-        subs, True, best_len, True, nodes, (time.perf_counter() - t0) * 1000
-    )
-
-
-def _greedy_picks(m: RealizedModule) -> tuple:
-    """Each pick is the first maximal submodule, in search order, that
-    gains the most elements not yet covered; read off the masks.
-
-    Every proper submodule lies in a maximal one, so whether these cover
-    M decides coverability in both search spaces. They are also the picks
-    of a greedy over all proper submodules: a non-maximal N with the best
-    gain lies in a maximal K, whose gain is at least N's and which sorts
-    before N, so that greedy picks the same maximal ones.
-    """
-    candidates = sorted(maximal_submodules(m), key=_search_order)
-    masks = [s.members for s in candidates]
-    full = m.full_mask
-    union = 0
-    for mask in masks:
-        union |= mask
-    if union != full:
-        return ()
-    picks = []
-    covered = 1  # zero is bit 0
-    while covered != full:
-        gains = [(mask & ~covered).bit_count() for mask in masks]
-        i = gains.index(max(gains))
-        picks.append(candidates[i])
-        covered |= masks[i]
-    return tuple(picks)
+    return _certificate(t0, subs, True, True, nodes)
 
 
 def verify_cover(m: RealizedModule, submodules) -> bool:
@@ -245,14 +216,9 @@ def construct_cover(m: RealizedModule) -> CoverCertificate:
     _reject_zero(m)
     covers = m._formula_cover
     if not covers:  # S is empty: M is cyclic
-        return CoverCertificate(
-            (), False, None, True, 0, (time.perf_counter() - t0) * 1000
-        )
+        return _certificate(t0, (), False, True, 0)
     ok = verify_cover(m, covers)
-    return CoverCertificate(
-        covers, ok, len(covers) if ok else None, ok, 0,
-        (time.perf_counter() - t0) * 1000,
-    )
+    return _certificate(t0, covers, ok, ok, 0)
 
 
 def greedy_cover(m: RealizedModule) -> CoverCertificate:
@@ -261,7 +227,4 @@ def greedy_cover(m: RealizedModule) -> CoverCertificate:
     t0 = time.perf_counter()
     _reject_zero(m)
     picks = m._greedy_seed
-    return CoverCertificate(
-        picks, bool(picks), len(picks) if picks else None, False, 0,
-        (time.perf_counter() - t0) * 1000,
-    )
+    return _certificate(t0, picks, bool(picks), False, 0)

@@ -207,8 +207,6 @@ class RealizedModule(_Coordinates):
         """The greedy cover by maximal submodules, in pick order, or ()
         when they do not cover M: the incumbent of `sigma_exact` in both
         spaces and the cover of `greedy_cover`."""
-        from .covering import _greedy_picks  # covering imports this module
-
         return _greedy_picks(self)
 
     def axiom_check(self):
@@ -510,6 +508,40 @@ def maximal_submodules(m: RealizedModule) -> list:
     the same objects, built once for both.
     """
     return list(m._maximal_submodules)
+
+
+def _search_order(s):
+    """The order of the cover search's candidates: size descending, then
+    members bitmask."""
+    return (-s.size, s.members)
+
+
+def _greedy_picks(m: RealizedModule) -> tuple:
+    """Each pick is the first maximal submodule, in search order, that
+    gains the most elements not yet covered; read off the masks.
+
+    Every proper submodule lies in a maximal one, so whether these cover
+    M decides coverability in both search spaces. They are also the picks
+    of a greedy over all proper submodules: a non-maximal N with the best
+    gain lies in a maximal K, whose gain is at least N's and which sorts
+    before N, so that greedy picks the same maximal ones.
+    """
+    candidates = sorted(maximal_submodules(m), key=_search_order)
+    masks = [s.members for s in candidates]
+    full = m.full_mask
+    union = 0
+    for mask in masks:
+        union |= mask
+    if union != full:
+        return ()
+    picks = []
+    covered = 1  # zero is bit 0
+    while covered != full:
+        gains = [(mask & ~covered).bit_count() for mask in masks]
+        i = gains.index(max(gains))
+        picks.append(candidates[i])
+        covered |= masks[i]
+    return tuple(picks)
 
 
 def hyperplanes(m: RealizedModule, entry: SemisimpleEntry, start: int, basis) -> list:

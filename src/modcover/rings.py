@@ -13,13 +13,12 @@ nothing but sparse basis rows, so R^k is realized from R's rows. Every
 table, a ring's or a module's, passes one shape rule when built, and one
 law check (`_Coordinates.check_laws`) tells whether R acting through it
 is a module. A hand-built table is checked to be a ring: commutative,
-and R a module over itself (`FiniteRing._validate`); the constructors,
-the residue fields and `quotient_ring` build rings by construction and
-skip that check. All values are immutable after
-construction, so the constructors share one object per ring (see
-`_RingTable`), and each ring keeps the facts derived from it as cached
-properties, formed when first read: its local factors, maximal ideals
-and unit mask. These come from linear
+and R a module over itself (`FiniteRing._validate`); the constructors
+and `quotient_ring` build rings by construction and skip that check.
+All values are immutable after construction, so the constructors share
+one object per ring (see `_RingTable`), and each ring keeps the facts
+derived from it as cached properties, formed when first read: its local
+factors, maximal ideals and unit mask. These come from linear
 algebra over F_p in R's own coordinates (see `_factor` and `_fp`), with
 no Smith normal form; R/pR multiplies by R's own product. Each local
 factor is one `LocalFactor` record: its idempotent e, its maximal ideal
@@ -27,9 +26,9 @@ m_e and the echelon of m_e's image in R/pR. Each m_e is certified once,
 when R is factored, from the Frobenius of R/pR modulo that echelon, or,
 when R/pR is a field, so that the image is zero, from the kernels of
 R/pR's own Frobenius that the split into idempotents has formed, with
-no echelon taken; the generators of eJ, R/m_e's
-coordinates (the residue columns) and the residue field R/m_e, R/pR
-modulo the same echelon, are built from the record only when first read.
+no echelon taken; the generators of eJ and R/m_e's coordinates (the
+residue columns) are read off the record when first asked for, and R/m_e
+is never built as a ring.
 The linear algebra is sized by R/pR: where it has dimension 1, as for
 every prime of Z/n and GF(p), it is F_p, and no Frobenius, kernel or
 echelon is formed at all. GF(p^k)'s table is read off the powers
@@ -739,15 +738,6 @@ class LocalFactor:
         columns = self.residue_columns
         return tuple(c for i, c in zip(support, reduced) if i in columns)
 
-    @cached_property
-    def residue_field(self) -> tuple:
-        """``(field, project, lift)`` for R/m_e, built when first read;
-        when m_e = 0, R is a field and is its own residue field."""
-        ring = self.ideal.ring
-        if self.ideal.members == 1:
-            return ring, ring.reduce, ring.reduce
-        return _residue_field(self)
-
 
 def local_factorization(ring: FiniteRing) -> tuple:
     """The `LocalFactor` of each primitive idempotent, sorted by the
@@ -772,14 +762,6 @@ def local_factor(ideal: Ideal) -> LocalFactor:
     if factor is None:
         raise ValueError(f"{ideal} is not a maximal ideal")
     return factor
-
-
-def residue_field(ideal: Ideal):
-    """``(field, project, lift)`` for R/m: the field, the map from R onto
-    its coordinates, and a map back whose images project to the same
-    coordinates. It is the `LocalFactor.residue_field` of m, which
-    `_factor` certified."""
-    return local_factor(ideal).residue_field
 
 
 def _factor(ring: FiniteRing) -> dict:
@@ -818,8 +800,7 @@ def _factor(ring: FiniteRing) -> dict:
     F_p), so that factor takes no linear algebra at all. Every factor,
     on every path, still passes the size check |R| = |m_e|·p^f, and the
     idempotents still pass the orthogonality and sum-to-1 checks. This
-    is the only field check: R/m_e is built from the same echelon,
-    stored in the record, when first read.
+    is the only field check, and the echelon is stored in the record.
     `construct_cover` walks a field's elements in its coordinates, so
     these fix the order of its certificates.
     """
@@ -879,32 +860,9 @@ def _residue_frobenius(frobenius, rows, pivots, p) -> list:
     return [[x[k] for k in spots] for x in reduced]
 
 
-def _residue_field(factor: LocalFactor) -> tuple:
-    """``(field, project, lift)`` for R/m, m the maximal ideal of the
-    `LocalFactor` factor, which contains p; the elements that span m name
-    the field.
-
-    Then R/m = A/m̄, for A = R/pR and m̄ the image of m there. `project`
-    is the record's `residue`, and `lift` puts coordinates back on its
-    residue columns, with zeros elsewhere. The basis of R/m is the image
-    of the basis vectors of R on those columns, so its table is f^2
-    entries of R's table projected, f = dim A/m̄.
-    """
-    ring = factor.ideal.ring
-    columns = factor.residue_columns
-    project = factor.residue
-    table = [[project(ring.table[i][j]) for j in columns] for i in columns]
-    label = f"({ring.label})/<{','.join(str(g) for g in factor.ideal.spanning)}>"
-    residue = FiniteRing(
-        [factor.p] * len(columns), table, project(ring.one), label, validate=False
-    )
-    return residue, project, _placing(ring.rank, columns)
-
-
 def _placing(rank, columns):
     """The map putting coordinates on `columns` of a rank-`rank` tuple,
-    with zeros elsewhere: the lift from R/pR, or from a residue field,
-    back to R."""
+    with zeros elsewhere: the lift from R/pR back to R."""
 
     def lift(y):
         x = [0] * rank

@@ -33,10 +33,10 @@ from modcover.rings import (
     _poly_mulmod,
     basis_vectors,
     ideal_generated,
+    local_factor,
     local_factorization,
     maximal_ideals,
     quotient_ring,
-    residue_field,
     ring_gf,
     ring_zmod,
 )
@@ -493,7 +493,7 @@ def sigma_exact_by_enumeration(m, space=SearchSpace.MAXIMAL_ONLY):
     candidates.sort(key=lambda s: (-s.size, s.members))
     greedy = greedy_cover(m)
     if not greedy.is_cover:
-        return CoverCertificate((), False, None, True, 0, 0.0)
+        return CoverCertificate((), False, True, 0, 0.0)
 
     full = m.full_mask
     masks = [s.members for s in candidates]
@@ -524,7 +524,7 @@ def sigma_exact_by_enumeration(m, space=SearchSpace.MAXIMAL_ONLY):
 
     search(0, 1, [])  # zero is bit 0
     subs = tuple(candidates[i] for i in sorted(best_sel))
-    return CoverCertificate(subs, True, best_len, True, nodes, 0.0)
+    return CoverCertificate(subs, True, True, nodes, 0.0)
 
 
 def without_keys(payload, keys):
@@ -576,10 +576,26 @@ def local_factors(ring) -> SimpleNamespace:
     )
 
 
+def residue_field(ideal):
+    """``(field, project, lift)`` for R/m, built in the library's
+    coordinates from the `LocalFactor` of m, which the library reads
+    without building R/m: the table is R's table on the residue columns,
+    projected by `residue`, and the lift puts coordinates back on those
+    columns. `FiniteRing` checks each field to be a ring as it is built.
+    Over a field the residue columns are all of R's, so R/0 has R's
+    coordinates."""
+    factor = local_factor(ideal)
+    ring, columns, project = ideal.ring, factor.residue_columns, factor.residue
+    table = [[project(ring.table[i][j]) for j in columns] for i in columns]
+    label = f"({ring.label})/<{','.join(str(g) for g in ideal.spanning)}>"
+    field = FiniteRing([factor.p] * len(columns), table, project(ring.one), label)
+    return field, project, rings._placing(ring.rank, columns)
+
+
 def residue_field_by_snf(ideal):
     """``(field, project, lift)`` for R/m by `quotient_ring`, a Smith
     normal form of the ideal that m's greedy generators span: a path
-    independent of the echelon that builds the library's residue fields."""
+    independent of the echelon that `residue_field` reads."""
     ring = ideal.ring
     return quotient_ring(ring, ideal_generated(ring, ideal.generators))
 

@@ -31,7 +31,6 @@ from modcover.rings import (
     maximal_ideals,
     power_exceeds,
     quotient_ring,
-    residue_field,
     ring_gf,
     ring_product,
     ring_zmod,
@@ -59,6 +58,7 @@ from oracles import (
     nilpotents_by_squaring,
     poly_mulmod_table,
     poly_ring,
+    residue_field,
     residue_field_by_snf,
     smallest_irreducible_by_search,
 )
@@ -895,8 +895,7 @@ def validations(monkeypatch):
 def test_only_hand_built_rings_are_validated(make, validated, validations):
     R = make()
     R.units()
-    for ideal in maximal_ideals(R):
-        residue_field(ideal)
+    maximal_ideals(R)
     assert validations == ([R.label] if validated else [])
 
 

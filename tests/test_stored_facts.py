@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from modcover import cli, covering, modules, rings, snf
+from modcover import cli, modules, rings, snf
 from modcover._fp import _echelon, _frobenius, _is_field, basis_vectors
 from modcover.covering import SearchSpace, construct_cover, greedy_cover, sigma_exact
 from modcover.dsl import parse_module, parse_ring
@@ -31,7 +31,6 @@ from modcover.rings import (
     local_factorization,
     maximal_ideals,
     quotient_ring,
-    residue_field,
     ring_product,
     ring_zmod,
 )
@@ -48,6 +47,7 @@ from oracles import (
     mask_of,
     monic_polynomials,
     poly_ring,
+    residue_field,
 )
 
 # -- interning ------------------------------------------------------------------
@@ -126,6 +126,19 @@ def _count_calls(monkeypatch, names, source=modules) -> dict:
     return calls
 
 
+def _counted_ring_builds(monkeypatch) -> list:
+    """The labels of the `FiniteRing`s built from now on, in order."""
+    builds = []
+    init = FiniteRing.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        builds.append(self.label)
+
+    monkeypatch.setattr(FiniteRing, "__init__", counted)
+    return builds
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -181,7 +194,7 @@ def test_the_greedy_seed_is_formed_once_per_module(text, monkeypatch):
     from modcover.harness import InstanceSpec, check_finiteness
 
     m = parse_module(text)
-    calls = _count_calls(monkeypatch, ["_greedy_picks"], source=covering)
+    calls = _count_calls(monkeypatch, ["_greedy_picks"])
     certs = [sigma_exact(m, space) for space in SearchSpace]
     finiteness = check_finiteness(InstanceSpec("", text, 0, "CURATED"), m)
     greedy = greedy_cover(m)
@@ -282,56 +295,42 @@ def test_generators_are_derived_only_when_read(monkeypatch):
     assert calls == {"submodule_generators": len(cert.submodules)}
 
 
-def test_residue_field_is_stored_once_per_maximal_ideal():
-    R = ring_zmod(30)
-    for ideal in maximal_ideals(R):
-        field, project, lift = residue_field(ideal)
-        assert residue_field(ideal) is residue_field(ideal)
-        assert field.size == ideal.residue_size
-        assert all(project(lift(c)) == c for c in elements(field))
-    with pytest.raises(ValueError):
-        residue_field(ideal_generated(R, [(6,)]))
+def test_local_factor_rejects_an_ideal_that_is_not_maximal():
+    # (6) is the product of the maximal ideals (2) and (3) of Z/30
+    with pytest.raises(ValueError, match="is not a maximal ideal"):
+        local_factor(ideal_generated(ring_zmod(30), [(6,)]))
 
 
 def test_the_maximal_ideals_of_z12_and_their_residue_field_labels():
     # Z/12 ≅ Z/4 x Z/3. At the field Z/3, e = 4 and m = (1-e)R = (9); at
-    # Z/4, e = 9 and m is spanned by g_1 = (1-e) + e*2 = 4 + 6 = 10. Each
-    # residue field is named after the elements that span its ideal
+    # Z/4, e = 9 and m is spanned by g_1 = (1-e) + e*2 = 4 + 6 = 10. R/m
+    # is labelled by the elements that span m
     R = ring_zmod(12)
     spanning = {i.residue_size: i.spanning for i in maximal_ideals(R)}
     assert spanning == {3: ((9,),), 2: ((10,),)}
-    labels = {i.residue_size: residue_field(i)[0].label for i in maximal_ideals(R)}
-    assert labels == {3: "(Z/12)/<(9,)>", 2: "(Z/12)/<(10,)>"}
 
 
-@pytest.mark.parametrize("text,builds", [("Z/4096", 1), ("Z/360", 3), ("Z/12 x Z/10", 4)])
-def test_factor_builds_one_quotient_ring_per_maximal_ideal(text, builds, monkeypatch):
-    # `_factor` certifies each m from the Frobenius of R/pR and builds no
-    # residue field; the first `residue_field` read builds R/m, an echelon
-    # over F_p, once per maximal ideal, and the local factors R/(1-e)R are
-    # never built
+@pytest.mark.parametrize("text,factors", [("Z/4096", 1), ("Z/360", 3), ("Z/12 x Z/10", 4)])
+def test_factor_builds_no_ring(text, factors, monkeypatch):
+    # `_factor` certifies each m from the Frobenius of R/pR, so neither
+    # the residue fields R/m nor the local factors R/(1-e)R are built
     R = parse_ring(text)
-    calls = _count_calls(monkeypatch, ["_residue_field"], rings)
-    rings._factor(R)
-    assert calls["_residue_field"] == 0
-    assert builds == len(maximal_ideals(R))
-    for ideal in maximal_ideals(R):
-        assert residue_field(ideal)[0].size == ideal.residue_size
-    assert calls["_residue_field"] == builds
-    for ideal in maximal_ideals(R):
-        residue_field(ideal)
-    assert calls["_residue_field"] == builds
+    builds = _counted_ring_builds(monkeypatch)
+    assert len(rings._factor(R)) == factors
+    assert builds == []
 
 
 @pytest.mark.parametrize("text", ["Z/360", "Z/12 x Z/10", "GF(2^2) x Z/9"])
 def test_ring_and_module_facts_build_no_residue_field(text, monkeypatch):
     # the closed form reads only |R/m|, and a module of multiplicity 1 at
-    # every m has hyperplanes with no tail, so neither reads R/m as a ring
+    # every m has hyperplanes with no tail, so once parsed, neither the
+    # ring's facts nor the module's build a ring
     monkeypatch.setattr(rings, "_INTERNED", rings._RingTable())
-    calls = _count_calls(monkeypatch, ["_residue_field"], rings)
-    cli._ring_facts(parse_ring(text))
-    cli._module_facts(parse_module(f"free 1 over {text}"))
-    assert calls["_residue_field"] == 0
+    R, m = parse_ring(text), parse_module(f"free 1 over {text}")
+    builds = _counted_ring_builds(monkeypatch)
+    cli._ring_facts(R)
+    cli._module_facts(m)
+    assert builds == []
 
 
 @pytest.mark.parametrize(
@@ -339,15 +338,17 @@ def test_ring_and_module_facts_build_no_residue_field(text, monkeypatch):
 )
 def test_the_residue_layer_builds_no_residue_field(text, sigma, maximal, monkeypatch):
     # the hyperplanes, with tails, and the cover's q + 1 lines read R/m's
-    # coordinates off its `LocalFactor`, so R/m is neither read nor built
-    # as a ring
+    # coordinates off its `LocalFactor`, so once the module is parsed, no
+    # ring is built, R/m included, by the cover, the search or the greedy
     monkeypatch.setattr(rings, "_INTERNED", rings._RingTable())
-    calls = _count_calls(monkeypatch, ["residue_field", "_residue_field"], rings)
     m = parse_module(text)
+    builds = _counted_ring_builds(monkeypatch)
     cert = construct_cover(m)
     assert cert.is_cover and cert.size == sigma
     assert len(maximal_submodules(m)) == maximal
-    assert calls == {"residue_field": 0, "_residue_field": 0}
+    greedy_cover(m)
+    assert sigma_exact(m).size == sigma
+    assert builds == []
 
 
 @pytest.mark.parametrize("text", PINNED_RINGS + MIXED_PRODUCTS + ["GF(2^2) x GF(3^2)"])
@@ -369,15 +370,13 @@ GF_CASES = ["Z/2", "GF(13^2) x Z/4", "GF(2^2) x GF(3^2)"]
 
 @pytest.mark.parametrize("text", PINNED_RINGS + MIXED_PRODUCTS + GF_CASES)
 def test_factor_runs_no_snf_outside_quotient_ring(text, monkeypatch):
-    # R/pR is a selection of R's coordinates and each residue field is an
-    # echelon over F_p in them, so `_factor` builds no quotient ring either,
-    # and no Smith normal form runs at all
+    # R/pR is a selection of R's coordinates and each residue field an
+    # echelon over F_p in them, so `_factor` builds no quotient ring, and
+    # no Smith normal form runs at all
     R = parse_ring(text)
     calls = _count_calls(monkeypatch, ["abelian_quotient"], snf)
     calls.update(_count_calls(monkeypatch, ["quotient_ring"], rings))
     rings._factor(R)
-    for ideal in maximal_ideals(R):
-        residue_field(ideal)
     assert calls == {"abelian_quotient": 0, "quotient_ring": 0}
 
 
@@ -385,8 +384,8 @@ def test_factor_runs_no_snf_outside_quotient_ring(text, monkeypatch):
 def test_certificate_frobenius_is_that_of_the_residue_field(text, monkeypatch):
     # `_factor` certifies R/m by A's Frobenius reduced modulo m's echelon,
     # or, when that echelon is empty, by A's own Frobenius, whose kernels
-    # the split into idempotents formed; either way the residue field
-    # built on first read has the certified Frobenius
+    # the split into idempotents formed; either way R/m, built from its
+    # coordinates on the record, has the certified Frobenius
     monkeypatch.setattr(rings, "_INTERNED", rings._RingTable())
     algebra_frobenius, reduced = {}, {}
     primary, residue_frobenius = rings._primary_idempotents, rings._residue_frobenius
@@ -610,14 +609,15 @@ SUMMED_IDEMPOTENTS = (
     "def summed(ring, p, e_p):\n"
     "    idempotents, *rest = primary(ring, p, e_p)\n"
     "    return [reduce(ring.add, idempotents)], *rest\n"
-    "def unread(*args):\n"
-    "    raise RuntimeError('a residue field was built')\n"
+    "def unbuilt(*args, **kwargs):\n"
+    "    raise RuntimeError('a ring was built')\n"
+    "parsed = {text: parse_ring(text) for text in ['Z/2 x Z/2', 'Z/4 x Z/4']}\n"
     "rings._primary_idempotents = summed\n"
-    "rings._residue_field = unread\n"
+    "rings.FiniteRing.__init__ = unbuilt\n"
     "print('debug', __debug__)\n"
-    "for text in ['Z/2 x Z/2', 'Z/4 x Z/4']:\n"
+    "for text, ring in parsed.items():\n"
     "    try:\n"
-    "        rings.maximal_ideals(parse_ring(text))\n"
+    "        rings.maximal_ideals(ring)\n"
     "    except AssertionError as exc:\n"
     "        print('raised', exc)\n"
     "    else:\n"
@@ -629,7 +629,7 @@ SUMMED_IDEMPOTENTS = (
 def test_factor_rejects_idempotents_that_are_not_primitive(flags):
     # with the two idempotents of Z/2 x Z/2 summed into 1, m_e is {0} and
     # R would be its own residue field; over Z/4 x Z/4, m_e is 2R. Both
-    # are certified inside `_factor`, before any residue field is built
+    # are certified inside `_factor`, which builds no ring
     out = subprocess.run(
         [sys.executable, *flags, "-c", SUMMED_IDEMPOTENTS],
         capture_output=True, text=True, env=_env_with_src(), timeout=60,
@@ -882,20 +882,20 @@ def test_maximal_ideal_generators_are_derived_only_when_read(monkeypatch, capsys
 
 @pytest.mark.parametrize("text", ["GF(2^7)", "GF(4093)", "GF(3^5)", "Z/2"])
 def test_a_field_is_its_own_residue_field(text, monkeypatch):
-    # its one maximal ideal is zero, so R/m is R itself and nothing is built
+    # its one maximal ideal is zero, so R/m has R's coordinates, and
+    # factoring R builds no quotient ring
     R = parse_ring(text)
     calls = _count_calls(monkeypatch, ["quotient_ring"], rings)
     rings._factor(R)
     assert calls["quotient_ring"] == 0
     [m] = maximal_ideals(R)
-    field, project, lift = residue_field(m)
-    assert field is R
+    _, project, lift = residue_field(m)
     assert all(project(x) == x == lift(x) for x in elements(R))
 
 
 @pytest.mark.parametrize("text", PINNED_RINGS)
 def test_the_index_codec_is_built_only_when_a_mask_is_read(text, monkeypatch):
-    # the factor rings of a product and the residue fields read no mask, so
+    # the factor rings of a product read no mask, and R/m is not built, so
     # the only codec built is R's own, for the ideal spans of `_factor`
     monkeypatch.setattr(rings, "_INTERNED", rings._RingTable())
     builds = []
