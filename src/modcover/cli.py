@@ -52,21 +52,35 @@ EXIT_USAGE = 2
 EXIT_GUARD = 3
 EXIT_PIPE_CLOSED = 141
 
-SEARCH_HELP = (
-    "candidate submodules for the exact search: the maximal ones, read off "
+# the --search option; its choices are SearchSpace's values, which
+# sigma_exact takes as they are
+SEARCH_OPTION = dict(
+    choices=[s.value for s in SearchSpace],
+    default=SearchSpace.MAXIMAL_ONLY.value,
+    help="candidate submodules for the exact search: the maximal ones, read off "
     "the hyperplanes of each M/mM, or (all) the coatoms of the submodule "
-    "lattice, read off its walk; both give the same certificate"
+    "lattice, read off its walk; both give the same certificate",
 )
 
 
-def _module_exprs(arg: str):
-    """The module argument, or one expression per stdin line for '-'."""
-    if arg == "-":
-        return [line.strip() for line in sys.stdin if line.strip()]
-    return [arg]
+def _modules(arg: str):
+    """The modules of the argument, or of each nonblank stdin line for
+    '-', each parsed only when the caller's loop reaches it."""
+    from .dsl import parse_module
+
+    exprs = [s for s in map(str.strip, sys.stdin) if s] if arg == "-" else [arg]
+    for expr in exprs:
+        yield parse_module(expr)
 
 
-def _print_kv(pairs):
+def _print_json(payload) -> None:
+    print(json.dumps(payload, indent=2, sort_keys=True))
+
+
+def _print_kv(facts: dict, rows) -> None:
+    """One aligned line per row: a key of `facts`, labelled by the key with
+    '_' read as a space, or a written (label, value) pair."""
+    pairs = [(r.replace("_", " "), facts[r]) if isinstance(r, str) else r for r in rows]
     width = max(len(k) for k, _ in pairs)
     for k, v in pairs:
         print(f"{k.ljust(width)}  {v}")
@@ -95,16 +109,12 @@ def cmd_ring_info(args) -> int:
 
     facts = _ring_facts(parse_ring(args.ring))
     if args.json:
-        print(json.dumps(facts, indent=2, sort_keys=True))
+        _print_json(facts)
         return EXIT_OK
     _print_kv(
-        [
-            ("ring", facts["ring"]),
-            ("size", facts["size"]),
-            ("additive orders", facts["additive_orders"]),
-            ("units", facts["units"]),
-            ("maximal ideals", len(facts["maximal_ideals"])),
-        ]
+        facts,
+        ["ring", "size", "additive_orders", "units",
+         ("maximal ideals", len(facts["maximal_ideals"]))],
     )
     for i, ideal in enumerate(facts["maximal_ideals"]):
         print(
@@ -112,6 +122,12 @@ def cmd_ring_info(args) -> int:
             f"size={ideal['size']} |R/m|={ideal['residue_field_size']}"
         )
     return EXIT_OK
+
+
+def _q_k(entries) -> list:
+    """Semisimple entries as (q, k) records: |R/m| and dim M/mM."""
+    return [{"residue_field_size": e.residue_size, "multiplicity": e.multiplicity}
+            for e in entries]
 
 
 def _module_facts(m) -> dict:
@@ -126,40 +142,22 @@ def _module_facts(m) -> dict:
         "length": length(m),
         "hdim": hdim(m),
         "radical_size": jacobson_radical(m).size,
-        "semisimple_invariants": [
-            {"residue_field_size": e.residue_size, "multiplicity": e.multiplicity}
-            for e in semisimple_invariants(m)
-        ],
-        "s_set": [
-            {"residue_field_size": e.residue_size, "multiplicity": e.multiplicity}
-            for e in s_set(m)
-        ],
+        "semisimple_invariants": _q_k(semisimple_invariants(m)),
+        "s_set": _q_k(s_set(m)),
         "maximal_submodules": len(maximal_submodules(m)),
     }
 
 
 def _print_module_facts(facts):
+    def pairs(key):
+        return [(e["residue_field_size"], e["multiplicity"]) for e in facts[key]]
+
     _print_kv(
-        [
-            ("module", facts["module"]),
-            ("ring", facts["ring"]),
-            ("size", facts["size"]),
-            ("additive orders", facts["additive_orders"]),
-            ("cyclic", facts["cyclic"]),
-            ("length", facts["length"]),
-            ("hdim", facts["hdim"]),
-            ("radical size", facts["radical_size"]),
-            ("maximal submodules", facts["maximal_submodules"]),
-            (
-                "invariants (q, k)",
-                [(e["residue_field_size"], e["multiplicity"])
-                 for e in facts["semisimple_invariants"]],
-            ),
-            (
-                "S (q, k)",
-                [(e["residue_field_size"], e["multiplicity"]) for e in facts["s_set"]],
-            ),
-        ]
+        facts,
+        ["module", "ring", "size", "additive_orders", "cyclic", "length", "hdim",
+         "radical_size", "maximal_submodules",
+         ("invariants (q, k)", pairs("semisimple_invariants")),
+         ("S (q, k)", pairs("s_set"))],
     )
 
 
@@ -171,40 +169,33 @@ def _print_cover(cert) -> None:
 
 
 def cmd_module_info(args) -> int:
-    from .dsl import parse_module
-
-    for expr in _module_exprs(args.module):
-        m = parse_module(expr)
+    for m in _modules(args.module):
         facts = _module_facts(m)
         if args.json:
-            print(json.dumps(facts, indent=2, sort_keys=True))
+            _print_json(facts)
         else:
             _print_module_facts(facts)
     return EXIT_OK
 
 
 def cmd_sigma(args) -> int:
-    from .dsl import parse_module
-
-    for expr in _module_exprs(args.module):
-        m = parse_module(expr)
+    for m in _modules(args.module):
         facts = _module_facts(m)
         pred = sigma_formula(m)
-        cert = sigma_exact(m, SearchSpace(args.search))
+        cert = sigma_exact(m, args.search)
         facts["sigma_formula"] = pred.value if pred.coverable else "NOT_COVERABLE"
         facts["sigma_exact"] = cert.size if cert.is_cover else "NOT_COVERABLE"
         if args.certificate:
             facts["certificate"] = cert.to_json_dict()
         if args.json:
-            print(json.dumps(facts, indent=2, sort_keys=True))
+            _print_json(facts)
         else:
             _print_module_facts(facts)
             _print_kv(
-                [
-                    ("sigma (formula)", facts["sigma_formula"]),
-                    ("sigma (exact)", facts["sigma_exact"]),
-                    ("search nodes", cert.nodes_explored),
-                ]
+                facts,
+                [("sigma (formula)", facts["sigma_formula"]),
+                 ("sigma (exact)", facts["sigma_exact"]),
+                 ("search nodes", cert.nodes_explored)],
             )
             if args.certificate and cert.is_cover:
                 _print_cover(cert)
@@ -212,30 +203,23 @@ def cmd_sigma(args) -> int:
 
 
 def cmd_cover(args) -> int:
-    from .dsl import parse_module
-
-    for expr in _module_exprs(args.module):
-        m = parse_module(expr)
+    for m in _modules(args.module):
         if args.construct:
             cert = construct_cover(m)
         elif args.greedy:
             cert = greedy_cover(m)
         else:
-            cert = sigma_exact(m, SearchSpace(args.search))
+            cert = sigma_exact(m, args.search)
         payload = cert.to_json_dict()
         payload["verified"] = cert.is_cover and verify_cover(m, cert.submodules)
         if args.json:
-            print(json.dumps(payload, indent=2, sort_keys=True))
+            _print_json(payload)
         elif not cert.is_cover:
             print("NOT_COVERABLE (module is cyclic)")
         else:
             _print_kv(
-                [
-                    ("cover size", cert.size),
-                    ("optimal", cert.optimal),
-                    ("verified", payload["verified"]),
-                    ("nodes explored", cert.nodes_explored),
-                ]
+                payload,
+                [("cover size", cert.size), "optimal", "verified", "nodes_explored"],
             )
             _print_cover(cert)
     return EXIT_OK
@@ -310,9 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sigma", help="covering number, closed form and exact")
     p.add_argument("--module", required=True, help="module expression or '-'")
     p.add_argument("--certificate", action="store_true", help="include the cover")
-    p.add_argument(
-        "--search", choices=["maximal", "all"], default="maximal", help=SEARCH_HELP
-    )
+    p.add_argument("--search", **SEARCH_OPTION)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_sigma)
 
@@ -324,9 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="closed-form construction instead of search",
     )
     g.add_argument("--greedy", action="store_true", help="greedy upper bound")
-    p.add_argument(
-        "--search", choices=["maximal", "all"], default="maximal", help=SEARCH_HELP
-    )
+    p.add_argument("--search", **SEARCH_OPTION)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_cover)
 

@@ -95,9 +95,12 @@ def sigma_formula(m: RealizedModule) -> SigmaPrediction:
 
 
 def sigma_exact(
-    m: RealizedModule, space: SearchSpace = SearchSpace.MAXIMAL_ONLY
+    m: RealizedModule, space: SearchSpace | str = SearchSpace.MAXIMAL_ONLY
 ) -> CoverCertificate:
     """Exact minimum cover by branch and bound over candidate submodules.
+
+    `space` is a SearchSpace or its value ("maximal" or "all"); anything
+    else raises ValueError.
 
     Every minimal cover can be refined to one using maximal submodules
     only, so MAXIMAL_ONLY already yields the true covering number;
@@ -122,6 +125,8 @@ def sigma_exact(
     no smaller than the incumbent; neither cut drops a smaller cover.
     """
     t0 = time.perf_counter()
+    if not isinstance(space, SearchSpace):
+        space = SearchSpace(space)
     _reject_zero(m)
     seed = m._greedy_seed
     if not seed:

@@ -744,13 +744,12 @@ def localize_at_s(m: RealizedModule):
     taking coordinates of M to coordinates of the module over the
     factored ring.
     """
-    s_ideals = {e.ideal for e in s_set(m)}
-    if not s_ideals:
+    entries = s_set(m)
+    if not entries:
         raise ValueError("localization at S requires a nonempty S")
     e_sum = m.ring.zero
-    for factor in local_factorization(m.ring):
-        if factor.ideal in s_ideals:
-            e_sum = m.ring.add(e_sum, factor.idempotent)
+    for entry in entries:
+        e_sum = m.ring.add(e_sum, entry.factor.idempotent)
     complement = ideal_generated(m.ring, [m.ring.sub(m.ring.one, e_sum)])
     new_ring, _, ring_lift = quotient_ring(m.ring, complement)
     quotient, project, _ = quotient_module(m, ideal_action(m, complement))

@@ -206,6 +206,24 @@ def test_gf_of_a_non_prime_is_a_parse_error(capsys, text):
 
 
 @pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("ring-info", "GF(2^0)"), "extension degree must be >= 1"),
+        (("ring-info", "GF(2^2; f=1,1,0)"), "f must be monic of degree 2"),
+        (("ring-info", "GF(2^2; f=1,1)"), "f must be monic of degree 2"),
+        (("module-info", "Z/2 (+) Z/2 over GF(2)"),
+         "cyclic-sum sugar requires a Z/n base ring"),
+        (("module-info", "Z/2 (+) Z/2 over Z/2 x Z/2"),
+         "cyclic-sum sugar requires a Z/n base ring"),
+    ],
+)
+def test_a_malformed_field_or_cyclic_sum_is_a_parse_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: ") and message in err
+
+
+@pytest.mark.parametrize(
     "argv", [("module-info", "Z/0 over Z/6"), ("sigma", "--module", "Z/0 (+) Z/2 over Z/4")]
 )
 def test_zero_annihilator_in_a_cyclic_sum_is_a_parse_error(capsys, argv):
@@ -383,6 +401,18 @@ def test_corpus_listing(capsys):
     code, out, _ = run(capsys, "corpus", "--seed", "1", "--count", "5")
     assert code == 0
     assert len(out.strip().splitlines()) == 5
+
+
+def test_corpus_json_lists_the_records_of_the_plain_listing(capsys):
+    argv = ("corpus", "--seed", "1", "--count", "5")
+    _, listing, _ = run(capsys, *argv)
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    records = json.loads(out)
+    # in the record's own key order, not sorted
+    assert [list(r) for r in records] == [["ring", "module", "seed", "provenance"]] * 5
+    assert [r["module"] for r in records] == listing.splitlines()
+    assert {r["seed"] for r in records} == {1}
 
 
 # -- sigma payload stability -------------------------------------------------------

@@ -323,6 +323,27 @@ def test_zero_module_rejected():
             fn(zero)
 
 
+def test_the_search_space_is_a_member_or_its_value():
+    from modcover.dsl import parse_module
+
+    def fields(cert):
+        return (cert.size, cert.optimal, cert.nodes_explored,
+                [s.members for s in cert.submodules])
+
+    # |M| = 625 is past the lattice guard, so only the maximal search answers
+    m = parse_module("free 2 over Z/5 x Z/5")
+    want = fields(sigma_exact(m, SearchSpace.MAXIMAL_ONLY))
+    assert want[0] == 6
+    assert fields(sigma_exact(m, "maximal")) == want
+    small = free_module(ring_zmod(2), 2)
+    assert fields(sigma_exact(small, "all")) == fields(
+        sigma_exact(small, SearchSpace.ALL_PROPER)
+    )
+    for space in (None, "bogus", "MAXIMAL_ONLY"):
+        with pytest.raises(ValueError, match="is not a valid SearchSpace"):
+            sigma_exact(m, space)
+
+
 def test_node_budget_guard(monkeypatch):
     from modcover import covering
     from modcover.errors import GuardExceeded

@@ -328,6 +328,11 @@ def test_a_guard_while_realizing_skips_every_check_in_no_time(monkeypatch):
     for c in report.results:
         assert (c.status, c.details, c.ms) == ("SKIPPED", {"reason": "guard module-size"}, 0)
     assert summary["SKIPPED"] == len(DEFAULT_CHECKS)
+    # the additivity check of a pair skips the same way when a side trips it
+    (result,) = run_hdim_pairs([(curated("free 2 over Z/6"), curated("free 1 over Z/6"))])
+    assert (result.check, result.status, result.details, result.ms) == (
+        "hdim-additivity", "SKIPPED", {"reason": "guard module-size"}, 0
+    )
 
 
 # -- serialization -----------------------------------------------------------------
