@@ -88,6 +88,14 @@ class _Parser:
             return True
         return False
 
+    def items(self, item, sep=","):
+        """item { sep item }: the items read by `item`, while `sep`
+        follows each."""
+        out = [item()]
+        while self.accept(sep):
+            out.append(item())
+        return out
+
     def expect_int(self) -> int:
         kind, val, start = self.peek()
         if kind != "int":
@@ -130,9 +138,7 @@ class _Parser:
             if self.accept(";"):
                 self.expect("f")
                 self.expect("=")
-                coeffs = [self.expect_int()]
-                while self.accept(","):
-                    coeffs.append(self.expect_int())
+                coeffs = self.items(self.expect_int)
             self.expect(")")
             try:
                 return ring_gf(p, k, tuple(coeffs) if coeffs else None)
@@ -167,18 +173,14 @@ class _Parser:
         self.expect("[")
         rels = []
         if not self.accept("]"):
-            rels.append(self.relation(ring, k))
-            while self.accept(","):
-                rels.append(self.relation(ring, k))
+            rels = self.items(lambda: self.relation(ring, k))
             self.expect("]")
         return ModulePresentation(ring, k, tuple(rels))
 
     def relation(self, ring, k):
         _, _, start = self.peek()
         self.expect("(")
-        entries = [self.rel_entry(ring)]
-        while self.accept(","):
-            entries.append(self.rel_entry(ring))
+        entries = self.items(lambda: self.rel_entry(ring))
         self.expect(")")
         if len(entries) != k:
             raise ParseError(
@@ -193,9 +195,7 @@ class _Parser:
             return ring.scale(int(val), ring.one)
         if val == "(":
             self.next()
-            coords = [self.expect_int()]
-            while self.accept(","):
-                coords.append(self.expect_int())
+            coords = self.items(self.expect_int)
             self.expect(")")
             if len(coords) != ring.rank:
                 raise ParseError(
@@ -209,9 +209,7 @@ class _Parser:
 
     def module_cyclic_sum(self) -> ModulePresentation:
         _, _, start = self.peek()
-        anns = [self.zmod_annihilator()]
-        while self.accept("(+)"):
-            anns.append(self.zmod_annihilator())
+        anns = self.items(self.zmod_annihilator, "(+)")
         self.expect("over")
         ring = self.ring()
         if not ring.label.startswith("Z/") or "x" in ring.label:

@@ -305,9 +305,6 @@ class Submodule:
     def is_proper(self) -> bool:
         return self.members != self.parent.full_mask
 
-    def __contains__(self, idx) -> bool:
-        return bool(self.members >> idx & 1)
-
     def generator_coords(self):
         return tuple(self.parent.element(i) for i in self.generators)
 

@@ -31,8 +31,10 @@ residue columns) are read off the record when first asked for, and R/m_e
 is never built as a ring.
 The linear algebra is sized by R/pR: where it has dimension 1, as for
 every prime of Z/n and GF(p), it is F_p, and no Frobenius, kernel or
-echelon is formed at all. GF(p^k)'s table is read off the powers
-x^0, ..., x^(2k-2) mod f.
+echelon is formed at all. Z/p[x]/(f) is read off the powers of x mod
+f, formed by one shift-and-reduce rule (`_powers_of_x`): GF(p^k)'s table
+off x^0, ..., x^(2k-2), and the Frobenius that tests f for
+irreducibility off x^0, x^p, ..., x^((k-1)p).
 """
 
 from __future__ import annotations
@@ -459,9 +461,6 @@ class Ideal:
     def __contains__(self, x) -> bool:
         return bool(self.members >> self.ring.index_of(x) & 1)
 
-    def is_proper(self) -> bool:
-        return self.size < self.ring.size
-
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.generators)
         return f"Ideal({self.ring.label}; <{gens}>; size={self.size})"
@@ -538,36 +537,33 @@ def _is_prime(n: int) -> bool:
     return _prime_powers(n) == [(n, 1)]
 
 
-def _poly_mulmod(a, b, f, p):
-    """(a*b) mod f over Z/p; f monic of degree k, inputs of degree < k."""
-    k = len(f) - 1
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            prod[i + j] = (prod[i + j] + ai * bj) % p
-    for deg in range(len(prod) - 1, k - 1, -1):
-        c = prod[deg]
-        if not c:
-            continue
-        prod[deg] = 0
-        for j in range(k):
-            prod[deg - k + j] = (prod[deg - k + j] - c * f[j]) % p
-    prod = prod[:k]
-    return prod + [0] * (k - len(prod))
+def _powers_of_x(f, p, n) -> list:
+    """x^0, ..., x^(n-1) mod f over Z/p, for monic f of degree k >= 1, on
+    the basis 1, x, ..., x^(k-1): each is x times the last, shifted up a
+    degree with the c·x^k pushed out replaced by -c·(f_0 + ... +
+    f_(k-1) x^(k-1)). This is modcover's one rule for Z/p[x]/(f)."""
+    powers = [basis_vectors(len(f) - 1)[0]]
+    for _ in range(n - 1):
+        power = powers[-1]
+        c = power[-1]
+        powers.append(tuple((low - c * fj) % p for low, fj in zip((0,) + power[:-1], f)))
+    return powers
 
 
 def _is_irreducible(f, p) -> bool:
     """Whether monic f is irreducible over Z/p, that is, whether
-    Z/p[x]/(f), on the basis 1, x, ..., x^(k-1), is a field. At degree 1
-    it is Z/p itself, so the answer is True with no Frobenius formed."""
+    Z/p[x]/(f), on the basis 1, x, ..., x^(k-1), is a field. Its
+    Frobenius sends x^j to x^(jp), so it is read off the powers x^0, ...,
+    x^((k-1)p) mod f, as Berlekamp reads it, with no product formed. That
+    list grows with p, which stays small: `_build_gf` checks p^k against
+    the ring guard first. At degree 1 it is Z/p itself, so the answer is
+    True with no Frobenius formed."""
     k = len(f) - 1
     if k < 1:
         return False
     if k == 1:
         return True
-    return _is_field(_frobenius(lambda a, b: _poly_mulmod(a, b, f, p), k, p), p)
+    return _is_field(_powers_of_x(f, p, (k - 1) * p + 1)[::p], p)
 
 
 def smallest_irreducible(p: int, k: int):
@@ -604,10 +600,9 @@ def ring_gf(p: int, k: int = 1, f=None) -> FiniteRing:
 def _build_gf(p, k, f):
     """Z/p[x]/(f) on the basis 1, x, ..., x^(k-1), for f the smallest
     irreducible of degree k or a given monic f, which must be irreducible.
-    Its table is read off the powers x^0, ..., x^(2k-2) mod f, since
-    x^i x^j = x^(i+j): 2k - 2 shift-and-reduce steps in place of k^2
-    polynomial products. It is a ring for every monic f, so construction
-    skips `_validate`."""
+    Its table is read off the powers x^0, ..., x^(2k-2) mod f
+    (`_powers_of_x`), since x^i x^j = x^(i+j), with no polynomial product.
+    It is a ring for every monic f, so construction skips `_validate`."""
     if power_exceeds(p, k, RING_SIZE_GUARD):
         raise GuardExceeded("ring-size", f"GF({p}^{k}) exceeds guard {RING_SIZE_GUARD}")
     if f is None:
@@ -619,13 +614,7 @@ def _build_gf(p, k, f):
         if not _is_irreducible(f, p):
             raise ValueError(f"GF({p}^{k}): polynomial {f} is reducible")
         label = f"GF({p}^{k}; f={','.join(str(c) for c in f)})"
-    powers = [basis_vectors(k)[0]]  # x^0, ..., x^(2k-2) mod f
-    for _ in range(2 * k - 2):
-        # x times the last power: shifted up a degree, with the c·x^k
-        # pushed out replaced by -c·(f_0 + ... + f_(k-1) x^(k-1))
-        power = powers[-1]
-        c = power[-1]
-        powers.append(tuple((low - c * fj) % p for low, fj in zip((0,) + power[:-1], f)))
+    powers = _powers_of_x(f, p, 2 * k - 1)
     table = [[powers[i + j] for j in range(k)] for i in range(k)]
     return FiniteRing([p] * k, table, powers[0], label, validate=False)
 

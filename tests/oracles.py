@@ -30,7 +30,6 @@ from modcover.modules import (
 from modcover.rings import (
     FiniteRing,
     _Coordinates,
-    _poly_mulmod,
     basis_vectors,
     ideal_generated,
     local_factor,
@@ -111,9 +110,32 @@ def sigma_search_variant_labels() -> list:
     ]
 
 
+def _poly_mulmod(a, b, f, q):
+    """(a*b) mod f over Z/q, by the schoolbook product and long division;
+    f monic of degree k, inputs of degree < k."""
+    k = len(f) - 1
+    prod = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, ai in enumerate(a):
+        if not ai:
+            continue
+        for j, bj in enumerate(b):
+            prod[i + j] = (prod[i + j] + ai * bj) % q
+    for deg in range(len(prod) - 1, k - 1, -1):
+        c = prod[deg]
+        if not c:
+            continue
+        prod[deg] = 0
+        for j in range(k):
+            prod[deg - k + j] = (prod[deg - k + j] - c * f[j]) % q
+    prod = prod[:k]
+    return prod + [0] * (k - len(prod))
+
+
 def poly_mulmod_table(f, q) -> tuple:
     """The k^2 products (a*b) mod f over Z/q of the basis 1, x, ...,
-    x^(k-1), for monic f of degree k, each by `_poly_mulmod`."""
+    x^(k-1), for monic f of degree k, each by the schoolbook
+    `_poly_mulmod`: a reference independent of the library, which reads
+    Z/p[x]/(f) off the powers of x with no product formed."""
     basis = basis_vectors(len(f) - 1)
     return tuple(tuple(tuple(_poly_mulmod(a, b, f, q)) for b in basis) for a in basis)
 

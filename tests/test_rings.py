@@ -232,6 +232,22 @@ def test_degree_one_polynomials_are_irreducible():
         assert all(_is_irreducible([c, 1], p) for c in range(p)), p
 
 
+def test_the_irreducibility_test_and_the_gf_table_form_no_product(monkeypatch):
+    # both read Z/p[x]/(f) off the powers of x mod f, so neither squares
+    # nor raises to the p-th power by a product
+    def no_product(*args):
+        raise AssertionError("a product was formed")
+
+    monkeypatch.setattr(rings, "_frobenius", no_product)
+    monkeypatch.setattr(rings, "_power", no_product)
+    for q in sorted(POLY_DEGREES):
+        if _is_prime(q):
+            for f in monic_polynomials(q):
+                assert _is_irreducible(f, q) == is_irreducible_by_search(f, q), (q, f)
+    for p, k in _gf_degrees(RING_SIZE_GUARD):
+        assert rings._build_gf(p, k, None).size == p**k, (p, k)
+
+
 def test_gf_rejects_composite_characteristic():
     with pytest.raises(ValueError):
         ring_gf(4, 1)
