@@ -310,19 +310,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_cover)
 
-    p = sub.add_parser("corpus", help="print a deterministic instance corpus")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--count", type=_int_at_least(0), default=50)
-    p.add_argument("--max-ring", type=int, default=64)
-    p.add_argument("--max-module", type=int, default=512)
+    # the corpus options, which `corpus` and `verify` share
+    corpus_options = argparse.ArgumentParser(add_help=False)
+    corpus_options.add_argument("--seed", type=int, default=1)
+    corpus_options.add_argument("--count", type=_int_at_least(0), default=50)
+    corpus_options.add_argument("--max-ring", type=int, default=64)
+    corpus_options.add_argument("--max-module", type=int, default=512)
+
+    p = sub.add_parser(
+        "corpus", parents=[corpus_options], help="print a deterministic instance corpus"
+    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_corpus)
 
-    p = sub.add_parser("verify", help="run identity checks over a corpus")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--count", type=_int_at_least(0), default=50)
-    p.add_argument("--max-ring", type=int, default=64)
-    p.add_argument("--max-module", type=int, default=512)
+    p = sub.add_parser(
+        "verify", parents=[corpus_options], help="run identity checks over a corpus"
+    )
     p.add_argument("--checks", help="comma-separated subset of "
                    + ",".join(DEFAULT_CHECKS))
     p.add_argument("--hdim-pairs", type=_int_at_least(0), default=0,

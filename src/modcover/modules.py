@@ -42,6 +42,7 @@ from .rings import (
     Ideal,
     LocalFactor,
     _Coordinates,
+    _direct_sum_table,
     _greedy,
     ideal_generated,
     local_factor,
@@ -273,10 +274,7 @@ def direct_sum(a: RealizedModule, b: RealizedModule) -> RealizedModule:
         raise ValueError("direct sum requires modules over the same ring")
     ring = a.ring
     orders = a.orders + b.orders
-    table = [
-        [v + b.zero for v in a.table[i]] + [a.zero + v for v in b.table[i]]
-        for i in range(ring.rank)
-    ]
+    table = _direct_sum_table(a.table, b.table, a.zero, b.zero)
     pres = None
     if a.presentation is not None and b.presentation is not None:
         pres = a.presentation.direct_sum(b.presentation)
@@ -652,22 +650,13 @@ def length(m: RealizedModule) -> int:
     total = 0
     for factor in local_factorization(m.ring):
         q = factor.ideal.residue_size
-        em = m.closure(m.multiples(factor.idempotent))
-        total += _exact_log(
-            em.bit_count(), q, f"|eM| is not a power of the residue size {q}"
-        )
+        size = m.closure(m.multiples(factor.idempotent)).bit_count()
+        while size % q == 0:
+            size //= q
+            total += 1
+        if size != 1:
+            raise AssertionError(f"|eM| is not a power of the residue size {q}")
     return total
-
-
-def _exact_log(size: int, q: int, message: str) -> int:
-    """k with q**k == size; raises AssertionError(message) if there is none."""
-    k = 0
-    while size % q == 0:
-        size //= q
-        k += 1
-    if size != 1:
-        raise AssertionError(message)
-    return k
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,9 @@ law check (`_Coordinates.check_laws`) tells whether R acting through it
 is a module. A hand-built table is checked to be a ring: commutative,
 and R a module over itself (`FiniteRing._validate`); the constructors
 and `quotient_ring` build rings by construction and skip that check.
+A product R x S is the direct sum R ⊕ S of its factors over R x S, each
+factor killed by the other's basis, so `ring_product` builds its table
+by the block rule that `modules.direct_sum` uses (`_direct_sum_table`).
 All values are immutable after construction, so the constructors share
 one object per ring (see `_RingTable`), and each ring keeps the facts
 derived from it as cached properties, formed when first read: its local
@@ -557,10 +560,8 @@ def _is_irreducible(f, p) -> bool:
     x^((k-1)p) mod f, as Berlekamp reads it, with no product formed. That
     list grows with p, which stays small: `_build_gf` checks p^k against
     the ring guard first. At degree 1 it is Z/p itself, so the answer is
-    True with no Frobenius formed."""
+    True with no Frobenius formed. Its callers pass degree k >= 1."""
     k = len(f) - 1
-    if k < 1:
-        return False
     if k == 1:
         return True
     return _is_field(_powers_of_x(f, p, (k - 1) * p + 1)[::p], p)
@@ -625,20 +626,11 @@ def ring_product(a: FiniteRing, b: FiniteRing) -> FiniteRing:
 
 
 def _build_product(a, b):
-    # a product of two rings is a ring, so construction skips `_validate`
-    ra, rb = a.rank, b.rank
-    zero_a, zero_b = a.zero, b.zero
-    table = []
-    for i in range(ra + rb):
-        row = []
-        for j in range(ra + rb):
-            if i < ra and j < ra:
-                row.append(a.table[i][j] + zero_b)
-            elif i >= ra and j >= ra:
-                row.append(zero_a + b.table[i - ra][j - ra])
-            else:
-                row.append(zero_a + zero_b)
-        table.append(row)
+    # R x S is R ⊕ S over R x S; a product of two rings is a ring, so
+    # construction skips `_validate`
+    pad_a = ((a.zero,) * a.rank,) * b.rank  # b's basis kills a
+    pad_b = ((b.zero,) * b.rank,) * a.rank  # a's basis kills b
+    table = _direct_sum_table(a.table + pad_a, pad_b + b.table, a.zero, b.zero)
     return FiniteRing(
         a.orders + b.orders,
         table,
@@ -646,6 +638,15 @@ def _build_product(a, b):
         f"{a.label} x {b.label}",
         validate=False,
     )
+
+
+def _direct_sum_table(table_a, table_b, zero_a, zero_b) -> list:
+    """The table of A ⊕ B, row by row over the acting basis: each entry
+    of A's row followed by B's zero, then A's zero followed by each of B's."""
+    return [
+        [v + zero_b for v in row_a] + [zero_a + v for v in row_b]
+        for row_a, row_b in zip(table_a, table_b)
+    ]
 
 
 # -- quotients and factorization ------------------------------------------------

@@ -268,6 +268,27 @@ def test_the_z20_search_keeps_its_certificate(space):
     assert 0 < cert.nodes_explored < 1000  # 203
 
 
+@pytest.mark.parametrize(
+    "label, sigma, nodes, masks_digest",
+    [
+        # sha256 of the certificate's member masks, as for Z20_CERTIFICATE;
+        # without the search's exit at depth + 1 >= best_len these take 26
+        # and 45 nodes
+        ("free 2 over Z/3 x Z/2 x Z/2", 3, 22,
+         "15135e8f16770f75639d976de429b51976caaaa8b2eacbefb16adeebec6c9c53"),
+        ("Z/15 (+) Z/30 over Z/30", 4, 39,
+         "6922c4ca6ce884b0f29a85b1a7179b3d3968a48592af50b935b8026c99a7646a"),
+    ],
+)
+def test_the_search_leaves_a_node_once_no_smaller_cover_fits(label, sigma, nodes, masks_digest):
+    from modcover.dsl import parse_module
+
+    cert = sigma_exact(parse_module(label))
+    masks = json.dumps([s.members for s in cert.submodules])
+    assert (cert.is_cover, cert.size, cert.nodes_explored) == (True, sigma, nodes)
+    assert hashlib.sha256(masks.encode()).hexdigest() == masks_digest
+
+
 def test_minimum_certificates_are_pencils():
     # a cover by q + 1 maximal submodules is the pullback of the q + 1
     # hyperplanes of some M/mM, |R/m| = q, through one subspace of

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -165,6 +166,41 @@ def test_maximal_count_compares_the_masks(monkeypatch):
     result = check_maximal_count(spec, m)
     assert result.status == "FAIL"
     assert result.details["hyperplane"] == 4 and result.details["lattice"] == 4
+
+
+@pytest.mark.parametrize(
+    "check, name, fake, expr, keys",
+    [
+        # the radical from the maximal submodules is all of M
+        ("radical-agreement", "radical_via_maximal", lambda real: lambda m: m.full_mask,
+         "free 1 over Z/4", {"via_maximal", "via_ideals"}),
+        # a cyclic module reads as not cyclic, so not cyclic == not coverable
+        ("cyclicity", "is_cyclic", lambda real: lambda m: (False, None),
+         "free 1 over Z/6", {"cyclic", "coverable"}),
+        # localizing leaves M as it is, so S stays short of mSpec
+        ("localization", "localize_at_s", lambda real: lambda m: (m, None),
+         "Z/2 (+) Z/2 (+) Z/3 over Z/6",
+         {"sigma_before", "sigma_after", "sigma_after_exact"}),
+        # the greedy cover's answer is turned over
+        ("finiteness", "greedy_cover",
+         lambda real: lambda m: dataclasses.replace(real(m), is_cover=not real(m).is_cover),
+         "free 2 over Z/2", {"cover_exists", "s_nonempty", "cyclic"}),
+        # one maximal submodule goes missing
+        ("maximal-count", "maximal_submodules", lambda real: lambda m: real(m)[1:],
+         "free 2 over Z/3", {"expected", "actual"}),
+    ],
+)
+def test_each_check_fails_with_a_replayable_payload(monkeypatch, check, name, fake, expr, keys):
+    spec = curated(expr)
+    m = parse_module(expr)
+    monkeypatch.setattr(harness, name, fake(getattr(harness, name)))
+    result = harness._CHECK_FNS[check](spec, m)
+    assert result.status == "FAIL"
+    assert set(result.details) == {"ring", "module"} | keys
+    # one line replays the instance: both expressions parse back to it
+    ring, module = parse_ring(result.details["ring"]), parse_module(result.details["module"])
+    assert (ring.label, ring.orders, ring.table) == (m.ring.label, m.ring.orders, m.ring.table)
+    assert (module.orders, module.table) == (m.orders, m.table)
 
 
 def test_hdim_length_mismatch_fails_with_repro_expressions(monkeypatch):
