@@ -18,7 +18,7 @@ the formula's witness and the q + 1 lines of its cover as cached
 properties, formed when first read.
 
 The residue layer works in M/mM's own terms, and reads R/m's coordinates
-off the `LocalFactor` of m, with no residue ring built: mM is the
+off m itself, a `LocalFactor`, with no residue ring built: mM is the
 additive span of the multiples a·e_t read off the module table, for a
 over the additive generators that m keeps (`ideal_action`); a span over
 a mask that contains mM is the additive closure of the vectors v and of
@@ -45,7 +45,6 @@ from .rings import (
     _direct_sum_table,
     _greedy,
     ideal_generated,
-    local_factor,
     local_factorization,
     maximal_ideals,
     power_exceeds,
@@ -190,7 +189,7 @@ class RealizedModule(_Coordinates):
             return ()
         u, w, *rest = entry.basis
         # the lines through u + c w for each scalar c, then the line through w
-        start = _residue_span(self, entry.factor)(rest, entry.nm)
+        start = _residue_span(self, entry.ideal)(rest, entry.nm)
         return tuple(hyperplanes(self, entry, start, (w, u)))
 
     @cached_property
@@ -556,7 +555,7 @@ def hyperplanes(m: RealizedModule, entry: SemisimpleEntry, start: int, basis) ->
     """
     if start & entry.nm != entry.nm:
         raise ValueError("hyperplanes: the start mask does not contain mM")
-    span = _residue_span(m, entry.factor)
+    span = _residue_span(m, entry.ideal)
     out = []
     lead_start = start
     for lead, u in enumerate(basis):
@@ -564,34 +563,34 @@ def hyperplanes(m: RealizedModule, entry: SemisimpleEntry, start: int, basis) ->
             lead_start = span([basis[lead - 1]], lead_start)
         rest = basis[lead + 1 :]
         # the last lead index has no tail, so it needs no multiples
-        scaled = _field_multiples(m, entry.factor, u) if rest else []
+        scaled = _field_multiples(m, entry.ideal, u) if rest else []
         for tail in itertools.product(scaled, repeat=len(rest)):
             vectors = [m.add(w, cu) for w, cu in zip(rest, tail)]
             out.append(Submodule(m, span(vectors, lead_start)))
     return out
 
 
-def _field_multiples(m: RealizedModule, factor: LocalFactor, u) -> list:
-    """The c·u for c over R/m in field order, for m the maximal ideal of
-    the `LocalFactor` factor, c acting through its lift. The lift puts c
-    on the residue columns and the action is bilinear, so c·u =
-    Σ_j c_j (b_j·u) over those columns: f rows of M's table read, f the
-    field's degree, and a `combine` of those f vectors per c. The c run
-    over F_p^f in the order of `itertools.product`, which is R/m's own."""
-    rows = [tuple(enumerate(m.row_image(i, u))) for i in factor.residue_columns]
-    scalars = itertools.product(range(factor.p), repeat=len(rows))
+def _field_multiples(m: RealizedModule, ideal: LocalFactor, u) -> list:
+    """The c·u for c over R/m in field order, for m the maximal ideal
+    `ideal`, c acting through its lift. The lift puts c on the residue
+    columns and the action is bilinear, so c·u = Σ_j c_j (b_j·u) over
+    those columns: f rows of M's table read, f the field's degree, and a
+    `combine` of those f vectors per c. The c run over F_p^f in the order
+    of `itertools.product`, which is R/m's own."""
+    rows = [tuple(enumerate(m.row_image(i, u))) for i in ideal.residue_columns]
+    scalars = itertools.product(range(ideal.p), repeat=len(rows))
     return [combine(c, rows, m.orders) for c in scalars]
 
 
-def _residue_span(m: RealizedModule, factor: LocalFactor):
+def _residue_span(m: RealizedModule, ideal: LocalFactor):
     """The routine that spans vectors over a submodule mask containing
-    mM, for m the maximal ideal of the `LocalFactor` factor. 1 and the
-    b_i of its span columns lift an F_p-basis of R/m, so every a in R is
-    c_0 + Σ_i c_i b_i + y with integers c and y in m, and a·v = c_0 v +
-    Σ_i c_i (b_i·v) + y·v with y·v in mM. The span is thus the additive
-    closure of the vectors v and their b_i·v, each read off one row of
-    M's table. Over F_p no column is left: it is the closure of the v."""
-    columns = factor.span_columns
+    mM, for m the maximal ideal `ideal`. 1 and the b_i of its span
+    columns lift an F_p-basis of R/m, so every a in R is c_0 + Σ_i c_i b_i
+    + y with integers c and y in m, and a·v = c_0 v + Σ_i c_i (b_i·v) +
+    y·v with y·v in mM. The span is thus the additive closure of the
+    vectors v and their b_i·v, each read off one row of M's table. Over
+    F_p no column is left: it is the closure of the v."""
+    columns = ideal.span_columns
 
     def span(vectors, start):
         images = [m.row_image(i, v) for v in vectors for i in columns]
@@ -649,7 +648,7 @@ def length(m: RealizedModule) -> int:
     """
     total = 0
     for factor in local_factorization(m.ring):
-        q = factor.ideal.residue_size
+        q = factor.residue_size
         size = m.closure(m.multiples(factor.idempotent)).bit_count()
         while size % q == 0:
             size //= q
@@ -661,13 +660,9 @@ def length(m: RealizedModule) -> int:
 
 @dataclass(frozen=True)
 class SemisimpleEntry:
-    factor: LocalFactor  # of m, whose residue columns give R/m's coordinates
+    ideal: LocalFactor  # m, whose residue columns give R/m's coordinates
     nm: int  # members mask of mM
     basis: tuple  # greedy over mM in M's element order: a basis of M/mM over R/m
-
-    @property
-    def ideal(self) -> Ideal:
-        return self.factor.ideal
 
     @property
     def residue_size(self) -> int:
@@ -698,12 +693,11 @@ def _residue_dimensions(m: RealizedModule) -> list:
         nm = ideal_action(m, ideal).members
         if nm == m.full_mask:
             continue
-        factor = local_factor(ideal)
-        greedy = _greedy(m, m.full_mask, nm, _residue_span(m, factor))
+        greedy = _greedy(m, m.full_mask, nm, _residue_span(m, ideal))
         basis = tuple(m.element(i) for i in greedy)
         if nm.bit_count() * ideal.residue_size ** len(basis) != m.size:
             raise AssertionError("quotient by a maximal ideal is not a vector space")
-        out.append(SemisimpleEntry(factor, nm, basis))
+        out.append(SemisimpleEntry(ideal, nm, basis))
     return out
 
 
@@ -735,7 +729,7 @@ def localize_at_s(m: RealizedModule):
         raise ValueError("localization at S requires a nonempty S")
     e_sum = m.ring.zero
     for entry in entries:
-        e_sum = m.ring.add(e_sum, entry.factor.idempotent)
+        e_sum = m.ring.add(e_sum, entry.ideal.idempotent)
     complement = ideal_generated(m.ring, [m.ring.sub(m.ring.one, e_sum)])
     new_ring, _, ring_lift = quotient_ring(m.ring, complement)
     quotient, project, _ = quotient_module(m, ideal_action(m, complement))

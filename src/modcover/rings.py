@@ -23,15 +23,16 @@ one object per ring (see `_RingTable`), and each ring keeps the facts
 derived from it as cached properties, formed when first read: its local
 factors, maximal ideals and unit mask. These come from linear
 algebra over F_p in R's own coordinates (see `_factor` and `_fp`), with
-no Smith normal form; R/pR multiplies by R's own product. Each local
-factor is one `LocalFactor` record: its idempotent e, its maximal ideal
-m_e and the echelon of m_e's image in R/pR. Each m_e is certified once,
-when R is factored, from the Frobenius of R/pR modulo that echelon, or,
-when R/pR is a field, so that the image is zero, from the kernels of
-R/pR's own Frobenius that the split into idempotents has formed, with
-no echelon taken; the generators of eJ and R/m_e's coordinates (the
-residue columns) are read off the record when first asked for, and R/m_e
-is never built as a ring.
+no Smith normal form; R/pR multiplies by R's own product. Each maximal
+ideal m_e is one object, its local factor's `LocalFactor`: the `Ideal`
+m_e with its idempotent e and the echelon of m_e's image in R/pR, shared
+by `local_factorization` (in idempotent order) and `maximal_ideals` (in
+members order). Each m_e is certified once, when R is factored, from the
+Frobenius of R/pR modulo that echelon, or, when R/pR is a field, so that
+the image is zero, by the verdict on R/pR that the split into
+idempotents has reached, with no echelon taken; the generators of eJ and
+R/m_e's coordinates (the residue columns) are read off the record when
+first asked for, and R/m_e is never built as a ring.
 The linear algebra is sized by R/pR: where it has dimension 1, as for
 every prime of Z/n and GF(p), it is F_p, and no Frobenius, kernel or
 echelon is formed at all. Z/p[x]/(f) is read off the powers of x mod
@@ -356,7 +357,8 @@ class FiniteRing(_Coordinates):
     `validate` (the default) the table is checked to be a ring; the
     constructors pass False for the rings they build by construction. Its
     derived facts are cached properties, formed when first read: `_factors`
-    (what `_factor` returns), the sorted maximal ideals and `unit_mask`."""
+    (what `_factor` returns), the same records sorted as maximal ideals,
+    and `unit_mask`."""
 
     def __init__(self, orders, table, one, label, *, validate=True):
         self.label = label
@@ -378,15 +380,16 @@ class FiniteRing(_Coordinates):
     # -- derived facts -------------------------------------------------------
 
     @cached_property
-    def _factors(self) -> dict:
-        """Maximal-ideal mask -> `LocalFactor`, as `_factor` finds them."""
+    def _factors(self) -> tuple:
+        """The `LocalFactor` of each primitive idempotent, as `_factor`
+        finds them."""
         return _factor(self)
 
     @cached_property
     def _maximal_ideals(self) -> tuple:
-        """The maximal ideals of `local_factorization`, sorted by members;
-        read through it, so that R is factored under one name."""
-        return tuple(sorted((f.ideal for f in local_factorization(self)), key=lambda i: i.members))
+        """The records of `local_factorization`, sorted by members; read
+        through it, so that R is factored under one name."""
+        return tuple(sorted(local_factorization(self), key=lambda i: i.members))
 
     @cached_property
     def unit_mask(self) -> int:
@@ -430,11 +433,12 @@ class FiniteRing(_Coordinates):
 
 @dataclass(frozen=True)
 class Ideal:
-    """An ideal is its members mask. `spanning` holds the elements it was
-    built from, whose ideal span is that mask; the greedy `generators`
-    are derived from the mask, and the `additive` generators from
-    `spanning`, when first read, so every module over an interned ring
-    reads the same ones."""
+    """An ideal is its members mask: two ideals of one ring are equal,
+    with equal hashes, when their members are, whatever their class or
+    `spanning`. `spanning` holds the elements it was built from, whose
+    ideal span is that mask; the greedy `generators` are derived from the
+    mask, and the `additive` generators from `spanning`, when first read,
+    so every module over an interned ring reads the same ones."""
 
     ring: FiniteRing
     members: int  # bitmask over the ring's element indices
@@ -463,6 +467,13 @@ class Ideal:
 
     def __contains__(self, x) -> bool:
         return bool(self.members >> self.ring.index_of(x) & 1)
+
+    def __eq__(self, other):
+        # any `Ideal`, a `LocalFactor` included; the hash is the generated
+        # one, on (ring, members)
+        if not isinstance(other, Ideal):
+            return NotImplemented
+        return (self.ring, self.members) == (other.ring, other.members)
 
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.generators)
@@ -671,18 +682,19 @@ def quotient_ring(ring: FiniteRing, ideal: Ideal):
     return q, project, lift
 
 
-@dataclass(frozen=True)
-class LocalFactor:
-    """One local factor eR of R ≅ ∏ eR, e a primitive idempotent, and its
-    maximal ideal m_e = (1-e)R + eJ, J the radical of R. `_factor` builds
-    one per e, by linear algebra over the residue characteristic p, and
-    certifies m_e there from the Frobenius of R/pR. The factor ring eR is
-    not built: modules read the decomposition only through e and eJ, the
-    residue layer through m_e and R/m_e's coordinates, and the covering
-    number only through m_e and |R/m_e|."""
+@dataclass(frozen=True, eq=False, repr=False)
+class LocalFactor(Ideal):
+    """The maximal ideal m_e = (1-e)R + eJ of one local factor eR of
+    R ≅ ∏ eR, e a primitive idempotent and J the radical of R: an `Ideal`,
+    equal to and hashed as any ideal with its members and printed as one,
+    that also holds e, the residue characteristic p and the echelon of
+    m_e's image in R/pR. `_factor` builds one per e, by linear algebra
+    over F_p, and certifies m_e there from the Frobenius of R/pR. The
+    factor ring eR is not built: modules read the decomposition only
+    through e and eJ, the residue layer through m_e and R/m_e's
+    coordinates, and the covering number only through m_e and |R/m_e|."""
 
     idempotent: tuple
-    ideal: Ideal  # m_e
     p: int
     rows: tuple  # reduced echelon over F_p of m_e's image in R/pR
     pivots: tuple
@@ -692,8 +704,8 @@ class LocalFactor:
         """The nonzero additive generators of eJ, built when first read:
         the images of e r_1 = g_1 - (1-e) and of the e r_j, the elements
         that span m_e after g_1 (see `_factor`)."""
-        ring = self.ideal.ring
-        g_1, *e_r = self.ideal.spanning
+        ring = self.ring
+        g_1, *e_r = self.spanning
         e_r_1 = ring.sub(g_1, ring.sub(ring.one, self.idempotent))
         return tuple(a for a in dict.fromkeys(ring.images([e_r_1, *e_r])) if any(a))
 
@@ -703,7 +715,7 @@ class LocalFactor:
         A = R/pR (R's columns i with p | d_i) that are not pivots of the
         echelon of m̄_e. They are a basis of A/m̄_e = R/m_e, so the basis
         vectors b_i of R on them lift R/m_e's basis, in order."""
-        support = _support(self.ideal.ring, self.p)
+        support = _support(self.ring, self.p)
         return tuple(c for j, c in enumerate(support) if j not in self.pivots)
 
     @cached_property
@@ -713,31 +725,32 @@ class LocalFactor:
         an F_p-basis of R/m_e. When |R/m_e| = p there is one residue
         column, and 1 is not in m_e, so that column is the one exchanged
         and none is left; no column is formed to learn it."""
-        if self.ideal.residue_size == self.p:
+        if self.residue_size == self.p:
             return ()
         columns = self.residue_columns
-        one = self.residue(self.ideal.ring.one)
+        one = self.residue(self.ring.one)
         exchanged = next(j for j, c in enumerate(one) if c)
         return columns[:exchanged] + columns[exchanged + 1 :]
 
     def residue(self, x) -> tuple:
         """The coordinates of x + m_e in R/m_e: x mod p on A's columns,
         reduced by the echelon rows and read on the residue columns."""
-        support = _support(self.ideal.ring, self.p)
+        support = _support(self.ring, self.p)
         reduced = _reduce(self.rows, self.pivots, [x[i] for i in support], self.p)
         columns = self.residue_columns
         return tuple(c for i, c in zip(support, reduced) if i in columns)
 
 
 def local_factorization(ring: FiniteRing) -> tuple:
-    """The `LocalFactor` of each primitive idempotent, sorted by the
+    """The `LocalFactor` m_e of each primitive idempotent e, sorted by the
     idempotents' coordinates. Computed once per ring, on the first read
     of it or of the maximal ideals (see `_factor`)."""
-    return tuple(ring._factors.values())
+    return ring._factors
 
 
 def maximal_ideals(ring: FiniteRing) -> list:
-    """All maximal ideals, one per local factor, sorted by members bitmask.
+    """All maximal ideals, sorted by members bitmask: the `LocalFactor`
+    records of `local_factorization`, the same objects.
 
     Each is certified once, when R is factored: the quotient by it is a
     field, read off the Frobenius of R/pR with no residue ring built.
@@ -745,21 +758,12 @@ def maximal_ideals(ring: FiniteRing) -> list:
     return list(ring._maximal_ideals)
 
 
-def local_factor(ideal: Ideal) -> LocalFactor:
-    """The `LocalFactor` whose maximal ideal is m; raises ValueError
-    unless m is a maximal ideal."""
-    factor = ideal.ring._factors.get(ideal.members)
-    if factor is None:
-        raise ValueError(f"{ideal} is not a maximal ideal")
-    return factor
-
-
-def _factor(ring: FiniteRing) -> dict:
-    """The `LocalFactor` of each maximal ideal, keyed by its members mask
-    in the order of the idempotents' coordinates, found by linear algebra
-    over F_p (`_primary_idempotents`), with no sweep over the elements and
-    no Smith normal form. Nothing is stored: the ring keeps the map as
-    its `_factors`.
+def _factor(ring: FiniteRing) -> tuple:
+    """The `LocalFactor` m_e of each primitive idempotent e, in the order
+    of the idempotents' coordinates, found by linear algebra over F_p
+    (`_primary_idempotents`), with no sweep over the elements and no Smith
+    normal form. Nothing is stored: the ring keeps the tuple as its
+    `_factors`.
 
     R is the product of its p-primary parts R_p, and the primitive
     idempotents of R are those of the R_p. For each one, e, the factor eR
@@ -778,10 +782,11 @@ def _factor(ring: FiniteRing) -> dict:
     that pR lies in m_e and R/m_e is that field. When m̄_e ≠ 0, A's
     Frobenius, reduced modulo the echelon of m̄_e and read on its
     non-pivot columns, is the Frobenius of A/m̄_e, and it must pass
-    `_is_field`. When A is a field, its Frobenius's kernels, which
-    `_primary_idempotents` has formed, show it: the radical kernel ker
-    F^s, zero exactly when ker F is, and the fixed space ker(F - I) of
-    dimension 1 (`_kernels_of_a_field`). Then 1 is A's one idempotent and
+    `_is_field`. When A is a field, `_primary_idempotents` says so, read
+    off the kernels of its Frobenius that it has formed: the radical
+    kernel ker F^s, zero exactly when ker F is, and the fixed space
+    ker(F - I) of dimension 1 (`_kernels_of_a_field`). Then 1 is A's one
+    idempotent and
     rad A = 0, so the image of m_e = (1-e_p)R + pR is zero, and no
     echelon is taken: m̄_e = 0, A/m̄_e is A, and the certificate is that
     same test. When A is not a field, the echelon is taken, and an
@@ -797,12 +802,12 @@ def _factor(ring: FiniteRing) -> dict:
     char = reduce(
         math.lcm, (d // math.gcd(d, c) for c, d in zip(ring.one, ring.orders))
     )  # the additive order of 1
-    parts = []  # (idempotent, p, generators r_j of J_p, Frobenius of R/pR, its kernels)
+    parts = []  # (e, p, generators r_j of J_p, Frobenius of A = R/pR, whether A is a field)
     for p, a in _prime_powers(char):
         rest = char // p**a
         e_p = ring.scale(rest * pow(rest, -1, p**a), ring.one)  # 1 in R_p, 0 elsewhere
-        idempotents, radical_gens, frobenius, kernels = _primary_idempotents(ring, p, e_p)
-        parts += [(e, p, radical_gens, frobenius, kernels) for e in idempotents]
+        idempotents, radical_gens, frobenius, a_is_field = _primary_idempotents(ring, p, e_p)
+        parts += [(e, p, radical_gens, frobenius, a_is_field) for e in idempotents]
     parts.sort(key=lambda part: part[0])
     # sanity: pairwise orthogonal and summing to 1
     acc = ring.zero
@@ -814,24 +819,25 @@ def _factor(ring: FiniteRing) -> dict:
     if acc != ring.one:
         raise AssertionError("primitive idempotents do not sum to 1")
 
-    factors = {}
-    for e, p, (r_1, *r_rest), frobenius, kernels in parts:
+    factors = []
+    for e, p, (r_1, *r_rest), frobenius, a_is_field in parts:
         spanning = [ring.add(ring.sub(ring.one, e), ring.mul(e, r_1))]
         spanning += [g for g in (ring.mul(e, r) for r in r_rest) if g != ring.zero]
         images = ring.images(spanning)
         mask = ring.closure(images)
-        if _kernels_of_a_field(*kernels):  # A is a field, so m̄_e = 0
+        support = _support(ring, p)
+        if a_is_field:  # A is a field, so m̄_e = 0
             rows, pivots, field = [], [], True
         else:
-            support = _support(ring, p)
             rows, pivots = _echelon([[x[i] for i in support] for x in images], p)
             field = bool(rows) and _is_field(_residue_frobenius(frobenius, rows, pivots, p), p)
-        degree = len(frobenius) - len(rows)  # dim A/m̄_e
+        degree = len(support) - len(rows)  # dim A/m̄_e
         if ring.size != mask.bit_count() * p**degree or not field:
             raise AssertionError(f"{ring.label}: quotient by a maximal ideal is not a field")
-        ideal = Ideal(ring, mask, tuple(spanning))
-        factors[mask] = LocalFactor(e, ideal, p, tuple(map(tuple, rows)), tuple(pivots))
-    return factors
+        factors.append(
+            LocalFactor(ring, mask, tuple(spanning), e, p, tuple(map(tuple, rows)), tuple(pivots))
+        )
+    return tuple(factors)
 
 
 def _support(ring, p) -> list:
@@ -864,12 +870,13 @@ def _placing(rank, columns):
 
 
 def _primary_idempotents(ring, p, e_p) -> tuple:
-    """``(idempotents, radical_gens, frobenius, kernels)``: the primitive
+    """``(idempotents, radical_gens, frobenius, field)``: the primitive
     idempotents e of R_p = e_p R, generators of the ideal J_p = pR +
     rad(R/pR) R, the preimage of the radical of R/pR, which is the same
-    for every e, the Frobenius F of A = R/pR on its basis, and the bases
-    of ker F^s and of ker(F - I) that are formed on the way, from which
-    `_factor` certifies A when it is a residue field.
+    for every e, the Frobenius F of A = R/pR on its basis, and whether A
+    is a field, read off the bases of ker F^s and of ker(F - I) that are
+    formed on the way (`_kernels_of_a_field`), from which `_factor`
+    certifies A when it is a residue field.
 
     R is ⊕ Z/d_i, so pR is ⊕ pZ/d_i and A = R/pR is ⊕ Z/p over the
     coordinates with p | d_i, read mod p; `lift` puts them back with
@@ -889,13 +896,14 @@ def _primary_idempotents(ring, p, e_p) -> tuple:
     When A has dimension 1, as over every Z/n and GF(p), none of this is
     formed: R_p ≠ 0 and p is nilpotent on it, so 1 is not in pR_p and
     A = F_p·1. Then F = I (u^p = u for u = c·1, by Fermat), ker F = 0,
-    ker(F - I) = A, and the one idempotent is e_p: the values returned
-    are `[e_p], [p·1], [(1,)], ([], [(1,)])`, exactly those the general
-    path computes there. The dimension is read from R's coordinates.
+    ker(F - I) = A, so A is a field, and the one idempotent is e_p: the
+    values returned are `[e_p], [p·1], [(1,)], True`, exactly those the
+    general path computes there. The dimension is read from R's
+    coordinates.
     """
     support = _support(ring, p)
     if len(support) == 1:  # A = F_p·1: F = I, ker F = 0 and ker(F - I) = A
-        return [e_p], [ring.scale(p, ring.one)], [(1,)], ([], [(1,)])
+        return [e_p], [ring.scale(p, ring.one)], [(1,)], True
     lift = _placing(ring.rank, support)
     n = len(support)
 
@@ -932,7 +940,7 @@ def _primary_idempotents(ring, p, e_p) -> tuple:
         idempotents = [e_p]
     else:
         idempotents = [_lift_idempotent(ring, ring.mul(e_p, lift(e))) for e in idems]
-    return idempotents, radical_gens, frobenius, (radical, fixed)
+    return idempotents, radical_gens, frobenius, _kernels_of_a_field(radical, fixed)
 
 
 def _lift_idempotent(ring, e):

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from ._fp import combine
+from ._fp import basis_vectors, combine
 
 
 def smith_normal_form(rows: Sequence[Sequence[int]], ncols: int):
@@ -18,19 +18,18 @@ def smith_normal_form(rows: Sequence[Sequence[int]], ncols: int):
     ``ncols`` diagonal entries (non-negative, each dividing the next) and
     ``V``/``Vinv`` are the mutually inverse column transforms, i.e. for
     some unimodular U (not tracked): U * A * V = D.
+
+    V is carried as n extra rows below A's m, starting as the identity,
+    so every column operation moves it with A; pivot search and row
+    operations range over the first m rows alone.
     """
-    A = [list(map(int, r)) for r in rows]
-    m = len(A)
+    m = len(rows)
     n = ncols
-    V = [[0] * n for _ in range(n)]
-    Vinv = [[0] * n for _ in range(n)]
-    for i in range(n):
-        V[i][i] = Vinv[i][i] = 1
+    A = [list(map(int, r)) for r in rows] + [list(e) for e in basis_vectors(n)]
+    Vinv = [list(e) for e in basis_vectors(n)]
 
     def swap_cols(i, j):
         for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
             row[i], row[j] = row[j], row[i]
         Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
@@ -41,15 +40,10 @@ def smith_normal_form(rows: Sequence[Sequence[int]], ncols: int):
         for row in A:
             if row[src]:
                 row[dst] += c * row[src]
-        for row in V:
-            if row[src]:
-                row[dst] += c * row[src]
         Vinv[src] = [a - c * b for a, b in zip(Vinv[src], Vinv[dst])]
 
     def neg_col(i):
         for row in A:
-            row[i] = -row[i]
-        for row in V:
             row[i] = -row[i]
         Vinv[i] = [-x for x in Vinv[i]]
 
@@ -138,7 +132,7 @@ def smith_normal_form(rows: Sequence[Sequence[int]], ncols: int):
         if A[j][j] < 0:
             neg_col(j)
     diag = [A[j][j] if j < m else 0 for j in range(n)]
-    return diag, V, Vinv
+    return diag, A[m:], Vinv
 
 
 def abelian_quotient(

@@ -32,7 +32,6 @@ from modcover.rings import (
     _Coordinates,
     basis_vectors,
     ideal_generated,
-    local_factor,
     local_factorization,
     maximal_ideals,
     quotient_ring,
@@ -600,17 +599,16 @@ def local_factors(ring) -> SimpleNamespace:
 
 def residue_field(ideal):
     """``(field, project, lift)`` for R/m, built in the library's
-    coordinates from the `LocalFactor` of m, which the library reads
+    coordinates from m itself, a `LocalFactor`, which the library reads
     without building R/m: the table is R's table on the residue columns,
     projected by `residue`, and the lift puts coordinates back on those
     columns. `FiniteRing` checks each field to be a ring as it is built.
     Over a field the residue columns are all of R's, so R/0 has R's
     coordinates."""
-    factor = local_factor(ideal)
-    ring, columns, project = ideal.ring, factor.residue_columns, factor.residue
+    ring, columns, project = ideal.ring, ideal.residue_columns, ideal.residue
     table = [[project(ring.table[i][j]) for j in columns] for i in columns]
     label = f"({ring.label})/<{','.join(str(g) for g in ideal.spanning)}>"
-    field = FiniteRing([factor.p] * len(columns), table, project(ring.one), label)
+    field = FiniteRing([ideal.p] * len(columns), table, project(ring.one), label)
     return field, project, rings._placing(ring.rank, columns)
 
 
@@ -645,7 +643,7 @@ def length_by_snf(m) -> int:
     ring = m.ring
     total = 0
     for factor in local_factorization(ring):
-        q = ring.size // factor.ideal.size
+        q = ring.size // factor.size
         complement = ring.sub(ring.one, factor.idempotent)
         orders, _, _ = abelian_quotient(
             m.orders, [m.act(complement, x) for x in basis_vectors(m.rank)]
@@ -910,7 +908,7 @@ def localize_at_s(m):
     s_masks = {e.ideal.members for e in s_set(m)}
     e_sum = m.ring.zero
     for factor in local_factorization(m.ring):
-        if factor.ideal.members in s_masks:
+        if factor.members in s_masks:
             e_sum = m.ring.add(e_sum, factor.idempotent)
     complement = ideal_generated(m.ring, [m.ring.sub(m.ring.one, e_sum)])
     new_ring, _, ring_lift = quotient_ring_by_lifts(m.ring, complement)

@@ -342,7 +342,7 @@ def assert_residue_layer_matches_the_references(m):
         reference = oracles.ideal_action_by_products(m, ideal)
         assert ideal_action(m, ideal).members == reference.members
     for entry in semisimple_invariants(m):
-        span = _residue_span(m, entry.factor)
+        span = _residue_span(m, entry.ideal)
         steps = oracles.residue_steps_by_span(m, entry.nm)
         assert tuple(m.element(i) for i, _ in steps) == entry.basis
         start = entry.nm
@@ -350,7 +350,7 @@ def assert_residue_layer_matches_the_references(m):
             start = span([u], start)
             assert start == mask
         for u in entry.basis[:-1]:
-            got = _field_multiples(m, entry.factor, u)
+            got = _field_multiples(m, entry.ideal, u)
             assert got == oracles.field_multiples_by_act(m, entry.ideal, u)
         planes = [(entry.nm, entry.basis)]
         if entry.multiplicity >= 2:
@@ -396,7 +396,7 @@ def test_residue_layer_matches_the_references_when_one_is_not_the_first_column(
     if times_z3:
         ring = ring_product(ring_zmod(3), ring)
     m = free_module(ring, k)
-    columns = {e.residue_size: e.factor.span_columns for e in semisimple_invariants(m)}
+    columns = {e.residue_size: e.ideal.span_columns for e in semisimple_invariants(m)}
     assert columns[4] == (ring.rank - 2,)  # x's column, not 1's
     assert_residue_layer_matches_the_references(m)
 

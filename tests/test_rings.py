@@ -408,7 +408,7 @@ def idempotents_of(R) -> tuple:
 def assert_matches_the_sweeps(R):
     idempotents, masks = factor_by_sweeps(R)
     assert idempotents_of(R) == idempotents, R.label
-    assert tuple(f.ideal.members for f in local_factorization(R)) == masks, R.label
+    assert tuple(f.members for f in local_factorization(R)) == masks, R.label
     assert [i.members for i in maximal_ideals(R)] == sorted(masks), R.label
     for ideal in maximal_ideals(R):
         assert is_field_by_power_walk(residue_field(ideal)[0]), R.label
@@ -802,7 +802,7 @@ def test_maximal_ideal_masks_match_the_elementwise_pullback(make):
     # rad(R/pR); the reference keeps each x whose projection to the factor
     # R/(1-e)R is nilpotent
     R = make()
-    got = tuple(f.ideal.members for f in local_factorization(R))
+    got = tuple(f.members for f in local_factorization(R))
     assert got == maximal_ideal_masks(R)
 
 

@@ -27,7 +27,6 @@ from modcover.rings import (
     FiniteRing,
     Ideal,
     ideal_generated,
-    local_factor,
     local_factorization,
     maximal_ideals,
     quotient_ring,
@@ -295,12 +294,6 @@ def test_generators_are_derived_only_when_read(monkeypatch):
     assert calls == {"submodule_generators": len(cert.submodules)}
 
 
-def test_local_factor_rejects_an_ideal_that_is_not_maximal():
-    # (6) is the product of the maximal ideals (2) and (3) of Z/30
-    with pytest.raises(ValueError, match="is not a maximal ideal"):
-        local_factor(ideal_generated(ring_zmod(30), [(6,)]))
-
-
 def test_the_maximal_ideals_of_z12_and_their_residue_field_labels():
     # Z/12 ≅ Z/4 x Z/3. At the field Z/3, e = 4 and m = (1-e)R = (9); at
     # Z/4, e = 9 and m is spanned by g_1 = (1-e) + e*2 = 4 + 6 = 10. R/m
@@ -408,9 +401,9 @@ def test_certificate_frobenius_is_that_of_the_residue_field(text, monkeypatch):
     for factor in factors:
         key = factor.p, factor.rows, factor.pivots
         certified = reduced[key] if factor.rows else algebra_frobenius[factor.p]
-        field = residue_field(factor.ideal)[0]
+        field = residue_field(factor)[0]
         want = _frobenius(field.mul, field.rank, factor.p)
-        assert [list(v) for v in want] == certified, factor.ideal
+        assert [list(v) for v in want] == certified, factor
 
 
 def _ring_or_gf4_on_x_and_1(text) -> FiniteRing:
@@ -433,16 +426,16 @@ def test_residue_columns_are_the_residue_field_coordinates(text):
     # F_p-basis of R/m, which `modules._residue_span` relies on
     R = _ring_or_gf4_on_x_and_1(text)
     for factor in local_factorization(R):
-        field, project, lift = residue_field(factor.ideal)
+        field, project, lift = residue_field(factor)
         columns, span = factor.residue_columns, factor.span_columns
         f = len(columns)
-        assert field.size == factor.p**f == factor.ideal.residue_size
+        assert field.size == factor.p**f == factor.residue_size
         for j, u in enumerate(basis_vectors(f)):
             assert lift(u) == basis_vectors(R.rank)[columns[j]]
         assert len(span) == f - 1 and set(span) < set(columns)
         lifts = [R.one] + [basis_vectors(R.rank)[i] for i in span]
         rows, _ = _echelon([project(x) for x in lifts], factor.p)
-        assert len(rows) == f, factor.ideal
+        assert len(rows) == f, factor
 
 
 def _factor_calls(monkeypatch, ring) -> dict:
@@ -515,16 +508,35 @@ def test_a_larger_r_mod_p_runs_the_general_split(text, monkeypatch):
 
 def test_factor_runs_the_field_test_once_per_factor_with_a_nonzero_image(monkeypatch):
     # in Z/4 x Z/2, R/2R = F_2 x F_2, and each m̄_e is the other factor;
-    # on a ring no test has factored, the three readers share one factoring
+    # on a ring no test has factored, the two readers share one factoring
     monkeypatch.setattr(rings, "_INTERNED", rings._RingTable())
     R = parse_ring("Z/4 x Z/2")
     calls = _factor_work(monkeypatch)
-    assert all(factor.rows for factor in local_factorization(R))
+    factors = local_factorization(R)
+    assert all(factor.rows for factor in factors)
     ideals = maximal_ideals(R)
-    assert [local_factor(ideal).ideal for ideal in ideals] == ideals
+    assert {id(factor) for factor in factors} == {id(ideal) for ideal in ideals}
     assert calls["_factor"] == 1
     assert calls["_is_field"] == len(ideals) == 2
     assert calls["_Coordinates"] == 0
+
+
+@pytest.mark.parametrize("text", PINNED_RINGS + MIXED_PRODUCTS)
+def test_each_maximal_ideal_is_one_record(text):
+    # `maximal_ideals`, `local_factorization` and the entries of the
+    # semisimple invariants hold one `LocalFactor` per m_e, and each
+    # equals, with an equal hash, the ideal its generators span
+    R = parse_ring(text)
+    ideals = maximal_ideals(R)
+    by_members = sorted(local_factorization(R), key=lambda factor: factor.members)
+    assert [id(ideal) for ideal in ideals] == [id(factor) for factor in by_members]
+    entries = semisimple_invariants(modules.free_module(R, 1))
+    assert [id(entry.ideal) for entry in entries] == [id(ideal) for ideal in ideals]
+    for ideal in ideals:
+        spanned = ideal_generated(R, ideal.generators)
+        assert type(spanned) is Ideal and type(ideal) is rings.LocalFactor
+        assert ideal == spanned == ideal
+        assert hash(ideal) == hash(spanned)
 
 
 @pytest.mark.parametrize("text", PINNED_RINGS + MIXED_PRODUCTS + GF_CASES)
@@ -553,7 +565,7 @@ def assert_factor_matches_the_algebra(R):
     certified by `_is_field`, give the same records in the same order."""
     factors, masks = factor_by_algebra(R)
     got = [
-        (f.idempotent, f.ideal.members, f.ideal.spanning, f.p, f.rows, f.pivots)
+        (f.idempotent, f.members, f.spanning, f.p, f.rows, f.pivots)
         for f in local_factorization(R)
     ]
     assert got == factors, R.label
